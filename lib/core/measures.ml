@@ -275,53 +275,134 @@ let decisions trace ~nprocs =
 (* Streaming measures                                                  *)
 
 module Online = struct
-  module S = Set.Make (Int)
+  (* Open-addressed int -> int map for non-negative values: keys and
+     values interleave in one array, linear probing, load <= 1/2. *)
+  module Itbl = struct
+    type t = {
+      mutable cells : int array;  (* 2i: key, 2i+1: value *)
+      mutable mask : int;         (* capacity - 1, capacity a power of 2 *)
+      mutable size : int;
+    }
 
-  (* A mutable counterpart of [sample] under construction. *)
+    let empty = min_int
+
+    let create cap = { cells = Array.make (2 * cap) empty; mask = cap - 1; size = 0 }
+
+    let[@inline] hash k =
+      let h = k * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
+
+    (* Cell index of [k], or of the empty cell where it would go. *)
+    let rec probe cells mask k i =
+      let c = Array.unsafe_get cells (2 * i) in
+      if c = k || c = empty then i else probe cells mask k ((i + 1) land mask)
+
+    let find t k =
+      let i = probe t.cells t.mask k (hash k land t.mask) in
+      if t.cells.(2 * i) = k then t.cells.((2 * i) + 1) else -1
+
+    let grow t =
+      let old = t.cells and old_mask = t.mask in
+      let mask = (2 * (old_mask + 1)) - 1 in
+      let cells = Array.make (2 * (mask + 1)) empty in
+      for j = 0 to old_mask do
+        let k = old.(2 * j) in
+        if k <> empty then begin
+          let i = probe cells mask k (hash k land mask) in
+          cells.(2 * i) <- k;
+          cells.((2 * i) + 1) <- old.((2 * j) + 1)
+        end
+      done;
+      t.cells <- cells;
+      t.mask <- mask
+
+    (* The value bound to [k]; if there is none, bind [k] to [v] and
+       return -1. *)
+    let[@inline] find_or_add t k v =
+      if 2 * (t.size + 1) > t.mask + 1 then grow t;
+      let cells = t.cells in
+      let i = probe cells t.mask k (hash k land t.mask) in
+      if cells.(2 * i) = k then cells.((2 * i) + 1)
+      else begin
+        cells.(2 * i) <- k;
+        cells.((2 * i) + 1) <- v;
+        t.size <- t.size + 1;
+        -1
+      end
+  end
+
+  (* A mutable counterpart of [sample] under construction.  Distinct
+     registers are counted through per-register stamps (see [pstate]):
+     a stamp [gen lsl 2 lor bits] whose generation differs from [gen] is
+     a register not yet seen since the last reset, and [bits] records
+     whether it was read (1) and written (2) in this generation — so a
+     reset only bumps [gen]. *)
   type acc = {
+    mutable gen : int;
     mutable a_steps : int;
     mutable a_reads : int;
     mutable a_writes : int;
-    a_seen : (int, unit) Hashtbl.t;
-    a_seen_r : (int, unit) Hashtbl.t;
-    a_seen_w : (int, unit) Hashtbl.t;
+    mutable a_regs : int;
+    mutable a_rregs : int;
+    mutable a_wregs : int;
   }
 
   let acc_create () =
-    { a_steps = 0; a_reads = 0; a_writes = 0;
-      a_seen = Hashtbl.create 8; a_seen_r = Hashtbl.create 8;
-      a_seen_w = Hashtbl.create 8 }
+    { gen = 1; a_steps = 0; a_reads = 0; a_writes = 0;
+      a_regs = 0; a_rregs = 0; a_wregs = 0 }
 
   let acc_reset a =
+    a.gen <- a.gen + 1;
     a.a_steps <- 0;
     a.a_reads <- 0;
     a.a_writes <- 0;
-    Hashtbl.reset a.a_seen;
-    Hashtbl.reset a.a_seen_r;
-    Hashtbl.reset a.a_seen_w
+    a.a_regs <- 0;
+    a.a_rregs <- 0;
+    a.a_wregs <- 0
 
-  let acc_add a (r : Register.t) k =
+  (* Count one access whose stamp for [a] lives at [slots.(off)]. *)
+  let[@inline] acc_add a slots off w =
     a.a_steps <- a.a_steps + 1;
-    Hashtbl.replace a.a_seen r.Register.id ();
-    if Event.is_write k then begin
-      a.a_writes <- a.a_writes + 1;
-      Hashtbl.replace a.a_seen_w r.Register.id ()
-    end
-    else begin
-      a.a_reads <- a.a_reads + 1;
-      Hashtbl.replace a.a_seen_r r.Register.id ()
+    let st = slots.(off) in
+    let st =
+      if st lsr 2 = a.gen then st
+      else begin
+        a.a_regs <- a.a_regs + 1;
+        a.gen lsl 2
+      end
+    in
+    let bit = if w then 2 else 1 in
+    if w then a.a_writes <- a.a_writes + 1 else a.a_reads <- a.a_reads + 1;
+    if st land bit = 0 then begin
+      if w then a.a_wregs <- a.a_wregs + 1 else a.a_rregs <- a.a_rregs + 1;
+      slots.(off) <- st lor bit
     end
 
   let acc_sample a =
     { steps = a.a_steps;
-      registers = Hashtbl.length a.a_seen;
+      registers = a.a_regs;
       read_steps = a.a_reads;
       write_steps = a.a_writes;
-      read_registers = Hashtbl.length a.a_seen_r;
-      write_registers = Hashtbl.length a.a_seen_w }
+      read_registers = a.a_rregs;
+      write_registers = a.a_wregs }
+
+  (* Per-process slot layout in [slots]: one row of [stride] ints per
+     register the process accessed.  Columns [0..4] are the stamps of the
+     five accumulators, [5] the index of the process's last access to the
+     register (-2: never), [6] the register's global index in [t]. *)
+  let stride = 7
+  let c_total = 0
+  let c_cf = 1
+  let c_entry = 2
+  let c_exit = 3
+  let c_rec = 4
+  let c_last = 5
+  let c_reg = 6
 
   type pstate = {
     mutable region : Event.region;
+    slot_of : Itbl.t;   (* register id -> row in [slots] *)
+    mutable slots : int array;
     total : acc;        (* whole-run, = per_process_samples *)
     cf : acc;           (* accesses while own region is Trying/Exiting *)
     entry : acc;        (* current §2.2 entry window candidate *)
@@ -334,11 +415,15 @@ module Online = struct
     mutable rec_open : bool;
     mutable rec_rmr : int;
     mutable remote : int;
+    mutable crashed_at : int;  (* index of the last Crash event, -1: none *)
   }
 
   type t = {
     o_nprocs : int;
-    procs : (int, pstate) Hashtbl.t;
+    proc_of : Itbl.t;   (* pid -> index in [procs] *)
+    mutable procs : pstate array;
+    mutable last_pid : int;  (* [last] caches the most recent pid lookup *)
+    mutable last : pstate;
     mutable events : int;
     mutable occupied : int;
         (* processes whose region is Critical or Exiting — the §2.2
@@ -352,38 +437,93 @@ module Online = struct
     mutable recs : (int * sample) list;
     mutable rec_rmrs : (int * int) list;
     mutable decs : (int * int) list;
-    valid : (int, S.t) Hashtbl.t;
-        (* write-invalidate holders, [remote_accesses] semantics: no
-           crash eviction.  Sets instead of bitmasks, so any n *)
-    rvalid : (int, S.t) Hashtbl.t;
-        (* holders under the crash-evicting [recovery_rmr] semantics *)
-    reg_touched : (int, Register.t) Hashtbl.t;
+    reg_of : Itbl.t;    (* register id -> global index *)
+    mutable regs : Register.t array;  (* by global index *)
+    mutable last_write : int array;
+        (* by global index: index of the register's last write event, -1
+           if none.  A process holds a valid copy (write-invalidate) iff
+           its last access is at or after the last write *)
   }
+
+  let pstate_create () =
+    { region = Event.Remainder;
+      slot_of = Itbl.create 8; slots = [||];
+      total = acc_create (); cf = acc_create ();
+      entry = acc_create (); entry_gen = 0;
+      exit_ = acc_create (); rec_ = acc_create ();
+      rec_open = false; rec_rmr = 0; remote = 0; crashed_at = -1 }
 
   let create ~nprocs =
     { o_nprocs = nprocs;
-      procs = Hashtbl.create 64;
+      proc_of = Itbl.create 8; procs = [||];
+      last_pid = -1; last = pstate_create ();
       events = 0; occupied = 0; clear_gen = 0;
       entries = []; exits = []; recs = []; rec_rmrs = []; decs = [];
-      valid = Hashtbl.create 64;
-      rvalid = Hashtbl.create 64;
-      reg_touched = Hashtbl.create 64 }
+      reg_of = Itbl.create 16; regs = [||]; last_write = [||] }
+
+  (* [a] with room for index [n], keeping its first [n] cells. *)
+  let grown a n fill =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (max 8 (2 * Array.length a)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    end
+
+  let find_pstate t pid =
+    let i = Itbl.find t.proc_of pid in
+    if i < 0 then None else Some t.procs.(i)
 
   let pstate t pid =
-    match Hashtbl.find_opt t.procs pid with
-    | Some p -> p
-    | None ->
-      if pid < 0 || pid >= t.o_nprocs then
-        invalid_arg "Measures.Online: pid out of range";
+    if pid < 0 || pid >= t.o_nprocs then
+      invalid_arg "Measures.Online: pid out of range";
+    if pid = t.last_pid then t.last
+    else begin
+      let n = t.proc_of.Itbl.size in
+      let i = Itbl.find_or_add t.proc_of pid n in
       let p =
-        { region = Event.Remainder;
-          total = acc_create (); cf = acc_create ();
-          entry = acc_create (); entry_gen = 0;
-          exit_ = acc_create (); rec_ = acc_create ();
-          rec_open = false; rec_rmr = 0; remote = 0 }
+        if i >= 0 then t.procs.(i)
+        else begin
+          let p = pstate_create () in
+          t.procs <- grown t.procs n p;
+          t.procs.(n) <- p;
+          p
+        end
       in
-      Hashtbl.replace t.procs pid p;
+      t.last_pid <- pid;
+      t.last <- p;
       p
+    end
+
+  let reg_index t (r : Register.t) =
+    let n = t.reg_of.Itbl.size in
+    let g = Itbl.find_or_add t.reg_of r.Register.id n in
+    if g >= 0 then g
+    else begin
+      t.regs <- grown t.regs n r;
+      t.regs.(n) <- r;
+      t.last_write <- grown t.last_write n (-1);
+      t.last_write.(n) <- -1;
+      n
+    end
+
+  (* Offset of [r]'s row in [p.slots], allocating the row on first use. *)
+  let slot t p (r : Register.t) =
+    let n = p.slot_of.Itbl.size in
+    let s = Itbl.find_or_add p.slot_of r.Register.id n in
+    if s >= 0 then s * stride
+    else begin
+      let off = n * stride in
+      if off + stride > Array.length p.slots then begin
+        let b = Array.make (2 * max (4 * stride) (Array.length p.slots)) 0 in
+        Array.blit p.slots 0 b 0 off;
+        p.slots <- b
+      end;
+      (* A fresh row's stamps are 0: generation 0 is never current. *)
+      p.slots.(off + c_last) <- -2;
+      p.slots.(off + c_reg) <- reg_index t r;
+      off
+    end
 
   let in_cs_or_exit = function
     | Event.Critical | Event.Exiting -> true
@@ -397,10 +537,12 @@ module Online = struct
     if t.occupied > 0 then t.clear_gen <- t.clear_gen + 1;
     (match body with
     | Event.Access (r, k) ->
-      Hashtbl.replace t.reg_touched r.Register.id r;
-      acc_add p.total r k;
+      let w = Event.is_write k in
+      let off = slot t p r in
+      let slots = p.slots in
+      acc_add p.total slots (off + c_total) w;
       (match pre with
-      | Event.Trying | Event.Exiting -> acc_add p.cf r k
+      | Event.Trying | Event.Exiting -> acc_add p.cf slots (off + c_cf) w
       | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted ->
         ());
       (* Entry-window candidate: only Trying accesses can land in a §2.2
@@ -413,29 +555,26 @@ module Online = struct
           acc_reset p.entry;
           p.entry_gen <- t.clear_gen
         end;
-        if t.occupied = 0 then acc_add p.entry r k
+        if t.occupied = 0 then acc_add p.entry slots (off + c_entry) w
       | Event.Remainder | Event.Critical | Event.Exiting | Event.Decided _
       | Event.Halted -> ());
       (match pre with
-      | Event.Exiting -> acc_add p.exit_ r k
+      | Event.Exiting -> acc_add p.exit_ slots (off + c_exit) w
       | Event.Remainder | Event.Trying | Event.Critical | Event.Decided _
       | Event.Halted -> ());
-      if p.rec_open then acc_add p.rec_ r k;
-      (* remote_accesses semantics (no crash eviction) *)
-      let holders =
-        Option.value ~default:S.empty (Hashtbl.find_opt t.valid r.Register.id)
-      in
-      if not (S.mem pid holders) then p.remote <- p.remote + 1;
-      Hashtbl.replace t.valid r.Register.id
-        (if Event.is_write k then S.singleton pid else S.add pid holders);
-      (* recovery_rmr semantics (crash-evicted holders) *)
-      let rholders =
-        Option.value ~default:S.empty (Hashtbl.find_opt t.rvalid r.Register.id)
-      in
-      if (not (S.mem pid rholders)) && p.rec_open then
+      if p.rec_open then acc_add p.rec_ slots (off + c_rec) w;
+      (* Write-invalidate holders: [pid]'s copy is valid iff its last
+         access is no older than the last write ([remote_accesses]
+         semantics), and for [recovery_rmr] also newer than its last
+         crash, which destroyed the dying incarnation's copies. *)
+      let g = slots.(off + c_reg) in
+      let last = slots.(off + c_last) in
+      let stale = last < t.last_write.(g) in
+      if stale then p.remote <- p.remote + 1;
+      if p.rec_open && (stale || last <= p.crashed_at) then
         p.rec_rmr <- p.rec_rmr + 1;
-      Hashtbl.replace t.rvalid r.Register.id
-        (if Event.is_write k then S.singleton pid else S.add pid rholders)
+      slots.(off + c_last) <- t.events;
+      if w then t.last_write.(g) <- t.events
     | Event.Region_change r ->
       (* Close §2.2 entry windows: Trying -> Critical. *)
       (match r with
@@ -474,10 +613,11 @@ module Online = struct
       p.region <- r
     | Event.Crash ->
       (* Fragments are abandoned and the dying incarnation's cached
-         copies destroyed ([recovery_rmr] semantics); the region stays
-         stale on purpose — strong occupancy, as in Trace.fold_states. *)
+         copies destroyed ([recovery_rmr] semantics) by stamping the
+         crash, O(1); the region stays stale on purpose — strong
+         occupancy, as in Trace.fold_states. *)
       p.rec_open <- false;
-      Hashtbl.filter_map_inplace (fun _ h -> Some (S.remove pid h)) t.rvalid
+      p.crashed_at <- t.events
     | Event.Recover ->
       p.rec_open <- true;
       acc_reset p.rec_;
@@ -492,7 +632,7 @@ module Online = struct
   let events_seen t = t.events
 
   let sample_of t pid which =
-    match Hashtbl.find_opt t.procs pid with
+    match find_pstate t pid with
     | None -> zero
     | Some p -> acc_sample (which p)
 
@@ -506,11 +646,12 @@ module Online = struct
   let decisions t = List.rev t.decs
 
   let remote t ~pid =
-    match Hashtbl.find_opt t.procs pid with Some p -> p.remote | None -> 0
+    match find_pstate t pid with Some p -> p.remote | None -> 0
 
   let remote_accesses t = Array.init t.o_nprocs (fun pid -> remote t ~pid)
 
-  let touched t = Hashtbl.fold (fun _ r acc -> r :: acc) t.reg_touched []
-  let touched_count t = Hashtbl.length t.reg_touched
-  let spawned t = Hashtbl.length t.procs
+  let touched t = List.init t.reg_of.Itbl.size (Array.get t.regs)
+
+  let touched_count t = t.reg_of.Itbl.size
+  let spawned t = t.proc_of.Itbl.size
 end

@@ -106,12 +106,25 @@ val remote_accesses : Trace.t -> nprocs:int -> int array
     accumulator incrementally, so a run never materialises its event
     list.  For any event sequence, each query below returns {e exactly}
     the value its materialised counterpart computes on the recorded
-    trace of the same run (asserted exhaustively by the equivalence
-    gate in the test battery), with one deliberate widening:
-    {!Online.remote_accesses} uses pid {e sets} for the write-invalidate
-    holder bookkeeping instead of the 62-bit masks of
-    {!remote_accesses}, so it has no [nprocs <= 62] restriction (same
-    semantics where both are defined; see DESIGN.md §2).
+    trace of the same run (asserted by the equivalence gate in the test
+    battery, on real runs and on synthetic event sequences), with one
+    deliberate widening: {!Online.remote_accesses} has no
+    [nprocs <= 62] restriction (same semantics where both are defined;
+    see DESIGN.md §2).
+
+    Representation.  Each process keeps an open-addressed table from
+    register id to a row of ints: one stamp per accumulator (total,
+    contention-free, entry window, exit fragment, recovery fragment),
+    packing the accumulator's generation with read/write bits, plus the
+    index of the process's last access to the register.  A register is
+    new to an accumulator iff its stamp's generation is stale, so
+    resetting a fragment is O(1).  Write-invalidate holders are not
+    stored as sets: the fold keeps each register's last-write index and
+    each process's last-crash index, and a process holds a valid copy
+    iff its last access is at or after the last write — and, for
+    {!Online.recovery_rmr}, after its last crash.  So feeding an access
+    to a register the process has touched before costs one int-keyed
+    probe and allocates nothing, and a [Crash] is O(1).
 
     What the online fold {e cannot} give you is anything requiring
     random access into the past: [Trace.regions_at], stall diagnosis
@@ -119,9 +132,9 @@ val remote_accesses : Trace.t -> nprocs:int -> int array
     {!Cfc_runtime.Trace.t} sink for those (small n only).
 
     Memory is O(active set + completed fragments): per-process state is
-    allocated lazily at a pid's first event, and the per-register
-    holder tables grow with registers actually touched, never with
-    [nprocs]. *)
+    allocated lazily at a pid's first event, and the per-process and
+    per-register tables grow with the registers each pid actually
+    touched, never with [nprocs] or with the range of register ids. *)
 module Online : sig
   type t
 

@@ -65,13 +65,29 @@ type stream = {
   nkeys : int;
 }
 
+(* The last Zipf CDF built on this domain, keyed by (nkeys, theta): a KV
+   run opens one stream per client with the same parameters, and the
+   table is immutable, so consecutive streams share it instead of each
+   rebuilding nkeys floats.  Domain-local, so Kv_service's domains never
+   race on the memo. *)
+let zipf_memo : (int * float * Ixmath.zipf) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let shared_zipf ~n ~theta =
+  match Domain.DLS.get zipf_memo with
+  | Some (n', theta', z) when n' = n && Float.equal theta' theta -> z
+  | Some _ | None ->
+    let z = Ixmath.zipf ~n ~theta in
+    Domain.DLS.set zipf_memo (Some (n, theta, z));
+    z
+
 (* Salt 0x5b separates op draws from think-time draws ([mix_seed seed
    client] alone) and crash draws (salt 0x0c in Lock_service). *)
 let stream ~seed ~client ~nkeys ~theta mix =
   if nkeys < 1 then invalid_arg "Ycsb.stream: nkeys < 1";
   {
     st = Random.State.make [| Ixmath.mix_seed seed client; 0x5b |];
-    zipf = Ixmath.zipf ~n:nkeys ~theta;
+    zipf = shared_zipf ~n:nkeys ~theta;
     mix;
     nkeys;
   }

@@ -564,20 +564,14 @@ let test_bits_accessed () =
 (* Streaming (Online) vs materialised measures                         *)
 (* ------------------------------------------------------------------ *)
 
-(* One contended run of [alg] at [n]; the trace is then replayed into
-   [Measures.Online] and [Spec.Monitor], and every streaming measure
-   with a materialised counterpart must agree EXACTLY — same samples,
-   same fragment lists, same order.  This is the gate that lets the
-   EXP-SCALE sweeps trust the streaming numbers at n where no trace can
-   be materialised. *)
-let assert_online_equals_materialised ?faults ~pick ~what alg n =
-  let (module A : Mutex_intf.ALG) = alg in
-  let p = Mutex_intf.params n in
-  let out = Mutex_harness.run ~rounds:2 ?faults ~pick:(pick ()) alg p in
-  let trace = out.Runner.trace in
+(* Replay [trace] into [Measures.Online]: every streaming measure with a
+   materialised counterpart must agree EXACTLY — same samples, same
+   fragment lists, same order.  This is the gate that lets the EXP-SCALE
+   sweeps trust the streaming numbers at n where no trace can be
+   materialised. *)
+let check_online_matches_trace ~ctx ~n trace =
   let online = Measures.Online.create ~nprocs:n in
   Measures.Online.feed_trace online trace;
-  let ctx tag = Printf.sprintf "%s n=%d %s: %s" A.name n what tag in
   let eq tag a b = check_bool (ctx tag) true (a = b) in
   eq "events_seen" (Measures.Online.events_seen online) (Trace.length trace);
   eq "per_process"
@@ -605,7 +599,18 @@ let assert_online_equals_materialised ?faults ~pick ~what alg n =
     (Measures.decisions trace ~nprocs:n);
   eq "remote_accesses"
     (Array.to_list (Measures.Online.remote_accesses online))
-    (Array.to_list (Measures.remote_accesses trace ~nprocs:n));
+    (Array.to_list (Measures.remote_accesses trace ~nprocs:n))
+
+(* One contended run of [alg] at [n], checked as above and replayed into
+   [Spec.Monitor] as well. *)
+let assert_online_equals_materialised ?faults ~pick ~what alg n =
+  let (module A : Mutex_intf.ALG) = alg in
+  let p = Mutex_intf.params n in
+  let out = Mutex_harness.run ~rounds:2 ?faults ~pick:(pick ()) alg p in
+  let trace = out.Runner.trace in
+  let ctx tag = Printf.sprintf "%s n=%d %s: %s" A.name n what tag in
+  let eq tag a b = check_bool (ctx tag) true (a = b) in
+  check_online_matches_trace ~ctx ~n trace;
   (* The streaming exclusion monitors agree with the trace checkers —
      the plain one only on crash-free runs (a crashed holder makes the
      plain checker's verdict meaningless, matching Spec's own docs). *)
@@ -665,9 +670,104 @@ let test_online_equals_materialised_faults () =
         Registry.recoverable)
     [ 2; 3; 8 ]
 
-(* Randomized amplification: arbitrary seeds drive both the schedule and
-   the fault plan; a cheap spin lock and a recoverable lock cover the
-   plain and crash paths. *)
+(* An event sequence no lock would emit, built straight through
+   [Trace.record]: up to 62 processes (the materialised
+   [remote_accesses] limit) access registers of two arenas with sparse,
+   large ids, wander through every region, and run crash -> re-access ->
+   recover -> Critical scripts (sometimes crashing again mid-recovery).
+   Two sweeps each take one process over more than 1000 distinct
+   registers, so the per-process and global tables must grow. *)
+let synthetic_trace seed =
+  let st = Random.State.make [| seed; 0x5e9 |] in
+  let n = 2 + Random.State.int st 61 in
+  let arena ~tag ~base ~step k =
+    Array.init k (fun i ->
+        Register.make ~id:(base + (i * step))
+          ~name:(Printf.sprintf "%s%d" tag i) ~width:8 ~model:None ~init:0)
+  in
+  let hot = arena ~tag:"h" ~base:(1 lsl 40) ~step:7919 24 in
+  let cold = arena ~tag:"c" ~base:(1 lsl 55) ~step:1_000_003 1200 in
+  let t = Trace.create () in
+  let regions = Array.make n Event.Remainder in
+  let ev pid body =
+    ignore (Trace.record t ~pid body);
+    match body with
+    | Event.Region_change r -> regions.(pid) <- r
+    | Event.Recover -> regions.(pid) <- Event.Remainder
+    | Event.Access _ | Event.Crash -> ()
+  in
+  let kind () =
+    match Random.State.int st 5 with
+    | 0 | 1 -> Event.A_read 0
+    | 2 -> Event.A_write 1
+    | 3 -> Event.A_cas (0, 1, Random.State.bool st)
+    | _ -> Event.A_xchg (0, 1)
+  in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let access pid =
+    let r = if Random.State.int st 4 = 0 then pick cold else pick hot in
+    ev pid (Event.Access (r, kind ()))
+  in
+  let next_region = function
+    | Event.Remainder -> Event.Trying
+    | Event.Trying -> Event.Critical
+    | Event.Critical -> Event.Exiting
+    | Event.Exiting | Event.Decided _ | Event.Halted -> Event.Remainder
+  in
+  let odd_region () =
+    match Random.State.int st 6 with
+    | 0 -> Event.Remainder
+    | 1 -> Event.Trying
+    | 2 -> Event.Critical
+    | 3 -> Event.Exiting
+    | 4 -> Event.Decided (Random.State.int st 4)
+    | _ -> Event.Halted
+  in
+  let burst pid k =
+    for _ = 1 to k do
+      if Random.State.int st 3 = 0 then access (Random.State.int st n);
+      ev pid (Event.Access (pick hot, kind ()))
+    done
+  in
+  let recovery pid =
+    ev pid Event.Crash;
+    burst pid (Random.State.int st 4);
+    ev pid Event.Recover;
+    burst pid (1 + Random.State.int st 6);
+    if Random.State.int st 4 = 0 then begin
+      ev pid Event.Crash;
+      ev pid Event.Recover;
+      burst pid (Random.State.int st 3)
+    end;
+    ev pid (Event.Region_change Event.Critical)
+  in
+  let sweep pid =
+    ev pid (Event.Region_change Event.Trying);
+    let len = 1001 + Random.State.int st 150 in
+    let start = Random.State.int st (Array.length cold - len) in
+    for i = start to start + len - 1 do
+      if Random.State.int st 50 = 0 then access (Random.State.int st n);
+      ev pid (Event.Access (cold.(i), kind ()))
+    done
+  in
+  let sweeps = [ 300; 900 ] in
+  for step = 0 to 1_200 do
+    if List.mem step sweeps then sweep (Random.State.int st n);
+    let pid = Random.State.int st n in
+    match Random.State.int st 100 with
+    | k when k < 60 -> access pid
+    | k when k < 80 -> ev pid (Event.Region_change (next_region regions.(pid)))
+    | k when k < 84 -> ev pid (Event.Region_change (odd_region ()))
+    | k when k < 89 -> recovery pid
+    | k when k < 92 -> ev pid Event.Crash
+    | k when k < 94 -> ev pid Event.Recover
+    | _ -> burst pid 8
+  done;
+  (n, t)
+
+(* Randomized amplification: arbitrary seeds drive the schedule and the
+   fault plan of real runs — a cheap spin lock and a recoverable lock
+   cover the plain and crash paths — and a synthetic event sequence. *)
 let prop_online_equivalence =
   QCheck.Test.make ~count:40 ~name:"online measures = materialised (seeded)"
     QCheck.(int_bound 10_000)
@@ -678,7 +778,41 @@ let prop_online_equivalence =
       let faults = Fault.chaos ~seed ~nprocs:3 ~pairs:2 ~horizon:60 in
       assert_online_equals_materialised ~faults ~pick:(snd pick)
         ~what:"qcheck chaos" Registry.rec_tas 3;
+      let n, trace = synthetic_trace seed in
+      check_online_matches_trace ~n trace ~ctx:(fun tag ->
+          Printf.sprintf "synthetic seed=%d n=%d: %s" seed n tag);
       true)
+
+(* After warm-up, feeding accesses to registers every process has
+   already touched allocates nothing: one probe of the process's table,
+   then stamp and last-access updates in place.  Four pids cover the
+   Trying (cf + entry window), Exiting (cf + exit fragment) and
+   recovery-fragment paths, and alternate to defeat the pid cache. *)
+let test_online_feed_no_alloc () =
+  let m = Memory.create () in
+  let regs = Memory.alloc_array ~width:8 ~init:0 m 64 in
+  let bodies =
+    Array.init 128 (fun i ->
+        let r = regs.(i mod 64) in
+        Event.Access (r, if i mod 3 = 0 then Event.A_write 1 else Event.A_read 0))
+  in
+  let o = Measures.Online.create ~nprocs:4 in
+  let feed = Measures.Online.feed o in
+  feed ~pid:0 (Event.Region_change Event.Trying);
+  feed ~pid:1 (Event.Region_change Event.Exiting);
+  feed ~pid:2 Event.Crash;
+  feed ~pid:2 Event.Recover;
+  feed ~pid:3 (Event.Region_change Event.Trying);
+  for pid = 0 to 3 do
+    Array.iter (feed ~pid) bodies
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Measures.Online.feed o ~pid:(i land 3) bodies.(i land 127)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "%.0f minor words for 10^4 accesses" words) true
+    (words = 0.)
 
 (* The wheel-driven streaming harness returns the exact same cf_result
    as the trace-driven one, per process. *)
@@ -721,6 +855,8 @@ let () =
           Alcotest.test_case "online = materialised (chaos faults)" `Quick
             test_online_equals_materialised_faults;
           QCheck_alcotest.to_alcotest prop_online_equivalence;
+          Alcotest.test_case "online feed allocates nothing per access"
+            `Quick test_online_feed_no_alloc;
           Alcotest.test_case "cf streaming harness = trace harness" `Quick
             test_cf_streaming_equals_materialised ] );
       ( "bounds",

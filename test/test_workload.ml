@@ -366,6 +366,38 @@ let test_ycsb_stream_seeding () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nkeys=0 accepted"
 
+(* Streams share one Zipf table per (nkeys, theta) through a one-entry
+   domain-local memo.  Alternating theta between consecutive [stream]
+   calls misses it every time; each stream must still replay exactly
+   the ops of the same client's stream built on a fresh domain where
+   only its theta was ever used. *)
+let test_ycsb_zipf_memo_alternating () =
+  let thetas = [| 0.99; 0.0; 0.6 |] in
+  let theta_of client = thetas.(client mod Array.length thetas) in
+  let take s = List.init 200 (fun _ -> Ycsb.next s) in
+  let ops client theta =
+    take (Ycsb.stream ~seed:42 ~client ~nkeys:512 ~theta Ycsb.mix_a)
+  in
+  let clients = List.init 12 Fun.id in
+  let alternating = List.map (fun c -> (c, ops c (theta_of c))) clients in
+  let single theta =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.filter_map
+             (fun c ->
+               if Float.equal (theta_of c) theta then Some (c, ops c theta)
+               else None)
+             clients))
+  in
+  let reference = Array.to_list thetas |> List.concat_map single in
+  List.iter
+    (fun (c, got) ->
+      check_bool
+        (Printf.sprintf "client %d theta %.2f replays" c (theta_of c))
+        true
+        (got = List.assoc c reference))
+    alternating
+
 (* ------------------------------------------------------------------ *)
 (* The sharded KV service on the wheel                                  *)
 (* ------------------------------------------------------------------ *)
@@ -475,7 +507,9 @@ let () =
       ( "ycsb",
         [ Alcotest.test_case "mix frequencies" `Quick
             test_ycsb_mix_frequencies;
-          Alcotest.test_case "stream seeding" `Quick test_ycsb_stream_seeding ] );
+          Alcotest.test_case "stream seeding" `Quick test_ycsb_stream_seeding;
+          Alcotest.test_case "zipf memo: alternating theta replays" `Quick
+            test_ycsb_zipf_memo_alternating ] );
       ( "kv",
         [ Alcotest.test_case "complete and witness-clean" `Quick
             test_kv_complete_and_clean;
