@@ -165,8 +165,9 @@ let remote_access () =
         in
         let remote =
           Array.fold_left max 0
-            (Cfc_core.Measures.remote_accesses out.Cfc_runtime.Runner.trace
-               ~nprocs:n)
+            (Cfc_core.Measures.Online.remote_accesses
+               (Cfc_core.Measures.Online.of_trace ~nprocs:n
+                  out.Cfc_runtime.Runner.trace))
         in
         Texttab.add_row t
           [ A.name; string_of_int remote;

@@ -48,8 +48,9 @@ let sim_solo_rmr (module A : Mutex_intf.ALG) ~rounds ~cs_len =
   in
   let procs = [| proc0; (fun () -> ()) |] in
   let out = Runner.run ~memory ~pick:(Schedule.solo 0) procs in
-  let remote = Cfc_core.Measures.remote_accesses out.Runner.trace ~nprocs:2 in
-  float_of_int remote.(0) /. float_of_int (max 1 rounds)
+  let online = Cfc_core.Measures.Online.of_trace ~nprocs:2 out.Runner.trace in
+  float_of_int (Cfc_core.Measures.Online.remote online ~pid:0)
+  /. float_of_int (max 1 rounds)
 
 let run_one (module A : Mutex_intf.ALG) ~domains ~mean_think ~rounds ~cs_len =
   let config =

@@ -77,7 +77,9 @@ let contention_free (module A : Cfc_consensus.Consensus_intf.ALG) ~n ~inputs =
             (Printf.sprintf "%s: solo process decided %d, input was %d" A.name
                v inputs.(me))
         | None -> invalid_arg (A.name ^ ": solo process undecided"));
-        Measures.naming_process out.Runner.trace ~nprocs:n ~pid:me)
+        Measures.Online.process_total
+          (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+          ~pid:me)
   in
   { max = Array.fold_left Measures.max_sample Measures.zero per_process;
     per_process }

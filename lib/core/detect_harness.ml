@@ -40,7 +40,9 @@ let contention_free (module D : Mutex_intf.DETECTOR) (p : Mutex_intf.params) =
         | None -> ()
         | Some v ->
           invalid_arg (Format.asprintf "%s: %a" D.name Spec.pp_violation v));
-        Measures.naming_process out.Runner.trace ~nprocs:n ~pid:me)
+        Measures.Online.process_total
+          (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+          ~pid:me)
       (Mutex_harness.sample_pids n)
     |> Array.of_list
   in
@@ -71,7 +73,8 @@ let wc_estimate ~seeds detector (p : Mutex_intf.params) =
     if not out.Runner.completed then
       invalid_arg "Detect_harness.wc_estimate: step budget exhausted";
     Array.fold_left Measures.max_sample Measures.zero
-      (Measures.per_process_samples out.Runner.trace ~nprocs:n)
+      (Measures.Online.per_process
+         (Measures.Online.of_trace ~nprocs:n out.Runner.trace))
   in
   let with_pick mk = sample_of (run ~max_steps ~pick:(mk ()) detector p) in
   let base = with_pick Schedule.round_robin in

@@ -28,239 +28,6 @@ let pp_sample ppf s =
     s.steps s.registers s.read_steps s.write_steps s.read_registers
     s.write_registers
 
-(* Accumulate a sample from a list of (register, kind) accesses. *)
-let of_accesses accesses =
-  let seen = Hashtbl.create 16 in
-  let seen_r = Hashtbl.create 16 in
-  let seen_w = Hashtbl.create 16 in
-  let steps = ref 0 and reads = ref 0 and writes = ref 0 in
-  List.iter
-    (fun (reg, kind) ->
-      incr steps;
-      Hashtbl.replace seen reg.Register.id ();
-      if Event.is_write kind then begin
-        incr writes;
-        Hashtbl.replace seen_w reg.Register.id ()
-      end
-      else begin
-        incr reads;
-        Hashtbl.replace seen_r reg.Register.id ()
-      end)
-    accesses;
-  {
-    steps = !steps;
-    registers = Hashtbl.length seen;
-    read_steps = !reads;
-    write_steps = !writes;
-    read_registers = Hashtbl.length seen_r;
-    write_registers = Hashtbl.length seen_w;
-  }
-
-let in_regions trace ~nprocs ~pid ~in_region =
-  let accesses =
-    Trace.fold_states ~nprocs
-      (fun acc regions e ->
-        match e.Event.body with
-        | Event.Access (r, k) when e.Event.pid = pid && in_region regions.(pid)
-          -> (r, k) :: acc
-        | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> acc)
-      [] trace
-  in
-  of_accesses (List.rev accesses)
-
-let mutex_contention_free trace ~nprocs ~pid =
-  in_regions trace ~nprocs ~pid ~in_region:(function
-    | Event.Trying | Event.Exiting -> true
-    | Event.Remainder | Event.Critical | Event.Decided _ | Event.Halted ->
-      false)
-
-(* Worst-case entry fragments.  Scan once; for each pid track the sequence
-   number after which it (re-)entered Trying, and globally the last state
-   in which some process occupied its critical section or exit code.  When
-   pid moves Trying -> Critical at event j, the valid window starts after
-   both. *)
-let mutex_wc_entry trace ~nprocs =
-  let entered = Array.make nprocs (-1) in
-  let last_occupied = ref (-1) in
-  let out = ref [] in
-  let occupied regions =
-    Array.exists
-      (function Event.Critical | Event.Exiting -> true | _ -> false)
-      regions
-  in
-  let (_ : unit) =
-    Trace.fold_states ~nprocs
-      (fun () regions e ->
-        if occupied regions then last_occupied := e.Event.seq;
-        match e.Event.body with
-        | Event.Region_change Event.Trying -> entered.(e.Event.pid) <- e.Event.seq
-        | Event.Region_change Event.Critical
-          when Event.region_equal regions.(e.Event.pid) Event.Trying ->
-          let pid = e.Event.pid in
-          let from = max (entered.(pid) + 1) (!last_occupied + 1) in
-          let accesses = Trace.accesses_of ~from ~until:e.Event.seq ~pid trace in
-          out := (pid, of_accesses accesses) :: !out
-        | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> ())
-      () trace
-  in
-  List.rev !out
-
-let mutex_wc_exit trace ~nprocs =
-  let entered_exit = Array.make nprocs (-1) in
-  let out = ref [] in
-  let (_ : unit) =
-    Trace.fold_states ~nprocs
-      (fun () regions e ->
-        match e.Event.body with
-        | Event.Region_change Event.Exiting ->
-          entered_exit.(e.Event.pid) <- e.Event.seq
-        | Event.Region_change _
-          when Event.region_equal regions.(e.Event.pid) Event.Exiting ->
-          let pid = e.Event.pid in
-          let from = entered_exit.(pid) + 1 in
-          let accesses = Trace.accesses_of ~from ~until:e.Event.seq ~pid trace in
-          out := (pid, of_accesses accesses) :: !out
-        | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> ())
-      () trace
-  in
-  List.rev !out
-
-let per_process_samples trace ~nprocs =
-  let steps = Array.make nprocs 0
-  and reads = Array.make nprocs 0
-  and writes = Array.make nprocs 0 in
-  let seen = Array.init nprocs (fun _ -> Hashtbl.create 8) in
-  let seen_r = Array.init nprocs (fun _ -> Hashtbl.create 8) in
-  let seen_w = Array.init nprocs (fun _ -> Hashtbl.create 8) in
-  Trace.iter
-    (fun e ->
-      match e.Event.body with
-      | Event.Access (r, k) ->
-        let pid = e.Event.pid in
-        steps.(pid) <- steps.(pid) + 1;
-        Hashtbl.replace seen.(pid) r.Register.id ();
-        if Event.is_write k then begin
-          writes.(pid) <- writes.(pid) + 1;
-          Hashtbl.replace seen_w.(pid) r.Register.id ()
-        end
-        else begin
-          reads.(pid) <- reads.(pid) + 1;
-          Hashtbl.replace seen_r.(pid) r.Register.id ()
-        end
-      | Event.Region_change _ | Event.Crash | Event.Recover -> ())
-    trace;
-  Array.init nprocs (fun pid ->
-      {
-        steps = steps.(pid);
-        registers = Hashtbl.length seen.(pid);
-        read_steps = reads.(pid);
-        write_steps = writes.(pid);
-        read_registers = Hashtbl.length seen_r.(pid);
-        write_registers = Hashtbl.length seen_w.(pid);
-      })
-
-let naming_process trace ~nprocs ~pid =
-  ignore nprocs;
-  of_accesses (Trace.accesses_of ~pid trace)
-
-let remote_accesses trace ~nprocs =
-  let remote = Array.make nprocs 0 in
-  (* valid.(register id) = set of pids holding a valid copy, as a bitmask
-     (nprocs <= 62 gets the fast path; beyond that a hashtable of pairs
-     would be needed — the harnesses only use this for small n). *)
-  if nprocs > 62 then invalid_arg "remote_accesses: nprocs > 62";
-  let valid = Hashtbl.create 64 in
-  Trace.iter
-    (fun e ->
-      match e.Event.body with
-      | Event.Access (r, k) ->
-        let pid = e.Event.pid in
-        let holders =
-          Option.value ~default:0 (Hashtbl.find_opt valid r.Register.id)
-        in
-        if holders land (1 lsl pid) = 0 then
-          remote.(pid) <- remote.(pid) + 1;
-        let holders' =
-          if Event.is_write k then 1 lsl pid
-          else holders lor (1 lsl pid)
-        in
-        Hashtbl.replace valid r.Register.id holders'
-      | Event.Region_change _ | Event.Crash | Event.Recover -> ())
-    trace;
-  remote
-
-let recovery_paths trace ~nprocs =
-  ignore nprocs;
-  (* pid -> sequence number of its currently open Recover event *)
-  let open_at = Hashtbl.create 8 in
-  let out = ref [] in
-  Trace.iter
-    (fun e ->
-      match e.Event.body with
-      | Event.Recover -> Hashtbl.replace open_at e.Event.pid e.Event.seq
-      | Event.Crash ->
-        (* Crashed again before completing the recovery: the fragment is
-           abandoned; a fresh one opens at the next Recover. *)
-        Hashtbl.remove open_at e.Event.pid
-      | Event.Region_change Event.Critical -> (
-        match Hashtbl.find_opt open_at e.Event.pid with
-        | Some from ->
-          Hashtbl.remove open_at e.Event.pid;
-          let accesses =
-            Trace.accesses_of ~from:(from + 1) ~until:e.Event.seq
-              ~pid:e.Event.pid trace
-          in
-          out := (e.Event.pid, of_accesses accesses) :: !out
-        | None -> ())
-      | Event.Region_change _ | Event.Access _ -> ())
-    trace;
-  List.rev !out
-
-let recovery_rmr trace ~nprocs =
-  ignore nprocs;
-  (* Same write-invalidate holder tracking as [remote_accesses], with the
-     crash–recovery refinement: a crash destroys the dying incarnation's
-     cache, so the restarted one starts cold (every register is remote
-     until re-read).  Fragments open and close exactly as in
-     [recovery_paths].  Holders are pid sets rather than
-     [remote_accesses]'s bitmasks: the recoverable sweep runs at the
-     CLI's default n = 64, past the 62-bit fast path. *)
-  let module S = Set.Make (Int) in
-  let valid : (int, S.t) Hashtbl.t = Hashtbl.create 64 in
-  let open_rmr = Hashtbl.create 8 in
-  let out = ref [] in
-  Trace.iter
-    (fun e ->
-      match e.Event.body with
-      | Event.Crash ->
-        Hashtbl.filter_map_inplace
-          (fun _ h -> Some (S.remove e.Event.pid h))
-          valid;
-        Hashtbl.remove open_rmr e.Event.pid
-      | Event.Recover -> Hashtbl.replace open_rmr e.Event.pid 0
-      | Event.Region_change Event.Critical -> (
-        match Hashtbl.find_opt open_rmr e.Event.pid with
-        | Some rmr ->
-          Hashtbl.remove open_rmr e.Event.pid;
-          out := (e.Event.pid, rmr) :: !out
-        | None -> ())
-      | Event.Access (r, k) ->
-        let pid = e.Event.pid in
-        let holders =
-          Option.value ~default:S.empty (Hashtbl.find_opt valid r.Register.id)
-        in
-        (if not (S.mem pid holders) then
-           match Hashtbl.find_opt open_rmr pid with
-           | Some rmr -> Hashtbl.replace open_rmr pid (rmr + 1)
-           | None -> ());
-        let holders' =
-          if Event.is_write k then S.singleton pid else S.add pid holders
-        in
-        Hashtbl.replace valid r.Register.id holders'
-      | Event.Region_change _ -> ())
-    trace;
-  List.rev !out
-
 let decisions trace ~nprocs =
   ignore nprocs;
   Trace.fold
@@ -403,7 +170,7 @@ module Online = struct
     mutable region : Event.region;
     slot_of : Itbl.t;   (* register id -> row in [slots] *)
     mutable slots : int array;
-    total : acc;        (* whole-run, = per_process_samples *)
+    total : acc;        (* every access of the run *)
     cf : acc;           (* accesses while own region is Trying/Exiting *)
     entry : acc;        (* current §2.2 entry window candidate *)
     mutable entry_gen : int;
@@ -429,14 +196,13 @@ module Online = struct
         (* processes whose region is Critical or Exiting — the §2.2
            occupancy predicate over the pre-event state *)
     mutable clear_gen : int;
-        (* bumped once per event whose pre-state is occupied; stands in
-           for the materialised scan's [last_occupied] without touching
-           every process's entry accumulator *)
+        (* bumped once per event whose pre-state is occupied, so a window
+           start moves past every occupied state without touching every
+           process's entry accumulator *)
     mutable entries : (int * sample) list;  (* reversed *)
     mutable exits : (int * sample) list;
     mutable recs : (int * sample) list;
     mutable rec_rmrs : (int * int) list;
-    mutable decs : (int * int) list;
     reg_of : Itbl.t;    (* register id -> global index *)
     mutable regs : Register.t array;  (* by global index *)
     mutable last_write : int array;
@@ -458,7 +224,7 @@ module Online = struct
       proc_of = Itbl.create 8; procs = [||];
       last_pid = -1; last = pstate_create ();
       events = 0; occupied = 0; clear_gen = 0;
-      entries = []; exits = []; recs = []; rec_rmrs = []; decs = [];
+      entries = []; exits = []; recs = []; rec_rmrs = [];
       reg_of = Itbl.create 16; regs = [||]; last_write = [||] }
 
   (* [a] with room for index [n], keeping its first [n] cells. *)
@@ -532,8 +298,8 @@ module Online = struct
   let feed t ~pid body =
     let p = pstate t pid in
     let pre = p.region in
-    (* Pre-state occupancy advances the window clock for every event,
-       mirroring the materialised scan's [last_occupied := e.seq]. *)
+    (* Pre-state occupancy advances the window clock for every event:
+       the §2.2 window of a later entry starts after this event. *)
     if t.occupied > 0 then t.clear_gen <- t.clear_gen + 1;
     (match body with
     | Event.Access (r, k) ->
@@ -564,9 +330,9 @@ module Online = struct
       | Event.Halted -> ());
       if p.rec_open then acc_add p.rec_ slots (off + c_rec) w;
       (* Write-invalidate holders: [pid]'s copy is valid iff its last
-         access is no older than the last write ([remote_accesses]
-         semantics), and for [recovery_rmr] also newer than its last
-         crash, which destroyed the dying incarnation's copies. *)
+         access is no older than the last write, and for the recovery
+         RMR also newer than its last crash, which destroyed the dying
+         incarnation's copies. *)
       let g = slots.(off + c_reg) in
       let last = slots.(off + c_last) in
       let stale = last < t.last_write.(g) in
@@ -585,8 +351,7 @@ module Online = struct
         t.entries <- (pid, s) :: t.entries
       | _ -> ());
       (* Close exit fragments: any region change out of Exiting.  An
-         Exiting -> Exiting re-entry only restarts the fragment (same
-         pattern precedence as the materialised scan). *)
+         Exiting -> Exiting re-entry only restarts the fragment. *)
       (match r with
       | Event.Exiting -> acc_reset p.exit_
       | _ when Event.region_equal pre Event.Exiting ->
@@ -604,16 +369,13 @@ module Online = struct
         acc_reset p.entry;
         p.entry_gen <- t.clear_gen
       | _ -> ());
-      (match r with
-      | Event.Decided v -> t.decs <- (pid, v) :: t.decs
-      | _ -> ());
       let was = in_cs_or_exit pre and now = in_cs_or_exit r in
       if was && not now then t.occupied <- t.occupied - 1
       else if now && not was then t.occupied <- t.occupied + 1;
       p.region <- r
     | Event.Crash ->
       (* Fragments are abandoned and the dying incarnation's cached
-         copies destroyed ([recovery_rmr] semantics) by stamping the
+         copies destroyed (the cold-cache recovery RMR) by stamping the
          crash, O(1); the region stays stale on purpose — strong
          occupancy, as in Trace.fold_states. *)
       p.rec_open <- false;
@@ -626,8 +388,10 @@ module Online = struct
       p.region <- Event.Remainder);
     t.events <- t.events + 1
 
-  let feed_trace t trace =
-    Trace.iter (fun e -> feed t ~pid:e.Event.pid e.Event.body) trace
+  let of_trace ~nprocs trace =
+    let t = create ~nprocs in
+    Trace.iter (fun e -> feed t ~pid:e.Event.pid e.Event.body) trace;
+    t
 
   let events_seen t = t.events
 
@@ -643,7 +407,6 @@ module Online = struct
   let wc_exits t = List.rev t.exits
   let recovery_paths t = List.rev t.recs
   let recovery_rmr t = List.rev t.rec_rmrs
-  let decisions t = List.rev t.decs
 
   let remote t ~pid =
     match find_pstate t pid with Some p -> p.remote | None -> 0

@@ -1,9 +1,13 @@
-(** The paper's complexity measures (§2.2, §3.2), computed from traces.
+(** The paper's complexity measures (§2.2, §3.2).
 
-    Every function is a pure query over a recorded {!Cfc_runtime.Trace.t};
-    the harnesses produce the right runs (solo/sequential for
-    contention-free, scheduler families for worst-case estimates) and
-    these functions extract the numbers. *)
+    Every measure is computed by one streaming fold, {!Online}: a harness
+    feeds it events as a run emits them (a {!Cfc_runtime.Wheel.sink}), or
+    replays a recorded {!Cfc_runtime.Trace.t} into it with
+    {!Online.of_trace}, and reads the numbers off with the queries below.
+    The harnesses produce the right runs (solo/sequential for
+    contention-free, scheduler families for worst-case estimates).  The
+    only trace scan left is {!decisions}, which the model checker's
+    decision properties run at search nodes. *)
 
 open Cfc_runtime
 
@@ -27,90 +31,23 @@ val max_sample : sample -> sample -> sample
 
 val pp_sample : Format.formatter -> sample -> unit
 
-val in_regions :
-  Trace.t -> nprocs:int -> pid:int -> in_region:(Event.region -> bool) ->
-  sample
-(** Measures of [pid] over exactly its accesses performed while its own
-    region satisfies [in_region]. *)
-
-val mutex_contention_free : Trace.t -> nprocs:int -> pid:int -> sample
-(** The §2.2 contention-free measure of [pid]: its accesses in entry
-    ([Trying]) and exit ([Exiting]) code.  Meaningful on runs where all
-    other processes stay in their remainder (the harness's solo runs);
-    this function does not itself verify that. *)
-
-val mutex_wc_entry : Trace.t -> nprocs:int -> (int * sample) list
-(** The §2.2 worst-case entry-code fragments: for every transition of some
-    [p] from [Trying] to [Critical] at event [j], the measures of [p] over
-    the largest window [(i, j)] in which [p] is in its entry code and no
-    process is in its critical section or exit code — "start counting only
-    after the processes previously in the critical section have finished
-    their exit code".  Returns one [(pid, sample)] per completed entry. *)
-
-val mutex_wc_exit : Trace.t -> nprocs:int -> (int * sample) list
-(** Worst-case exit-code fragments: measures of [p] over each of its
-    [Exiting] stretches. *)
-
-val per_process_samples : Trace.t -> nprocs:int -> sample array
-(** Whole-run samples of every process, computed in one pass over the
-    trace (use this instead of n calls to {!naming_process} when
-    measuring contended runs). *)
-
-val naming_process : Trace.t -> nprocs:int -> pid:int -> sample
-(** §3.2 measure of one naming process: all its accesses from start to
-    decision (its whole execution). *)
-
 val decisions : Trace.t -> nprocs:int -> (int * int) list
-(** [(pid, value)] for every process that reached [Decided v]. *)
+(** [(pid, value)] for every process that reached [Decided v], in trace
+    order. *)
 
-val recovery_paths : Trace.t -> nprocs:int -> (int * sample) list
-(** Crash–recovery extension of the §2.2 fragment measures: for every
-    [Recover] of process [p] at event [i] whose next [p]-event of
-    interest is an entry to [Critical] at event [j] (no intervening
-    crash of [p]), the measures of [p] over the open fragment
-    [(i, j)] — the cost of getting back into the critical section after
-    a restart.  One [(pid, sample)] per completed recovery, in trace
-    order; recoveries that crash again or never reach the critical
-    section contribute nothing. *)
+(** The streaming fold of every §2.2/§3.2 measure.
 
-val recovery_rmr : Trace.t -> nprocs:int -> (int * int) list
-(** Remote memory references of each completed recovery path, under the
-    {!remote_accesses} write-invalidate model extended to crashes: a
-    crash destroys the dying incarnation's cached copies (the
-    Golab–Ramaraju restarted process starts with a cold cache), so a
-    register is remote on the recovery path until first re-accessed.
-    Returns [(pid, rmr)] per completed recovery, in the same order and
-    one-to-one with {!recovery_paths} (both open at [Recover], are
-    abandoned by a second [Crash], and close at the next entry to
-    [Critical]). *)
-
-val remote_accesses : Trace.t -> nprocs:int -> int array
-(** Per-process {e remote memory references} under the write-invalidate
-    coherent-cache model the paper's §1.2 appeals to (after [YA93]): a
-    process's access to a register is remote iff it does not hold a valid
-    cached copy — i.e. it never accessed the register before, or another
-    process wrote (or won a compare-and-swap on) it since the process's
-    last access.  A write leaves only the writer's copy valid; a read
-    joins the set of valid holders.
-
-    In a contention-free run this equals the register complexity (the
-    §1.2 claim "the number of different registers accessed accurately
-    reflects the number of remote accesses" — asserted by a qcheck
-    property), and under contention it separates local-spin algorithms
-    (MCS: bounded remotes per acquisition) from spin-on-shared ones. *)
-
-(** Streaming (online) counterpart of the trace measures above.
-
-    [Online.t] consumes events one at a time — typically as a
-    {!Cfc_runtime.Wheel.sink} — and maintains every §2.2/§3.2
+    [Online.t] consumes events one at a time and maintains every
     accumulator incrementally, so a run never materialises its event
-    list.  For any event sequence, each query below returns {e exactly}
-    the value its materialised counterpart computes on the recorded
-    trace of the same run (asserted by the equivalence gate in the test
-    battery, on real runs and on synthetic event sequences), with one
-    deliberate widening: {!Online.remote_accesses} has no
-    [nprocs <= 62] restriction (same semantics where both are defined;
-    see DESIGN.md §2).
+    list.  Each query is the measure's definition, stated on the events
+    fed so far.  A test-only reference implementation that walks
+    recorded traces is kept in the test suite, and the equivalence
+    batteries assert that every query equals it exactly, on real runs
+    and on synthetic event sequences.
+
+    Region bookkeeping follows {!Cfc_runtime.Trace.fold_states}: a
+    [Recover] resets the process's region to [Remainder], and a bare
+    [Crash] leaves the stale region in place (strong occupancy).
 
     Representation.  Each process keeps an open-addressed table from
     register id to a row of ints: one stamp per accumulator (total,
@@ -146,41 +83,74 @@ module Online : sig
       sequence numbering).  Raises [Invalid_argument] on an
       out-of-range pid. *)
 
-  val feed_trace : t -> Trace.t -> unit
-  (** Replay a recorded trace into the fold (the equivalence tests). *)
+  val of_trace : nprocs:int -> Trace.t -> t
+  (** A fresh fold fed every event of a recorded trace, in order. *)
 
   val events_seen : t -> int
 
   val contention_free : t -> pid:int -> sample
-  (** = {!mutex_contention_free} of the run so far. *)
+  (** The §2.2 contention-free measure of [pid]: its accesses in entry
+      ([Trying]) and exit ([Exiting]) code.  Meaningful on runs where all
+      other processes stay in their remainder (the harnesses' solo runs);
+      the fold does not itself verify that. *)
 
   val per_process : t -> sample array
-  (** = {!per_process_samples}.  Allocates O(nprocs); at large n prefer
-      {!process_total}. *)
+  (** Every process's whole-run sample: all its accesses.  For a naming
+      process this is the §3.2 measure (start to decision).  Allocates
+      O(nprocs); at large n prefer {!process_total}. *)
 
   val process_total : t -> pid:int -> sample
   (** One process's whole-run sample ({!per_process} cell), O(1). *)
 
   val wc_entries : t -> (int * sample) list
-  (** = {!mutex_wc_entry}: completed §2.2 entry windows, trace order. *)
+  (** The §2.2 worst-case entry-code fragments: for every transition of
+      some [p] from [Trying] to [Critical] at event [j], the measures of
+      [p] over the largest window [(i, j)] in which [p] is in its entry
+      code and no process is in its critical section or exit code —
+      "start counting only after the processes previously in the critical
+      section have finished their exit code".  One [(pid, sample)] per
+      completed entry, in event order. *)
 
   val wc_exits : t -> (int * sample) list
-  (** = {!mutex_wc_exit}. *)
+  (** Worst-case exit-code fragments: measures of [p] over each of its
+      completed [Exiting] stretches, in event order. *)
 
   val recovery_paths : t -> (int * sample) list
-  (** = {!recovery_paths}. *)
+  (** Crash–recovery extension of the §2.2 fragment measures: for every
+      [Recover] of process [p] at event [i] whose next [p]-event of
+      interest is an entry to [Critical] at event [j] (no intervening
+      crash of [p]), the measures of [p] over the open fragment [(i, j)]
+      — the cost of getting back into the critical section after a
+      restart.  One [(pid, sample)] per completed recovery, in event
+      order; recoveries that crash again or never reach the critical
+      section contribute nothing. *)
 
   val recovery_rmr : t -> (int * int) list
-  (** = {!recovery_rmr}. *)
-
-  val decisions : t -> (int * int) list
-  (** = {!decisions}. *)
+  (** Remote memory references of each completed recovery path, under the
+      {!remote} write-invalidate model extended to crashes: a crash
+      destroys the dying incarnation's cached copies (the Golab–Ramaraju
+      restarted process starts with a cold cache), so a register is
+      remote on the recovery path until first re-accessed.  One
+      [(pid, rmr)] per completed recovery, one-to-one with
+      {!recovery_paths}. *)
 
   val remote : t -> pid:int -> int
-  (** = {!remote_accesses}[.(pid)], but valid at any [nprocs]. *)
+  (** [pid]'s {e remote memory references} under the write-invalidate
+      coherent-cache model the paper's §1.2 appeals to (after [YA93]): an
+      access to a register is remote iff the process does not hold a
+      valid cached copy — it never accessed the register before, or
+      another process wrote (or won a compare-and-swap on) it since the
+      process's last access.  A write leaves only the writer's copy
+      valid; a read joins the set of valid holders.
+
+      In a contention-free run this equals the register complexity (the
+      §1.2 claim "the number of different registers accessed accurately
+      reflects the number of remote accesses", asserted by a qcheck
+      property), and under contention it separates local-spin algorithms
+      (MCS: bounded remotes per acquisition) from spin-on-shared ones. *)
 
   val remote_accesses : t -> int array
-  (** = {!remote_accesses}.  Allocates O(nprocs). *)
+  (** {!remote} of every pid.  Allocates O(nprocs). *)
 
   val touched : t -> Cfc_runtime.Register.t list
   (** Distinct registers accessed so far, in no particular order — the

@@ -91,7 +91,9 @@ let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
         reset_touched memory !prev;
         let out = Runner.run ~memory ~pick:(Schedule.solo me) procs in
         prev := Some out.Runner.trace;
-        Measures.mutex_contention_free out.Runner.trace ~nprocs:n ~pid:me)
+        Measures.Online.contention_free
+          (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+          ~pid:me)
       (sample_pids n)
     |> Array.of_list
   in
@@ -159,10 +161,12 @@ let run ?(rounds = 1) ?max_steps ?crash_at ?faults ~pick
 
 let wc_estimate ?(rounds = 2) ~seeds alg (p : Mutex_intf.params) ~entry =
   let fragments out =
-    let nprocs = p.Mutex_intf.n in
+    let online =
+      Measures.Online.of_trace ~nprocs:p.Mutex_intf.n out.Runner.trace
+    in
     let frags =
-      if entry then Measures.mutex_wc_entry out.Runner.trace ~nprocs
-      else Measures.mutex_wc_exit out.Runner.trace ~nprocs
+      if entry then Measures.Online.wc_entries online
+      else Measures.Online.wc_exits online
     in
     List.fold_left
       (fun acc (_, s) -> Measures.max_sample acc s)
@@ -205,7 +209,10 @@ let lamport_unbounded_entry ~spin =
   | None -> ()
   | Some v ->
     invalid_arg (Format.asprintf "unbounded demo: %a" Spec.pp_violation v));
-  let entries = Measures.mutex_wc_entry out.Runner.trace ~nprocs:2 in
+  let entries =
+    Measures.Online.wc_entries
+      (Measures.Online.of_trace ~nprocs:2 out.Runner.trace)
+  in
   List.fold_left
     (fun acc (pid, s) -> if pid = 0 then Measures.max_sample acc s else acc)
     Measures.zero entries

@@ -44,7 +44,10 @@ let contention_free (module A : Naming_intf.ALG) ~n =
   | None -> ()
   | Some v ->
     invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
-  let per_process = Measures.per_process_samples out.Runner.trace ~nprocs:n in
+  let per_process =
+    Measures.Online.per_process
+      (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+  in
   let decided = Measures.decisions out.Runner.trace ~nprocs:n in
   let names =
     Array.init n (fun pid ->
@@ -59,7 +62,8 @@ let contention_free (module A : Naming_intf.ALG) ~n =
 let max_over_run (module A : Naming_intf.ALG) out ~n =
   check_names (module A) out.Runner.trace ~n;
   Array.fold_left Measures.max_sample Measures.zero
-    (Measures.per_process_samples out.Runner.trace ~nprocs:n)
+    (Measures.Online.per_process
+       (Measures.Online.of_trace ~nprocs:n out.Runner.trace))
 
 let wc_estimate ~seeds (module A : Naming_intf.ALG) ~n =
   (* Naming is wait-free with worst case O(n) steps per process; budget

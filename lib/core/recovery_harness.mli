@@ -1,7 +1,7 @@
 (** Measurement harness for the crash–recovery fault model: drives runs
     with injected crash/recover points and extracts the §2.2-style
-    recovery-path measures via {!Measures.recovery_paths} and
-    {!Measures.recovery_rmr} — no ad-hoc counting.
+    recovery-path measures via {!Measures.Online.recovery_paths} and
+    {!Measures.Online.recovery_rmr} — no ad-hoc counting.
 
     The central object is the {e solo crash-point sweep}: for every step
     [k] of a process's solo lock/unlock cycle, run it again with an

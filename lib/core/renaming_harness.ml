@@ -87,7 +87,10 @@ let contention_free (module A : Cfc_renaming.Renaming_intf.ALG) ~n =
           | Some v -> v
           | None -> invalid_arg (A.name ^ ": solo process got no name")
         in
-        (Measures.naming_process out.Runner.trace ~nprocs:n ~pid:me, name))
+        ( Measures.Online.process_total
+            (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+            ~pid:me,
+          name ))
   in
   let per_process = Array.map fst samples_names in
   {

@@ -315,7 +315,8 @@ let faults_table ~alg ~n ~pairs ~seeds =
         -> worst := Some out
       | _ -> ());
       let paths =
-        Measures.recovery_paths out.Cfc_runtime.Runner.trace ~nprocs:n
+        Measures.Online.recovery_paths
+          (Measures.Online.of_trace ~nprocs:n out.Cfc_runtime.Runner.trace)
       in
       Texttab.add_row t
         [ string_of_int seed;

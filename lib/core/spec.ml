@@ -7,246 +7,120 @@ let pp_violation ppf v =
     (String.concat "," (List.map string_of_int v.pids))
     v.what
 
-let mutual_exclusion trace ~nprocs =
-  Trace.fold_states ~nprocs
-    (fun acc regions e ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match e.Event.body with
-        | Event.Region_change Event.Critical ->
-          let others =
-            List.filter
-              (fun q ->
-                q <> e.Event.pid
-                && Event.region_equal regions.(q) Event.Critical)
-              (List.init nprocs Fun.id)
-          in
-          if others = [] then None
-          else
-            Some
-              { at = e.Event.seq;
-                pids = e.Event.pid :: others;
-                what = "two processes in the critical section" }
-        | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> None))
-    None trace
-
-let mutual_exclusion_recoverable trace ~nprocs =
-  (* Crash–recovery occupancy (Golab–Ramaraju semantics): a process that
-     crashes inside its critical section is still considered to occupy it
-     — shared memory says it holds the lock — until it next changes
-     region itself (its recovery run re-entering Trying, or re-announcing
-     Critical).  So [Crash] and [Recover] leave occupancy untouched; only
-     the pid's own [Region_change] events open and close it. *)
-  let in_cs = Array.make nprocs false in
-  Trace.fold
-    (fun acc e ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match e.Event.body with
-        | Event.Region_change r ->
-          let entering = Event.region_equal r Event.Critical in
-          if entering then begin
-            let others =
-              List.filter
-                (fun q -> q <> e.Event.pid && in_cs.(q))
-                (List.init nprocs Fun.id)
-            in
-            in_cs.(e.Event.pid) <- true;
-            if others = [] then None
-            else
-              Some
-                { at = e.Event.seq;
-                  pids = e.Event.pid :: others;
-                  what =
-                    "two processes in the critical section (across \
-                     recoveries)" }
-          end
-          else begin
-            in_cs.(e.Event.pid) <- false;
-            None
-          end
-        | Event.Access _ | Event.Crash | Event.Recover -> None))
-    None trace
-
-module Inc = struct
-  type 's core = {
-    init : nprocs:int -> 's;
-    copy : 's -> 's;
-    feed : 's -> Trace.t -> from:int -> violation option;
-  }
-
-  type t = T : 's core -> t
-
-  type run = {
-    feed : Trace.t -> from:int -> violation option;
-    save : unit -> unit -> unit;
-  }
-
-  let start (T c) ~nprocs =
-    let st = ref (c.init ~nprocs) in
-    { feed = (fun trace ~from -> c.feed !st trace ~from);
-      save =
-        (fun () ->
-          let saved = c.copy !st in
-          fun () -> st := c.copy saved) }
-
-  let of_whole check =
-    T
-      { init = (fun ~nprocs -> nprocs);
-        copy = Fun.id;
-        feed = (fun nprocs trace ~from:_ -> check trace ~nprocs) }
-
-  let on_decisions check =
-    T
-      { init = (fun ~nprocs -> nprocs);
-        copy = Fun.id;
-        feed =
-          (fun nprocs trace ~from ->
-            (* Decision properties are functions of the decisions multiset
-               only; if the new events decide nothing, the multiset — and
-               therefore the verdict — is unchanged from the (already
-               checked) prefix. *)
-            let triggered = ref false in
-            for i = from to Trace.length trace - 1 do
-              match (Trace.get trace i).Event.body with
-              | Event.Region_change (Event.Decided _) -> triggered := true
-              | Event.Region_change _ | Event.Access _ | Event.Crash
-              | Event.Recover -> ()
-            done;
-            if !triggered then check trace ~nprocs else None) }
-
-  let mutual_exclusion =
-    T
-      { init = (fun ~nprocs -> Array.make nprocs Event.Remainder);
-        copy = Array.copy;
-        feed =
-          (fun regions trace ~from ->
-            let nprocs = Array.length regions in
-            let result = ref None in
-            let i = ref from in
-            let len = Trace.length trace in
-            while !result = None && !i < len do
-              let e = Trace.get trace !i in
-              (match e.Event.body with
-              | Event.Region_change r ->
-                (if Event.region_equal r Event.Critical then
-                   let others =
-                     List.filter
-                       (fun q ->
-                         q <> e.Event.pid
-                         && Event.region_equal regions.(q) Event.Critical)
-                       (List.init nprocs Fun.id)
-                   in
-                   if others <> [] then
-                     result :=
-                       Some
-                         { at = e.Event.seq;
-                           pids = e.Event.pid :: others;
-                           what = "two processes in the critical section" });
-                regions.(e.Event.pid) <- r
-              | Event.Access _ | Event.Crash | Event.Recover -> ());
-              incr i
-            done;
-            !result) }
-
-  let mutual_exclusion_recoverable =
-    T
-      { init = (fun ~nprocs -> Array.make nprocs false);
-        copy = Array.copy;
-        feed =
-          (fun in_cs trace ~from ->
-            let nprocs = Array.length in_cs in
-            let result = ref None in
-            let i = ref from in
-            let len = Trace.length trace in
-            while !result = None && !i < len do
-              let e = Trace.get trace !i in
-              (match e.Event.body with
-              | Event.Region_change r ->
-                if Event.region_equal r Event.Critical then begin
-                  let others =
-                    List.filter
-                      (fun q -> q <> e.Event.pid && in_cs.(q))
-                      (List.init nprocs Fun.id)
-                  in
-                  in_cs.(e.Event.pid) <- true;
-                  if others <> [] then
-                    result :=
-                      Some
-                        { at = e.Event.seq;
-                          pids = e.Event.pid :: others;
-                          what =
-                            "two processes in the critical section (across \
-                             recoveries)" }
-                end
-                else in_cs.(e.Event.pid) <- false
-              | Event.Access _ | Event.Crash | Event.Recover -> ());
-              incr i
-            done;
-            !result) }
-end
-
 module Monitor = struct
-  (* Event-fed safety monitors for streaming runs (Wheel sinks): same
-     verdicts and violation records as the whole-trace checkers above,
-     with occupancy kept sparse so feeding is O(1) per event at any n. *)
+  (* Until the first violation at most one process occupies the critical
+     section — a second entry is the violation, after which the state
+     freezes — so occupancy is a single pid. *)
 
   type mode = Plain | Recoverable
 
   type t = {
     mode : mode;
-    occupants : (int, unit) Hashtbl.t;
+    mutable holder : int;  (* the occupant, -1: none *)
     mutable seq : int;
     mutable violation : violation option;
   }
 
-  let mutual_exclusion () =
-    { mode = Plain; occupants = Hashtbl.create 8; seq = 0; violation = None }
-
-  let mutual_exclusion_recoverable () =
-    { mode = Recoverable; occupants = Hashtbl.create 8; seq = 0;
-      violation = None }
+  let create mode = { mode; holder = -1; seq = 0; violation = None }
+  let mutual_exclusion () = create Plain
+  let mutual_exclusion_recoverable () = create Recoverable
+  let leave t pid = if t.holder = pid then t.holder <- -1
 
   let feed t ~pid body =
-    (match body with
-    | Event.Region_change r ->
-      if t.violation = None then
-        if Event.region_equal r Event.Critical then begin
-          let others =
-            Hashtbl.fold
-              (fun q () acc -> if q <> pid then q :: acc else acc)
-              t.occupants []
-            |> List.sort compare
-          in
-          if others <> [] then
-            t.violation <-
-              Some
-                { at = t.seq;
-                  pids = pid :: others;
-                  what =
-                    (match t.mode with
-                    | Plain -> "two processes in the critical section"
-                    | Recoverable ->
-                      "two processes in the critical section (across \
-                       recoveries)") }
-        end;
-      if Event.region_equal r Event.Critical then
-        Hashtbl.replace t.occupants pid ()
-      else Hashtbl.remove t.occupants pid
-    | Event.Recover -> (
-      (* Plain occupancy mirrors Trace.fold_states (a recover resets the
-         region to Remainder); recoverable occupancy deliberately
-         survives crash and recover — only the pid's own region changes
-         open and close it. *)
-      match t.mode with
-      | Plain -> Hashtbl.remove t.occupants pid
-      | Recoverable -> ())
-    | Event.Access _ | Event.Crash -> ());
+    (match t.violation with
+    | Some _ -> ()
+    | None -> (
+      match body with
+      | Event.Region_change Event.Critical ->
+        if t.holder < 0 || t.holder = pid then t.holder <- pid
+        else
+          t.violation <-
+            Some
+              { at = t.seq;
+                pids = [ pid; t.holder ];
+                what =
+                  (match t.mode with
+                  | Plain -> "two processes in the critical section"
+                  | Recoverable ->
+                    "two processes in the critical section (across \
+                     recoveries)") }
+      | Event.Region_change _ -> leave t pid
+      | Event.Recover -> (
+        (* Plain occupancy follows Trace.fold_states (a recover resets
+           the region to Remainder); recoverable occupancy survives crash
+           and recover — only the pid's own region changes open and
+           close it. *)
+        match t.mode with
+        | Plain -> leave t pid
+        | Recoverable -> ())
+      | Event.Access _ | Event.Crash -> ()));
     t.seq <- t.seq + 1
 
   let result t = t.violation
+
+  let check create trace =
+    let m = create () in
+    Trace.iter (fun e -> feed m ~pid:e.Event.pid e.Event.body) trace;
+    m.violation
+end
+
+let mutual_exclusion trace ~nprocs:_ =
+  Monitor.check Monitor.mutual_exclusion trace
+
+let mutual_exclusion_recoverable trace ~nprocs:_ =
+  Monitor.check Monitor.mutual_exclusion_recoverable trace
+
+module Inc = struct
+  type run = {
+    feed : Trace.t -> from:int -> violation option;
+    save : unit -> unit -> unit;
+  }
+
+  type t = nprocs:int -> run
+
+  let start t ~nprocs = t ~nprocs
+
+  let on_decisions check ~nprocs =
+    { feed =
+        (fun trace ~from ->
+          (* Decision properties are functions of the decisions multiset
+             only; if the new events decide nothing, the multiset — and
+             therefore the verdict — is unchanged from the (already
+             checked) prefix. *)
+          let triggered = ref false in
+          for i = from to Trace.length trace - 1 do
+            match (Trace.get trace i).Event.body with
+            | Event.Region_change (Event.Decided _) -> triggered := true
+            | Event.Region_change _ | Event.Access _ | Event.Crash
+            | Event.Recover -> ()
+          done;
+          if !triggered then check trace ~nprocs else None);
+      save = (fun () -> ignore) }
+
+  let of_monitor create ~nprocs:_ =
+    let m = create () in
+    { feed =
+        (fun trace ~from ->
+          (* Event [i] of the trace is the monitor's event [i], so the
+             event count needs no checkpoint. *)
+          m.Monitor.seq <- from;
+          for i = from to Trace.length trace - 1 do
+            let e = Trace.get trace i in
+            Monitor.feed m ~pid:e.Event.pid e.Event.body
+          done;
+          m.Monitor.violation);
+      save =
+        (fun () ->
+          let holder = m.Monitor.holder
+          and violation = m.Monitor.violation in
+          fun () ->
+            m.Monitor.holder <- holder;
+            m.Monitor.violation <- violation) }
+
+  let mutual_exclusion = of_monitor Monitor.mutual_exclusion
+
+  let mutual_exclusion_recoverable =
+    of_monitor Monitor.mutual_exclusion_recoverable
 end
 
 let mutex_progress (out : Runner.outcome) =

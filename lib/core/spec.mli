@@ -1,6 +1,7 @@
-(** Safety and liveness checkers over traces — the correctness side of the
-    paper's problem statements.  Used by unit tests, qcheck properties and
-    the model checker alike. *)
+(** Safety and liveness checkers over traces and event streams — the
+    correctness side of the paper's problem statements.  Used by unit
+    tests, qcheck properties, the streaming harnesses and the model
+    checker alike. *)
 
 open Cfc_runtime
 
@@ -12,40 +13,67 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
+(** Event-fed mutual-exclusion monitors: the one implementation of the
+    occupancy rule.  A monitor consumes events as a [Wheel.sink]
+    (partially apply {!Monitor.feed}); the whole-trace checkers below fold
+    one over a recorded trace, and {!Inc} feeds one at model-checker
+    nodes.  Until the first violation at most one process occupies the
+    critical section, so the state is one pid, the event count and the
+    verdict: feeding is O(1) and allocation-free per event at any n.  The
+    first violation is sticky: once it is recorded the monitor stops
+    updating occupancy. *)
+module Monitor : sig
+  type t
+
+  val mutual_exclusion : unit -> t
+  (** No two processes simultaneously in their critical sections.  A
+      process occupies its critical section from its entry to [Critical]
+      until its next region change or its [Recover] (a bare [Crash]
+      leaves it an occupant, as in {!Cfc_runtime.Trace.fold_states}). *)
+
+  val mutual_exclusion_recoverable : unit -> t
+  (** Mutual exclusion across crash–recoveries (Golab–Ramaraju
+      semantics): a process that crashes inside its critical section
+      still occupies it — shared memory says it holds the lock — until its
+      restarted run next changes region; [Crash] and [Recover] leave
+      occupancy untouched.  On crash-free event sequences this agrees
+      with {!mutual_exclusion}. *)
+
+  val feed : t -> pid:int -> Event.body -> unit
+
+  val result : t -> violation option
+  (** The first violation: [at] is the offending event's index in the
+      sequence fed, [pids] the entering process followed by the
+      occupant. *)
+end
+
 val mutual_exclusion : Trace.t -> nprocs:int -> violation option
-(** No two processes simultaneously in their critical sections. *)
+(** {!Monitor.mutual_exclusion} folded over the trace. *)
 
 val mutual_exclusion_recoverable : Trace.t -> nprocs:int -> violation option
-(** Mutual exclusion across crash–recoveries (Golab–Ramaraju semantics):
-    a process that crashes inside its critical section still occupies it
-    — shared memory says it holds the lock — until its restarted run
-    next changes region.  Flags any entry to [Critical] while another
-    process occupies it under this occupancy rule.  On crash-free traces
-    this agrees with {!mutual_exclusion}. *)
+(** {!Monitor.mutual_exclusion_recoverable} folded over the trace. *)
 
 (** Incremental checkers for the model checker's DFS: instead of
     re-scanning the whole trace at every search node, a checker carries a
     small state that is fed only the events appended since the parent node
-    and checkpointed/restored alongside the scheduler.  Each incremental
-    checker returns exactly the violation (same [at]/[pids]/[what]) its
-    whole-trace counterpart would return at the first node where one
-    exists, provided [feed] is called once per node along each DFS path. *)
+    and checkpointed/restored alongside the scheduler.  Provided [feed] is
+    called once per node along each DFS path, each checker returns at the
+    first node where a violation exists exactly the violation (same
+    [at]/[pids]/[what]) its whole-trace counterpart returns on that
+    node's trace. *)
 module Inc : sig
   type t
 
   type run = {
     feed : Trace.t -> from:int -> violation option;
-        (** Consume events [from .. length-1]; first violation if any. *)
+        (** Consume events [from .. length-1]; the first violation of the
+            path so far, if any. *)
     save : unit -> unit -> unit;
         (** [save ()] checkpoints the checker state and returns a restore
             thunk; the thunk may be invoked any number of times. *)
   }
 
   val start : t -> nprocs:int -> run
-
-  val of_whole : (Trace.t -> nprocs:int -> violation option) -> t
-  (** Stateless fallback: re-runs the whole-trace check at every node
-      (identical behavior and cost to the pre-incremental engine). *)
 
   val on_decisions : (Trace.t -> nprocs:int -> violation option) -> t
   (** For properties that are functions of the decisions multiset only
@@ -54,32 +82,12 @@ module Inc : sig
       [Decided] region change — the verdict cannot change otherwise. *)
 
   val mutual_exclusion : t
-  (** True-incremental {!Spec.mutual_exclusion} (region-vector state). *)
+  (** A {!Monitor.mutual_exclusion} fed the new events; [save] captures
+      its state. *)
 
   val mutual_exclusion_recoverable : t
-  (** True-incremental {!Spec.mutual_exclusion_recoverable} (occupancy
-      bit-vector state). *)
-end
-
-(** Event-fed safety monitors for streaming runs.  A monitor consumes
-    events as a [Wheel.sink] (partially apply {!Monitor.feed}) and keeps
-    occupancy in a sparse table, so checking a 10^5-process run costs
-    O(1) per event and O(active set) memory.  Fed the events of a
-    recorded trace in order, each monitor yields exactly the verdict of
-    its whole-trace counterpart (same [at]/[pids]/[what]); the first
-    violation is sticky. *)
-module Monitor : sig
-  type t
-
-  val mutual_exclusion : unit -> t
-  (** Streaming {!Spec.mutual_exclusion}. *)
-
-  val mutual_exclusion_recoverable : unit -> t
-  (** Streaming {!Spec.mutual_exclusion_recoverable}. *)
-
-  val feed : t -> pid:int -> Event.body -> unit
-
-  val result : t -> violation option
+  (** A {!Monitor.mutual_exclusion_recoverable} fed the new events;
+      [save] captures its state. *)
 end
 
 val mutex_progress : Runner.outcome -> violation option

@@ -1330,9 +1330,8 @@ let run_inc_par ~config ?seen_hint ?observe ~sym ~compact ~share_seen ~pairs
    the budget) and recovering any crashed one. *)
 let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
     ?(domains = 1) ?(share_seen = true) ?(compact = false)
-    ?(replay_safe = true) ?independence ?seen_hint ?inc ?observe_access
+    ?(replay_safe = true) ?independence ?seen_hint ~inc ?observe_access
     ~pairs ~system ~check () =
-  let inc = match inc with Some i -> i | None -> Inc.of_whole check in
   (* The partial-order reduction applies only where its soundness
      argument does: the plain interleaving exploration (no crash
      branches — a crash wipes local state asynchronously and commutes
@@ -1372,10 +1371,10 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
         ())
 
 let run ?config ?symmetry ?engine ?domains ?share_seen ?compact ?replay_safe
-    ?independence ?seen_hint ?inc ?observe_access ~system ~check () =
+    ?independence ?seen_hint ~inc ?observe_access ~system ~check () =
   match
     run_gen ?config ?symmetry ?engine ?domains ?share_seen ?compact
-      ?replay_safe ?independence ?seen_hint ?inc ?observe_access ~pairs:0
+      ?replay_safe ?independence ?seen_hint ~inc ?observe_access ~pairs:0
       ~system ~check ()
   with
   | Ok stats -> Ok stats
@@ -1390,8 +1389,8 @@ let run ?config ?symmetry ?engine ?domains ?share_seen ?compact ?replay_safe
     Violation { schedule = pids; violation; stats }
 
 let run_faults ?config ?symmetry ?engine ?domains ?share_seen ?compact
-    ?replay_safe ?independence ?seen_hint ?inc ?observe_access ?(pairs = 2)
+    ?replay_safe ?independence ?seen_hint ~inc ?observe_access ?(pairs = 2)
     ~system ~check () =
   run_gen ?config ?symmetry ?engine ?domains ?share_seen ?compact
-    ?replay_safe ?independence ?seen_hint ?inc ?observe_access ~pairs
+    ?replay_safe ?independence ?seen_hint ~inc ?observe_access ~pairs
     ~system ~check ()

@@ -172,7 +172,7 @@ val run :
   ?replay_safe:bool ->
   ?independence:Independence.t ->
   ?seen_hint:int ->
-  ?inc:Cfc_core.Spec.Inc.t ->
+  inc:Cfc_core.Spec.Inc.t ->
   ?observe_access:
     (pid:int ->
     reg:Cfc_runtime.Register.t ->
@@ -187,10 +187,10 @@ val run :
     closures on each call) and checks the safety property at every node.
     No faults are injected.
 
-    [check] is the whole-trace property; [inc] (default
-    [Spec.Inc.of_whole check]) is its incremental form, fed only the
-    events each action appends — supply one for per-node O(1) checking.
-    The two must agree; the replay engine always uses [check].
+    [check] is the whole-trace property and [inc] its incremental form
+    (see {!Cfc_core.Spec.Inc}), which the incremental engine feeds only
+    the events each action appends.  The two must agree; the replay
+    engine always uses [check].
 
     [symmetry] switches on the canonicalisation-based symmetry reduction
     described in the module docstring (build the group with
@@ -250,7 +250,7 @@ val run_faults :
   ?replay_safe:bool ->
   ?independence:Independence.t ->
   ?seen_hint:int ->
-  ?inc:Cfc_core.Spec.Inc.t ->
+  inc:Cfc_core.Spec.Inc.t ->
   ?observe_access:
     (pid:int ->
     reg:Cfc_runtime.Register.t ->

@@ -67,29 +67,7 @@ let check_renaming ?config ?engine ?domains ?share_seen ?compact ?replay_safe
     ?seen_hint alg ~n =
   let (module A : Cfc_renaming.Renaming_intf.ALG) = alg in
   let check trace ~nprocs =
-    let decisions = Measures.decisions trace ~nprocs in
-    let limit = A.name_space ~n ~k:n in
-    let bad = List.filter (fun (_, v) -> v < 1 || v > limit) decisions in
-    match bad with
-    | (pid, v) :: _ ->
-      Some
-        { Spec.at = Cfc_runtime.Trace.length trace;
-          pids = [ pid ];
-          what = Printf.sprintf "name %d outside 1..%d" v limit }
-    | [] -> (
-      let sorted =
-        List.sort (fun (_, a) (_, b) -> compare a b) decisions
-      in
-      let rec dup = function
-        | (p1, v1) :: (p2, v2) :: _ when v1 = v2 ->
-          Some
-            { Spec.at = Cfc_runtime.Trace.length trace;
-              pids = [ p1; p2 ];
-              what = Printf.sprintf "duplicate name %d" v1 }
-        | _ :: rest -> dup rest
-        | [] -> None
-      in
-      dup sorted)
+    Spec.unique_names trace ~nprocs ~n:(A.name_space ~n ~k:n)
   in
   Explore.run ?config ?engine ?domains ?share_seen ?compact ?replay_safe
     ?seen_hint

@@ -2,7 +2,7 @@
     {e local-spin} mutual exclusion algorithm, included to make the
     paper's §1.2 remote-access discussion (Yang–Anderson [YA93])
     executable: under the write-invalidate cache model of
-    {!Cfc_core.Measures.remote_accesses}, an MCS acquisition performs a
+    {!Cfc_core.Measures.Online.remote}, an MCS acquisition performs a
     bounded number of remote references at {e any} contention level —
     the waiter spins on a register only its predecessor ever writes —
     whereas a test-and-set lock's spinning is remote on every iteration.

@@ -47,7 +47,7 @@ module type ALG = sig
   (** [Some forms] iff the lock is recoverable (a restarted incarnation
       re-runs [lock] from the top and re-enters instead of deadlocking);
       the exact solo recovery closed forms are asserted against
-      {!Cfc_core.Measures.recovery_paths} by tests and benches.  [None]
+      {!Cfc_core.Measures.Online.recovery_paths} by tests and benches.  [None]
       for ordinary locks, for which a crash while holding blocks the
       system. *)
 

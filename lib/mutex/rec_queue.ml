@@ -36,7 +36,7 @@
     Contention-free (crash-free) solo cost: read + CAS-enqueue (entry),
     read + CAS-dequeue + signal clear (exit) — 5 steps on 2 registers.
     Recovery-path cost (asserted against
-    {!Cfc_core.Measures.recovery_paths}): 1 step when the crashed
+    {!Cfc_core.Measures.Online.recovery_paths}): 1 step when the crashed
     incarnation held the lock (one read shows it is still head), 2 when
     it did not (read + re-enqueue CAS); crashes mid-exit cost one or the
     other depending on whether the dequeue took effect.  One register —

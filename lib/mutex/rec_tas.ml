@@ -18,7 +18,7 @@
 
     Contention-free (crash-free) solo cost: 1 read + 1 CAS + 1 write
     = 3 steps on 1 register.  Recovery-path cost (checked by tests via
-    {!Cfc_core.Measures.recovery_paths}): 1 step when the crashed
+    {!Cfc_core.Measures.Online.recovery_paths}): 1 step when the crashed
     incarnation held the lock, 2 steps when it did not. *)
 
 open Cfc_base
@@ -30,7 +30,7 @@ let predicted_cf_steps (_ : Mutex_intf.params) = Some 3
 let predicted_cf_registers (_ : Mutex_intf.params) = Some 1
 
 (* Closed forms for the solo recovery path, asserted against
-   [Measures.recovery_paths] by tests and the recoverable bench. *)
+   [Measures.Online.recovery_paths] by tests and the recoverable bench. *)
 let recovery_steps_held = 1
 let recovery_steps_not_held = 2
 

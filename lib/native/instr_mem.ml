@@ -66,7 +66,7 @@ let create ~nprocs =
     let i = (pid * stride) + slot in
     counts.(i) <- counts.(i) + 1
   in
-  (* The YA93 write-invalidate cache model of Measures.remote_accesses,
+  (* The YA93 write-invalidate cache model of Measures.Online.remote,
      transplanted: [holders] is the bitmask of pids with a valid cached
      copy.  An access is remote iff the pid's bit is clear; a write
      leaves only the writer's copy valid, a read joins the holders.
@@ -156,9 +156,10 @@ let evict t ~me =
     invalid_arg "Instr_mem.evict: me outside 0..nprocs-1";
   (* A crash destroys the process's cache: drop [me]'s bit from every
      register's holders mask, so the restarted incarnation's accesses
-     count as remote exactly as in [Measures.recovery_rmr]'s cold-cache
-     model.  The CAS loop races benignly with concurrent mask updates —
-     same conservativity argument as [touch]. *)
+     count as remote exactly as in the cold-cache model of
+     [Measures.Online.recovery_rmr].  The CAS loop races benignly with
+     concurrent mask updates — same conservativity argument as
+     [touch]. *)
   let bit = 1 lsl me in
   List.iter
     (fun h ->

@@ -10,9 +10,9 @@
     runs on its hot path.
 
     The RMR estimate replays the write-invalidate cache model of
-    {!Cfc_core.Measures.remote_accesses} online: per register, a bitmask
-    of domains holding a valid copy; an access is remote iff the
-    accessing domain's bit is clear; a write invalidates everyone else.
+    {!Cfc_core.Measures.Online.remote}: per register, a bitmask of
+    domains holding a valid copy; an access is remote iff the accessing
+    domain's bit is clear; a write invalidates everyone else.
     On a solo (uncontended) run the count is {e exactly} the trace
     measure — a test asserts this against the simulated backend — while
     under real concurrency the mask update races benignly and the
@@ -43,7 +43,7 @@ type t
 
 val create : nprocs:int -> t
 (** Fresh arena for [nprocs] worker domains ([1..62] — the RMR bitmask
-    packs into one word, as in [Measures.remote_accesses]). *)
+    packs into one word). *)
 
 val mem : t -> Cfc_base.Mem_intf.mem
 (** The instrumented memory.  Allocate registers before spawning
@@ -58,7 +58,7 @@ val evict : t -> me:int -> unit
 (** Drop worker [me]'s bit from every register's holders mask — the
     cache of a crashed process dies with it, so a crash–restart's
     subsequent accesses count as remote exactly as in the cold-cache
-    model of [Cfc_core.Measures.recovery_rmr].  Called by the
+    model of [Cfc_core.Measures.Online.recovery_rmr].  Called by the
     crash-injecting lock service at each injected crash point.  Benign
     races with concurrent accesses keep the estimate conservative, as
     for ordinary accesses. *)

@@ -83,7 +83,10 @@ let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
   | None -> ()
   | Some v ->
     invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
-  let entries = Measures.mutex_wc_entry out.Runner.trace ~nprocs:config.n in
+  let entries =
+    Measures.Online.wc_entries
+      (Measures.Online.of_trace ~nprocs:config.n out.Runner.trace)
+  in
   let acquisitions = List.length entries in
   (* A run cut short by the step budget has under-counted acquisitions
      and truncated fragments: refuse to report them as measurements. *)

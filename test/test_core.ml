@@ -20,6 +20,43 @@ let mk_regs () =
   (Memory.alloc ~name:"r1" ~width:4 ~init:0 m,
    Memory.alloc ~name:"r2" ~width:4 ~init:0 m)
 
+(* Replay [trace] into [Measures.Online]: every query must agree EXACTLY
+   with the test-only reference walks in [Oracle] — same samples, same
+   fragment lists, same order.  This is the gate that lets the EXP-SCALE
+   sweeps trust the streaming numbers at n where no trace can be
+   materialised. *)
+let check_online_matches_trace ~ctx ~n trace =
+  let online = Measures.Online.of_trace ~nprocs:n trace in
+  let eq tag a b = check_bool (ctx tag) true (a = b) in
+  eq "events_seen" (Measures.Online.events_seen online) (Trace.length trace);
+  eq "per_process"
+    (Array.to_list (Measures.Online.per_process online))
+    (Array.to_list (Oracle.per_process_samples trace ~nprocs:n));
+  for pid = 0 to n - 1 do
+    eq "contention_free"
+      (Measures.Online.contention_free online ~pid)
+      (Oracle.mutex_contention_free trace ~nprocs:n ~pid)
+  done;
+  eq "wc_entries"
+    (Measures.Online.wc_entries online)
+    (Oracle.mutex_wc_entry trace ~nprocs:n);
+  eq "wc_exits"
+    (Measures.Online.wc_exits online)
+    (Oracle.mutex_wc_exit trace ~nprocs:n);
+  eq "recovery_paths"
+    (Measures.Online.recovery_paths online)
+    (Oracle.recovery_paths trace ~nprocs:n);
+  eq "recovery_rmr"
+    (Measures.Online.recovery_rmr online)
+    (Oracle.recovery_rmr trace ~nprocs:n);
+  eq "remote_accesses"
+    (Array.to_list (Measures.Online.remote_accesses online))
+    (Array.to_list (Oracle.remote_accesses trace ~nprocs:n))
+
+(* A hand-built trace must also satisfy the whole oracle comparison. *)
+let agrees name ~n trace =
+  check_online_matches_trace ~n trace ~ctx:(fun tag -> name ^ ": " ^ tag)
+
 (* The §2.2 worst-case entry window: steps taken while another process
    occupies its critical section or exit code do not count. *)
 let test_wc_entry_window () =
@@ -38,7 +75,8 @@ let test_wc_entry_window () =
   ev 0 (Event.Access (r1, Event.A_read 0));   (* counts *)
   ev 0 (Event.Access (r1, Event.A_write 2));  (* counts *)
   ev 0 (Event.Region_change Event.Critical);
-  let entries = Measures.mutex_wc_entry t ~nprocs:2 in
+  let o = Measures.Online.of_trace ~nprocs:2 t in
+  let entries = Measures.Online.wc_entries o in
   (match List.filter (fun (pid, _) -> pid = 0) entries with
   | [ (_, s) ] ->
     check "p0 entry steps" 2 s.Measures.steps;
@@ -47,10 +85,10 @@ let test_wc_entry_window () =
   (match List.filter (fun (pid, _) -> pid = 1) entries with
   | [ (_, s) ] -> check "p1 entry steps" 1 s.Measures.steps
   | other -> Alcotest.failf "expected 1 entry for p1, got %d" (List.length other));
-  let exits = Measures.mutex_wc_exit t ~nprocs:2 in
-  match exits with
+  (match Measures.Online.wc_exits o with
   | [ (1, s) ] -> check "p1 exit steps" 1 s.Measures.steps
-  | _ -> Alcotest.fail "expected exactly p1's exit fragment"
+  | _ -> Alcotest.fail "expected exactly p1's exit fragment");
+  agrees "wc entry window" ~n:2 t
 
 (* Contention-free measure: only Trying and Exiting accesses count;
    critical-section work is free. *)
@@ -66,11 +104,15 @@ let test_cf_regions () =
   ev 0 (Event.Region_change Event.Exiting);
   ev 0 (Event.Access (r1, Event.A_write 0));
   ev 0 (Event.Region_change Event.Remainder);
-  let s = Measures.mutex_contention_free t ~nprocs:1 ~pid:0 in
+  let s =
+    Measures.Online.contention_free (Measures.Online.of_trace ~nprocs:1 t)
+      ~pid:0
+  in
   check "cf steps" 3 s.Measures.steps;
   check "cf registers" 2 s.Measures.registers;
   check "cf writes" 2 s.Measures.write_steps;
-  check "cf reads" 1 s.Measures.read_steps
+  check "cf reads" 1 s.Measures.read_steps;
+  agrees "cf regions" ~n:1 t
 
 (* Multiple entries by the same process produce one fragment each. *)
 let test_repeated_entries () =
@@ -86,10 +128,13 @@ let test_repeated_entries () =
     ev 0 (Event.Region_change Event.Exiting);
     ev 0 (Event.Region_change Event.Remainder)
   done;
-  let entries = Measures.mutex_wc_entry t ~nprocs:1 in
+  let entries =
+    Measures.Online.wc_entries (Measures.Online.of_trace ~nprocs:1 t)
+  in
   check "three fragments" 3 (List.length entries);
   let steps = List.map (fun (_, s) -> s.Measures.steps) entries in
-  Alcotest.(check (list int)) "growing" [ 1; 2; 3 ] steps
+  Alcotest.(check (list int)) "growing" [ 1; 2; 3 ] steps;
+  agrees "repeated entries" ~n:1 t
 
 (* decisions/at_most_one_winner plumbing. *)
 let test_decisions () =
@@ -134,8 +179,10 @@ let test_recovery_paths () =
   ev 0 (Event.Region_change Event.Remainder);
   ev 0 (Event.Region_change Event.Trying);
   ev 0 (Event.Region_change Event.Critical);
-  let paths = Measures.recovery_paths t ~nprocs:2 in
-  match paths with
+  let paths =
+    Measures.Online.recovery_paths (Measures.Online.of_trace ~nprocs:2 t)
+  in
+  (match paths with
   | [ (0, s0); (1, s1) ] ->
     check "p0 path steps" 2 s0.Measures.steps;
     check "p0 path registers" 2 s0.Measures.registers;
@@ -143,9 +190,10 @@ let test_recovery_paths () =
     check "p1 path registers" 1 s1.Measures.registers
   | _ ->
     Alcotest.failf "expected one completed path per pid, got %d"
-      (List.length paths)
+      (List.length paths));
+  agrees "recovery paths" ~n:2 t
 
-(* Recovery RMR: same fragment windows as [recovery_paths] (one-to-one),
+(* Recovery RMR: same fragment windows as the recovery paths (one-to-one),
    under the cold-cache rule — the crash invalidates the dying
    incarnation's copies, so a register cached before the crash is remote
    again on the recovery path; another process's write invalidates as
@@ -162,8 +210,11 @@ let test_recovery_rmr () =
   ev 0 (Event.Access (r1, Event.A_read 1));  (* local: just re-cached *)
   ev 0 (Event.Access (r2, Event.A_write 2)); (* remote: first touch *)
   ev 0 (Event.Region_change Event.Critical);
-  let paths = Measures.recovery_paths t ~nprocs:2 in
-  let rmrs = Measures.recovery_rmr t ~nprocs:2 in
+  let paths_rmrs () =
+    let o = Measures.Online.of_trace ~nprocs:2 t in
+    (Measures.Online.recovery_paths o, Measures.Online.recovery_rmr o)
+  in
+  let paths, rmrs = paths_rmrs () in
   check "one path" 1 (List.length paths);
   (match (paths, rmrs) with
   | [ (0, s) ], [ (0, rmr) ] ->
@@ -179,8 +230,7 @@ let test_recovery_rmr () =
   ev 1 (Event.Access (r1, Event.A_write 7)); (* p1 invalidates p0 *)
   ev 0 (Event.Access (r1, Event.A_read 7));  (* remote: invalidated *)
   ev 0 (Event.Region_change Event.Critical);
-  let paths = Measures.recovery_paths t ~nprocs:2 in
-  let rmrs = Measures.recovery_rmr t ~nprocs:2 in
+  let paths, rmrs = paths_rmrs () in
   Alcotest.(check (list (pair int int)))
     "per-incarnation rmr" [ (0, 2); (0, 2) ] rmrs;
   check "still one path per completed recovery" 2 (List.length paths);
@@ -188,10 +238,11 @@ let test_recovery_rmr () =
      pre-crash fragment is not double-attributed. *)
   (match List.rev paths with
   | (0, s) :: _ -> check "second path steps" 2 s.Measures.steps
-  | _ -> Alcotest.fail "missing second path")
+  | _ -> Alcotest.fail "missing second path");
+  agrees "recovery rmr" ~n:2 t
 
 (* Every recoverable lock's exact recovery costs, via the harness (which
-   itself goes through [Measures.recovery_paths]): every crash point
+   itself goes through [Measures.Online.recovery_paths]): every crash point
    yields a completed recovery ([Stalled] would be a deadlock
    regression), costing exactly the closed form of its crash region —
    [rec_steps_held] in [Critical], [rec_steps_not_held] outside the
@@ -321,9 +372,11 @@ let run_crash_proto ~faults ~mid =
 
 let test_winner_fragment_survives_fault () =
   let fragment_of out =
+    agrees "winner fragment" ~n:2 out.Runner.trace;
     match
       List.filter (fun (pid, _) -> pid = 0)
-        (Measures.mutex_wc_entry out.Runner.trace ~nprocs:2)
+        (Measures.Online.wc_entries
+           (Measures.Online.of_trace ~nprocs:2 out.Runner.trace))
     with
     | [ (_, s) ] -> s
     | other ->
@@ -347,7 +400,8 @@ let test_winner_fragment_survives_fault () =
      fragment; the half-done pre-crash exit must not leak one. *)
   let p1_exits =
     List.filter (fun (pid, _) -> pid = 1)
-      (Measures.mutex_wc_exit out.Runner.trace ~nprocs:2)
+      (Measures.Online.wc_exits
+         (Measures.Online.of_trace ~nprocs:2 out.Runner.trace))
   in
   (match p1_exits with
   | [ (_, s) ] -> check "restarted exit steps" 2 s.Measures.steps
@@ -393,7 +447,10 @@ let rmr_per_acq (module A : Mutex_intf.ALG) ~n ~rounds ~cs_len ~seed =
   let out =
     Runner.run ~memory ~pick:(Schedule.random ~seed) (Array.init n proc)
   in
-  let remote = Measures.remote_accesses out.Runner.trace ~nprocs:n in
+  let remote =
+    Measures.Online.remote_accesses
+      (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
+  in
   float_of_int (Array.fold_left ( + ) 0 remote) /. float_of_int (n * rounds)
 
 (* The mcs-lock waiter spins on a flag only its predecessor writes, so
@@ -564,67 +621,90 @@ let test_bits_accessed () =
 (* Streaming (Online) vs materialised measures                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay [trace] into [Measures.Online]: every streaming measure with a
-   materialised counterpart must agree EXACTLY — same samples, same
-   fragment lists, same order.  This is the gate that lets the EXP-SCALE
-   sweeps trust the streaming numbers at n where no trace can be
-   materialised. *)
-let check_online_matches_trace ~ctx ~n trace =
-  let online = Measures.Online.create ~nprocs:n in
-  Measures.Online.feed_trace online trace;
-  let eq tag a b = check_bool (ctx tag) true (a = b) in
-  eq "events_seen" (Measures.Online.events_seen online) (Trace.length trace);
-  eq "per_process"
-    (Array.to_list (Measures.Online.per_process online))
-    (Array.to_list (Measures.per_process_samples trace ~nprocs:n));
-  for pid = 0 to n - 1 do
-    eq "contention_free"
-      (Measures.Online.contention_free online ~pid)
-      (Measures.mutex_contention_free trace ~nprocs:n ~pid)
-  done;
-  eq "wc_entries"
-    (Measures.Online.wc_entries online)
-    (Measures.mutex_wc_entry trace ~nprocs:n);
-  eq "wc_exits"
-    (Measures.Online.wc_exits online)
-    (Measures.mutex_wc_exit trace ~nprocs:n);
-  eq "recovery_paths"
-    (Measures.Online.recovery_paths online)
-    (Measures.recovery_paths trace ~nprocs:n);
-  eq "recovery_rmr"
-    (Measures.Online.recovery_rmr online)
-    (Measures.recovery_rmr trace ~nprocs:n);
-  eq "decisions"
-    (Measures.Online.decisions online)
-    (Measures.decisions trace ~nprocs:n);
-  eq "remote_accesses"
-    (Array.to_list (Measures.Online.remote_accesses online))
-    (Array.to_list (Measures.remote_accesses trace ~nprocs:n))
+(* The exclusion checkers: [Spec.Monitor], the whole-trace folds and
+   [Spec.Inc] against the oracle's region-array walks, in both modes. *)
+let exclusion_modes =
+  [ ("plain", Spec.Monitor.mutual_exclusion, Spec.mutual_exclusion,
+     Spec.Inc.mutual_exclusion, Oracle.mutual_exclusion);
+    ("recoverable", Spec.Monitor.mutual_exclusion_recoverable,
+     Spec.mutual_exclusion_recoverable, Spec.Inc.mutual_exclusion_recoverable,
+     Oracle.mutual_exclusion_recoverable) ]
 
-(* One contended run of [alg] at [n], checked as above and replayed into
-   [Spec.Monitor] as well. *)
+let pp_verdict = function
+  | None -> "None"
+  | Some v -> Format.asprintf "%a" Spec.pp_violation v
+
+(* Feed the first [main] events (default: all) to [Spec.Inc] the way the
+   model checker's DFS does: in chunks of 1..48 events, each fed [~from]
+   the previous length, and at random nodes a checkpoint from which one
+   to three detour branches (chunks taken from anywhere in [events]) are
+   explored and undone by the restore thunk plus [Trace.truncate].  After
+   every chunk the verdict must equal the oracle's verdict on the trace
+   so far. *)
+let check_inc_prefixes ?main ~ctx ~n ~seed (events : Event.t array) =
+  let st = Random.State.make [| seed; 0x1c |] in
+  let len = Array.length events in
+  let main = Option.value main ~default:len in
+  let chunk () = 1 + Random.State.int st 48 in
+  List.iter
+    (fun (mode, _, _, inc, oracle) ->
+      let run = Spec.Inc.start inc ~nprocs:n in
+      let w = Trace.create () in
+      let advance i j =
+        let from = Trace.length w in
+        for k = i to j - 1 do
+          ignore (Trace.record w ~pid:events.(k).Event.pid events.(k).Event.body)
+        done;
+        let got = run.Spec.Inc.feed w ~from and want = oracle w ~nprocs:n in
+        if got <> want then
+          Alcotest.failf "%s: inc %s after %d events: %s, oracle %s" (ctx "inc")
+            mode (Trace.length w) (pp_verdict got) (pp_verdict want)
+      in
+      let i = ref 0 in
+      while !i < main do
+        if Random.State.int st 4 = 0 then begin
+          let saved = Trace.length w and restore = run.Spec.Inc.save () in
+          for _ = 1 to 1 + Random.State.int st 3 do
+            let d = Random.State.int st len in
+            advance d (min len (d + chunk ()));
+            restore ();
+            Trace.truncate w saved
+          done
+        end;
+        let j = min main (!i + chunk ()) in
+        advance !i j;
+        i := j
+      done)
+    exclusion_modes
+
+let events_of trace = Array.of_list (Trace.to_list trace)
+
+(* Every exclusion checker agrees with the oracle on [trace]: the
+   monitor fed event by event, the whole-trace fold, and [Spec.Inc] fed
+   as by the DFS. *)
+let check_exclusion_matches_trace ?main ~ctx ~n trace =
+  List.iter
+    (fun (mode, monitor, whole, _, oracle) ->
+      let want = oracle trace ~nprocs:n in
+      let m = monitor () in
+      Trace.iter (fun e -> Spec.Monitor.feed m ~pid:e.Event.pid e.Event.body) trace;
+      check_bool (ctx ("monitor " ^ mode)) true (Spec.Monitor.result m = want);
+      check_bool (ctx ("whole-trace " ^ mode)) true
+        (whole trace ~nprocs:n = want))
+    exclusion_modes;
+  check_inc_prefixes ?main ~ctx ~n ~seed:(Trace.length trace)
+    (events_of trace)
+
+(* One contended run of [alg] at [n], checked against the oracle's
+   measures and exclusion verdicts. *)
 let assert_online_equals_materialised ?faults ~pick ~what alg n =
   let (module A : Mutex_intf.ALG) = alg in
   let p = Mutex_intf.params n in
   let out = Mutex_harness.run ~rounds:2 ?faults ~pick:(pick ()) alg p in
   let trace = out.Runner.trace in
   let ctx tag = Printf.sprintf "%s n=%d %s: %s" A.name n what tag in
-  let eq tag a b = check_bool (ctx tag) true (a = b) in
   check_online_matches_trace ~ctx ~n trace;
-  (* The streaming exclusion monitors agree with the trace checkers —
-     the plain one only on crash-free runs (a crashed holder makes the
-     plain checker's verdict meaningless, matching Spec's own docs). *)
-  let feed_monitor m =
-    Trace.iter (fun e -> Spec.Monitor.feed m ~pid:e.Event.pid e.Event.body) trace;
-    Spec.Monitor.result m
-  in
-  if faults = None then
-    eq "mutual_exclusion"
-      (feed_monitor (Spec.Monitor.mutual_exclusion ()))
-      (Spec.mutual_exclusion trace ~nprocs:n);
-  eq "mutual_exclusion_recoverable"
-    (feed_monitor (Spec.Monitor.mutual_exclusion_recoverable ()))
-    (Spec.mutual_exclusion_recoverable trace ~nprocs:n)
+  check_exclusion_matches_trace ~ctx ~n trace
 
 let schedules n =
   [ ("round-robin", fun () -> Schedule.round_robin ());
@@ -669,6 +749,84 @@ let test_online_equals_materialised_faults () =
               [ 1; 2; 3 ])
         Registry.recoverable)
     [ 2; 3; 8 ]
+
+(* [Recovery_harness.chaos] runs, over the same space as the safety
+   property in test_mutex (seed, n in 2..5, 1..3 pairs, every
+   recoverable lock): the recovery paths, the recovery RMR and the
+   recoverable exclusion verdict of each run equal the oracle's. *)
+let prop_chaos_matches_oracle =
+  QCheck.Test.make ~count:80
+    ~name:"recovery chaos runs: measures and verdict = oracle"
+    QCheck.(triple (int_bound 100_000) (int_range 2 5) (int_range 1 3))
+    (fun (seed, n, pairs) ->
+      let p = Mutex_intf.params n in
+      List.iter
+        (fun ((module A : Mutex_intf.ALG) as alg) ->
+          if A.supports p then begin
+            let out, _, _ = Recovery_harness.chaos ~seed ~pairs alg p in
+            let trace = out.Runner.trace in
+            let ctx tag =
+              Printf.sprintf "%s chaos seed=%d n=%d pairs=%d: %s" A.name seed n
+                pairs tag
+            in
+            let online = Measures.Online.of_trace ~nprocs:n trace in
+            check_bool (ctx "recovery_paths") true
+              (Measures.Online.recovery_paths online
+              = Oracle.recovery_paths trace ~nprocs:n);
+            check_bool (ctx "recovery_rmr") true
+              (Measures.Online.recovery_rmr online
+              = Oracle.recovery_rmr trace ~nprocs:n);
+            check_bool (ctx "mutual_exclusion_recoverable") true
+              (Spec.mutual_exclusion_recoverable trace ~nprocs:n
+              = Oracle.mutual_exclusion_recoverable trace ~nprocs:n)
+          end)
+        Registry.recoverable;
+      true)
+
+(* A process that crashes inside its critical section and recovers no
+   longer occupies it under the plain rule (its region restarts in
+   Remainder), but still does under the recoverable rule.  On
+   T0 C0 ✗0 ↺0 T1 C1 every plain checker must return None — a checker
+   that kept the crashed incarnation's stale Critical would report a
+   violation at event 5 — and every recoverable checker the same
+   violation at event 5. *)
+let test_crashed_holder_verdicts () =
+  let t = Trace.create () in
+  let ev pid body = ignore (Trace.record t ~pid body) in
+  ev 0 (Event.Region_change Event.Trying);
+  ev 0 (Event.Region_change Event.Critical);
+  ev 0 Event.Crash;
+  ev 0 Event.Recover;
+  ev 1 (Event.Region_change Event.Trying);
+  ev 1 (Event.Region_change Event.Critical);
+  let recoverable =
+    Some
+      { Spec.at = 5; pids = [ 1; 0 ];
+        what = "two processes in the critical section (across recoveries)" }
+  in
+  List.iter
+    (fun (mode, monitor, whole, inc, oracle) ->
+      let want = if mode = "plain" then None else recoverable in
+      let is tag got =
+        Alcotest.(check string) (mode ^ " " ^ tag) (pp_verdict want)
+          (pp_verdict got)
+      in
+      is "oracle" (oracle t ~nprocs:2);
+      is "whole-trace" (whole t ~nprocs:2);
+      let m = monitor () in
+      Trace.iter (fun e -> Spec.Monitor.feed m ~pid:e.Event.pid e.Event.body) t;
+      is "monitor" (Spec.Monitor.result m);
+      is "inc (one feed)" ((Spec.Inc.start inc ~nprocs:2).Spec.Inc.feed t ~from:0);
+      (* One node per event, as the DFS appends them. *)
+      let run = Spec.Inc.start inc ~nprocs:2 and w = Trace.create () in
+      let last = ref None in
+      Trace.iter
+        (fun e ->
+          ignore (Trace.record w ~pid:e.Event.pid e.Event.body);
+          last := run.Spec.Inc.feed w ~from:(Trace.length w - 1))
+        t;
+      is "inc (per event)" !last)
+    exclusion_modes
 
 (* An event sequence no lock would emit, built straight through
    [Trace.record]: up to 62 processes (the materialised
@@ -768,6 +926,81 @@ let synthetic_trace seed =
 (* Randomized amplification: arbitrary seeds drive the schedule and the
    fault plan of real runs — a cheap spin lock and a recoverable lock
    cover the plain and crash paths — and a synthetic event sequence. *)
+(* Event sequences shaped like lock runs, for the exclusion checkers:
+   2..5 processes cycle Remainder -> Trying -> Critical -> Exiting, crash
+   anywhere (a crashed process takes no step until it recovers), and
+   enter the critical section only when no process occupies it under the
+   plain rule, except for a rare deliberate intrusion.  A crashed holder
+   keeps the section until it recovers, then a successor may enter while
+   the recoverable rule still counts the crashed incarnation — so
+   verdicts come late in the sequence, and the two rules disagree. *)
+let exclusion_trace seed =
+  let st = Random.State.make [| seed; 0xe7c |] in
+  let n = 2 + Random.State.int st 4 in
+  let r = Register.make ~id:1 ~name:"x" ~width:8 ~model:None ~init:0 in
+  let t = Trace.create () in
+  let regions = Array.make n Event.Remainder in
+  let crashed = Array.make n false in
+  let ev pid body = ignore (Trace.record t ~pid body) in
+  let occupied_by_other pid =
+    List.exists
+      (fun q -> q <> pid && Event.region_equal regions.(q) Event.Critical)
+      (List.init n Fun.id)
+  in
+  for _ = 1 to 400 do
+    let pid = Random.State.int st n in
+    if crashed.(pid) then begin
+      if Random.State.bool st then begin
+        ev pid Event.Recover;
+        crashed.(pid) <- false;
+        regions.(pid) <- Event.Remainder
+      end
+    end
+    else
+      match Random.State.int st 10 with
+      | 0 ->
+        ev pid Event.Crash;
+        crashed.(pid) <- true
+      | 1 | 2 -> ev pid (Event.Access (r, Event.A_read 0))
+      | _ ->
+        let next =
+          match regions.(pid) with
+          | Event.Remainder -> Some Event.Trying
+          | Event.Trying ->
+            if occupied_by_other pid && Random.State.int st 50 <> 0 then None
+            else Some Event.Critical
+          | Event.Critical -> Some Event.Exiting
+          | Event.Exiting | Event.Decided _ | Event.Halted ->
+            Some Event.Remainder
+        in
+        Option.iter
+          (fun g ->
+            ev pid (Event.Region_change g);
+            regions.(pid) <- g)
+          next
+  done;
+  (n, t)
+
+(* Every exclusion checker agrees with the oracle, in both modes —
+   [Spec.Inc] on every prefix it is fed, as by the DFS — on the
+   synthetic sequences (crash/recover scripts included) and on the
+   lock-shaped ones.  Every synthetic sequence (seeds 0..10000) has its
+   first violation by event 384 in both modes, after which the verdict is
+   frozen, so [Spec.Inc]'s main path stops at 1000 events (the oracle
+   costs O(prefix) per chunk); detours still draw from the whole
+   sequence. *)
+let prop_inc_prefixes =
+  QCheck.Test.make ~count:40 ~name:"exclusion checkers = oracle per prefix"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let check ?main what (n, trace) =
+        check_exclusion_matches_trace ?main ~n trace ~ctx:(fun tag ->
+            Printf.sprintf "%s seed=%d n=%d: %s" what seed n tag)
+      in
+      check ~main:1000 "synthetic" (synthetic_trace seed);
+      check "lock-shaped" (exclusion_trace seed);
+      true)
+
 let prop_online_equivalence =
   QCheck.Test.make ~count:40 ~name:"online measures = materialised (seeded)"
     QCheck.(int_bound 10_000)
@@ -855,6 +1088,10 @@ let () =
           Alcotest.test_case "online = materialised (chaos faults)" `Quick
             test_online_equals_materialised_faults;
           QCheck_alcotest.to_alcotest prop_online_equivalence;
+          QCheck_alcotest.to_alcotest prop_chaos_matches_oracle;
+          Alcotest.test_case "crashed holder: exclusion verdicts agree" `Quick
+            test_crashed_holder_verdicts;
+          QCheck_alcotest.to_alcotest prop_inc_prefixes;
           Alcotest.test_case "online feed allocates nothing per access"
             `Quick test_online_feed_no_alloc;
           Alcotest.test_case "cf streaming harness = trace harness" `Quick

@@ -288,7 +288,8 @@ let test_packed_slow_path_scan () =
     | None -> ()
     | Some v -> Alcotest.failf "packed scan: %a" Spec.pp_violation v);
     let entries =
-      Measures.mutex_wc_entry out.Cfc_runtime.Runner.trace ~nprocs:n
+      Measures.Online.wc_entries
+        (Measures.Online.of_trace ~nprocs:n out.Cfc_runtime.Runner.trace)
     in
     List.fold_left
       (fun acc (pid, s) -> if pid = 0 then max acc s.Measures.steps else acc)
@@ -482,8 +483,9 @@ let prop_cf_remote_equals_registers =
                 procs
             in
             let remote =
-              (Measures.remote_accesses out.Cfc_runtime.Runner.trace
-                 ~nprocs:n).(0)
+              Measures.Online.remote ~pid:0
+                (Measures.Online.of_trace ~nprocs:n
+                   out.Cfc_runtime.Runner.trace)
             in
             let regs =
               Cfc_runtime.Trace.distinct_registers ~pid:0
@@ -532,7 +534,8 @@ let test_mcs_local_spin () =
     | None -> ()
     | Some v -> Alcotest.failf "%s: %a" A.name Spec.pp_violation v);
     Array.fold_left max 0
-      (Measures.remote_accesses out.Cfc_runtime.Runner.trace ~nprocs:n)
+      (Measures.Online.remote_accesses
+         (Measures.Online.of_trace ~nprocs:n out.Cfc_runtime.Runner.trace))
   in
   let mcs = remote_max Registry.mcs in
   let tas = remote_max Registry.tas_lock in

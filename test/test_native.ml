@@ -135,14 +135,11 @@ let sim_solo_counters (module A : Mutex_intf.ALG) ~rounds ~cs_len =
   let out =
     Runner.run ~memory ~pick:(Schedule.solo 0) [| proc0; (fun () -> ()) |]
   in
-  let s =
-    (Cfc_core.Measures.per_process_samples out.Runner.trace ~nprocs:2).(0)
-  in
-  let remote =
-    Cfc_core.Measures.remote_accesses out.Runner.trace ~nprocs:2
-  in
+  let online = Cfc_core.Measures.Online.of_trace ~nprocs:2 out.Runner.trace in
+  let s = Cfc_core.Measures.Online.process_total online ~pid:0 in
   (s.Cfc_core.Measures.steps, s.Cfc_core.Measures.read_steps,
-   s.Cfc_core.Measures.write_steps, remote.(0))
+   s.Cfc_core.Measures.write_steps,
+   Cfc_core.Measures.Online.remote online ~pid:0)
 
 (* Uncontended, the instrumented counters are not estimates: ops, reads,
    writes and the write-invalidate RMR count must equal the simulated
