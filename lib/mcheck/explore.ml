@@ -455,8 +455,28 @@ let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
       raise Budget
     end;
     c.states <- c.states + 1;
-    (* [schedule] is kept reversed (most recent action first). *)
+    (* [schedule] is kept reversed (most recent action first).  The
+       node's system is needed only until its candidates are known; it
+       is disposed before the children build their own. *)
     let memory, sched, trace = exec_actions ~system (List.rev schedule) in
+    match
+      Fun.protect
+        ~finally:(fun () -> Scheduler.dispose sched)
+        (fun () -> visit schedule used memory sched trace)
+    with
+    | None -> ()
+    | Some [] ->
+      if not (Scheduler.all_quiescent sched) then c.truncated <- true;
+      c.runs <- c.runs + 1
+    | Some _ when depth >= config.max_depth ->
+      c.truncated <- true;
+      c.runs <- c.runs + 1
+    | Some candidates ->
+      List.iter
+        (fun a -> expand (a :: schedule) (depth + 1) (bump_used used a))
+        candidates
+  (* Check one node's system and enter its key; [None] when pruned. *)
+  and visit schedule used memory sched trace =
     (* Re-executing a prefix replays its accesses; the observer sees each
        one once per node that extends it.  Consumers dedup. *)
     (match observe with
@@ -496,26 +516,14 @@ let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
         (k, pi <> None)
     in
     let key = (ckey, used) in
-    if Tbl.mem seen key then
+    if Tbl.mem seen key then begin
       if rewritten then c.pruned_sym <- c.pruned_sym + 1
-      else c.pruned_dedup <- c.pruned_dedup + 1
+      else c.pruned_dedup <- c.pruned_dedup + 1;
+      None
+    end
     else begin
       Tbl.add seen key ();
-      let candidates =
-        candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used
-      in
-      if candidates = [] then begin
-        if not (Scheduler.all_quiescent sched) then c.truncated <- true;
-        c.runs <- c.runs + 1
-      end
-      else if depth >= config.max_depth then begin
-        c.truncated <- true;
-        c.runs <- c.runs + 1
-      end
-      else
-        List.iter
-          (fun a -> expand (a :: schedule) (depth + 1) (bump_used used a))
-          candidates
+      Some (candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used)
     end
   in
   let finish () = c.seen_pop <- Tbl.length seen in
@@ -555,6 +563,7 @@ type por_state = {
   p_canon : State_key.cell list array;  (* per pid, newest first *)
   p_meta : (int * bool) list array;
       (* parallel to [p_canon]: (hash after this cell, cycle-member) *)
+  p_probe : unit Tbl.t;  (* [others_commute]'s seen set, reset per probe *)
 }
 
 type inc_state = {
@@ -604,7 +613,8 @@ let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
       Some
         { p_tr = Independence.track t ~nprocs;
           p_canon = Array.make nprocs [];
-          p_meta = Array.make nprocs [] }
+          p_meta = Array.make nprocs [];
+          p_probe = Tbl.create 256 }
   in
   { i_config = config; i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
     i_pairs = pairs; i_branch = branch; i_memory = memory; i_sched = sched;
@@ -630,9 +640,7 @@ let drop_reentry obs meta ~reg ~cls =
   let rec scan obs meta =
     match (obs, meta) with
     | cl :: obs', (_, true) :: meta' ->
-      if
-        cl.State_key.reg = reg
-        && String.equal (Independence.class_of_kind cl.State_key.kind) cls
+      if cl.State_key.reg = reg && Independence.class_id cl.State_key.kind = cls
       then Some (obs', meta')
       else scan obs' meta'
     | _, _ -> None
@@ -675,7 +683,7 @@ let apply st a =
           if is_cyc then
             match
               drop_reentry por.p_canon.(pid) por.p_meta.(pid)
-                ~reg:r.Register.id ~cls:(Independence.class_of_kind k)
+                ~reg:r.Register.id ~cls:(Independence.class_id k)
             with
             | Some om -> om
             | None -> (por.p_canon.(pid), por.p_meta.(pid))
@@ -791,14 +799,15 @@ let steps_vector st = Array.init st.i_nprocs (Scheduler.steps_taken st.i_sched)
    whose next step provably commutes with it.  A pause step (no access)
    commutes with everything, and so does the value-aware footprint of an
    access that changed nothing ([before] is the register-value array at
-   the parent node).  An unknown next step wakes the sleeper. *)
+   the parent node; a step performs at most one access, so only its
+   register can differ).  An unknown next step wakes the sleeper. *)
 let filter_sleep st por sleep access ~before =
   if sleep = 0 then 0
   else
     match access with
     | None -> sleep
     | Some (_, r, k) ->
-      let changed = Memory.values st.i_memory <> before in
+      let changed = Memory.value_changed st.i_memory ~before r in
       let afp = Independence.fp_of_access ~changed ~reg:r.Register.id k in
       let s = ref 0 in
       for t = 0 to st.i_nprocs - 1 do
@@ -864,9 +873,10 @@ exception Sub_budget
    The probe restores the entry state on normal return and may leave it
    dirty on a negative answer — callers roll back to their own
    checkpoint before trying anything else. *)
-let others_commute st ~p ~afp ~a_visible ~used =
+let others_commute st por ~p ~afp ~a_visible ~used =
   let config = st.i_config in
-  let seen : unit Tbl.t = Tbl.create 256 in
+  let seen = por.p_probe in
+  Tbl.reset seen;
   let budget = ref 4096 in
   let rec go () =
     decr budget;
@@ -891,7 +901,7 @@ let others_commute st ~p ~afp ~a_visible ~used =
           (fun a ->
             (match apply st a with
             | Some (_, r, k) ->
-              let changed = Memory.values st.i_memory <> regvals in
+              let changed = Memory.value_changed st.i_memory ~before:regvals r in
               if
                 Independence.conflict
                   (Independence.fp_of_access ~changed ~reg:r.Register.id k)
@@ -1071,10 +1081,10 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
             &&
             match (a, access) with
             | Step p, Some (_, r, k) ->
-              others_commute st ~p
+              others_commute st por ~p
                 ~afp:
                   (Independence.fp_of_access
-                     ~changed:(child_regvals <> regvals)
+                     ~changed:(Memory.value_changed st.i_memory ~before:regvals r)
                      ~reg:r.Register.id k)
                 ~a_visible:(step_visible st ~from:trace_len)
                 ~used:child_used
@@ -1108,6 +1118,11 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
           | Crash _ | Recover _ -> ())
         live)
 
+(* Run a search on [st]'s live system, then free its suspended processes
+   however the search ends (verdict, [Found], [Budget] or [Fallback]). *)
+let with_system st f =
+  Fun.protect ~finally:(fun () -> Scheduler.dispose st.i_sched) f
+
 let run_inc_seq ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system
     ~inc ~ind () =
   let c = new_counters () in
@@ -1119,7 +1134,10 @@ let run_inc_seq ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system
       ~observe
   in
   let finish () = c.seen_pop <- Seen.population seen in
-  match expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None with
+  match
+    with_system st (fun () ->
+        expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None)
+  with
   | () ->
     finish ();
     Ok (stats_of c)
@@ -1187,13 +1205,14 @@ let run_branch ~config ?seen_hint ?observe ~sym ~compact ~shared ~branch
     if shared = None then c.seen_pop <- Seen.population seen
   in
   match
-    let access = apply st a in
-    let sleep =
-      match st.i_por with
-      | None -> 0
-      | Some por -> filter_sleep st por sleep0 access ~before:regvals0
-    in
-    expand_inc st [ a ] 1 (bump_used 0 a) ~from:0 ~sleep ~pre:None
+    with_system st (fun () ->
+        let access = apply st a in
+        let sleep =
+          match st.i_por with
+          | None -> 0
+          | Some por -> filter_sleep st por sleep0 access ~before:regvals0
+        in
+        expand_inc st [ a ] 1 (bump_used 0 a) ~from:0 ~sleep ~pre:None)
   with
   | () ->
     finish ();

@@ -30,6 +30,38 @@ let class_of_kind : Event.access_kind -> string = function
   | Event.A_cas _ -> "cas"
   | Event.A_bit (op, _) -> "bit:" ^ Cfc_base.Ops.to_string op
 
+(* Op classes interned as ints: the five register operations, then one
+   per bit operation in [Ops.all] order.  [class_id_of_string] maps the
+   analyzer's class names ({!class_of_kind}'s) onto the same ids ([-1]
+   for a name no dynamic access can carry). *)
+let bit_op_index = function
+  | Cfc_base.Ops.Skip -> 0
+  | Cfc_base.Ops.Read -> 1
+  | Cfc_base.Ops.Write_0 -> 2
+  | Cfc_base.Ops.Test_and_reset -> 3
+  | Cfc_base.Ops.Write_1 -> 4
+  | Cfc_base.Ops.Test_and_set -> 5
+  | Cfc_base.Ops.Flip -> 6
+  | Cfc_base.Ops.Test_and_flip -> 7
+
+let class_id : Event.access_kind -> int = function
+  | Event.A_read _ -> 0
+  | Event.A_write _ -> 1
+  | Event.A_field _ -> 2
+  | Event.A_xchg _ -> 3
+  | Event.A_cas _ -> 4
+  | Event.A_bit (op, _) -> 5 + bit_op_index op
+
+let class_id_of_string s =
+  let kinds =
+    Event.A_read 0 :: Event.A_write 0 :: Event.A_field (0, 1, 0)
+    :: Event.A_xchg (0, 0) :: Event.A_cas (0, 0, false)
+    :: List.map (fun op -> Event.A_bit (op, None)) Cfc_base.Ops.all
+  in
+  match List.find_opt (fun k -> String.equal (class_of_kind k) s) kinds with
+  | Some k -> class_id k
+  | None -> -1
+
 let fp_of_access ?(changed = true) ~reg (kind : Event.access_kind) =
   let bit = 1 lsl reg in
   let writes =
@@ -51,7 +83,7 @@ let fp_of_access ?(changed = true) ~reg (kind : Event.access_kind) =
 
 type ninfo = {
   i_reg : int;
-  i_cls : string;
+  i_cls : int;  (* [class_id_of_string] of the node's op class *)
   i_fp : fp;
   i_cycle : bool;
   i_may_end : bool;
@@ -62,9 +94,10 @@ type model = {
   m_info : ninfo array;
   m_succ : int array array;
   m_future : fp array;  (* [i_fp] unioned over graph-reachable nodes *)
-  m_cycset : (int * string, unit) Hashtbl.t;
-      (* (register, op class) pairs appearing on a detected busy-wait
-         cycle, occurrence-independent: the dynamic search prunes spin
+  m_cycmask : int array;
+      (* per register id, a bitmask over op-class ids: the (register, op
+         class) pairs appearing on a detected busy-wait cycle,
+         occurrence-independent — the dynamic search prunes spin
          unrolling long before it reaches the occurrence indices the
          symbolic engine flagged, so membership must not depend on how
          many times the instruction already executed *)
@@ -94,7 +127,7 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
           let bit = 1 lsl n.n_reg in
           {
             i_reg = n.n_reg;
-            i_cls = n.n_class;
+            i_cls = class_id_of_string n.n_class;
             i_fp =
               {
                 f_read = bit;
@@ -138,9 +171,11 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
           end
         done
       done;
-      let cycset = Hashtbl.create 8 in
+      let cycmask = Array.make max_reg_bits 0 in
       Array.iter
-        (fun inf -> if inf.i_cycle then Hashtbl.replace cycset (inf.i_reg, inf.i_cls) ())
+        (fun inf ->
+          if inf.i_cycle && inf.i_cls >= 0 then
+            cycmask.(inf.i_reg) <- cycmask.(inf.i_reg) lor (1 lsl inf.i_cls))
         info;
       Some
         {
@@ -148,7 +183,7 @@ let model_of_graph (g : Cfc_analysis.Analyze.graph) =
           m_info = info;
           m_succ = succ;
           m_future = future;
-          m_cycset = cycset;
+          m_cycmask = cycmask;
         }
     end
   end
@@ -190,96 +225,149 @@ let detector ?config det (p : Cfc_mutex.Mutex_intf.params) =
 (* Dynamic position tracking: the set of graph nodes a process's next
    access may correspond to, advanced on every observed access.  A
    process whose accesses stop matching its graph (the bounded symbolic
-   exploration under-covered its behavior) degrades permanently to [Top]
-   — no static claim is made about it again, and the exploration around
-   it falls back to full expansion. *)
+   exploration under-covered its behavior) degrades permanently to
+   unknown — no static claim is made about it again, and the exploration
+   around it falls back to full expansion.
 
-type pos = Top | Nodes of int list  (* nonempty *)
+   Position sets are interned per tracker and process: a position is an
+   int (a set id, or [top] for unknown), every set's footprint answers
+   are computed once when it is interned, and each (set, register, op
+   class) transition is memoised.  A warmed tracker therefore observes
+   and answers without allocating.  The tables live in the tracker, not
+   in [t], because parallel search branches share [t] across domains. *)
 
-type tracker = { t : t; pos : pos array }
-type snap = pos array
+let top = -1
+
+module Itbl = Hashtbl.Make (Int)
+
+(* One interned position set and its answers, computed once. *)
+type pset = {
+  s_nodes : int list;  (* sorted *)
+  s_next : fp option;  (* union of the nodes' [i_fp] *)
+  s_future : fp option;  (* union of the nodes' [m_future] *)
+  s_may_end : bool;
+}
+
+type interned = {
+  x_model : model;
+  x_ids : (int list, int) Hashtbl.t;  (* node set -> set id *)
+  mutable x_sets : pset array;  (* set id -> set; grown by doubling *)
+  x_trans : int Itbl.t;
+      (* (set id, register, class id) packed into one int -> successor
+         set id, or [top] when no node of the set matches *)
+}
+
+type tracker = { t : t; ix : interned option array; pos : int array }
+type snap = int array
+
+let intern x nodes =
+  match Hashtbl.find_opt x.x_ids nodes with
+  | Some id -> id
+  | None ->
+    let m = x.x_model in
+    let union f =
+      Some (List.fold_left (fun acc i -> fp_union acc (f i)) fp_empty nodes)
+    in
+    let ps =
+      { s_nodes = nodes;
+        s_next = union (fun i -> m.m_info.(i).i_fp);
+        s_future = union (fun i -> m.m_future.(i));
+        s_may_end = List.exists (fun i -> m.m_info.(i).i_may_end) nodes }
+    in
+    let id = Hashtbl.length x.x_ids in
+    if id = Array.length x.x_sets then
+      x.x_sets <- Array.append x.x_sets (Array.make (max 8 id) ps);
+    x.x_sets.(id) <- ps;
+    Hashtbl.add x.x_ids nodes id;
+    id
+
+(* Registers at or past [max_reg_bits] appear in no model (they would
+   have overflowed the footprint masks), and class ids stay below 64. *)
+let trans_key set ~reg ~cls = (((set * max_reg_bits) + reg) lsl 6) lor cls
+
+let successor x set ~reg ~cls =
+  let m = x.x_model in
+  let matched =
+    List.filter
+      (fun i -> m.m_info.(i).i_reg = reg && m.m_info.(i).i_cls = cls)
+      x.x_sets.(set).s_nodes
+  in
+  match matched with
+  | [] -> top
+  | _ ->
+    let next =
+      List.sort_uniq compare
+        (List.concat_map (fun i -> Array.to_list m.m_succ.(i)) matched)
+    in
+    (* Past the last graph node the process either halts (and is never
+       consulted again) or starts its body over (the harness [rounds]
+       loop): restart the position at the entry. *)
+    intern x (if next = [] then m.m_entry else next)
 
 let track t ~nprocs =
-  {
-    t;
-    pos =
-      Array.init nprocs (fun pid ->
-          if pid < Array.length t.models then
-            match t.models.(pid) with
-            | Some m -> Nodes m.m_entry
-            | None -> Top
-          else Top);
-  }
+  let ix =
+    Array.init nprocs (fun pid ->
+        if pid < Array.length t.models then
+          Option.map
+            (fun m ->
+              { x_model = m; x_ids = Hashtbl.create 16; x_sets = [||];
+                x_trans = Itbl.create 64 })
+            t.models.(pid)
+        else None)
+  in
+  let pos =
+    Array.map
+      (function Some x -> intern x x.x_model.m_entry | None -> top)
+      ix
+  in
+  { t; ix; pos }
 
 let snapshot tr = Array.copy tr.pos
 let restore tr s = Array.blit s 0 tr.pos 0 (Array.length tr.pos)
 
-let model tr pid =
-  if pid < Array.length tr.t.models then tr.t.models.(pid) else None
-
 let observe tr ~pid ~reg ~kind =
-  match tr.pos.(pid) with
-  | Top -> ()
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> tr.pos.(pid) <- Top
-    | Some m -> (
-      let cls = class_of_kind kind in
-      let matched =
-        List.filter
-          (fun i -> m.m_info.(i).i_reg = reg && m.m_info.(i).i_cls = cls)
-          pos
-      in
-      match matched with
-      | [] -> tr.pos.(pid) <- Top
-      | _ ->
-        let next =
-          List.sort_uniq compare
-            (List.concat_map
-               (fun i -> Array.to_list m.m_succ.(i))
-               matched)
-        in
-        (* Past the last graph node the process either halts (and is
-           never consulted again) or starts its body over (the harness
-           [rounds] loop): restart the position at the entry. *)
-        let next = if next = [] then m.m_entry else next in
-        tr.pos.(pid) <- Nodes next))
+  let set = tr.pos.(pid) in
+  if set <> top then
+    match tr.ix.(pid) with
+    | None -> ()
+    | Some x ->
+      if reg < 0 || reg >= max_reg_bits then tr.pos.(pid) <- top
+      else begin
+        let cls = class_id kind in
+        let key = trans_key set ~reg ~cls in
+        tr.pos.(pid) <-
+          (match Itbl.find x.x_trans key with
+          | next -> next
+          | exception Not_found ->
+            let next = successor x set ~reg ~cls in
+            Itbl.add x.x_trans key next;
+            next)
+      end
 
 let cycle_member tr ~pid ~reg ~kind =
-  match model tr pid with
+  pid < Array.length tr.t.models
+  && reg >= 0 && reg < max_reg_bits
+  &&
+  match tr.t.models.(pid) with
   | None -> false
-  | Some m -> Hashtbl.mem m.m_cycset (reg, class_of_kind kind)
+  | Some m -> m.m_cycmask.(reg) land (1 lsl class_id kind) <> 0
 
+(* The per-set answers of a process's current position; [None] (unknown)
+   for [top].  Cached options, so no query allocates. *)
 let next_fp tr pid =
-  match tr.pos.(pid) with
-  | Top -> None
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> None
-    | Some m ->
-      Some
-        (List.fold_left
-           (fun acc i -> fp_union acc m.m_info.(i).i_fp)
-           fp_empty pos))
+  let set = tr.pos.(pid) in
+  if set = top then None
+  else match tr.ix.(pid) with Some x -> x.x_sets.(set).s_next | None -> None
 
 let future_fp tr pid =
-  match tr.pos.(pid) with
-  | Top -> None
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> None
-    | Some m ->
-      Some
-        (List.fold_left
-           (fun acc i -> fp_union acc m.m_future.(i))
-           fp_empty pos))
+  let set = tr.pos.(pid) in
+  if set = top then None
+  else
+    match tr.ix.(pid) with Some x -> x.x_sets.(set).s_future | None -> None
 
-let known tr pid = match tr.pos.(pid) with Top -> false | Nodes _ -> true
+let known tr pid = tr.pos.(pid) <> top
 
 let next_may_end tr pid =
-  match tr.pos.(pid) with
-  | Top -> true
-  | Nodes pos -> (
-    match model tr pid with
-    | None -> true
-    | Some m -> List.exists (fun i -> m.m_info.(i).i_may_end) pos)
+  let set = tr.pos.(pid) in
+  set = top
+  || match tr.ix.(pid) with Some x -> x.x_sets.(set).s_may_end | None -> true

@@ -47,6 +47,10 @@ val fp_of_access :
 val class_of_kind : Cfc_runtime.Event.access_kind -> string
 (** The dynamic access's [Sym_mem.op_class] — the node-matching key. *)
 
+val class_id : Cfc_runtime.Event.access_kind -> int
+(** {!class_of_kind} interned as a small int (below 64): equal ids iff
+    equal class names.  What the tracker matches on; allocation-free. *)
+
 type t
 (** Per-process static models for one checked system ([None] for a
     process whose graph was unusable: empty, no entry node, or register
@@ -77,7 +81,13 @@ val of_report : Cfc_analysis.Analyze.report -> t
     describe the very system being checked — same process bodies, same
     register allocation order). *)
 
-(** {1 Dynamic position tracking} *)
+(** {1 Dynamic position tracking}
+
+    Position sets and op classes are interned as ints inside the tracker,
+    so once a tracker has met a position and transition, {!observe},
+    {!cycle_member}, {!next_fp}, {!future_fp}, {!known} and
+    {!next_may_end} allocate nothing.  Each tracker owns its tables: one
+    [t] may be tracked from several domains at once. *)
 
 type tracker
 type snap

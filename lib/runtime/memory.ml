@@ -1,12 +1,45 @@
+(* The replay protocol: [remaining] counts the access-or-pause calls
+   still to answer from the recording, [answers] holds the recorded
+   access answers not yet taken, oldest first.  Outside a rebuild
+   [remaining = 0] and [answers = []]. *)
+type cursor = {
+  mutable remaining : int;
+  mutable answers : Event.access_kind list;
+}
+
 type t = {
   mutable regs : Register.t list (* reversed *);
   mutable next : int;
   mutable regs_arr : Register.t array;
       (* cache of [regs] (same reverse order) for the hot snapshot paths;
          invalidated by [alloc], rebuilt on demand *)
+  cursor : cursor;
 }
 
-let create () = { regs = []; next = 0; regs_arr = [||] }
+let create () =
+  { regs = []; next = 0; regs_arr = [||];
+    cursor = { remaining = 0; answers = [] } }
+
+let cursor t = t.cursor
+
+let replay_start c ~calls answers =
+  c.remaining <- calls;
+  c.answers <- answers
+
+let[@inline] replaying c = c.remaining > 0
+let[@inline] replay_pending c = if c.remaining = 0 then [] else c.answers
+
+let replay_take c =
+  (match c.answers with _ :: tl -> c.answers <- tl | [] -> ());
+  c.remaining <- c.remaining - 1
+
+let replay_skip c = c.remaining <- c.remaining - 1
+
+let replay_stop c =
+  let all_taken = c.answers = [] in
+  c.remaining <- 0;
+  c.answers <- [];
+  all_taken
 
 let alloc ?name ?model ~width ~init t =
   let id = t.next in
@@ -51,6 +84,10 @@ let restore_values t a =
   for i = 0 to t.next - 1 do
     Register.restore regs.(i) a.(i)
   done
+
+let value_changed t ~before (r : Register.t) =
+  if Array.length before <> t.next then invalid_arg "Memory.value_changed";
+  before.(t.next - 1 - r.Register.id) <> r.Register.value
 
 let dump t =
   registers t

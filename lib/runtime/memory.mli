@@ -45,6 +45,50 @@ val restore_values : t -> int array -> unit
 (** Write a {!values} snapshot back.  Raises [Invalid_argument] if the
     arena allocated registers since the snapshot was taken. *)
 
+val value_changed : t -> before:int array -> Register.t -> bool
+(** [value_changed t ~before r]: does [r] now hold a different value than
+    in the {!values} snapshot [before]?  After a single scheduler step,
+    which performs at most one access, this answers "did memory change"
+    for the accessed register [r] without building a new snapshot.
+    Raises [Invalid_argument] if the arena allocated registers since the
+    snapshot was taken. *)
+
+(** {1 Replay cursor}
+
+    While {!Scheduler} rebuilds a suspension, the arena carries the
+    answers of the replayed prefix: a count of access-or-pause calls
+    still to answer and the recorded access answers, oldest first.
+    {!Sim_mem}'s access operations take the next answer when its kind
+    matches and return it without performing an effect, and its pause
+    counts itself off the same way.  On a kind mismatch or an exhausted
+    list they perform the effect as usual, so the rebuilding scheduler
+    sees it and reports the divergence.  Outside a rebuild the cursor is
+    clear. *)
+
+type cursor
+
+val cursor : t -> cursor
+
+val replay_start : cursor -> calls:int -> Event.access_kind list -> unit
+(** Answer the next [calls] access-or-pause calls from [answers]. *)
+
+val replaying : cursor -> bool
+(** Calls remain to be answered from the recording. *)
+
+val replay_pending : cursor -> Event.access_kind list
+(** The recorded answers not yet taken while {!replaying}, oldest first;
+    [[]] otherwise, so outside a rebuild every access finds nothing to
+    take. *)
+
+val replay_take : cursor -> unit
+(** Answer one access call with the head of {!replay_pending}. *)
+
+val replay_skip : cursor -> unit
+(** Answer one call that has no recorded answer (a pause or a sleep). *)
+
+val replay_stop : cursor -> bool
+(** Clear the cursor; [true] iff every recorded answer had been taken. *)
+
 val dump : t -> string
 (** One-line rendering of the current contents, for debugging. *)
 

@@ -17,6 +17,7 @@ type pstate = {
 }
 
 type t = {
+  cursor : Memory.cursor;  (* the arena's; answers replayed calls in [rebuild] *)
   trace : Trace.t;
   procs : pstate array;
   mutable active : int;  (* processes still Runnable *)
@@ -32,7 +33,7 @@ type t = {
 
 exception Replay_mismatch of string
 
-let create ?oracle ~memory:_ ~trace thunks =
+let create ?oracle ~memory ~trace thunks =
   let procs =
     Array.mapi
       (fun pid thunk ->
@@ -41,8 +42,8 @@ let create ?oracle ~memory:_ ~trace thunks =
           version = 0 })
       thunks
   in
-  { trace; procs; active = Array.length procs; clock = 0; oracle;
-    replay_safe = true }
+  { cursor = Memory.cursor memory; trace; procs; active = Array.length procs;
+    clock = 0; oracle; replay_safe = true }
 
 let nprocs t = Array.length t.procs
 let status t pid = t.procs.(pid).status
@@ -78,13 +79,39 @@ let finish t p outcome =
   | `Errored e -> p.status <- Errored e);
   Finished
 
+let discontinue_susp s =
+  match s with
+  | Proc.Done | Proc.Failed _ -> ()
+  | Proc.Read (_, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Write (_, _, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Write_field (_, _, _, _, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Xchg (_, _, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Cas (_, _, _, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Bit_op (_, _, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Region (_, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Pause k ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Sleep (_, k) ->
+    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+
 (* Reconstruct the suspension of a process whose continuation was
    invalidated by [restore].  One-shot continuations cannot be cloned, so
-   we restart the thunk and drive its (deterministic) effect stream,
-   answering accesses from the recorded observations and pauses with [()],
-   until exactly [p.calls] access-or-pause effects have been answered.
-   Region effects are free and were already recorded before the
-   checkpoint, so they are absorbed silently. *)
+   we restart the thunk and replay its (deterministic) prefix until
+   exactly [p.calls] access-or-pause calls have been answered.  The
+   answers sit on the arena's replay cursor, where {!Sim_mem}'s
+   operations take them without performing an effect; the only effects
+   that reach [drive] are region changes (free, already recorded before
+   the checkpoint, so absorbed silently), sleeps, the first call past
+   the prefix (the suspension we want), and a call the recording cannot
+   answer — its kind does not match or the list ran out — which [drive]
+   reports as {!Replay_mismatch}. *)
 let rebuild t p =
   let oracle =
     match t.oracle with
@@ -94,67 +121,29 @@ let rebuild t p =
         "Scheduler.rebuild: no observation oracle (create with ~oracle \
          before using snapshot/restore)"
   in
-  let answers = ref (oracle p.pid) in
-  let remaining = ref p.calls in
-  let mismatch what =
+  let cur = t.cursor in
+  let mismatch s what =
+    ignore (Memory.replay_stop cur);
+    discontinue_susp s;
     raise (Replay_mismatch (Printf.sprintf "pid %d: %s" p.pid what))
-  in
-  let pop () =
-    match !answers with
-    | a :: tl ->
-      answers := tl;
-      a
-    | [] -> mismatch "observation list exhausted"
   in
   let rec drive s =
     match s with
     | Proc.Region (_, k) -> drive (Effect.Deep.continue k ())
-    | _ when !remaining = 0 -> s
-    | Proc.Done | Proc.Failed _ -> mismatch "process terminated early"
-    | Proc.Pause k | Proc.Sleep (_, k) ->
-      decr remaining;
+    | _ when not (Memory.replaying cur) -> s
+    | Proc.Sleep (_, k) ->
+      Memory.replay_skip cur;
       drive (Effect.Deep.continue k ())
-    | Proc.Read (_, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_read v -> drive (Effect.Deep.continue k v)
-      | _ -> mismatch "expected a read observation"
-    end
-    | Proc.Write (_, _, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_write _ -> drive (Effect.Deep.continue k ())
-      | _ -> mismatch "expected a write observation"
-    end
-    | Proc.Write_field (_, _, _, _, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_field _ -> drive (Effect.Deep.continue k ())
-      | _ -> mismatch "expected a field-write observation"
-    end
-    | Proc.Xchg (_, _, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_xchg (_, old) -> drive (Effect.Deep.continue k old)
-      | _ -> mismatch "expected an exchange observation"
-    end
-    | Proc.Cas (_, _, _, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_cas (_, _, success) -> drive (Effect.Deep.continue k success)
-      | _ -> mismatch "expected a compare-and-set observation"
-    end
-    | Proc.Bit_op (_, _, k) -> begin
-      decr remaining;
-      match pop () with
-      | Event.A_bit (_, ret) -> drive (Effect.Deep.continue k ret)
-      | _ -> mismatch "expected a bit-op observation"
-    end
+    | Proc.Done | Proc.Failed _ -> mismatch s "process terminated early"
+    | _ -> (
+      match Memory.replay_pending cur with
+      | [] -> mismatch s "observation list exhausted"
+      | _ :: _ -> mismatch s "recorded observation is of another kind")
   in
+  Memory.replay_start cur ~calls:p.calls (oracle p.pid);
   let s = drive (Proc.start p.thunk) in
-  (match !answers with
-  | [] -> ()
-  | _ :: _ -> mismatch "unconsumed observations after replay");
+  if not (Memory.replay_stop cur) then
+    mismatch s "unconsumed observations after replay";
   s
 
 (* Advance [p] until one shared access has been performed (absorbing free
@@ -289,28 +278,6 @@ let step t pid =
     go current
   end
 
-let discontinue_susp s =
-  match s with
-  | Proc.Done | Proc.Failed _ -> ()
-  | Proc.Read (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Write (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Write_field (_, _, _, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Xchg (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Cas (_, _, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Bit_op (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Region (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Pause k ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Sleep (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-
 let crash t pid =
   let p = t.procs.(pid) in
   if p.status = Runnable then begin
@@ -370,9 +337,11 @@ let restore t snap =
       let p = t.procs.(i) in
       (* Equal version stamps mean the process was not touched since the
          snapshot: its suspension is still the live, unconsumed one.
-         Otherwise the continuation was consumed by the abandoned branch;
-         drop it and rebuild lazily at the next [step]. *)
+         Otherwise it belongs to the abandoned branch: discontinue it, so
+         its fiber stack goes back to the runtime now rather than at some
+         later major GC, and rebuild lazily at the next [step]. *)
       if p.version <> ps.s_version then begin
+        (match p.susp with Some s -> discontinue_susp s | None -> ());
         p.status <- ps.s_status;
         p.region <- ps.s_region;
         p.steps <- ps.s_steps;
@@ -382,3 +351,13 @@ let restore t snap =
         p.susp <- None
       end)
     snap.s_procs
+
+let dispose t =
+  Array.iter
+    (fun p ->
+      match p.susp with
+      | Some s ->
+        p.susp <- None;
+        discontinue_susp s
+      | None -> ())
+    t.procs

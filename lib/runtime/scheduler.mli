@@ -9,8 +9,11 @@
     for the incremental model checker.  OCaml's one-shot continuations
     cannot be cloned, so a checkpoint stores only scalar per-process
     state; a process whose continuation was consumed by an abandoned
-    branch is rebuilt lazily by restarting its thunk and replaying its
-    recorded observations (supplied by the [oracle] given at creation). *)
+    branch is discontinued at once (its fiber stack is freed) and rebuilt
+    lazily by restarting its thunk and replaying its recorded
+    observations (supplied by the [oracle] given at creation).  The
+    replay runs without effects: the answers sit on the arena's
+    {!Memory.cursor}, where {!Sim_mem} takes them directly. *)
 
 type status =
   | Runnable   (** has a pending suspension *)
@@ -90,14 +93,22 @@ val snapshot : t -> snap
 
 val restore : t -> snap -> unit
 (** Roll the scheduler back to [snap].  Processes untouched since the
-    snapshot (same version stamp) keep their live suspension; others are
-    rebuilt lazily at their next {!step} by observation replay through
-    the creation-time [oracle].  Raises [Invalid_argument] if the
+    snapshot (same version stamp) keep their live suspension; others have
+    it discontinued with {!Proc.Crashed} (so its fiber is freed now) and
+    are rebuilt lazily at their next {!step} by observation replay
+    through the creation-time [oracle].  Raises [Invalid_argument] if the
     scheduler was created without an oracle.
 
     Raises {!Replay_mismatch} later (at the rebuilding [step]) if the
     replayed effect stream diverges from the recorded observations —
     that would mean a process is nondeterministic or the caller's oracle
-    is out of sync. *)
+    is out of sync.  The arena's replay cursor is clear again after a
+    rebuild, whether it succeeded or raised. *)
+
+val dispose : t -> unit
+(** Discontinue every live suspension with {!Proc.Crashed}, freeing the
+    fiber stacks of a system that is being abandoned.  Statuses and the
+    trace are left as they are; the scheduler must not be stepped,
+    crashed, recovered or restored afterwards. *)
 
 exception Replay_mismatch of string

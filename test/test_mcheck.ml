@@ -1202,6 +1202,63 @@ let test_commutation_coverage () =
     (Printf.sprintf "enough independent pairs exercised (%d)" !tested)
     true (!tested >= 25)
 
+(* The tracker's per-access work is allocation-free once warm: position
+   sets and op classes are interned as ints and every transition is
+   memoised, so replaying an access sequence the tracker has already met
+   (the model checker revisits the same positions on every undo) costs
+   no minor words in [observe], [next_fp] or [cycle_member]. *)
+let test_tracker_no_alloc () =
+  List.iteri
+    (fun i ((module A : Mutex_intf.ALG), p, ind) ->
+      let system = Cfc_core.Mutex_harness.system (module A) p in
+      let memory, procs = system () in
+      let trace = Trace.create () in
+      let sched = Scheduler.create ~memory ~trace procs in
+      let rng = Random.State.make [| i |] in
+      let rec drive budget =
+        match Scheduler.runnable sched with
+        | [] -> ()
+        | pids when budget > 0 ->
+          ignore
+            (Scheduler.step sched
+               (List.nth pids (Random.State.int rng (List.length pids))));
+          drive (budget - 1)
+        | _ -> ()
+      in
+      drive 400;
+      let accesses =
+        Trace.fold
+          (fun acc e ->
+            match e.Event.body with
+            | Event.Access (r, k) -> (e.Event.pid, r.Register.id, k) :: acc
+            | _ -> acc)
+          [] trace
+        |> List.rev |> Array.of_list
+      in
+      let tr = Independence.track ind ~nprocs:(Array.length procs) in
+      let start = Independence.snapshot tr in
+      let cyc = ref 0 in
+      let feed () =
+        for j = 0 to Array.length accesses - 1 do
+          let pid, reg, kind = accesses.(j) in
+          Independence.observe tr ~pid ~reg ~kind;
+          if Independence.cycle_member tr ~pid ~reg ~kind then incr cyc;
+          match Independence.next_fp tr pid with
+          | Some _ -> incr cyc
+          | None -> ()
+        done
+      in
+      feed ();
+      Independence.restore tr start;
+      let before = Gc.minor_words () in
+      feed ();
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words for %d accesses" A.name words
+           (Array.length accesses))
+        true (words = 0.))
+    commutation_subjects
+
 (* ------------------------------------------------------------------ *)
 (* Static race enumeration vs dynamic conflicts: every cross-process
    conflicting access pair the exhaustive n=2 search actually executes
@@ -1363,7 +1420,9 @@ let () =
             test_seen_hint_invisible;
           QCheck_alcotest.to_alcotest prop_independent_steps_commute;
           Alcotest.test_case "commutation coverage floor" `Slow
-            test_commutation_coverage ] );
+            test_commutation_coverage;
+          Alcotest.test_case "warm tracker allocates nothing" `Quick
+            test_tracker_no_alloc ] );
       ( "static-vs-dynamic-conflicts",
         [ QCheck_alcotest.to_alcotest prop_static_covers_dynamic;
           Alcotest.test_case "registry coverage floor" `Slow

@@ -820,6 +820,180 @@ let test_trace_fold_million_events () =
   check "fold_states visits all" 1_000_000
     (Trace.fold_states ~nprocs:2 (fun acc _ _ -> acc + 1) 0 tr)
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint/undo: restore frees what it drops, rebuild replays from
+   the arena's cursor                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The observation oracle the model checker keeps, read off the trace:
+   each process's access answers since its last (re)start. *)
+let trace_oracle trace pid =
+  Trace.fold
+    (fun acc e ->
+      if e.Event.pid <> pid then acc
+      else
+        match e.Event.body with
+        | Event.Access (_, k) -> k :: acc
+        | Event.Crash | Event.Recover -> []
+        | Event.Region_change _ -> acc)
+    [] trace
+  |> List.rev
+
+(* One undo as the model checker does it: scheduler, register values and
+   trace back to the checkpoint. *)
+let undo sched memory trace (snap, vals, len) =
+  Scheduler.restore sched snap;
+  Memory.restore_values memory vals;
+  Trace.truncate trace len
+
+let checkpoint sched memory trace =
+  (Scheduler.snapshot sched, Memory.values memory, Trace.length trace)
+
+let last_event trace = Format.asprintf "%a" Event.pp (Trace.get trace (Trace.length trace - 1))
+
+(* A process's cleanup runs exactly once per continuation [restore]
+   invalidates (the fiber is discontinued, not left for the GC), never
+   for a process the abandoned branch did not touch, and the rebuilt
+   process re-suspends at the same access, which then observes the same
+   value. *)
+let test_restore_discontinues () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:4 ~init:0 () in
+  let unwound = Array.make 2 0 in
+  (* effects the process body performs, counted on their way out *)
+  let performed = ref 0 in
+  let counting f =
+    Effect.Deep.match_with f ()
+      { retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun eff ->
+            Some
+              (fun k ->
+                incr performed;
+                Effect.Deep.continue k (Effect.perform eff))) }
+  in
+  let proc pid () =
+    Fun.protect
+      ~finally:(fun () -> unwound.(pid) <- unwound.(pid) + 1)
+      (fun () ->
+        counting (fun () ->
+            for i = 1 to 4 do
+              M.write r i;
+              ignore (M.read r);
+              M.pause ()
+            done))
+  in
+  let trace = Trace.create () in
+  let sched =
+    Scheduler.create ~oracle:(trace_oracle trace) ~memory ~trace
+      [| proc 0; proc 1 |]
+  in
+  ignore (Scheduler.step sched 1);
+  ignore (Scheduler.step sched 0);
+  let ck = checkpoint sched memory trace in
+  ignore (Scheduler.step sched 0);
+  let seen = last_event trace in
+  check "untouched processes keep their fiber" 0 (unwound.(0) + unwound.(1));
+  undo sched memory trace ck;
+  check "restore unwinds the dropped fiber once" 1 unwound.(0);
+  check "the untouched process is left alone" 0 unwound.(1);
+  let before = !performed in
+  ignore (Scheduler.step sched 0);
+  Alcotest.(check string) "rebuilt at the same access" seen (last_event trace);
+  (* the replayed write is answered from the cursor: only the read the
+     rebuild stops at and the pause after it are performed *)
+  check "replayed prefix performs no effect" 2 (!performed - before);
+  check "the rebuild unwinds nothing" 1 unwound.(0);
+  (* a pause and two accesses deep, then back again *)
+  ignore (Scheduler.step sched 0);
+  ignore (Scheduler.step sched 0);
+  ignore (Scheduler.step sched 0);
+  undo sched memory trace ck;
+  check "a second abandoned branch unwinds once more" 2 unwound.(0);
+  ignore (Scheduler.step sched 0);
+  Alcotest.(check string) "rebuilt again" seen (last_event trace);
+  Scheduler.dispose sched;
+  check "dispose unwinds every live fiber" 3 unwound.(0);
+  check "including the untouched one" 1 unwound.(1)
+
+(* A process never started has no fiber for [dispose] to unwind. *)
+let test_dispose_unstarted () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~width:4 ~init:0 () in
+  let unwound = ref 0 in
+  let proc () = Fun.protect ~finally:(fun () -> incr unwound) (fun () -> M.write r 1) in
+  let trace = Trace.create () in
+  let sched = Scheduler.create ~memory ~trace [| proc; proc |] in
+  ignore (Scheduler.step sched 0);
+  Scheduler.dispose sched;
+  Scheduler.dispose sched;
+  check "only the started, suspended process unwinds, once" 1 !unwound
+
+(* A rebuild whose oracle disagrees with the process raises
+   [Replay_mismatch] — for every access kind, and for a recording that
+   runs out — and leaves the arena's replay cursor clear, so a later run
+   on the same arena performs real accesses. *)
+let test_replay_mismatch () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:4 ~init:0 () in
+  let b = M.alloc ~name:"b" ~width:1 ~init:0 () in
+  let cases =
+    [ ("read", (fun () -> ignore (M.read r)), Event.A_write 0);
+      ("write", (fun () -> M.write r 1), Event.A_read 0);
+      ( "field",
+        (fun () -> M.write_field r ~index:0 ~width:2 1),
+        Event.A_read 0 );
+      ("xchg", (fun () -> ignore (M.fetch_and_store r 1)), Event.A_read 0);
+      ( "cas",
+        (fun () -> ignore (M.compare_and_set r ~expected:0 1)),
+        Event.A_read 0 );
+      ( "bit",
+        (fun () -> ignore (M.bit_op b Ops.Test_and_set)),
+        Event.A_read 0 ) ]
+  in
+  let expect_mismatch name doctored op =
+    Memory.reset memory;
+    let trace = Trace.create () in
+    let sched =
+      Scheduler.create ~oracle:(fun _ -> doctored) ~memory ~trace
+        [| (fun () -> op (); ignore (M.read r); ignore (M.read r)) |]
+    in
+    ignore (Scheduler.step sched 0);
+    let ck = checkpoint sched memory trace in
+    ignore (Scheduler.step sched 0);
+    undo sched memory trace ck;
+    (match Scheduler.step sched 0 with
+    | exception Scheduler.Replay_mismatch _ -> ()
+    | _ -> Alcotest.fail (name ^ ": doctored replay accepted"));
+    let cur = Memory.cursor memory in
+    check_bool (name ^ ": cursor cleared") false (Memory.replaying cur);
+    check_bool (name ^ ": no answers left") true (Memory.replay_stop cur)
+  in
+  List.iter
+    (fun (name, op, wrong) -> expect_mismatch (name ^ " kind") [ wrong ] op)
+    cases;
+  List.iter
+    (fun (name, op, _) -> expect_mismatch (name ^ " exhausted") [] op)
+    cases;
+  (* the arena performs real accesses again, on both engines *)
+  Memory.reset memory;
+  let out =
+    Runner.run ~memory ~pick:(Schedule.solo 0)
+      [| (fun () -> M.write r 5; ignore (M.read r)) |]
+  in
+  check "scheduler writes through" 5 (final_value memory "r");
+  check "scheduler records both accesses" 2 out.Runner.total_steps;
+  let wheel =
+    Wheel.create ~nprocs:1 ~spawn:(fun _ () -> M.write r 9) ()
+  in
+  Wheel.wake wheel 0;
+  check_bool "wheel quiescent" true (Wheel.run wheel = Wheel.Quiescent);
+  check "wheel writes through" 9 (final_value memory "r")
+
 let () =
   Alcotest.run "cfc_runtime"
     [ ( "registers",
@@ -886,4 +1060,11 @@ let () =
           Alcotest.test_case "fault restart is fresh" `Quick
             test_wheel_fault_restart_fresh;
           Alcotest.test_case "same-tick FIFO + determinism" `Quick
-            test_wheel_fifo_and_deterministic ] ) ]
+            test_wheel_fifo_and_deterministic ] );
+      ( "checkpoint/undo",
+        [ Alcotest.test_case "restore discontinues dropped fibers" `Quick
+            test_restore_discontinues;
+          Alcotest.test_case "dispose skips unstarted processes" `Quick
+            test_dispose_unstarted;
+          Alcotest.test_case "replay mismatch clears the cursor" `Quick
+            test_replay_mismatch ] ) ]
