@@ -1,7 +1,7 @@
 (** The paper's complexity measures (§2.2, §3.2).
 
     Every measure is computed by one streaming fold, {!Online}: a harness
-    feeds it events as a run emits them (a {!Cfc_runtime.Wheel.sink}), or
+    feeds it events as a run emits them (a {!Cfc_runtime.Scheduler.sink}), or
     replays a recorded {!Cfc_runtime.Trace.t} into it with
     {!Online.of_trace}, and reads the numbers off with the queries below.
     The harnesses produce the right runs (solo/sequential for
@@ -78,7 +78,7 @@ module Online : sig
   val create : nprocs:int -> t
 
   val feed : t -> pid:int -> Event.body -> unit
-  (** Consume one event.  [feed t] is a valid [Wheel.sink].  Events must
+  (** Consume one event.  [feed t] is a valid [Scheduler.sink].  Events must
       arrive in emission order (the fold keeps its own implicit
       sequence numbering).  Raises [Invalid_argument] on an
       out-of-range pid. *)

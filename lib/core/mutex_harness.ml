@@ -75,25 +75,41 @@ let sample_pids n =
     List.sort_uniq compare (List.filter (fun i -> i >= 0 && i < n) candidates)
   end
 
+(* The §2.2 contention-free run of [me] has every other process still
+   in its remainder (never started): the wheel with only [me] woken.
+   Nothing is O(n) per run but the wheel's pid table — the arena is
+   allocated once, one process record is spawned, no trace is recorded,
+   and the between-runs reset touches exactly the registers the online
+   fold saw, which is what makes the n = 10^5 sweeps of EXP-SCALE
+   possible. *)
 let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
   let n = p.Mutex_intf.n in
-  let memory, observed_width, proc = instantiate (module A) p in
-  (* Closures are restartable (the scheduler starts them lazily), so one
-     array serves all the solo runs. *)
-  let procs = Array.init n (fun i -> proc ~me:i ~rounds:1) in
-  (* The §2.2 contention-free run has every other process still in its
-     remainder (never started).  Restoring the previous run's touched
-     registers is equivalent to a fresh instance. *)
-  let prev = ref None in
+  let _memory, observed_width, proc = instantiate (module A) p in
+  let spawn me = proc ~me ~rounds:1 in
+  let solo me sink =
+    let wheel = Wheel.create ~sink ~nprocs:n ~spawn () in
+    Wheel.wake wheel me;
+    ignore (Wheel.run wheel : Wheel.stopped);
+    wheel
+  in
   let per_process =
     List.map
       (fun me ->
-        reset_touched memory !prev;
-        let out = Runner.run ~memory ~pick:(Schedule.solo me) procs in
-        prev := Some out.Runner.trace;
-        Measures.Online.contention_free
-          (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
-          ~pid:me)
+        let online = Measures.Online.create ~nprocs:n in
+        let wheel = solo me (Measures.Online.feed online) in
+        List.iter Register.reset (Measures.Online.touched online);
+        (match Wheel.first_error wheel with
+        | None -> ()
+        | Some (pid, error) ->
+          (* The run is deterministic: from the same fresh registers, a
+             traced rerun reaches the same error. *)
+          let trace = Trace.create () in
+          ignore (solo me (Scheduler.trace_sink trace) : Wheel.t);
+          raise
+            (Runner.Process_error
+               { pid; steps = Wheel.steps_taken wheel pid; error;
+                 recent = Trace.last ~pid 5 trace }));
+        Measures.Online.contention_free online ~pid:me)
       (sample_pids n)
     |> Array.of_list
   in
@@ -104,49 +120,7 @@ let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
     atomicity_observed = observed_width;
   }
 
-(* O(active-set) variant of [contention_free]: the same solo runs driven
-   by the event wheel with a streaming measures sink, so nothing is
-   O(n) per run — the arena is allocated once, exactly one process
-   record materialises per solo run (lazy spawn), no trace is recorded,
-   and the between-runs reset touches exactly the registers the online
-   fold saw.  This is what makes the n = 10^5..10^6 sweeps of
-   EXP-SCALE possible; equality with [contention_free] at small n is
-   asserted by the test battery. *)
-let contention_free_streaming (module A : Mutex_intf.ALG)
-    (p : Mutex_intf.params) =
-  let n = p.Mutex_intf.n in
-  let _memory, observed_width, proc = instantiate (module A) p in
-  let spawn me = proc ~me ~rounds:1 in
-  let per_process =
-    List.map
-      (fun me ->
-        let online = Measures.Online.create ~nprocs:n in
-        let wheel =
-          Wheel.create ~sink:(Measures.Online.feed online) ~nprocs:n ~spawn ()
-        in
-        Wheel.wake wheel me;
-        (match Wheel.run wheel with
-        | Wheel.Quiescent -> ()
-        | Wheel.Out_of_turns -> assert false (* no turn bound given *));
-        (match Wheel.first_error wheel with
-        | None -> ()
-        | Some (pid, error) ->
-          raise
-            (Runner.Process_error
-               { pid; steps = Wheel.steps_taken wheel pid; error;
-                 recent = [] }));
-        let s = Measures.Online.contention_free online ~pid:me in
-        List.iter Register.reset (Measures.Online.touched online);
-        s)
-      (sample_pids n)
-    |> Array.of_list
-  in
-  {
-    max = Array.fold_left Measures.max_sample Measures.zero per_process;
-    per_process;
-    atomicity_declared = A.atomicity p;
-    atomicity_observed = observed_width;
-  }
+let contention_free_streaming = contention_free
 
 let system ?(rounds = 1) (module A : Mutex_intf.ALG) (p : Mutex_intf.params)
     () =

@@ -27,16 +27,17 @@ type cf_result = {
 }
 
 val contention_free : Registry.alg -> Mutex_intf.params -> cf_result
-(** Raises [Invalid_argument] if the algorithm does not support the
-    parameters. *)
-
-val contention_free_streaming : Registry.alg -> Mutex_intf.params -> cf_result
-(** Same runs and same numbers as {!contention_free} (asserted by the
-    test battery), but driven by the {!Wheel} with a streaming
+(** Each sampled process runs solo on the {!Wheel} with a streaming
     [Measures.Online] sink: no trace is materialised, only the measured
     process is ever spawned, and the between-runs reset touches exactly
-    the registers the run accessed — per-run cost is O(solo path), not
-    O(n).  Use this for large [n] (the EXP-SCALE sweeps). *)
+    the registers the run accessed, so a run costs O(solo path) plus the
+    wheel's O(n)-word pid table.  Raises [Invalid_argument] if the
+    algorithm does not support the parameters, and
+    {!Runner.Process_error} (with the last events, from a traced rerun)
+    if the process errors. *)
+
+val contention_free_streaming : Registry.alg -> Mutex_intf.params -> cf_result
+(** {!contention_free}, under the name the EXP-SCALE callers use. *)
 
 val run :
   ?rounds:int ->

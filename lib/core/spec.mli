@@ -14,7 +14,7 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 (** Event-fed mutual-exclusion monitors: the one implementation of the
-    occupancy rule.  A monitor consumes events as a [Wheel.sink]
+    occupancy rule.  A monitor consumes events as a [Scheduler.sink]
     (partially apply {!Monitor.feed}); the whole-trace checkers below fold
     one over a recorded trace, and {!Inc} feeds one at model-checker
     nodes.  Until the first violation at most one process occupies the

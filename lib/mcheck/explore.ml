@@ -52,10 +52,6 @@ let exec_actions ~system actions =
   (memory, sched, trace)
 
 let outcome_of (memory, sched, trace) =
-  let total_steps =
-    List.init (Scheduler.nprocs sched) (Scheduler.steps_taken sched)
-    |> List.fold_left ( + ) 0
-  in
   let stopped =
     if Scheduler.all_quiescent sched then Runner.Quiescent
     else Runner.Picker_done
@@ -66,7 +62,7 @@ let outcome_of (memory, sched, trace) =
     scheduler = sched;
     completed = (stopped = Runner.Quiescent);
     stopped;
-    total_steps;
+    total_steps = Scheduler.total_steps sched;
   }
 
 let replay_actions ~system ~schedule =
@@ -1365,6 +1361,12 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
   in
   let sym = symmetry in
   let observe = observe_access in
+  (* Start on a collected heap.  What the caller dropped, such as the
+     previous search's seen set, node stack and fibers (a registry sweep
+     runs one search per lock), is otherwise freed only when the GC's
+     next cycle ends, and this search would build its own on top of it
+     to a peak that depends on where that cycle happened to be. *)
+  Gc.full_major ();
   match engine with
   | Replay ->
     run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check ()

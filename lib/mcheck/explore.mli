@@ -231,6 +231,11 @@ val run :
     (pass a previous run's [seen_pop] to trim memory on repeated small
     runs); purely a performance hint.
 
+    Every search starts with [Gc.full_major ()], so what its caller
+    dropped (a previous search's tables, say) is freed before it
+    allocates: its peak heap does not depend on the GC's cycle phase,
+    and a sequence of searches peaks at its largest one.
+
     [observe_access] is called on every shared access the exploration
     executes, as it happens.  The callback sees each distinct access many
     times (once per node that performs or — on the replay engine —

@@ -92,3 +92,34 @@ let chaos ~seed ~nprocs ~pairs ~horizon =
     plan := recover ~step:r ~pid :: crash ~step:c ~pid :: !plan
   done;
   validate ~nprocs (List.rev !plan)
+
+type 'r turn = Ran | Idle of 'r | Stop of 'r
+
+type timeline = { mutable pending : plan; mutable clock : int }
+
+let timeline ~nprocs plan = { pending = validate ~nprocs plan; clock = 0 }
+let clock tl = tl.clock
+
+let run tl ~crash ~recover turn =
+  let rec loop () =
+    match tl.pending with
+    | f :: rest when f.step <= tl.clock ->
+      (match f.kind with Crash -> crash f.pid | Recover -> recover f.pid);
+      tl.pending <- rest;
+      loop ()
+    | _ -> (
+      match turn tl.clock with
+      | Ran ->
+        tl.clock <- tl.clock + 1;
+        loop ()
+      | Stop r -> r
+      | Idle r -> (
+        (* Every due point was applied above, so the next one is strictly
+           ahead: jumping the clock to it makes progress. *)
+        match tl.pending with
+        | [] -> r
+        | f :: _ ->
+          tl.clock <- max tl.clock f.step;
+          loop ()))
+  in
+  loop ()

@@ -37,6 +37,36 @@ val chaos : seed:int -> nprocs:int -> pairs:int -> horizon:int -> plan
     over roughly [horizon] scheduler steps.  Deterministic in [seed] and
     always passes {!validate}. *)
 
+(** {1 Driving a run}
+
+    The clock-and-plan loop shared by {!Runner} (whose clock counts
+    scheduler steps) and {!Wheel} (whose clock counts turns). *)
+
+type 'r turn =
+  | Ran        (** one turn was taken: the clock advances by one *)
+  | Idle of 'r (** nothing can run now; stop with this result unless a
+                   fault point is still pending *)
+  | Stop of 'r (** stop now with this result *)
+
+type timeline
+(** A validated plan being consumed, together with the run's clock. *)
+
+val timeline : nprocs:int -> plan -> timeline
+(** Starts at clock 0.  The plan is checked with {!validate}. *)
+
+val clock : timeline -> int
+(** Turns taken so far, plus any fast-forward jumps. *)
+
+val run :
+  timeline -> crash:(int -> unit) -> recover:(int -> unit) ->
+  (int -> 'r turn) -> 'r
+(** [run tl ~crash ~recover turn]: before every turn, apply (in plan
+    order) each pending point whose [step] is at most the clock, then
+    call [turn clock].  On [Idle] with points still pending, the clock
+    jumps to the next point, so a scheduled recover still fires into an
+    otherwise quiescent system.  May be called again on the same
+    timeline to continue a run. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 val pp_point : Format.formatter -> point -> unit
 val pp_plan : Format.formatter -> plan -> unit

@@ -39,9 +39,10 @@ type suspension =
   | Region of Event.region * (unit, suspension) Effect.Deep.continuation
   | Pause of (unit, suspension) Effect.Deep.continuation
   | Sleep of int * (unit, suspension) Effect.Deep.continuation
-      (** like [Pause], but carries a requested delay in virtual ticks.
-          {!Scheduler} treats it as a plain pause (one turn); {!Wheel}
-          parks the process until the wheel clock reaches the wake tick. *)
+      (** a requested delay in virtual ticks.  {!Scheduler.step} stops
+          before it ({!Scheduler.Asleep}) and resumes through it at the
+          process's next step; {!Wheel} schedules that step no earlier
+          than the wake tick. *)
 
 val start : (unit -> unit) -> suspension
 (** Run the function until its first suspension point (or completion). *)
@@ -55,6 +56,7 @@ val decide : int -> unit
 
 val sleep : int -> unit
 (** Performs [E_sleep d] — yield for [d] virtual ticks of think time.
-    Free (no shared access is charged).  Under {!Scheduler} it behaves
-    exactly like a single pause; under {!Wheel} the process leaves the
-    active set until the wheel clock reaches [now + max 1 d]. *)
+    Free: not a step, no access, no event.  The step that reaches it
+    ends there; under {!Wheel} the process then leaves the active set
+    until the wheel clock reaches [now + max 1 d], and a picker without
+    a clock ({!Runner}) may step it again at once. *)

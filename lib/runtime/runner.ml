@@ -44,75 +44,27 @@ let first_error sched =
 
 let run_collect ?(max_steps = 1_000_000) ?(crash_at = []) ?(faults = [])
     ~memory ~pick procs =
-  let nprocs = Array.length procs in
-  let plan = Fault.validate ~nprocs (Fault.of_crash_at crash_at @ faults) in
+  let steps =
+    Fault.timeline ~nprocs:(Array.length procs)
+      (Fault.of_crash_at crash_at @ faults)
+  in
   let trace = Trace.create () in
   let sched = Scheduler.create ~memory ~trace procs in
-  let pending = ref plan in
-  let steps = ref 0 in
-  let stopped = ref Quiescent in
-  let continue = ref true in
-  (* Apply every fault due at the current step count, in plan order.
-     Afterwards any remaining pending fault is strictly in the future. *)
-  let apply_due () =
-    let rec go () =
-      match !pending with
-      | f :: rest when f.Fault.step <= !steps ->
-        (match f.Fault.kind with
-        | Fault.Crash -> Scheduler.crash sched f.Fault.pid
-        | Fault.Recover -> Scheduler.recover sched f.Fault.pid);
-        pending := rest;
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  while !continue do
-    apply_due ();
-    let fast_forward () =
-      (* Nothing can run right now but fault points remain: jump the step
-         clock to the next one so a pending recover can still fire.
-         [apply_due] guarantees its step is strictly ahead, so this makes
-         progress. *)
-      match !pending with
-      | [] -> None
-      | f :: _ ->
-        steps := max !steps f.Fault.step;
-        Some ()
-    in
-    if Scheduler.all_quiescent sched then (
-      match fast_forward () with
-      | Some () -> ()
-      | None ->
-        stopped := Quiescent;
-        continue := false)
-    else if !steps >= max_steps then begin
-      stopped := Out_of_steps;
-      continue := false
-    end
-    else
-      match pick sched with
-      | None -> (
-        match fast_forward () with
-        | Some () -> ()
-        | None ->
-          stopped := Picker_done;
-          continue := false)
-      | Some pid -> (
-        incr steps;
-        match Scheduler.step sched pid with
-        | Scheduler.Progress | Scheduler.Finished | Scheduler.Not_runnable ->
-          ())
-  done;
-  let total_steps =
-    let n = ref 0 in
-    for pid = 0 to Scheduler.nprocs sched - 1 do
-      n := !n + Scheduler.steps_taken sched pid
-    done;
-    !n
+  let stopped =
+    Fault.run steps ~crash:(Scheduler.crash sched)
+      ~recover:(Scheduler.recover sched) (fun taken ->
+        if Scheduler.all_quiescent sched then Fault.Idle Quiescent
+        else if taken >= max_steps then Fault.Stop Out_of_steps
+        else
+          match pick sched with
+          | None -> Fault.Idle Picker_done
+          | Some pid ->
+            ignore (Scheduler.step sched pid : Scheduler.step_result);
+            Fault.Ran)
   in
   ( { memory; trace; scheduler = sched;
-      completed = (!stopped = Quiescent); stopped = !stopped; total_steps },
+      completed = (stopped = Quiescent); stopped;
+      total_steps = Scheduler.total_steps sched },
     Option.map snd (first_error sched) )
 
 let run ?max_steps ?crash_at ?faults ~memory ~pick procs =

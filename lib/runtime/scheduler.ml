@@ -1,5 +1,11 @@
 type status = Runnable | Halted | Crashed | Errored of exn
 
+type sink = pid:int -> Event.body -> unit
+
+let null_sink ~pid:_ _ = ()
+let trace_sink trace ~pid body = ignore (Trace.record trace ~pid body)
+let tee a b ~pid body = a ~pid body; b ~pid body
+
 type pstate = {
   pid : int;
   thunk : unit -> unit;
@@ -10,21 +16,30 @@ type pstate = {
   mutable region : Event.region;
   mutable steps : int;
   mutable calls : int;
-      (* access-or-pause effects answered since the last (re)start; pins
-         the suspension point for observation replay *)
+      (* access, pause or sleep continuations resumed since the last
+         (re)start; pins the suspension point for observation replay *)
   mutable started : bool;
-  mutable version : int;  (* clock stamp of the last mutation *)
+  mutable stamp : int;  (* clock value of the last step, crash or recover *)
 }
 
+(* The table's empty slot.  Its fields are the state of a process nobody
+   has touched, so queries read it as is; it is never mutated. *)
+let absent =
+  { pid = -1; thunk = ignore; susp = None; status = Runnable;
+    region = Event.Remainder; steps = 0; calls = 0; started = false;
+    stamp = 0 }
+
 type t = {
-  cursor : Memory.cursor;  (* the arena's; answers replayed calls in [rebuild] *)
-  trace : Trace.t;
-  procs : pstate array;
+  nprocs : int;
+  spawn : int -> unit -> unit;
+  procs : pstate array;  (* [absent] until the pid is first touched *)
+  mutable spawned : int;
+  sink : sink;
+  replay : (Memory.cursor * (int -> Event.access_kind list)) option;
+      (* the arena's cursor, and per pid the access kinds observed since
+         its last (re)start, oldest first — what [rebuild] replays *)
   mutable active : int;  (* processes still Runnable *)
   mutable clock : int;
-  oracle : (int -> Event.access_kind list) option;
-      (* per-pid access kinds observed since its last (re)start, oldest
-         first — the answers needed to rebuild an invalidated suspension *)
   mutable replay_safe : bool;
       (* false once a process catches a register-op exception and keeps
          going: that answer is not in the trace, so rebuilds would
@@ -33,79 +48,206 @@ type t = {
 
 exception Replay_mismatch of string
 
-let create ?oracle ~memory ~trace thunks =
-  let procs =
-    Array.mapi
-      (fun pid thunk ->
-        { pid; thunk; susp = None; status = Runnable;
-          region = Event.Remainder; steps = 0; calls = 0; started = false;
-          version = 0 })
-      thunks
-  in
-  { cursor = Memory.cursor memory; trace; procs; active = Array.length procs;
-    clock = 0; oracle; replay_safe = true }
+let make ~sink ~nprocs ~spawn replay =
+  { nprocs; spawn; procs = Array.make nprocs absent; spawned = 0; sink;
+    replay; active = nprocs; clock = 0; replay_safe = true }
 
-let nprocs t = Array.length t.procs
-let status t pid = t.procs.(pid).status
-let region t pid = t.procs.(pid).region
-let steps_taken t pid = t.procs.(pid).steps
-let started t pid = t.procs.(pid).started
+let of_spawn ~sink ~nprocs ~spawn = make ~sink ~nprocs ~spawn None
+
+let create ?oracle ~memory ~trace thunks =
+  make ~sink:(trace_sink trace) ~nprocs:(Array.length thunks)
+    ~spawn:(Array.get thunks)
+    (Option.map (fun o -> (Memory.cursor memory, o)) oracle)
+
+let out_of_range t pid =
+  invalid_arg
+    (Printf.sprintf "Scheduler: pid %d out of range (nprocs = %d)" pid
+       t.nprocs)
+
+(* Small enough to inline into the queries, which the checker's
+   candidate generation calls for every pid at every node. *)
+let slot t pid =
+  if pid < 0 || pid >= t.nprocs then out_of_range t pid;
+  Array.unsafe_get t.procs pid
+
+let proc t pid =
+  let p = slot t pid in
+  if p != absent then p
+  else begin
+    let p = { absent with pid; thunk = t.spawn pid } in
+    t.procs.(pid) <- p;
+    t.spawned <- t.spawned + 1;
+    p
+  end
+
+let spawn t pid =
+  if slot t pid != absent then false
+  else begin
+    ignore (proc t pid);
+    true
+  end
+
+let nprocs t = t.nprocs
+let status t pid = (slot t pid).status
+let region t pid = (slot t pid).region
+let steps_taken t pid = (slot t pid).steps
+let started t pid = (slot t pid).started
+let stamp t pid = (slot t pid).stamp
+let spawned t = t.spawned
 let replay_safe t = t.replay_safe
+let total_steps t = Array.fold_left (fun acc p -> acc + p.steps) 0 t.procs
 
 let runnable t =
   let acc = ref [] in
-  for pid = Array.length t.procs - 1 downto 0 do
+  for pid = t.nprocs - 1 downto 0 do
     if t.procs.(pid).status = Runnable then acc := pid :: !acc
   done;
   !acc
 
 let all_quiescent t = t.active = 0
 
-type step_result = Progress | Finished | Not_runnable
+type step_result = Progress | Asleep of int | Finished | Not_runnable
 
-let record t p body = ignore (Trace.record t.trace ~pid:p.pid body)
+let emit t p body = t.sink ~pid:p.pid body
 
 let bump t p =
   t.clock <- t.clock + 1;
-  p.version <- t.clock
+  p.stamp <- t.clock
 
-let finish t p outcome =
+let enter t p r =
+  p.region <- r;
+  emit t p (Event.Region_change r)
+
+let finish t p status =
   t.active <- t.active - 1;
-  (match outcome with
-  | `Halted ->
-    p.status <- Halted;
-    p.region <- Event.Halted;
-    record t p (Event.Region_change Event.Halted)
-  | `Errored e -> p.status <- Errored e);
+  p.susp <- None;
+  p.status <- status;
+  (match status with
+  | Halted -> enter t p Event.Halted
+  | Runnable | Crashed | Errored _ -> ());
   Finished
 
+let access t p r kind =
+  emit t p (Event.Access (r, kind));
+  p.steps <- p.steps + 1;
+  p.calls <- p.calls + 1
+
 let discontinue_susp s =
+  let kill k = try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> () in
   match s with
   | Proc.Done | Proc.Failed _ -> ()
-  | Proc.Read (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Write (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Write_field (_, _, _, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Xchg (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Cas (_, _, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Bit_op (_, _, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Region (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+  | Proc.Read (_, k) -> kill k
+  | Proc.Write (_, _, k) -> kill k
+  | Proc.Write_field (_, _, _, _, k) -> kill k
+  | Proc.Xchg (_, _, k) -> kill k
+  | Proc.Cas (_, _, _, k) -> kill k
+  | Proc.Bit_op (_, _, k) -> kill k
+  | Proc.Region (_, k) -> kill k
+  | Proc.Pause k -> kill k
+  | Proc.Sleep (_, k) -> kill k
+
+(* Run [p] from [s] up to and including its next shared access (or
+   pause), absorbing free region changes.  A sleep reached here ends the
+   step before it: the process parks at the sleep, and its next step
+   resumes through it. *)
+let rec go t p s =
+  match s with
+  | Proc.Done -> finish t p Halted
+  | Proc.Failed e -> finish t p (Errored e)
+  | Proc.Region (r, k) ->
+    enter t p r;
+    go t p (Effect.Deep.continue k ())
+  | Proc.Sleep (d, _) ->
+    p.susp <- Some s;
+    Asleep d
   | Proc.Pause k ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
-  | Proc.Sleep (_, k) ->
-    (try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> ())
+    p.calls <- p.calls + 1;
+    settle t p (Effect.Deep.continue k ())
+  | Proc.Read (r, k) -> begin
+    match Register.read r with
+    | v ->
+      access t p r (Event.A_read v);
+      settle t p (Effect.Deep.continue k v)
+    | exception e -> abort t p k e
+  end
+  | Proc.Write (r, v, k) -> begin
+    match Register.write r v with
+    | () ->
+      access t p r (Event.A_write v);
+      settle t p (Effect.Deep.continue k ())
+    | exception e -> abort t p k e
+  end
+  | Proc.Write_field (r, index, width, v, k) -> begin
+    match Register.write_field r ~index ~width v with
+    | () ->
+      access t p r (Event.A_field (index, width, v));
+      settle t p (Effect.Deep.continue k ())
+    | exception e -> abort t p k e
+  end
+  | Proc.Xchg (r, v, k) -> begin
+    match Register.fetch_and_store r v with
+    | old ->
+      access t p r (Event.A_xchg (v, old));
+      settle t p (Effect.Deep.continue k old)
+    | exception e -> abort t p k e
+  end
+  | Proc.Cas (r, expected, v, k) -> begin
+    match Register.compare_and_set r ~expected v with
+    | success ->
+      access t p r (Event.A_cas (expected, v, success));
+      settle t p (Effect.Deep.continue k success)
+    | exception e -> abort t p k e
+  end
+  | Proc.Bit_op (r, op, k) -> begin
+    match Register.bit_op r op with
+    | ret ->
+      access t p r (Event.A_bit (op, ret));
+      settle t p (Effect.Deep.continue k ret)
+    | exception e -> abort t p k e
+  end
+
+(* Park the post-access suspension.  Region changes are free local
+   events: absorb them eagerly so a process's protocol region is always
+   current at the end of the step that made it true (deferring them
+   would create phantom occupancy windows that skew the §2.2 fragment
+   measures).  Completion is also finalized eagerly so quiescence is
+   observable without another step. *)
+and settle t p s =
+  match s with
+  | Proc.Done -> finish t p Halted
+  | Proc.Failed e -> finish t p (Errored e)
+  | Proc.Region (r, k) ->
+    enter t p r;
+    settle t p (Effect.Deep.continue k ())
+  | Proc.Sleep (d, _) ->
+    p.susp <- Some s;
+    Asleep d
+  | Proc.Read _ | Proc.Write _ | Proc.Write_field _ | Proc.Xchg _
+  | Proc.Cas _ | Proc.Bit_op _ | Proc.Pause _ ->
+    p.susp <- Some s;
+    Progress
+
+(* A semantic violation (model/width): unwind the process with the
+   offending exception so its continuation is consumed.  A process that
+   catches it and keeps going goes on within the same step — that answer
+   is invisible to observation replay, so rebuilds of it would
+   diverge. *)
+and abort : type a.
+    t -> pstate -> (a, Proc.suspension) Effect.Deep.continuation -> exn ->
+    step_result =
+ fun t p k e ->
+  match Effect.Deep.discontinue k e with
+  | (Proc.Done | Proc.Failed _) as s -> settle t p s
+  | s ->
+    t.replay_safe <- false;
+    go t p s
+  | exception e' -> settle t p (Proc.Failed e')
 
 (* Reconstruct the suspension of a process whose continuation was
    invalidated by [restore].  One-shot continuations cannot be cloned, so
    we restart the thunk and replay its (deterministic) prefix until
-   exactly [p.calls] access-or-pause calls have been answered.  The
-   answers sit on the arena's replay cursor, where {!Sim_mem}'s
+   exactly [p.calls] access, pause or sleep calls have been answered.
+   The answers sit on the arena's replay cursor, where {!Sim_mem}'s
    operations take them without performing an effect; the only effects
    that reach [drive] are region changes (free, already recorded before
    the checkpoint, so absorbed silently), sleeps, the first call past
@@ -113,15 +255,14 @@ let discontinue_susp s =
    answer — its kind does not match or the list ran out — which [drive]
    reports as {!Replay_mismatch}. *)
 let rebuild t p =
-  let oracle =
-    match t.oracle with
-    | Some f -> f
+  let cur, oracle =
+    match t.replay with
+    | Some r -> r
     | None ->
       invalid_arg
         "Scheduler.rebuild: no observation oracle (create with ~oracle \
          before using snapshot/restore)"
   in
-  let cur = t.cursor in
   let mismatch s what =
     ignore (Memory.replay_stop cur);
     discontinue_susp s;
@@ -146,140 +287,27 @@ let rebuild t p =
     mismatch s "unconsumed observations after replay";
   s
 
-(* Advance [p] until one shared access has been performed (absorbing free
-   region changes), or until a pause / completion. *)
 let step t pid =
-  let p = t.procs.(pid) in
+  let p = proc t pid in
   if p.status <> Runnable then Not_runnable
-  else begin
-    let current =
-      match p.susp with
-      | Some s -> s
-      | None ->
-        let s =
-          if p.started then rebuild t p
-          else begin
-            p.started <- true;
-            Proc.start p.thunk
-          end
-        in
-        p.susp <- Some s;
-        s
-    in
-    bump t p;
-    (* Store the post-access suspension.  Region changes are free local
-       events: absorb them eagerly so a process's protocol region is
-       always current at the end of the step that made it true (deferring
-       them would create phantom occupancy windows that skew the §2.2
-       fragment measures).  Completion is also finalized eagerly so
-       quiescence is observable without another step. *)
-    let rec settle s =
-      p.susp <- Some s;
+  else
+    match p.susp with
+    | None when not p.started ->
+      p.started <- true;
+      bump t p;
+      go t p (Proc.start p.thunk)
+    | susp -> (
+      let s = match susp with Some s -> s | None -> rebuild t p in
+      bump t p;
       match s with
-      | Proc.Done -> finish t p `Halted
-      | Proc.Failed e -> finish t p (`Errored e)
-      | Proc.Region (r, k) ->
-        p.region <- r;
-        record t p (Event.Region_change r);
-        settle (Effect.Deep.continue k ())
-      | Proc.Read _ | Proc.Write _ | Proc.Write_field _ | Proc.Xchg _
-      | Proc.Cas _ | Proc.Bit_op _ | Proc.Pause _ | Proc.Sleep _ ->
-        Progress
-    in
-    let rec go s =
-      match s with
-      | Proc.Done -> finish t p `Halted
-      | Proc.Failed e -> finish t p (`Errored e)
-      | Proc.Region (r, k) ->
-        p.region <- r;
-        record t p (Event.Region_change r);
-        let s = Effect.Deep.continue k () in
-        p.susp <- Some s;
-        go s
-      | Proc.Pause k | Proc.Sleep (_, k) ->
-        (* The round-robin scheduler has no clock: a sleep degrades to a
-           single pause (one turn of the picker). *)
+      | Proc.Sleep (_, k) ->
+        (* The sleep this process parked at is over. *)
         p.calls <- p.calls + 1;
-        settle (Effect.Deep.continue k ())
-      | Proc.Read (r, k) -> begin
-        match Register.read r with
-        | v ->
-          record t p (Event.Access (r, Event.A_read v));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k v)
-        | exception e -> abort k e
-      end
-      | Proc.Write (r, v, k) -> begin
-        match Register.write r v with
-        | () ->
-          record t p (Event.Access (r, Event.A_write v));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k ())
-        | exception e -> abort k e
-      end
-      | Proc.Write_field (r, index, width, v, k) -> begin
-        match Register.write_field r ~index ~width v with
-        | () ->
-          record t p (Event.Access (r, Event.A_field (index, width, v)));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k ())
-        | exception e -> abort k e
-      end
-      | Proc.Xchg (r, v, k) -> begin
-        match Register.fetch_and_store r v with
-        | old ->
-          record t p (Event.Access (r, Event.A_xchg (v, old)));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k old)
-        | exception e -> abort k e
-      end
-      | Proc.Cas (r, expected, v, k) -> begin
-        match Register.compare_and_set r ~expected v with
-        | success ->
-          record t p (Event.Access (r, Event.A_cas (expected, v, success)));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k success)
-        | exception e -> abort k e
-      end
-      | Proc.Bit_op (r, op, k) -> begin
-        match Register.bit_op r op with
-        | ret ->
-          record t p (Event.Access (r, Event.A_bit (op, ret)));
-          p.steps <- p.steps + 1;
-          p.calls <- p.calls + 1;
-          settle (Effect.Deep.continue k ret)
-        | exception e -> abort k e
-      end
-    and abort : type a. (a, Proc.suspension) Effect.Deep.continuation -> exn
-        -> step_result =
-     fun k e ->
-      (* A semantic violation (model/width): unwind the process with the
-         offending exception so its continuation is consumed, then record
-         the error. *)
-      let s = try Effect.Deep.discontinue k e with e' -> Proc.Failed e' in
-      p.susp <- Some s;
-      match s with
-      | Proc.Failed e -> finish t p (`Errored e)
-      | Proc.Done -> finish t p `Halted
-      | Proc.Read _ | Proc.Write _ | Proc.Write_field _ | Proc.Xchg _
-      | Proc.Cas _ | Proc.Bit_op _ | Proc.Region _ | Proc.Pause _
-      | Proc.Sleep _ ->
-        (* The process caught the exception and kept going — that answer
-           is invisible to observation replay, so rebuilds of this
-           process would diverge. *)
-        t.replay_safe <- false;
-        go s
-    in
-    go current
-  end
+        go t p (Effect.Deep.continue k ())
+      | s -> go t p s)
 
 let crash t pid =
-  let p = t.procs.(pid) in
+  let p = proc t pid in
   if p.status = Runnable then begin
     (* A [None] suspension on a started process means its continuation
        was invalidated by [restore]; there is nothing live to unwind. *)
@@ -288,11 +316,11 @@ let crash t pid =
     t.active <- t.active - 1;
     p.status <- Crashed;
     bump t p;
-    record t p Event.Crash
+    emit t p Event.Crash
   end
 
 let recover t pid =
-  let p = t.procs.(pid) in
+  let p = proc t pid in
   if p.status = Crashed then begin
     (* Crash–recovery model: local state is lost (the consumed suspension
        is dropped, so the next [step] re-invokes the process thunk from
@@ -305,7 +333,7 @@ let recover t pid =
     p.started <- false;
     t.active <- t.active + 1;
     bump t p;
-    record t p Event.Recover
+    emit t p Event.Recover
   end
 
 type psnap = {
@@ -314,7 +342,7 @@ type psnap = {
   s_steps : int;
   s_calls : int;
   s_started : bool;
-  s_version : int;
+  s_stamp : int;
 }
 
 type snap = { s_active : int; s_procs : psnap array }
@@ -325,29 +353,29 @@ let snapshot t =
       Array.map
         (fun p ->
           { s_status = p.status; s_region = p.region; s_steps = p.steps;
-            s_calls = p.calls; s_started = p.started; s_version = p.version })
+            s_calls = p.calls; s_started = p.started; s_stamp = p.stamp })
         t.procs }
 
 let restore t snap =
-  if t.oracle = None then
+  if t.replay = None then
     invalid_arg "Scheduler.restore: create with ~oracle to enable undo";
   t.active <- snap.s_active;
   Array.iteri
     (fun i ps ->
       let p = t.procs.(i) in
-      (* Equal version stamps mean the process was not touched since the
+      (* Equal stamps mean the process was not touched since the
          snapshot: its suspension is still the live, unconsumed one.
          Otherwise it belongs to the abandoned branch: discontinue it, so
          its fiber stack goes back to the runtime now rather than at some
          later major GC, and rebuild lazily at the next [step]. *)
-      if p.version <> ps.s_version then begin
+      if p.stamp <> ps.s_stamp then begin
         (match p.susp with Some s -> discontinue_susp s | None -> ());
         p.status <- ps.s_status;
         p.region <- ps.s_region;
         p.steps <- ps.s_steps;
         p.calls <- ps.s_calls;
         p.started <- ps.s_started;
-        p.version <- ps.s_version;
+        p.stamp <- ps.s_stamp;
         p.susp <- None
       end)
     snap.s_procs

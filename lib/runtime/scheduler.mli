@@ -1,9 +1,17 @@
-(** The deterministic scheduler: holds every process as a pending
-    {!Proc.suspension} and advances one process by exactly one
-    shared-memory access per [step] call.  Region changes and pauses are
-    free (they are not steps in the paper's model) and are processed
-    transparently, except that a pause ends the current [step] call so
-    schedulers regain control inside access-free loops.
+(** The process-advance engine: the only code that runs a process.  It
+    holds every process as a pending {!Proc.suspension} and advances one
+    process by exactly one shared-memory access per [step] call.  Region
+    changes are free (they are not steps in the paper's model) and are
+    absorbed transparently; a pause is one step with no access, so
+    schedulers regain control inside access-free loops; a sleep ends the
+    step before it.
+
+    Pick policies sit on top: {!Runner} with a {!Schedule.picker} (round
+    robin, random, solo, explicit lists; the model checker's {!Explore}),
+    and {!Wheel}'s calendar queue.  Every event goes to one {!sink}; a
+    trace is just {!trace_sink}.  The per-pid table is filled lazily, so
+    a pid nobody touches costs no process record and reads as a fresh,
+    runnable process in its remainder.
 
     The scheduler also supports checkpoint/undo ({!snapshot}/{!restore})
     for the incremental model checker.  OCaml's one-shot continuations
@@ -21,6 +29,16 @@ type status =
   | Crashed    (** fail-stop injected *)
   | Errored of exn  (** the process raised *)
 
+type sink = pid:int -> Event.body -> unit
+(** Consumes events in emission order.  The scheduler assigns no
+    sequence numbers: {!trace_sink} lets {!Trace.record} assign them, and
+    a streaming consumer (e.g. [Measures.Online]) keeps its own count. *)
+
+val null_sink : sink
+val trace_sink : Trace.t -> sink
+val tee : sink -> sink -> sink
+(** [tee a b] feeds each event to [a] then [b]. *)
+
 type t
 
 val create :
@@ -37,6 +55,16 @@ val create :
     rebuilding an invalidated suspension replays the thunk against these
     answers.  Omit it for plain (non-backtracking) runs. *)
 
+val of_spawn : sink:sink -> nprocs:int -> spawn:(int -> unit -> unit) -> t
+(** [of_spawn ~sink ~nprocs ~spawn]: process [i] runs [spawn i], called
+    once, when [i] is first touched (by {!spawn}, {!step}, {!crash} or
+    {!recover}); its events go to [sink].  No undo. *)
+
+(** {2 Queries}
+
+    Every function taking a pid raises [Invalid_argument] naming the pid
+    and [nprocs] when it is out of range.  Queries never spawn. *)
+
 val nprocs : t -> int
 val status : t -> int -> status
 val region : t -> int -> Event.region
@@ -45,21 +73,41 @@ val region : t -> int -> Event.region
 val steps_taken : t -> int -> int
 (** Shared-memory accesses this process has performed so far. *)
 
+val total_steps : t -> int
+(** Sum of {!steps_taken} over all processes. *)
+
+val spawned : t -> int
+(** Process records created so far. *)
+
+val stamp : t -> int -> int
+(** Changes, to a value it never had before, whenever the process steps,
+    crashes or recovers ({!restore} excepted).  A pick policy can tag
+    queue entries with it to tell stale ones. *)
+
 val runnable : t -> int list
 (** Pids that can still take steps, ascending. *)
 
 val all_quiescent : t -> bool
 (** No process is runnable (all halted/crashed/errored). *)
 
+val spawn : t -> int -> bool
+(** Create the process record of [pid] now, calling the spawn function.
+    [false] if it already existed. *)
+
 type step_result =
-  | Progress      (** one access performed, or advanced to a pause *)
+  | Progress      (** one access or one pause performed *)
+  | Asleep of int (** stopped at a [Proc.sleep] of this many ticks, after
+                      at most one access; the next step resumes through
+                      the sleep *)
   | Finished      (** the process completed during this call *)
   | Not_runnable  (** it was already halted/crashed/errored *)
 
 val step : t -> int -> step_result
 (** Advance process [pid] by one shared-memory access (absorbing any free
     region-change events on the way).  Errors raised by the process are
-    captured in its status. *)
+    captured in its status.  A process that catches the exception of a
+    failed register operation (a model or width violation) goes on within
+    the same step, and {!replay_safe} becomes false. *)
 
 val crash : t -> int -> unit
 (** Inject a fail-stop crash: the process is unwound with {!Proc.Crashed},
@@ -93,7 +141,7 @@ val snapshot : t -> snap
 
 val restore : t -> snap -> unit
 (** Roll the scheduler back to [snap].  Processes untouched since the
-    snapshot (same version stamp) keep their live suspension; others have
+    snapshot (same {!stamp}) keep their live suspension; others have
     it discontinued with {!Proc.Crashed} (so its fiber is freed now) and
     are rebuilt lazily at their next {!step} by observation replay
     through the creation-time [oracle].  Raises [Invalid_argument] if the

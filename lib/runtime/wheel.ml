@@ -1,54 +1,30 @@
-type status = Runnable | Halted | Crashed | Errored of exn
-
-type sink = pid:int -> Event.body -> unit
-
-let null_sink ~pid:_ _ = ()
-let trace_sink trace ~pid body = ignore (Trace.record trace ~pid body)
-let tee a b ~pid body = a ~pid body; b ~pid body
-
-type pstate = {
-  pid : int;
-  thunk : unit -> unit;
-  mutable susp : Proc.suspension option;
-  mutable status : status;
-  mutable region : Event.region;
-  mutable steps : int;
-  mutable epoch : int;
-      (* bumped on crash: queued heap entries carry the epoch they were
-         pushed under, so a crash invalidates them in O(1) and the stale
-         entries are dropped when popped *)
-  mutable queued : bool;
-}
+type status = Scheduler.status = Runnable | Halted | Crashed | Errored of exn
 
 (* Calendar-queue entry.  [e_seq] is a global insertion counter: the heap
    order is (tick, insertion order), i.e. FIFO within a tick, which makes
-   the whole run deterministic in its inputs. *)
-type entry = { e_tick : int; e_seq : int; e_pid : int; e_epoch : int }
+   the whole run deterministic in its inputs.  [e_stamp] is the process's
+   {!Scheduler.stamp} when it was queued: a crash changes the stamp, so
+   the entry goes stale in O(1) and is dropped when popped. *)
+type entry = { e_tick : int; e_seq : int; e_pid : int; e_stamp : int }
 
 type t = {
-  sink : sink;
-  spawn : int -> unit -> unit;
-  nprocs : int;
-  procs : (int, pstate) Hashtbl.t;
+  sched : Scheduler.t;
+  faults : Fault.timeline;  (* its clock counts turns *)
   mutable heap : entry array;
   mutable hlen : int;
   mutable hseq : int;
   mutable now : int;
-  mutable turns : int;
-  mutable pending : Fault.plan;
   mutable first_error : (int * exn) option;
   mutable live_peak : int;
 }
 
-let dummy_entry = { e_tick = 0; e_seq = 0; e_pid = 0; e_epoch = 0 }
+let dummy_entry = { e_tick = 0; e_seq = 0; e_pid = 0; e_stamp = 0 }
 
-let create ?(sink = null_sink) ?(faults = []) ~nprocs ~spawn () =
-  { sink; spawn; nprocs;
-    procs = Hashtbl.create 64;
+let create ?(sink = Scheduler.null_sink) ?(faults = []) ~nprocs ~spawn () =
+  { sched = Scheduler.of_spawn ~sink ~nprocs ~spawn;
+    faults = Fault.timeline ~nprocs faults;
     heap = Array.make 64 dummy_entry;
-    hlen = 0; hseq = 0; now = 0; turns = 0;
-    pending = Fault.validate ~nprocs faults;
-    first_error = None; live_peak = 0 }
+    hlen = 0; hseq = 0; now = 0; first_error = None; live_peak = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Binary min-heap on (tick, insertion seq)                            *)
@@ -78,310 +54,105 @@ let heap_push t e =
     else continue := false
   done
 
+(* Remove and return the least entry of a non-empty heap. *)
 let heap_pop t =
-  if t.hlen = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.hlen <- t.hlen - 1;
-    if t.hlen > 0 then begin
-      t.heap.(0) <- t.heap.(t.hlen);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.hlen && entry_less t.heap.(l) t.heap.(!smallest) then
-          smallest := l;
-        if r < t.hlen && entry_less t.heap.(r) t.heap.(!smallest) then
-          smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.heap.(!smallest) in
-          t.heap.(!smallest) <- t.heap.(!i);
-          t.heap.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some top
-  end
+  let top = t.heap.(0) in
+  t.hlen <- t.hlen - 1;
+  if t.hlen > 0 then begin
+    t.heap.(0) <- t.heap.(t.hlen);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < t.hlen && entry_less t.heap.(l) t.heap.(!smallest) then
+        smallest := l;
+      if r < t.hlen && entry_less t.heap.(r) t.heap.(!smallest) then
+        smallest := r;
+      if !smallest <> !i then begin
+        let tmp = t.heap.(!smallest) in
+        t.heap.(!smallest) <- t.heap.(!i);
+        t.heap.(!i) <- tmp;
+        i := !smallest
+      end
+      else continue := false
+    done
+  end;
+  top
 
 (* ------------------------------------------------------------------ *)
-(* Process state                                                       *)
+(* The pick policy over Scheduler.step                                 *)
 
-let materialize t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p
-  | None ->
-    if pid < 0 || pid >= t.nprocs then invalid_arg "Wheel: pid out of range";
-    let p =
-      { pid; thunk = t.spawn pid; susp = None; status = Runnable;
-        region = Event.Remainder; steps = 0; epoch = 0; queued = false }
-    in
-    Hashtbl.replace t.procs pid p;
-    p
+let push t ~tick pid =
+  heap_push t
+    { e_tick = tick; e_seq = t.hseq; e_pid = pid;
+      e_stamp = Scheduler.stamp t.sched pid };
+  t.hseq <- t.hseq + 1
 
-let emit t p body = t.sink ~pid:p.pid body
-
-let push t ~tick p =
-  if not p.queued then begin
-    p.queued <- true;
-    heap_push t
-      { e_tick = tick; e_seq = t.hseq; e_pid = p.pid; e_epoch = p.epoch };
-    t.hseq <- t.hseq + 1
-  end
-
+(* A runnable process that has a record is queued exactly once: it was
+   queued when woken or recovered and is re-queued after each turn.  So
+   only a fresh record needs queueing here. *)
 let wake ?at t pid =
-  let p = materialize t pid in
   let tick = match at with None -> t.now | Some a -> a in
   if tick < t.now then invalid_arg "Wheel.wake: tick in the past";
-  match p.status with
-  | Runnable -> push t ~tick p
-  | Halted | Crashed | Errored _ -> ()
+  if Scheduler.spawn t.sched pid then push t ~tick pid
 
-(* ------------------------------------------------------------------ *)
-(* Faults                                                              *)
-
-let discontinue_susp s =
-  let kill k = try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> () in
-  match s with
-  | Proc.Done | Proc.Failed _ -> ()
-  | Proc.Read (_, k) -> kill k
-  | Proc.Write (_, _, k) -> kill k
-  | Proc.Write_field (_, _, _, _, k) -> kill k
-  | Proc.Xchg (_, _, k) -> kill k
-  | Proc.Cas (_, _, _, k) -> kill k
-  | Proc.Bit_op (_, _, k) -> kill k
-  | Proc.Region (_, k) -> kill k
-  | Proc.Pause k -> kill k
-  | Proc.Sleep (_, k) -> kill k
-
-let crash t pid =
-  let p = materialize t pid in
-  if p.status = Runnable then begin
-    (match p.susp with Some s -> discontinue_susp s | None -> ());
-    p.susp <- None;
-    p.status <- Crashed;
-    (* Invalidate any queued entry rather than searching the heap: stale
-       epochs are skipped at pop time. *)
-    p.epoch <- p.epoch + 1;
-    p.queued <- false;
-    emit t p Event.Crash
-  end
-
+(* The restarted incarnation re-enters the wheel at the current tick. *)
 let recover t pid =
-  let p = materialize t pid in
-  if p.status = Crashed then begin
-    (* Golab–Ramaraju: local state lost, shared memory persists; the
-       restarted incarnation re-runs the thunk from the top, starting in
-       Remainder.  It re-enters the wheel immediately at the current
-       tick. *)
-    p.susp <- None;
-    p.status <- Runnable;
-    p.region <- Event.Remainder;
-    emit t p Event.Recover;
-    push t ~tick:t.now p
+  if Scheduler.status t.sched pid = Crashed then begin
+    Scheduler.recover t.sched pid;
+    push t ~tick:t.now pid
   end
 
-let apply_due t =
-  let rec go () =
-    match t.pending with
-    | f :: rest when f.Fault.step <= t.turns ->
-      (match f.Fault.kind with
-      | Fault.Crash -> crash t f.Fault.pid
-      | Fault.Recover -> recover t f.Fault.pid);
-      t.pending <- rest;
-      go ()
-    | _ -> ()
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* The turn engine (mirrors Scheduler.step's settle/go split)          *)
-
-let record_error t p e =
-  p.status <- Errored e;
-  match t.first_error with
-  | Some _ -> ()
-  | None -> t.first_error <- Some (p.pid, e)
-
-let finish t p outcome =
-  match outcome with
-  | `Halted ->
-    p.status <- Halted;
-    p.region <- Event.Halted;
-    emit t p (Event.Region_change Event.Halted)
-  | `Errored e -> record_error t p e
-
-(* Park the post-access suspension: absorb free region changes eagerly
-   (same reasoning as Scheduler.step's settle — deferred region changes
-   would skew the §2.2 occupancy windows), park sleeps on their timer,
-   and everything else at the very next tick. *)
-let rec settle t p s =
-  p.susp <- Some s;
-  match s with
-  | Proc.Done -> finish t p `Halted
-  | Proc.Failed e -> finish t p (`Errored e)
-  | Proc.Region (r, k) ->
-    p.region <- r;
-    emit t p (Event.Region_change r);
-    settle t p (Effect.Deep.continue k ())
-  | Proc.Sleep (d, _) -> push t ~tick:(t.now + max 1 d) p
-  | Proc.Read _ | Proc.Write _ | Proc.Write_field _ | Proc.Xchg _
-  | Proc.Cas _ | Proc.Bit_op _ | Proc.Pause _ ->
-    push t ~tick:(t.now + 1) p
-
-(* Advance one turn: perform at most one shared access, then park. *)
-let rec exec t p s =
-  match s with
-  | Proc.Done -> finish t p `Halted
-  | Proc.Failed e -> finish t p (`Errored e)
-  | Proc.Region (r, k) ->
-    p.region <- r;
-    emit t p (Event.Region_change r);
-    exec t p (Effect.Deep.continue k ())
-  | Proc.Sleep (d, _) ->
-    (* A fresh sleep ends the turn; the process leaves the active set
-       until the wheel clock reaches the wake tick. *)
-    p.susp <- Some s;
-    push t ~tick:(t.now + max 1 d) p
-  | Proc.Pause k ->
-    (* A pause ends the turn at the next suspension point, exactly like
-       Scheduler.step: one pause = one turn. *)
-    settle t p (Effect.Deep.continue k ())
-  | Proc.Read (r, k) -> begin
-    match Register.read r with
-    | v ->
-      emit t p (Event.Access (r, Event.A_read v));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k v)
-    | exception e -> abort t p k e
-  end
-  | Proc.Write (r, v, k) -> begin
-    match Register.write r v with
-    | () ->
-      emit t p (Event.Access (r, Event.A_write v));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k ())
-    | exception e -> abort t p k e
-  end
-  | Proc.Write_field (r, index, width, v, k) -> begin
-    match Register.write_field r ~index ~width v with
-    | () ->
-      emit t p (Event.Access (r, Event.A_field (index, width, v)));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k ())
-    | exception e -> abort t p k e
-  end
-  | Proc.Xchg (r, v, k) -> begin
-    match Register.fetch_and_store r v with
-    | old ->
-      emit t p (Event.Access (r, Event.A_xchg (v, old)));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k old)
-    | exception e -> abort t p k e
-  end
-  | Proc.Cas (r, expected, v, k) -> begin
-    match Register.compare_and_set r ~expected v with
-    | success ->
-      emit t p (Event.Access (r, Event.A_cas (expected, v, success)));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k success)
-    | exception e -> abort t p k e
-  end
-  | Proc.Bit_op (r, op, k) -> begin
-    match Register.bit_op r op with
-    | ret ->
-      emit t p (Event.Access (r, Event.A_bit (op, ret)));
-      p.steps <- p.steps + 1;
-      settle t p (Effect.Deep.continue k ret)
-    | exception e -> abort t p k e
+(* The pid of the next live entry, dropping stale ones; -1 when the heap
+   has drained. *)
+let rec next t =
+  if t.hlen = 0 then -1
+  else begin
+    let e = heap_pop t in
+    if Scheduler.stamp t.sched e.e_pid <> e.e_stamp then next t
+    else begin
+      if e.e_tick > t.now then t.now <- e.e_tick;
+      e.e_pid
+    end
   end
 
-and abort : type a.
-    t -> pstate -> (a, Proc.suspension) Effect.Deep.continuation -> exn -> unit
-    =
- fun t p k e ->
-  (* Semantic violation (model/width): unwind the process with the
-     offending exception so the one-shot continuation is consumed.  If
-     the process catches it and keeps going, it is simply parked at its
-     next suspension point (the wheel has no observation-replay machinery
-     to protect, unlike Scheduler). *)
-  let s = try Effect.Deep.discontinue k e with e' -> Proc.Failed e' in
-  settle t p s
-
-let turn t p =
-  match p.susp with
-  | Some (Proc.Sleep (_, k)) ->
-    (* Popped at its wake tick: the timer expired; resume through the
-       sleep and run on to the next access. *)
-    p.susp <- None;
-    exec t p (Effect.Deep.continue k ())
-  | Some s ->
-    p.susp <- None;
-    exec t p s
-  | None ->
-    (* First activation, or first turn after a recover: run the thunk
-       from the top. *)
-    exec t p (Proc.start p.thunk)
+(* One turn: one step, then park the process at the next tick, or on its
+   sleep timer so it leaves the active set until the clock gets there. *)
+let turn t pid =
+  match Scheduler.step t.sched pid with
+  | Scheduler.Progress -> push t ~tick:(t.now + 1) pid
+  | Scheduler.Asleep d -> push t ~tick:(t.now + max 1 d) pid
+  | Scheduler.Finished -> (
+    match (Scheduler.status t.sched pid, t.first_error) with
+    | Errored e, None -> t.first_error <- Some (pid, e)
+    | _ -> ())
+  | Scheduler.Not_runnable -> ()
 
 type stopped = Quiescent | Out_of_turns
 
 let run ?(max_turns = max_int) t =
-  let result = ref None in
-  while !result = None do
-    apply_due t;
-    if t.turns >= max_turns then result := Some Out_of_turns
-    else begin
-      (* Pop the next valid entry, dropping stale ones (crashed since
-         they were queued: epoch mismatch). *)
-      let rec next () =
-        match heap_pop t with
-        | None -> None
-        | Some e -> (
-          match Hashtbl.find_opt t.procs e.e_pid with
-          | Some p
-            when p.epoch = e.e_epoch && p.queued && p.status = Runnable ->
-            p.queued <- false;
-            Some (e, p)
-          | Some _ | None -> next ())
-      in
-      match next () with
-      | Some (e, p) ->
-        if e.e_tick > t.now then t.now <- e.e_tick;
-        t.turns <- t.turns + 1;
-        turn t p
-      | None -> (
-        (* Heap drained.  Pending faults keep the run alive: jump the
-           turn clock so the next fault (typically a recover) fires. *)
-        match t.pending with
-        | [] -> result := Some Quiescent
-        | f :: _ -> t.turns <- max t.turns f.Fault.step)
-    end
-  done;
-  Option.get !result
+  Fault.run t.faults ~crash:(Scheduler.crash t.sched) ~recover:(recover t)
+    (fun turns ->
+      if turns >= max_turns then Fault.Stop Out_of_turns
+      else
+        let pid = next t in
+        if pid < 0 then Fault.Idle Quiescent
+        else begin
+          turn t pid;
+          Fault.Ran
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
 let now t = t.now
-let turns t = t.turns
-let nprocs t = t.nprocs
-
-let status t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p.status
-  | None -> Runnable
-
-let region t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p.region
-  | None -> Event.Remainder
-
-let steps_taken t pid =
-  match Hashtbl.find_opt t.procs pid with Some p -> p.steps | None -> 0
-
-let total_steps t = Hashtbl.fold (fun _ p acc -> acc + p.steps) t.procs 0
-let spawned t = Hashtbl.length t.procs
+let turns t = Fault.clock t.faults
+let nprocs t = Scheduler.nprocs t.sched
+let status t = Scheduler.status t.sched
+let region t = Scheduler.region t.sched
+let steps_taken t = Scheduler.steps_taken t.sched
+let total_steps t = Scheduler.total_steps t.sched
+let spawned t = Scheduler.spawned t.sched
 let live_peak t = t.live_peak
 let first_error t = t.first_error

@@ -1,49 +1,46 @@
-(** The O(active-set) event-wheel scheduler.
+(** The event wheel: a calendar-queue pick policy over {!Scheduler.step}
+    for large [n].
 
-    {!Scheduler} steps all [n] processes round-robin and is the right
-    engine for adversarial interleavings at small [n]; this module is the
-    large-[n] engine (ROADMAP item 2, FoundationDB-style deterministic
-    simulation).  Three properties make a run cost proportional to the
-    {e active set} instead of [n]:
+    {!Runner} picks processes round-robin (or by any {!Schedule.picker})
+    and suits adversarial interleavings at small [n].  The wheel picks by
+    virtual time, so a run costs in proportion to the {e active set}, not
+    to [n]:
 
-    - a calendar queue (binary min-heap keyed by wake tick, FIFO within a
-      tick) holds only processes that are runnable {e now} or parked on a
+    - a binary min-heap keyed by wake tick, FIFO within a tick, holds
+      only processes that are runnable {e now} or parked on a
       {!Proc.sleep} timer — a process idling in its remainder section
       costs zero per turn;
-    - per-process state is sparse (a hash table) and spawned lazily: a
-      process materialises at its first {!wake}, so a solo run over an
-      [n = 10^6] arena allocates one process record, not [10^6];
-    - events are pushed to a {!sink} as they happen instead of being
-      materialised in a {!Trace.t} — pair it with [Measures.Online] for
-      O(active-set) memory, or with {!trace_sink} to keep full recording
-      at small [n].
+    - processes are spawned lazily, at their first {!wake}: a solo run
+      over an [n = 10^6] arena creates one process record;
+    - events go to a {!Scheduler.sink} as they happen instead of a
+      {!Trace.t} — pair it with [Measures.Online] for O(active-set)
+      memory, or with {!Scheduler.trace_sink} to keep full recording at
+      small [n].
+
+    Each turn is one {!Scheduler.step}, so a process advances exactly as
+    it would under {!Runner}: one shared access (or one pause) per turn,
+    region changes absorbed.  A step that stops at a sleep parks the
+    process until the clock reaches [now + max 1 d]; its next turn
+    resumes through the sleep.
 
     Determinism: turns are totally ordered by [(wake tick, insertion
     sequence number)], so identical wake/sleep/fault inputs produce the
     identical event stream — same seed, same run.
 
-    Faults follow {!Runner}'s convention: a {!Fault.point}'s [step] field
-    counts {e turns} of the wheel, and all due faults are applied before
-    each turn.  When the heap drains while fault points remain pending,
-    the turn clock fast-forwards to the next fault (so a recover can
-    still fire into an otherwise-quiescent system). *)
+    Faults follow {!Runner}'s convention through {!Fault.run}: a
+    {!Fault.point}'s [step] field counts {e turns} of the wheel, all due
+    faults are applied before each turn, and when the heap drains while
+    fault points remain, the turn clock fast-forwards to the next one.
+    A crash leaves the process's queued entry stale (its
+    {!Scheduler.stamp} moved on); a recover queues it at the current
+    tick. *)
 
-type status = Runnable | Halted | Crashed | Errored of exn
-
-type sink = pid:int -> Event.body -> unit
-(** Consumes events in emission order.  The wheel assigns no sequence
-    numbers — a streaming consumer (e.g. [Measures.Online]) keeps its own
-    counter, and {!trace_sink} lets {!Trace.record} assign them. *)
-
-val null_sink : sink
-val trace_sink : Trace.t -> sink
-val tee : sink -> sink -> sink
-(** [tee a b] feeds each event to [a] then [b]. *)
+type status = Scheduler.status = Runnable | Halted | Crashed | Errored of exn
 
 type t
 
 val create :
-  ?sink:sink ->
+  ?sink:Scheduler.sink ->
   ?faults:Fault.plan ->
   nprocs:int ->
   spawn:(int -> unit -> unit) ->
@@ -54,11 +51,11 @@ val create :
     Nothing runs until woken. *)
 
 val wake : ?at:int -> t -> int -> unit
-(** Queue a process to run at tick [at] (default: the current {!now}).
-    Materialises its state if needed.  No-op if it is already queued,
-    halted, errored, or crashed (a crashed process re-enters through the
-    fault plan's recover point, which re-queues it).  Raises
-    [Invalid_argument] if [at] is in the past or the pid out of range. *)
+(** Queue a process to run at tick [at] (default: the current {!now}),
+    spawning it.  No-op if it was spawned before: it is then already
+    queued, halted, errored, or crashed (a crashed process re-enters
+    through the fault plan's recover point).  Raises [Invalid_argument]
+    if [at] is in the past or the pid out of range. *)
 
 type stopped =
   | Quiescent     (** heap drained and no fault points pending *)
@@ -66,12 +63,14 @@ type stopped =
 
 val run : ?max_turns:int -> t -> stopped
 (** Drive the wheel until quiescence or [max_turns] (default [max_int])
-    turns.  One turn = one queued process popped and advanced by exactly
-    one shared-memory access (absorbing free region changes and pauses at
-    the {!Scheduler} granularity: a pause or a fresh sleep ends the
-    turn). *)
+    turns.  One turn = one queued process popped and advanced by one
+    {!Scheduler.step}. *)
 
-(** {2 Queries} *)
+(** {2 Queries}
+
+    Pid queries are {!Scheduler}'s: a never-woken process reads as
+    [Runnable] in [Remainder] with no steps, and an out-of-range pid
+    raises [Invalid_argument]. *)
 
 val now : t -> int
 (** Current virtual tick (the wake tick of the last popped entry). *)
@@ -79,8 +78,6 @@ val now : t -> int
 val turns : t -> int
 val nprocs : t -> int
 val status : t -> int -> status
-(** [Runnable] for a never-woken process, mirroring {!Scheduler}. *)
-
 val region : t -> int -> Event.region
 val steps_taken : t -> int -> int
 val total_steps : t -> int

@@ -230,8 +230,8 @@ let run_mutex_scale ?max_turns (module A : Mutex_intf.ALG)
     | Event.Access _ | Event.Region_change _ -> ()
   in
   let sink =
-    Wheel.tee (Measures.Online.feed online)
-      (Wheel.tee (Spec.Monitor.feed monitor) count)
+    Scheduler.tee (Measures.Online.feed online)
+      (Scheduler.tee (Spec.Monitor.feed monitor) count)
   in
   let wheel = Wheel.create ~sink ~faults ~nprocs:n ~spawn () in
   for pid = 0 to n - 1 do

@@ -50,7 +50,7 @@ let scale_cf_row alg ~n =
   let (module A : Mutex_intf.ALG) = alg in
   let p = Mutex_intf.params n in
   let t0 = Sys.time () in (* lint-allow: wall-clock — timing the run itself *)
-  let cf = Mutex_harness.contention_free_streaming alg p in
+  let cf = Mutex_harness.contention_free alg p in
   let wall = Sys.time () -. t0 in (* lint-allow: wall-clock — timing the run itself *)
   let s = cf.Mutex_harness.max in
   let ps = A.predicted_cf_steps p and pr = A.predicted_cf_registers p in

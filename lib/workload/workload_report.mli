@@ -27,7 +27,7 @@ type scale_cf_row = {
 }
 
 val scale_cf_row : Cfc_mutex.Registry.alg -> n:int -> scale_cf_row
-(** One {!Cfc_core.Mutex_harness.contention_free_streaming} measurement
+(** One {!Cfc_core.Mutex_harness.contention_free} measurement
     at [n], compared against [predicted_cf_steps]/[predicted_cf_registers].
     Raises like the harness on unsupported parameters. *)
 

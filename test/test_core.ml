@@ -1047,23 +1047,45 @@ let test_online_feed_no_alloc () =
   check_bool (Printf.sprintf "%.0f minor words for 10^4 accesses" words) true
     (words = 0.)
 
-(* The wheel-driven streaming harness returns the exact same cf_result
-   as the trace-driven one, per process. *)
-let test_cf_streaming_equals_materialised () =
-  List.iter
-    (fun ((module A : Mutex_intf.ALG) as alg) ->
-      let p = Mutex_intf.params 8 in
-      if A.supports p then begin
-        let a = Mutex_harness.contention_free alg p in
-        let b = Mutex_harness.contention_free_streaming alg p in
-        check_bool (A.name ^ " max sample") true
-          (a.Mutex_harness.max = b.Mutex_harness.max);
-        check_bool (A.name ^ " per-process samples") true
-          (a.Mutex_harness.per_process = b.Mutex_harness.per_process);
-        check (A.name ^ " atomicity observed")
-          a.Mutex_harness.atomicity_observed b.Mutex_harness.atomicity_observed
-      end)
-    Registry.all
+(* A lock that breaks inside its entry section, after two accesses. *)
+module Failing_lock : Mutex_intf.ALG = struct
+  let name = "failing-lock"
+  let supports (_ : Mutex_intf.params) = true
+  let atomicity (_ : Mutex_intf.params) = 8
+  let predicted_cf_steps (_ : Mutex_intf.params) = None
+  let predicted_cf_registers (_ : Mutex_intf.params) = None
+  let recovery (_ : Mutex_intf.params) = None
+
+  module Make (M : Mem_intf.MEM) = struct
+    type t = { r : M.reg }
+
+    let create (_ : Mutex_intf.params) =
+      { r = M.alloc ~name:"fail.r" ~width:8 ~init:0 () }
+
+    let lock t ~me =
+      M.write t.r (me + 1);
+      ignore (M.read t.r);
+      failwith "lock broke"
+
+    let unlock _ ~me:_ = ()
+  end
+end
+
+(* The streaming CF harness records no trace, yet its error report
+   carries the failing process's last events, from a traced rerun of the
+   same deterministic solo run. *)
+let test_cf_error_has_recent_events () =
+  match Mutex_harness.contention_free (module Failing_lock) (Mutex_intf.params 3) with
+  | _ -> Alcotest.fail "expected Process_error"
+  | exception Runner.Process_error { pid; steps; error; recent } ->
+    check "pid" 0 pid;
+    check "steps" 2 steps;
+    check_bool "error" true (error = Failure "lock broke");
+    Alcotest.(check (list string))
+      "recent events"
+      [ "   0 p0 enters trying"; "   1 p0 write fail.r := 1";
+        "   2 p0 read  fail.r -> 1" ]
+      (List.map (Format.asprintf "%a" Event.pp) recent)
 
 let () =
   Alcotest.run "cfc_core"
@@ -1094,8 +1116,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_inc_prefixes;
           Alcotest.test_case "online feed allocates nothing per access"
             `Quick test_online_feed_no_alloc;
-          Alcotest.test_case "cf streaming harness = trace harness" `Quick
-            test_cf_streaming_equals_materialised ] );
+          Alcotest.test_case "cf error carries the last events" `Quick
+            test_cf_error_has_recent_events ] );
       ( "bounds",
         [ Alcotest.test_case "spot values" `Quick test_bound_values;
           Alcotest.test_case "monotonicity" `Quick test_bound_monotone;

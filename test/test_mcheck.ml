@@ -699,6 +699,35 @@ let test_pruning_observable () =
   | Explore.Violation { violation; _ } ->
     Alcotest.failf "unexpected: %a" Cfc_core.Spec.pp_violation violation
 
+(* A search starts on a collected heap: what its caller dropped is
+   freed before the search builds its first system, so its peak does not
+   depend on the GC's cycle phase.  A weak pointer sees the difference
+   without the test running the GC itself. *)
+let test_search_starts_collected () =
+  let p = Mutex_intf.params 2 in
+  List.iter
+    (fun (name, engine) ->
+      let build = Cfc_core.Mutex_harness.system Registry.peterson_tournament p in
+      let dropped = Weak.create 1 in
+      Weak.set dropped 0 (Some (fst (build ())));
+      let alive = ref [] in
+      let system () =
+        alive := Weak.check dropped 0 :: !alive;
+        build ()
+      in
+      (match
+         Explore.run ~engine ~inc:Cfc_core.Spec.Inc.mutual_exclusion ~system
+           ~check:(fun trace ~nprocs ->
+             Cfc_core.Spec.mutual_exclusion trace ~nprocs)
+           ()
+       with
+      | Explore.Ok _ -> ()
+      | Explore.Violation _ -> Alcotest.failf "%s: unexpected violation" name);
+      check_bool (name ^ ": built a system") true (!alive <> []);
+      check_bool (name ^ ": dropped memory collected first") false
+        (List.mem true !alive))
+    [ ("incremental", Explore.Incremental); ("replay", Explore.Replay) ]
+
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction: the reduced search is anchored exactly like
    the incremental engine was — the verdict must match the unreduced
@@ -1143,7 +1172,7 @@ let commutation_sample ~seed ~subject ~prefix_len =
       let pid = List.nth pids (Random.State.int rng (List.length pids)) in
       let from = Trace.length trace in
       match Scheduler.step sched pid with
-      | Scheduler.Progress | Scheduler.Finished ->
+      | Scheduler.Progress | Scheduler.Asleep _ | Scheduler.Finished ->
         prefix := pid :: !prefix;
         feed from
       | Scheduler.Not_runnable -> ()));
@@ -1349,6 +1378,31 @@ let test_conflict_coverage_registry () =
     (Printf.sprintf "enough dynamic conflict pairs exercised (%d)" !total)
     true (!total >= 50)
 
+(* The checker's fallback: fixture-swallows catches the exception of a
+   failed write and keeps going, which the scheduler flags as replay
+   unsafe.  The default engine finds that out mid-search and restarts on
+   the replay engine; starting there ([replay_safe:false] or
+   [engine:Replay]) must give the same verdict and the same stats. *)
+let test_swallows_fallback () =
+  let alg = Cfc_analysis.Fixtures.swallows and p = Mutex_intf.params 2 in
+  let out = Cfc_core.Mutex_harness.run ~pick:(Schedule.round_robin ()) alg p in
+  check_bool "a run leaves the scheduler replay-unsafe" false
+    (Scheduler.replay_safe out.Runner.scheduler);
+  let stats name = function
+    | Explore.Ok s -> s
+    | Explore.Violation _ -> Alcotest.failf "%s: unexpected violation" name
+  in
+  let fallback = stats "fallback" (Props.check_mutex alg p) in
+  Alcotest.(check (list int)) "states, runs, pruned_dedup" [ 37; 2; 12 ]
+    [ fallback.Explore.states; fallback.Explore.runs;
+      fallback.Explore.pruned_dedup ];
+  check_bool "replay_safe:false = fallback" true
+    (stats "replay_safe:false" (Props.check_mutex ~replay_safe:false alg p)
+     = fallback);
+  check_bool "engine:Replay = fallback" true
+    (stats "engine:Replay" (Props.check_mutex ~engine:Explore.Replay alg p)
+     = fallback)
+
 let () =
   Alcotest.run "cfc_mcheck"
     [ ( "finds-bugs",
@@ -1387,7 +1441,9 @@ let () =
           Alcotest.test_case "shared seen set deterministic" `Slow
             test_shared_seen_determinism;
           Alcotest.test_case "symmetric still refutes" `Quick
-            test_symmetric_still_refutes ] );
+            test_symmetric_still_refutes;
+          Alcotest.test_case "replay-unsafe fixture: fallback = replay"
+            `Quick test_swallows_fallback ] );
       ( "symmetry",
         [ Alcotest.test_case "groups derived for the symmetric algorithms"
             `Quick test_symmetry_groups_exist;
@@ -1429,4 +1485,6 @@ let () =
             test_conflict_coverage_registry ] );
       ( "mechanics",
         [ Alcotest.test_case "pruning observable" `Quick
-            test_pruning_observable ] ) ]
+            test_pruning_observable;
+          Alcotest.test_case "search starts on a collected heap" `Quick
+            test_search_starts_collected ] ) ]

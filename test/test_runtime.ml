@@ -678,7 +678,7 @@ let test_wheel_matches_scheduler_solo () =
   Memory.reset memory;
   let tr = Trace.create () in
   let wheel =
-    Wheel.create ~sink:(Wheel.trace_sink tr) ~nprocs:1
+    Wheel.create ~sink:(Scheduler.trace_sink tr) ~nprocs:1
       ~spawn:(fun _ -> proc) ()
   in
   Wheel.wake wheel 0;
@@ -774,7 +774,7 @@ let test_wheel_fifo_and_deterministic () =
     in
     let tr = Trace.create () in
     let wheel =
-      Wheel.create ~sink:(Wheel.trace_sink tr)
+      Wheel.create ~sink:(Scheduler.trace_sink tr)
         ~faults:(Fault.chaos ~seed:9 ~nprocs:3 ~pairs:2 ~horizon:30)
         ~nprocs:3 ~spawn ()
     in
@@ -804,6 +804,95 @@ let test_wheel_fifo_and_deterministic () =
   check "same now" now1 now2;
   check "same turns" turns1 turns2;
   check "same steps" steps1 steps2
+
+(* The shared step's sleep rule, under a picker with no clock: a step
+   stops at a sleep (after at most one access) and the next step resumes
+   through it to the next access. *)
+let test_scheduler_sleep_rule () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:8 ~init:0 () in
+  let trace = Trace.create () in
+  let sched =
+    Scheduler.create ~memory ~trace
+      [| (fun () -> M.write r 1; Proc.sleep 5; M.write r 2);
+         (fun () -> Proc.sleep 3; M.write r 3) |]
+  in
+  let results pid =
+    List.init 2 (fun _ ->
+        match Scheduler.step sched pid with
+        | Scheduler.Progress -> "progress"
+        | Scheduler.Asleep d -> Printf.sprintf "asleep %d" d
+        | Scheduler.Finished -> "finished"
+        | Scheduler.Not_runnable -> "not runnable")
+  in
+  Alcotest.(check (list string)) "access, then park at the sleep"
+    [ "asleep 5"; "finished" ] (results 0);
+  check "p0 steps" 2 (Scheduler.steps_taken sched 0);
+  check "write after the sleep" 2 (final_value memory "r");
+  Alcotest.(check (list string)) "a leading sleep parks with no access"
+    [ "asleep 3"; "finished" ] (results 1);
+  check "p1 steps" 1 (Scheduler.steps_taken sched 1);
+  check "sleeps are not events" 5 (Trace.length trace);
+  let out =
+    Runner.run ~memory ~pick:(Schedule.round_robin ())
+      [| (fun () -> Proc.sleep 1; M.write r 4; Proc.sleep 1; M.write r 5) |]
+  in
+  check_bool "round robin completes" true out.Runner.completed;
+  check "round robin steps" 2 out.Runner.total_steps
+
+(* The shared step's rule for a caught register-op exception, on the
+   wheel: the process goes on within the same turn, the failed operation
+   is not a step, and nothing is reported as an error. *)
+let test_wheel_caught_register_error () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let narrow = M.alloc ~name:"narrow" ~width:1 ~init:0 () in
+  let r = M.alloc ~name:"r" ~width:8 ~init:0 () in
+  let spawn _ () =
+    (try M.write narrow 2 with Invalid_argument _ -> ());
+    M.write r 1
+  in
+  let wheel = Wheel.create ~nprocs:1 ~spawn () in
+  Wheel.wake wheel 0;
+  check_bool "quiescent" true (Wheel.run wheel = Wheel.Quiescent);
+  check_bool "halted" true (Wheel.status wheel 0 = Wheel.Halted);
+  check "one turn" 1 (Wheel.turns wheel);
+  check "only the good write is a step" 1 (Wheel.steps_taken wheel 0);
+  check "narrow untouched" 0 (final_value memory "narrow");
+  check "write went through" 1 (final_value memory "r");
+  check_bool "no error" true (Wheel.first_error wheel = None);
+  (* uncaught, the same failure is the process's error *)
+  let wheel =
+    Wheel.create ~nprocs:1 ~spawn:(fun _ () -> M.write narrow 2) ()
+  in
+  Wheel.wake wheel 0;
+  ignore (Wheel.run wheel);
+  match Wheel.first_error wheel with
+  | Some (0, Invalid_argument _) -> check "no step" 0 (Wheel.steps_taken wheel 0)
+  | _ -> Alcotest.fail "uncaught register error not reported"
+
+(* One range check, in the scheduler's pid table, for both pick
+   policies. *)
+let test_pid_out_of_range () =
+  let memory = Memory.create () in
+  let wheel = Wheel.create ~nprocs:4 ~spawn:(fun _ () -> ()) () in
+  let sched =
+    Scheduler.create ~memory ~trace:(Trace.create ())
+      (Array.make 4 (fun () -> ()))
+  in
+  let expect name pid f =
+    check_invalid name (Printf.sprintf "pid %d out of range (nprocs = 4)" pid) f
+  in
+  expect "Wheel.status" 99 (fun () -> ignore (Wheel.status wheel 99));
+  expect "Wheel.steps_taken" (-1) (fun () -> ignore (Wheel.steps_taken wheel (-1)));
+  expect "Wheel.region" 4 (fun () -> ignore (Wheel.region wheel 4));
+  expect "Wheel.wake" 4 (fun () -> Wheel.wake wheel 4);
+  expect "Scheduler.status" 4 (fun () -> ignore (Scheduler.status sched 4));
+  expect "Scheduler.step" (-1) (fun () -> ignore (Scheduler.step sched (-1)));
+  expect "Scheduler.crash" 7 (fun () -> Scheduler.crash sched 7);
+  check "nothing spawned" 0 (Wheel.spawned wheel);
+  check_bool "in range still fine" true (Wheel.status wheel 3 = Wheel.Runnable)
 
 (* Trace folds must be stack-safe on recording-scale traces: a million
    events through fold and fold_states without overflow. *)
@@ -1060,7 +1149,14 @@ let () =
           Alcotest.test_case "fault restart is fresh" `Quick
             test_wheel_fault_restart_fresh;
           Alcotest.test_case "same-tick FIFO + determinism" `Quick
-            test_wheel_fifo_and_deterministic ] );
+            test_wheel_fifo_and_deterministic;
+          Alcotest.test_case "caught register error: same turn" `Quick
+            test_wheel_caught_register_error ] );
+      ( "shared step",
+        [ Alcotest.test_case "sleep under the scheduler" `Quick
+            test_scheduler_sleep_rule;
+          Alcotest.test_case "pid out of range" `Quick
+            test_pid_out_of_range ] );
       ( "checkpoint/undo",
         [ Alcotest.test_case "restore discontinues dropped fibers" `Quick
             test_restore_discontinues;
