@@ -224,9 +224,16 @@ let mcheck_cmd =
         ?independence ?symmetry ~compact alg { Mutex_intf.n; l }
     with
     | Cfc_mcheck.Explore.Ok stats ->
+      (* A search that hit a bound proves nothing about the runs past it:
+         it gets its own verdict word and exit status, never OK. *)
+      let truncated = stats.Cfc_mcheck.Explore.truncated in
       Printf.printf
-        "OK: no violation within bounds (%d maximal runs, %d states \
-         explored, %d deduped, %d sym-merged, %d por-pruned, seen %d/%d%s%s)\n"
+        "%s (%d maximal runs, %d states explored, %d deduped, %d \
+         sym-merged, %d por-pruned, seen %d/%d%s)\n"
+        (if truncated then
+           "TRUNCATED: no violation found, but some branches hit the depth, \
+            step or state bound"
+         else "OK: no violation within bounds")
         stats.Cfc_mcheck.Explore.runs stats.Cfc_mcheck.Explore.states
         stats.Cfc_mcheck.Explore.pruned_dedup
         stats.Cfc_mcheck.Explore.pruned_sym
@@ -235,9 +242,8 @@ let mcheck_cmd =
         (if stats.Cfc_mcheck.Explore.fp_collisions > 0 then
            Printf.sprintf ", %d fp collisions re-explored"
              stats.Cfc_mcheck.Explore.fp_collisions
-         else "")
-        (if stats.Cfc_mcheck.Explore.truncated then ", some branches truncated"
-         else "")
+         else "");
+      if truncated then exit 3
     | Cfc_mcheck.Explore.Violation { schedule; violation; _ } ->
       Format.printf "VIOLATION: %a@.schedule: %s@." Cfc_core.Spec.pp_violation
         violation
@@ -246,7 +252,21 @@ let mcheck_cmd =
   in
   Cmd.v
     (Cmd.info "mcheck"
-       ~doc:"Bounded-exhaustive mutual exclusion verification.")
+       ~doc:"Bounded-exhaustive mutual exclusion verification."
+       ~exits:
+         (Cmd.Exit.info 0
+            ~doc:"the search was exhaustive and found no violation (OK)."
+         :: Cmd.Exit.info 1 ~doc:"a violation was found (VIOLATION)."
+         :: Cmd.Exit.info 2
+              ~doc:"the algorithm is unknown or does not support the \
+                    parameters."
+         :: Cmd.Exit.info 3
+              ~doc:"no violation was found, but some branches were cut off \
+                    by the depth, step or state bound, so the result is not \
+                    a proof (TRUNCATED)."
+         :: List.filter
+              (fun i -> Cmd.Exit.info_code i <> 0)
+              Cmd.Exit.defaults))
     Term.(
       const run $ alg_arg $ n_arg $ l_arg $ depth_arg $ domains_arg
       $ engine_arg $ no_por_arg $ sym_arg $ compact_arg)

@@ -55,6 +55,13 @@ module Online = struct
 
     let create cap = { cells = Array.make (2 * cap) empty; mask = cap - 1; size = 0 }
 
+    (* Empty again, keeping the capacity. *)
+    let clear t =
+      if t.size > 0 then begin
+        Array.fill t.cells 0 (Array.length t.cells) empty;
+        t.size <- 0
+      end
+
     let[@inline] hash k =
       let h = k * 0x2545F4914F6CDD1D in
       h lxor (h lsr 29)
@@ -189,6 +196,9 @@ module Online = struct
     o_nprocs : int;
     proc_of : Itbl.t;   (* pid -> index in [procs] *)
     mutable procs : pstate array;
+        (* by index; the first [pooled] cells hold records, the first
+           [proc_of.size] of them in use, the rest kept by [reset] *)
+    mutable pooled : int;
     mutable last_pid : int;  (* [last] caches the most recent pid lookup *)
     mutable last : pstate;
     mutable events : int;
@@ -219,9 +229,26 @@ module Online = struct
       exit_ = acc_create (); rec_ = acc_create ();
       rec_open = false; rec_rmr = 0; remote = 0; crashed_at = -1 }
 
+  (* [p] as [pstate_create] makes it, keeping its tables' capacity.  The
+     accumulators' generations move on instead of restarting, so every
+     stamp left in [slots] reads as "not seen", like a fresh row's 0. *)
+  let pstate_recycle p =
+    p.region <- Event.Remainder;
+    Itbl.clear p.slot_of;
+    acc_reset p.total;
+    acc_reset p.cf;
+    acc_reset p.entry;
+    p.entry_gen <- 0;
+    acc_reset p.exit_;
+    acc_reset p.rec_;
+    p.rec_open <- false;
+    p.rec_rmr <- 0;
+    p.remote <- 0;
+    p.crashed_at <- -1
+
   let create ~nprocs =
     { o_nprocs = nprocs;
-      proc_of = Itbl.create 8; procs = [||];
+      proc_of = Itbl.create 8; procs = [||]; pooled = 0;
       last_pid = -1; last = pstate_create ();
       events = 0; occupied = 0; clear_gen = 0;
       entries = []; exits = []; recs = []; rec_rmrs = [];
@@ -249,10 +276,16 @@ module Online = struct
       let i = Itbl.find_or_add t.proc_of pid n in
       let p =
         if i >= 0 then t.procs.(i)
+        else if n < t.pooled then begin
+          let p = t.procs.(n) in
+          pstate_recycle p;
+          p
+        end
         else begin
           let p = pstate_create () in
           t.procs <- grown t.procs n p;
           t.procs.(n) <- p;
+          t.pooled <- n + 1;
           p
         end
       in
@@ -387,6 +420,20 @@ module Online = struct
       if in_cs_or_exit p.region then t.occupied <- t.occupied - 1;
       p.region <- Event.Remainder);
     t.events <- t.events + 1
+
+  let reset t =
+    Itbl.clear t.proc_of;
+    t.last_pid <- -1;
+    t.events <- 0;
+    t.occupied <- 0;
+    t.clear_gen <- 0;
+    t.entries <- [];
+    t.exits <- [];
+    t.recs <- [];
+    t.rec_rmrs <- [];
+    (* [regs] and [last_write] keep their cells: [reg_index] sets both
+       when it hands out an index again. *)
+    Itbl.clear t.reg_of
 
   let of_trace ~nprocs trace =
     let t = create ~nprocs in

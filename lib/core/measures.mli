@@ -77,6 +77,14 @@ module Online : sig
 
   val create : nprocs:int -> t
 
+  val reset : t -> unit
+  (** Return [t] to its {!create} state, keeping the capacity of every
+      table and the per-process records for reuse: a fold fed after a
+      reset answers every query exactly as a fresh one fed the same
+      events.  Cheaper than {!create} across many short runs — the
+      harnesses' solo runs touch the same registers, and first touches
+      on a fresh fold grow every table. *)
+
   val feed : t -> pid:int -> Event.body -> unit
   (** Consume one event.  [feed t] is a valid [Scheduler.sink].  Events must
       arrive in emission order (the fold keeps its own implicit

@@ -76,12 +76,13 @@ let sample_pids n =
   end
 
 (* The §2.2 contention-free run of [me] has every other process still
-   in its remainder (never started): the wheel with only [me] woken.
-   Nothing is O(n) per run but the wheel's pid table — the arena is
-   allocated once, one process record is spawned, no trace is recorded,
-   and the between-runs reset touches exactly the registers the online
-   fold saw, which is what makes the n = 10^5 sweeps of EXP-SCALE
-   possible. *)
+   in its remainder (never started): the wheel with only [me] woken, so
+   the whole run is one run-ahead step.  Nothing is O(n) per run but the
+   wheel's pid table — the arena is allocated once, one process record
+   is spawned, no trace is recorded, one online fold is reset between
+   runs with its tables kept, and the between-runs reset touches exactly
+   the registers the fold saw, which is what makes the n = 10^5 sweeps
+   of EXP-SCALE possible. *)
 let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
   let n = p.Mutex_intf.n in
   let _memory, observed_width, proc = instantiate (module A) p in
@@ -92,10 +93,11 @@ let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
     ignore (Wheel.run wheel : Wheel.stopped);
     wheel
   in
+  let online = Measures.Online.create ~nprocs:n in
   let per_process =
     List.map
       (fun me ->
-        let online = Measures.Online.create ~nprocs:n in
+        Measures.Online.reset online;
         let wheel = solo me (Measures.Online.feed online) in
         List.iter Register.reset (Measures.Online.touched online);
         (match Wheel.first_error wheel with

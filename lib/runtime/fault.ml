@@ -100,6 +100,9 @@ type timeline = { mutable pending : plan; mutable clock : int }
 let timeline ~nprocs plan = { pending = validate ~nprocs plan; clock = 0 }
 let clock tl = tl.clock
 
+let next_due tl = match tl.pending with f :: _ -> f.step | [] -> max_int
+let skip tl k = tl.clock <- tl.clock + k
+
 let run tl ~crash ~recover turn =
   let rec loop () =
     match tl.pending with

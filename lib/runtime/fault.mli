@@ -57,6 +57,14 @@ val timeline : nprocs:int -> plan -> timeline
 val clock : timeline -> int
 (** Turns taken so far, plus any fast-forward jumps. *)
 
+val next_due : timeline -> int
+(** The [step] of the next pending fault point; [max_int] if none. *)
+
+val skip : timeline -> int -> unit
+(** [skip tl k]: the current turn stood for [1 + k] turns (a run-ahead
+    of [k] accesses); the clock counts the [k] extra ones.  Call it from
+    within the turn, before returning [Ran]. *)
+
 val run :
   timeline -> crash:(int -> unit) -> recover:(int -> unit) ->
   (int -> 'r turn) -> 'r

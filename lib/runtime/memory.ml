@@ -1,11 +1,26 @@
-(* The replay protocol: [remaining] counts the access-or-pause calls
-   still to answer from the recording, [answers] holds the recorded
-   access answers not yet taken, oldest first.  Outside a rebuild
-   [remaining = 0] and [answers = []]. *)
+(* The arena's cursor, read by {!Sim_mem} on every access.  Two
+   protocols use it, never at once.
+
+   Replay: [remaining] counts the access-or-pause calls still to answer
+   from the recording, [answers] holds the recorded access answers not
+   yet taken, oldest first.  Outside a rebuild [remaining = 0] and
+   [answers = []].
+
+   Run-ahead: [grant] counts the accesses the running process may still
+   perform inline, each reported to [tap].  Outside a granted step the
+   grant is 0 and the tap [None], so structural equality on a register,
+   which reaches this cursor through [Register.home], meets no
+   closure. *)
+type tap = Register.t -> Event.access_kind -> unit
+
 type cursor = {
   mutable remaining : int;
   mutable answers : Event.access_kind list;
+  mutable grant : int;
+  mutable tap : tap option;
 }
+
+type Register.home += Arena of cursor
 
 type t = {
   mutable regs : Register.t list (* reversed *);
@@ -14,11 +29,12 @@ type t = {
       (* cache of [regs] (same reverse order) for the hot snapshot paths;
          invalidated by [alloc], rebuilt on demand *)
   cursor : cursor;
+  home : Register.home;  (* [Arena cursor], shared by every register *)
 }
 
 let create () =
-  { regs = []; next = 0; regs_arr = [||];
-    cursor = { remaining = 0; answers = [] } }
+  let cursor = { remaining = 0; answers = []; grant = 0; tap = None } in
+  { regs = []; next = 0; regs_arr = [||]; cursor; home = Arena cursor }
 
 let cursor t = t.cursor
 
@@ -41,10 +57,22 @@ let replay_stop c =
   c.answers <- [];
   all_taken
 
+let grant c n tap =
+  c.grant <- n;
+  c.tap <- Some tap
+
+let ran_ahead c r kind =
+  c.grant <- c.grant - 1;
+  match c.tap with Some tap -> tap r kind | None -> ()
+
+let revoke c =
+  c.grant <- 0;
+  c.tap <- None
+
 let alloc ?name ?model ~width ~init t =
   let id = t.next in
   let name = match name with Some n -> n | None -> Printf.sprintf "r%d" id in
-  let r = Register.make ~id ~name ~width ~model ~init in
+  let r = Register.make_in ~home:t.home ~id ~name ~width ~model ~init in
   t.next <- id + 1;
   t.regs <- r :: t.regs;
   t.regs_arr <- [||];

@@ -53,19 +53,48 @@ val value_changed : t -> before:int array -> Register.t -> bool
     Raises [Invalid_argument] if the arena allocated registers since the
     snapshot was taken. *)
 
-(** {1 Replay cursor}
+(** {1 The arena cursor}
 
-    While {!Scheduler} rebuilds a suspension, the arena carries the
-    answers of the replayed prefix: a count of access-or-pause calls
-    still to answer and the recorded access answers, oldest first.
-    {!Sim_mem}'s access operations take the next answer when its kind
-    matches and return it without performing an effect, and its pause
-    counts itself off the same way.  On a kind mismatch or an exhausted
-    list they perform the effect as usual, so the rebuilding scheduler
-    sees it and reports the divergence.  Outside a rebuild the cursor is
-    clear. *)
+    Every access {!Sim_mem} makes first reads the arena's cursor, which
+    can answer it without performing an effect in two ways, never at
+    once.  Outside both the cursor is clear and every access performs
+    its effect.
 
-type cursor
+    {b Replay.}  While {!Scheduler} rebuilds a suspension, the cursor
+    carries the answers of the replayed prefix: a count of
+    access-or-pause calls still to answer and the recorded access
+    answers, oldest first.  {!Sim_mem}'s access operations take the next
+    answer when its kind matches and return it, and its pause counts
+    itself off the same way.  On a kind mismatch or an exhausted list
+    they perform the effect as usual, so the rebuilding scheduler sees
+    it and reports the divergence.
+
+    {b Run-ahead.}  When {!Scheduler.step_ahead} grants the running
+    process [n] inline accesses, the cursor holds [n] and a {!tap}.
+    Each of the next [n] accesses is then applied to its register at
+    once and reported to the tap, which emits the same event the step
+    would have and counts the access.  Pauses, sleeps and region changes
+    still perform their effects, and the scheduler revokes whatever is
+    left of the grant when its step ends. *)
+
+type tap = Register.t -> Event.access_kind -> unit
+(** Receives each access made inline under a grant, after it was applied
+    to the register. *)
+
+type cursor = private {
+  mutable remaining : int;
+      (** replay: access-or-pause calls still to answer *)
+  mutable answers : Event.access_kind list;
+      (** replay: recorded answers not yet taken, oldest first *)
+  mutable grant : int;  (** run-ahead: inline accesses still granted *)
+  mutable tap : tap option;  (** run-ahead: where they are reported *)
+}
+(** Readable, so that {!Sim_mem}'s check on every access is a field load
+    rather than a call; changed only through the functions below.  Both
+    counts are 0 outside a rebuild and a granted step. *)
+
+type Register.home += Arena of cursor
+(** The home of every register an arena allocates: its cursor. *)
 
 val cursor : t -> cursor
 
@@ -88,6 +117,19 @@ val replay_skip : cursor -> unit
 
 val replay_stop : cursor -> bool
 (** Clear the cursor; [true] iff every recorded answer had been taken. *)
+
+val grant : cursor -> int -> tap -> unit
+(** [grant c n tap]: let the next [n] accesses run inline, each reported
+    to [tap].  The cursor holds the tap only until {!revoke}:
+    registers reach the cursor through {!Register.home}, and structural
+    equality on a register should meet no closure outside a granted
+    step. *)
+
+val ran_ahead : cursor -> Register.t -> Event.access_kind -> unit
+(** Count one inline access off the grant and report it to the tap. *)
+
+val revoke : cursor -> unit
+(** Drop what is left of the grant. *)
 
 val dump : t -> string
 (** One-line rendering of the current contents, for debugging. *)

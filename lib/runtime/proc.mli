@@ -1,11 +1,19 @@
 (** The effect-based process engine.
 
-    An algorithm runs as a plain OCaml function; every shared-memory access
-    performs an effect.  [start] installs a deep handler that reifies the
-    function into a {!suspension}: the scheduler inspects the pending
-    request, performs the semantic operation on the register, and resumes
-    the one-shot continuation with the result.  This realizes the paper's
-    interleaving semantics with one suspension point per atomic step. *)
+    An algorithm runs as a plain OCaml function; a shared-memory access
+    that needs a scheduling decision performs an effect.  [start] installs
+    a deep handler that reifies the function into a {!suspension}: the
+    scheduler inspects the pending request, performs the semantic
+    operation on the register, and resumes the one-shot continuation with
+    the result.  This realizes the paper's interleaving semantics with one
+    suspension point per atomic step.
+
+    Two kinds of access perform no effect, because no decision is due:
+    those answered from the arena's {!Memory.cursor} while the scheduler
+    rebuilds a suspension, and those a process runs inline under a
+    run-ahead grant ({!Scheduler.step_ahead}) when no other process could
+    be picked before them.  Both produce exactly the answers and events
+    the suspended path would. *)
 
 type _ Effect.t +=
   | E_read : Register.t -> int Effect.t

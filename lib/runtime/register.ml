@@ -1,5 +1,8 @@
 open Cfc_base
 
+type home = ..
+type home += Unhomed
+
 type t = {
   id : int;
   name : string;
@@ -7,6 +10,7 @@ type t = {
   model : Model.t option;
   init : int;
   mutable value : int;
+  home : home;
 }
 
 let fits ~width v = v >= 0 && (width >= 62 || v < 1 lsl width)
@@ -22,7 +26,7 @@ let check_fits r ~op v =
          "register %s: %s value %d does not fit in declared width %d bits"
          r.name op v r.width)
 
-let make ~id ~name ~width ~model ~init =
+let make_in ~home ~id ~name ~width ~model ~init =
   if width < 1 || width > 62 then
     invalid_arg (Printf.sprintf "Register.make %s: width %d" name width);
   if not (fits ~width init) then
@@ -35,7 +39,9 @@ let make ~id ~name ~width ~model ~init =
       (Printf.sprintf "Register.make %s: operation models apply to bits only"
          name)
   | _ -> ());
-  { id; name; width; model; init; value = init }
+  { id; name; width; model; init; value = init; home }
+
+let make = make_in ~home:Unhomed
 
 let require_op r op =
   match r.model with

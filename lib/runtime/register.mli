@@ -8,6 +8,13 @@
     simulator invokes them from the scheduler so that every access is a
     single atomic step of the interleaving. *)
 
+type home = ..
+(** What a register knows of the arena that allocated it.  {!Memory}
+    extends it with its arena's cursor, which is how {!Scheduler} finds
+    where to grant a run-ahead from the register a step accessed. *)
+
+type home += Unhomed  (** the home of a register made by {!make} *)
+
 type t = private {
   id : int;          (** unique within the owning {!Memory.t} arena *)
   name : string;     (** for traces and error messages *)
@@ -17,13 +24,20 @@ type t = private {
           [None]: a plain atomic read/write register *)
   init : int;        (** initial value *)
   mutable value : int;
+  home : home;
 }
 
 val make :
   id:int -> name:string -> width:int -> model:Cfc_base.Model.t option ->
   init:int -> t
 (** Raises [Invalid_argument] on a bad width, an init that does not fit,
-    or a model given for a register wider than one bit. *)
+    or a model given for a register wider than one bit.  The register is
+    [Unhomed]. *)
+
+val make_in :
+  home:home -> id:int -> name:string -> width:int ->
+  model:Cfc_base.Model.t option -> init:int -> t
+(** {!make} for an arena: the register records [home]. *)
 
 val read : t -> int
 (** Semantic read.  Raises [Invalid_argument] if the register's model does

@@ -44,13 +44,19 @@ type t = {
       (* false once a process catches a register-op exception and keeps
          going: that answer is not in the trace, so rebuilds would
          diverge.  Checked by the incremental explorer. *)
+  mutable ahead : int;  (* run-ahead budget of this step, not yet armed *)
+  mutable ahead_taken : int;  (* inline accesses of the last step *)
+  mutable home : Register.home;
+      (* the arena last armed: where a pause arms, and what [disarm]
+         revokes *)
 }
 
 exception Replay_mismatch of string
 
 let make ~sink ~nprocs ~spawn replay =
   { nprocs; spawn; procs = Array.make nprocs absent; spawned = 0; sink;
-    replay; active = nprocs; clock = 0; replay_safe = true }
+    replay; active = nprocs; clock = 0; replay_safe = true; ahead = 0;
+    ahead_taken = 0; home = Register.Unhomed }
 
 let of_spawn ~sink ~nprocs ~spawn = make ~sink ~nprocs ~spawn None
 
@@ -127,10 +133,30 @@ let finish t p status =
   | Runnable | Crashed | Errored _ -> ());
   Finished
 
-let access t p r kind =
+(* Run-ahead (see [step_ahead]): hand this step's budget to the arena
+   [home], once per step and only after the step's own access or pause.
+   The process's next accesses then run inline in {!Sim_mem}, and the
+   tap emits and counts each one through [access], as for a suspended
+   access. *)
+let rec arm t p home =
+  match home with
+  | Memory.Arena cur ->
+    Memory.grant cur t.ahead (fun r kind ->
+        t.ahead_taken <- t.ahead_taken + 1;
+        access t p r kind);
+    t.ahead <- 0;
+    t.home <- home
+  | _ -> ()
+
+and access t p r kind =
   emit t p (Event.Access (r, kind));
   p.steps <- p.steps + 1;
-  p.calls <- p.calls + 1
+  p.calls <- p.calls + 1;
+  if t.ahead > 0 then arm t p r.Register.home
+
+let disarm t =
+  t.ahead <- 0;
+  match t.home with Memory.Arena cur -> Memory.revoke cur | _ -> ()
 
 let discontinue_susp s =
   let kill k = try ignore (Effect.Deep.discontinue k Proc.Crashed) with _ -> () in
@@ -162,6 +188,7 @@ let rec go t p s =
     Asleep d
   | Proc.Pause k ->
     p.calls <- p.calls + 1;
+    if t.ahead > 0 then arm t p t.home;
     settle t p (Effect.Deep.continue k ())
   | Proc.Read (r, k) -> begin
     match Register.read r with
@@ -287,24 +314,43 @@ let rebuild t p =
     mismatch s "unconsumed observations after replay";
   s
 
+let advance t p =
+  match p.susp with
+  | None when not p.started ->
+    p.started <- true;
+    bump t p;
+    go t p (Proc.start p.thunk)
+  | susp -> (
+    let s = match susp with Some s -> s | None -> rebuild t p in
+    bump t p;
+    match s with
+    | Proc.Sleep (_, k) ->
+      (* The sleep this process parked at is over. *)
+      p.calls <- p.calls + 1;
+      go t p (Effect.Deep.continue k ())
+    | s -> go t p s)
+
 let step t pid =
   let p = proc t pid in
-  if p.status <> Runnable then Not_runnable
+  if p.status <> Runnable then Not_runnable else advance t p
+
+let step_ahead t pid ~ahead =
+  t.ahead_taken <- 0;
+  if ahead <= 0 then step t pid
   else
-    match p.susp with
-    | None when not p.started ->
-      p.started <- true;
-      bump t p;
-      go t p (Proc.start p.thunk)
-    | susp -> (
-      let s = match susp with Some s -> s | None -> rebuild t p in
-      bump t p;
-      match s with
-      | Proc.Sleep (_, k) ->
-        (* The sleep this process parked at is over. *)
-        p.calls <- p.calls + 1;
-        go t p (Effect.Deep.continue k ())
-      | s -> go t p s)
+    let p = proc t pid in
+    if p.status <> Runnable then Not_runnable
+    else begin
+      t.ahead <- ahead;
+      match advance t p with
+      | result ->
+        disarm t;
+        result
+      | exception e ->
+        disarm t;
+        raise e
+    end
+let ahead_taken t = t.ahead_taken
 
 let crash t pid =
   let p = proc t pid in

@@ -4,7 +4,10 @@
     changes are free (they are not steps in the paper's model) and are
     absorbed transparently; a pause is one step with no access, so
     schedulers regain control inside access-free loops; a sleep ends the
-    step before it.
+    step before it.  A pick policy that knows no other process can run
+    next may let a step run ahead ({!step_ahead}): the process's next
+    accesses then execute inline, with the events and counts of as many
+    single steps.
 
     Pick policies sit on top: {!Runner} with a {!Schedule.picker} (round
     robin, random, solo, explicit lists; the model checker's {!Explore}),
@@ -107,7 +110,31 @@ val step : t -> int -> step_result
     region-change events on the way).  Errors raised by the process are
     captured in its status.  A process that catches the exception of a
     failed register operation (a model or width violation) goes on within
-    the same step, and {!replay_safe} becomes false. *)
+    the same step, and {!replay_safe} becomes false.  [step t pid] is
+    [step_ahead t pid ~ahead:0], without resetting {!ahead_taken}. *)
+
+val step_ahead : t -> int -> ahead:int -> step_result
+(** {!step}, granting the process a run-ahead of up to [ahead] further
+    accesses.  After the step's own access or pause, the grant goes to
+    the arena cursor of the register accessed (for a pause: of the last
+    arena granted), and {!Sim_mem} answers the process's next accesses
+    inline on the live registers: each is applied, then the same
+    [Event.Access] goes to the same sink and its steps are counted, as
+    if the process had been stepped again with no other process
+    between.  Once the budget is spent the next access suspends as
+    usual; pauses, sleeps and completion still end the step.  The step
+    result is the one the last of those steps would have returned, and
+    {!ahead_taken} tells how many accesses ran inline.  A pick policy
+    may grant only when no other process could be picked before those
+    accesses — {!Wheel} grants when its queue is empty, up to its next
+    fault point or turn limit.
+
+    During a run-ahead the sink runs on the process's own stack: an
+    exception it raises surfaces in the process at that access (and,
+    uncaught, ends it as {!Errored}) instead of escaping the step. *)
+
+val ahead_taken : t -> int
+(** Accesses the last {!step_ahead} ran inline. *)
 
 val crash : t -> int -> unit
 (** Inject a fail-stop crash: the process is unwound with {!Proc.Crashed},

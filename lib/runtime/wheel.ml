@@ -118,9 +118,22 @@ let rec next t =
   end
 
 (* One turn: one step, then park the process at the next tick, or on its
-   sleep timer so it leaves the active set until the clock gets there. *)
-let turn t pid =
-  match Scheduler.step t.sched pid with
+   sleep timer so it leaves the active set until the clock gets there.
+   A step granted a run-ahead of [ahead] accesses stands for one turn
+   per inline access as well: the clock and the fault clock move on by
+   that many, exactly as if each had been a turn of its own. *)
+let turn t pid ~ahead =
+  let result =
+    if ahead <= 0 then Scheduler.step t.sched pid
+    else begin
+      let result = Scheduler.step_ahead t.sched pid ~ahead in
+      let taken = Scheduler.ahead_taken t.sched in
+      t.now <- t.now + taken;
+      Fault.skip t.faults taken;
+      result
+    end
+  in
+  match result with
   | Scheduler.Progress -> push t ~tick:(t.now + 1) pid
   | Scheduler.Asleep d -> push t ~tick:(t.now + max 1 d) pid
   | Scheduler.Finished -> (
@@ -139,7 +152,15 @@ let run ?(max_turns = max_int) t =
         let pid = next t in
         if pid < 0 then Fault.Idle Quiescent
         else begin
-          turn t pid;
+          (* With nothing else queued, stale entries included, no other
+             process can be picked before the next fault point or the
+             turn limit: run the popped one ahead until then. *)
+          let ahead =
+            if t.hlen > 0 then 0
+            else
+              min (Fault.next_due t.faults - turns - 1) (max_turns - turns - 1)
+          in
+          turn t pid ~ahead;
           Fault.Ran
         end)
 

@@ -23,6 +23,15 @@
     process until the clock reaches [now + max 1 d]; its next turn
     resumes through the sleep.
 
+    Run-ahead: when the popped entry leaves the heap empty (stale
+    entries included), no other process can run before the next fault
+    point or the turn limit, so the wheel steps the process with
+    {!Scheduler.step_ahead} and a budget that stops one turn short of
+    either.  Its next accesses then run inline, without an effect or a
+    heap round trip, and each still counts as a turn: {!turns}, {!now},
+    fault timing, {!live_peak} and the event stream are what they would
+    be with one turn per access.  A solo run is then a handful of steps.
+
     Determinism: turns are totally ordered by [(wake tick, insertion
     sequence number)], so identical wake/sleep/fault inputs produce the
     identical event stream — same seed, same run.
@@ -63,7 +72,10 @@ type stopped =
 
 val run : ?max_turns:int -> t -> stopped
 (** Drive the wheel until quiescence or [max_turns] (default [max_int])
-    turns.  One turn = one queued process popped and advanced by one
+    turns.  One turn = one access or pause of a process: a queued
+    process popped and advanced by one {!Scheduler.step}, or one access
+    it ran inline in a run-ahead of that step.  The run stops after
+    exactly [max_turns] turns.
     {!Scheduler.step}. *)
 
 (** {2 Queries}
@@ -73,9 +85,14 @@ val run : ?max_turns:int -> t -> stopped
     raises [Invalid_argument]. *)
 
 val now : t -> int
-(** Current virtual tick (the wake tick of the last popped entry). *)
+(** Current virtual tick: the wake tick of the last popped entry, plus
+    one per access that entry's step ran inline — the tick that access
+    would have been popped at. *)
 
 val turns : t -> int
+(** Turns taken so far, inline accesses included, plus any fast-forward
+    jumps of the fault clock ({!Fault.clock}). *)
+
 val nprocs : t -> int
 val status : t -> int -> status
 val region : t -> int -> Event.region

@@ -1016,6 +1016,77 @@ let prop_online_equivalence =
           Printf.sprintf "synthetic seed=%d n=%d: %s" seed n tag);
       true)
 
+(* A fold reset after one trace answers every query on a second trace
+   exactly as a fresh fold fed only the second: reset keeps capacity and
+   recycles process records, never state. *)
+let check_reset_equals_fresh ~ctx ~n a b =
+  let feed_all o t = Trace.iter (fun e -> Measures.Online.feed o ~pid:e.Event.pid e.Event.body) t in
+  let reused = Measures.Online.create ~nprocs:n in
+  feed_all reused a;
+  Measures.Online.reset reused;
+  feed_all reused b;
+  let fresh = Measures.Online.create ~nprocs:n in
+  feed_all fresh b;
+  let eq tag f = check_bool (ctx tag) true (f reused = f fresh) in
+  let open Measures.Online in
+  eq "contention_free" (fun o -> List.init n (fun pid -> contention_free o ~pid));
+  eq "per_process" (fun o -> Array.to_list (per_process o));
+  eq "wc_entries" wc_entries;
+  eq "wc_exits" wc_exits;
+  eq "recovery_paths" recovery_paths;
+  eq "recovery_rmr" recovery_rmr;
+  eq "remote_accesses" (fun o -> Array.to_list (remote_accesses o));
+  eq "touched" (fun o ->
+      List.sort compare (List.map (fun r -> r.Register.id) (touched o)));
+  eq "touched_count" touched_count;
+  eq "events_seen" events_seen;
+  eq "spawned" spawned
+
+let prop_online_reset =
+  QCheck.Test.make ~count:40 ~name:"online reset = fresh fold (seeded)"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let p = Mutex_intf.params 3 in
+      let run ?faults alg =
+        (Mutex_harness.run ~rounds:2 ?faults ~pick:(Schedule.random ~seed)
+           alg p).Runner.trace
+      in
+      let plain = run Registry.lamport_fast in
+      let chaos =
+        run ~faults:(Fault.chaos ~seed ~nprocs:3 ~pairs:2 ~horizon:60)
+          Registry.rec_tas
+      in
+      let ns, synthetic = synthetic_trace seed in
+      let n = max 3 ns in
+      List.iter
+        (fun (what, a, b) ->
+          check_reset_equals_fresh ~n a b ~ctx:(fun tag ->
+              Printf.sprintf "seed=%d %s: %s" seed what tag))
+        [ ("plain, reset, chaos", plain, chaos);
+          ("chaos, reset, plain", chaos, plain);
+          ("synthetic, reset, chaos", synthetic, chaos);
+          ("chaos, reset, synthetic", chaos, synthetic) ];
+      true)
+
+(* The deterministic cost proxy of the solo CF harness: minor words per
+   simulated access (the accesses its samples count) of bakery's n=1024
+   solo runs, set-up included.  Was 31.2 with a fold per run and a wheel
+   turn per access; one reset fold and run-ahead steps give 9.5. *)
+let test_cf_harness_alloc () =
+  let before = Gc.minor_words () in
+  let r = Mutex_harness.contention_free Registry.bakery (Mutex_intf.params 1024) in
+  let words = Gc.minor_words () -. before in
+  let accesses =
+    Array.fold_left
+      (fun acc s -> acc + s.Measures.steps)
+      0 r.Mutex_harness.per_process
+  in
+  let per_access = words /. float_of_int accesses in
+  check_bool
+    (Printf.sprintf "%.2f minor words per access (%d accesses), bound 12"
+       per_access accesses)
+    true (per_access <= 12.)
+
 (* After warm-up, feeding accesses to registers every process has
    already touched allocates nothing: one probe of the process's table,
    then stamp and last-access updates in place.  Four pids cover the
@@ -1039,13 +1110,29 @@ let test_online_feed_no_alloc () =
   for pid = 0 to 3 do
     Array.iter (feed ~pid) bodies
   done;
-  let before = Gc.minor_words () in
-  for i = 0 to 9_999 do
-    Measures.Online.feed o ~pid:(i land 3) bodies.(i land 127)
+  let measure what =
+    let before = Gc.minor_words () in
+    for i = 0 to 9_999 do
+      Measures.Online.feed o ~pid:(i land 3) bodies.(i land 127)
+    done;
+    let words = Gc.minor_words () -. before in
+    check_bool
+      (Printf.sprintf "%s: %.0f minor words for 10^4 accesses" what words)
+      true (words = 0.)
+  in
+  measure "fresh fold";
+  (* The same after a reset, once the recycled records have seen the
+     same warm-up. *)
+  Measures.Online.reset o;
+  feed ~pid:0 (Event.Region_change Event.Trying);
+  feed ~pid:1 (Event.Region_change Event.Exiting);
+  feed ~pid:2 Event.Crash;
+  feed ~pid:2 Event.Recover;
+  feed ~pid:3 (Event.Region_change Event.Trying);
+  for pid = 0 to 3 do
+    Array.iter (feed ~pid) bodies
   done;
-  let words = Gc.minor_words () -. before in
-  check_bool (Printf.sprintf "%.0f minor words for 10^4 accesses" words) true
-    (words = 0.)
+  measure "after reset"
 
 (* A lock that breaks inside its entry section, after two accesses. *)
 module Failing_lock : Mutex_intf.ALG = struct
@@ -1116,6 +1203,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_inc_prefixes;
           Alcotest.test_case "online feed allocates nothing per access"
             `Quick test_online_feed_no_alloc;
+          QCheck_alcotest.to_alcotest prop_online_reset;
+          Alcotest.test_case "cf harness: at most 12 words per access" `Quick
+            test_cf_harness_alloc;
           Alcotest.test_case "cf error carries the last events" `Quick
             test_cf_error_has_recent_events ] );
       ( "bounds",

@@ -872,6 +872,115 @@ let test_wheel_caught_register_error () =
   | Some (0, Invalid_argument _) -> check "no step" 0 (Wheel.steps_taken wheel 0)
   | _ -> Alcotest.fail "uncaught register error not reported"
 
+(* ------------------------------------------------------------------ *)
+(* Run-ahead: a wheel step with nothing else queued runs the process's
+   next accesses inline.  None of it may be observable.                *)
+(* ------------------------------------------------------------------ *)
+
+(* [me]'s solo run of [alg] at [p], through Runner's solo picker (one
+   access per step) and through the wheel (one run-ahead step), each on
+   a fresh system, under the same fault plan. *)
+let solo_both ?(faults = []) alg p me =
+  let n = p.Cfc_mutex.Mutex_intf.n in
+  let memory, procs = Cfc_core.Mutex_harness.system alg p () in
+  let out = Runner.run ~faults ~memory ~pick:(Schedule.solo me) procs in
+  let _, procs = Cfc_core.Mutex_harness.system alg p () in
+  let tr = Trace.create () in
+  let wheel =
+    Wheel.create ~sink:(Scheduler.trace_sink tr) ~faults ~nprocs:n
+      ~spawn:(Array.get procs) ()
+  in
+  Wheel.wake wheel me;
+  check_bool "wheel quiescent" true (Wheel.run wheel = Wheel.Quiescent);
+  (out, wheel, tr)
+
+let check_same_solo ~what (out, wheel, tr) =
+  Alcotest.(check (list string))
+    (what ^ ": same events")
+    (event_strings out.Runner.trace)
+    (event_strings tr);
+  for pid = 0 to Wheel.nprocs wheel - 1 do
+    check (Printf.sprintf "%s: p%d steps" what pid)
+      (Scheduler.steps_taken out.Runner.scheduler pid)
+      (Wheel.steps_taken wheel pid)
+  done
+
+let test_run_ahead_solo_registry () =
+  let module Mi = Cfc_mutex.Mutex_intf in
+  let runs alg n pids =
+    let (module A : Mi.ALG) = alg in
+    let p = Mi.params n in
+    if A.supports p then
+      List.iter
+        (fun me ->
+          check_same_solo
+            ~what:(Printf.sprintf "%s n=%d p%d" A.name n me)
+            (solo_both alg p me))
+        pids
+  in
+  List.iter (fun alg -> runs alg 4 [ 0; 1; 2; 3 ]) Cfc_mutex.Registry.all;
+  runs Cfc_mutex.Registry.bakery 64 [ 0; 31; 63 ]
+
+(* A sole process that pauses and sleeps: a pause or a sleep ends the
+   run-ahead, and the clock and the turn count come out as they did
+   when every access was a turn of its own (pinned from that engine). *)
+let test_run_ahead_pause_sleep () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:8 ~init:0 () in
+  let proc () =
+    M.write r 1;
+    M.pause ();
+    M.write r 2;
+    M.write r 3;
+    Proc.sleep 7;
+    M.write r 4;
+    M.pause ();
+    M.pause ();
+    ignore (M.read r);
+    Proc.sleep 0;
+    M.write r 5;
+    ignore (M.read r)
+  in
+  let wheel = Wheel.create ~nprocs:1 ~spawn:(fun _ -> proc) () in
+  Wheel.wake wheel 0;
+  check_bool "quiescent" true (Wheel.run wheel = Wheel.Quiescent);
+  check "steps" 7 (Wheel.steps_taken wheel 0);
+  check "turns" 10 (Wheel.turns wheel);
+  check "now" 15 (Wheel.now wheel);
+  check "live peak" 1 (Wheel.live_peak wheel);
+  check "last write" 5 (final_value memory "r")
+
+(* Faults fire between turns: a run-ahead stops short of the next fault
+   point, so a crash-restart at any turn of a solo run lands where it
+   lands under Runner. *)
+let test_run_ahead_stops_at_faults () =
+  let module Mi = Cfc_mutex.Mutex_intf in
+  let alg = Cfc_mutex.Registry.bakery and p = Mi.params 4 and me = 2 in
+  let out, _, _ = solo_both alg p me in
+  for k = 0 to out.Runner.total_steps + 1 do
+    let faults = [ Fault.crash ~step:k ~pid:me; Fault.recover ~step:k ~pid:me ] in
+    check_same_solo ~what:(Printf.sprintf "crash-restart at %d" k)
+      (solo_both ~faults alg p me)
+  done
+
+(* A turn limit is a run-ahead limit too: exactly k turns, k steps. *)
+let test_run_ahead_max_turns () =
+  let module Mi = Cfc_mutex.Mutex_intf in
+  let p = Mi.params 4 in
+  let _, wheel, _ = solo_both Cfc_mutex.Registry.bakery p 1 in
+  let total = Wheel.total_steps wheel in
+  for k = 1 to total - 1 do
+    let _, procs = Cfc_core.Mutex_harness.system Cfc_mutex.Registry.bakery p () in
+    let wheel = Wheel.create ~nprocs:4 ~spawn:(Array.get procs) () in
+    Wheel.wake wheel 1;
+    check_bool "out of turns" true
+      (Wheel.run ~max_turns:k wheel = Wheel.Out_of_turns);
+    check (Printf.sprintf "turns, limit %d" k) k (Wheel.turns wheel);
+    check (Printf.sprintf "steps, limit %d" k) k (Wheel.total_steps wheel);
+    check (Printf.sprintf "now, limit %d" k) (k - 1) (Wheel.now wheel)
+  done
+
 (* One range check, in the scheduler's pid table, for both pick
    policies. *)
 let test_pid_out_of_range () =
@@ -1152,6 +1261,15 @@ let () =
             test_wheel_fifo_and_deterministic;
           Alcotest.test_case "caught register error: same turn" `Quick
             test_wheel_caught_register_error ] );
+      ( "run-ahead",
+        [ Alcotest.test_case "solo = Runner's solo (registry)" `Quick
+            test_run_ahead_solo_registry;
+          Alcotest.test_case "pauses and sleeps keep turns and now" `Quick
+            test_run_ahead_pause_sleep;
+          Alcotest.test_case "stops at every fault point" `Quick
+            test_run_ahead_stops_at_faults;
+          Alcotest.test_case "max_turns: exactly k turns and steps" `Quick
+            test_run_ahead_max_turns ] );
       ( "shared step",
         [ Alcotest.test_case "sleep under the scheduler" `Quick
             test_scheduler_sleep_rule;
