@@ -12,10 +12,8 @@
    speedups directly.  Identical state counts between replay and
    incremental, and identical verdicts between the reduced engines and
    incremental, act as cross-checks that the faster engines answer the
-   same question.  Two gated extras: the n=4 tournament-lock headline
-   (exhaustive, non-truncated, 500k state cap, hash-compacted seen set)
-   and a pooled-vs-private shared-seen-set pair at domains=4 whose
-   pooled row must explore strictly fewer states.
+   same question.  One gated extra: the n=4 tournament-lock headline
+   (exhaustive, non-truncated, 500k state cap, hash-compacted seen set).
 
    The n sweep is explicit: every supported (algorithm, n) pair in the
    sweep gets a row, and rows that hit a bound say which bound
@@ -37,7 +35,7 @@ type entry = {
   kind : string;
   engine : string;
   n : int;
-  extra : (string * int) list;  (* l / pairs / domains / share_seen *)
+  extra : (string * int) list;  (* [("pairs", k)] on fault rows *)
   verdict : string;
   runs : int;
   states : int;
@@ -267,31 +265,6 @@ let n4_entries () =
                  ~compact:true alg p)))
     Registry.all
 
-(* Prune pooling: the same POR-reduced search fanned over 4 domains with
-   the shared seen set on and off.  With private per-branch tables the
-   branches re-discover each other's states, so the pooled row must
-   explore strictly fewer states — asserted in the main gate below.
-   Pooled stats depend on worker timing (the verdict and schedule do
-   not), so bench_diff treats share_seen=1 state counts as notes. *)
-let domains_entries () =
-  let ((module A : Mutex_intf.ALG) as alg) = Registry.tree in
-  let n = 3 in
-  let p = Mutex_intf.params n in
-  let config = config_of_n n in
-  match Independence.mutex alg p with
-  | None ->
-    Printf.eprintf "no independence model for %s n=%d\n" A.name n;
-    exit 1
-  | Some independence ->
-    List.map
-      (fun share ->
-        entry ~config ~name:A.name ~kind:"mutex" ~engine:"por" ~n
-          ~extra:[ ("domains", 4); ("share_seen", if share then 1 else 0) ]
-          (fun () ->
-            Props.check_mutex ~config ~engine:Explore.Incremental
-              ~independence ~domains:4 ~share_seen:share alg p))
-      [ true; false ]
-
 let engines =
   [ ("replay", Explore.Replay); ("incremental", Explore.Incremental) ]
 
@@ -370,10 +343,9 @@ let () =
        should follow the JSON layout *)
     let mutex = mutex_entries () in
     let n4 = n4_entries () in
-    let domains = domains_entries () in
     let faults = fault_entries () in
     let naming = naming_entries () in
-    mutex @ n4 @ domains @ faults @ naming
+    mutex @ n4 @ faults @ naming
   in
   (* Cross-checks: replay and incremental must agree on verdict and
      exact stats wherever both ran; the reduced engines (por, por+sym)
@@ -428,24 +400,6 @@ let () =
           exit 1
         end)
     n4_headline;
-  (* Prune-pooling gate: with the shared seen set the 4-domain search
-     must explore strictly fewer states than with private per-branch
-     tables. *)
-  (match
-     List.filter
-       (fun e -> List.mem_assoc "share_seen" e.extra)
-       entries
-   with
-  | [ pooled; unpooled ] when List.assoc "share_seen" pooled.extra = 1 ->
-    if pooled.states >= unpooled.states then begin
-      Printf.eprintf
-        "prune pooling ineffective: shared %d states vs private %d\n"
-        pooled.states unpooled.states;
-      exit 1
-    end
-  | _ ->
-    Printf.eprintf "expected exactly one pooled/unpooled row pair\n";
-    exit 1);
   (* Negative-fixture gate: the broken recovery queue must come back
      refuted on every fault row, and the real recoverable locks clean —
      fail the bench (and with it CI) on the spot, not just on diff. *)

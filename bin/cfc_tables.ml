@@ -125,18 +125,6 @@ let cf_cmd =
     (Cmd.info "cf" ~doc:"Contention-free complexity of one algorithm.")
     Term.(const run $ alg_arg $ n_arg $ l_arg)
 
-(* Parallel exploration defaults to every core at the CLI; the library
-   default stays 1 (sequential) so programmatic callers keep the exact
-   sequential stats. *)
-let domains_arg =
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Explore first-level branches on D domains (1 = sequential; \
-           default: all recommended cores).")
-
 let engine_arg =
   Arg.(
     value
@@ -183,7 +171,7 @@ let mcheck_cmd =
              the seen set (detected collisions are re-explored, counted, \
              and reported).")
   in
-  let run name n l depth domains engine no_por sym compact =
+  let run name n l depth engine no_por sym compact =
     let alg = find_supported_alg name { Mutex_intf.n; l } in
     let config =
       { Cfc_mcheck.Explore.max_depth = depth; max_steps_per_proc = depth;
@@ -220,7 +208,7 @@ let mcheck_cmd =
           None
     in
     match
-      Cfc_mcheck.Props.check_mutex ~config ~engine ~domains ~replay_safe
+      Cfc_mcheck.Props.check_mutex ~config ~engine ~replay_safe
         ?independence ?symmetry ~compact alg { Mutex_intf.n; l }
     with
     | Cfc_mcheck.Explore.Ok stats ->
@@ -268,8 +256,8 @@ let mcheck_cmd =
               (fun i -> Cmd.Exit.info_code i <> 0)
               Cmd.Exit.defaults))
     Term.(
-      const run $ alg_arg $ n_arg $ l_arg $ depth_arg $ domains_arg
-      $ engine_arg $ no_por_arg $ sym_arg $ compact_arg)
+      const run $ alg_arg $ n_arg $ l_arg $ depth_arg $ engine_arg
+      $ no_por_arg $ sym_arg $ compact_arg)
 
 let trace_cmd =
   let seed_arg =
@@ -347,7 +335,7 @@ let faults_cmd =
                "Restrict to one recoverable lock (one of %s); default: all."
                names))
   in
-  let run name n pairs seeds domains =
+  let run name n pairs seeds =
     let p = Mutex_intf.params n in
     let algs =
       match name with
@@ -366,21 +354,24 @@ let faults_cmd =
     Texttab.print
       (Cfc_core.Report.recoverable_table
          ~ns:(List.sort_uniq compare [ 2; 4; 8; n ]));
+    let truncated = ref false in
     List.iter
       (fun ((module A : Mutex_intf.ALG) as alg) ->
         print_newline ();
         (* Bounded-exhaustive verification under the fault model, ahead of
            the randomized chaos schedules below. *)
-        (match
-           Cfc_mcheck.Props.check_mutex_recoverable ~domains ~pairs alg p
-         with
+        (match Cfc_mcheck.Props.check_mutex_recoverable ~pairs alg p with
         | Cfc_mcheck.Explore.Ok stats ->
-          Printf.printf
-            "mcheck %s: recoverable mutual exclusion holds within bounds \
-             (%d states, %d pruned%s)\n"
-            A.name stats.Cfc_mcheck.Explore.states
+          (* As in [mcheck]: a search cut off by a bound is not a proof. *)
+          let cut = stats.Cfc_mcheck.Explore.truncated in
+          if cut then truncated := true;
+          Printf.printf "mcheck %s %s (%d states, %d pruned)\n" A.name
+            (if cut then
+               "TRUNCATED: no violation found, but some branches hit the \
+                depth, step or state bound"
+             else "OK: recoverable mutual exclusion holds within bounds")
+            stats.Cfc_mcheck.Explore.states
             stats.Cfc_mcheck.Explore.pruned_dedup
-            (if stats.Cfc_mcheck.Explore.truncated then ", truncated" else "")
         | Cfc_mcheck.Explore.Violation { schedule; violation; _ } ->
           Format.printf "mcheck %s VIOLATION: %a@.schedule: %s@." A.name
             Cfc_core.Spec.pp_violation violation
@@ -403,15 +394,32 @@ let faults_cmd =
           print_newline ();
           print_string "diagnosis of the first stalled run:\n";
           Format.printf "%a@." Cfc_runtime.Runner.pp_diagnosis out)
-      algs
+      algs;
+    if !truncated then exit 3
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:
          "Crash-recovery fault injection: every recoverable lock's \
           predicted-vs-measured recovery paths, seeded chaos schedules, \
-          and stall diagnostics.")
-    Term.(const run $ rec_alg_arg $ n_arg $ pairs_arg $ seeds_arg $ domains_arg)
+          and stall diagnostics."
+       ~exits:
+         (Cmd.Exit.info 0
+            ~doc:"every lock's bounded search was exhaustive and found no \
+                  violation."
+         :: Cmd.Exit.info 1
+              ~doc:"a lock's bounded search found a violation (VIOLATION)."
+         :: Cmd.Exit.info 2
+              ~doc:"the algorithm is unknown, not recoverable, or does not \
+                    support the parameters."
+         :: Cmd.Exit.info 3
+              ~doc:"no violation was found, but some lock's search was cut \
+                    off by the depth, step or state bound, so its result is \
+                    not a proof (TRUNCATED)."
+         :: List.filter
+              (fun i -> Cmd.Exit.info_code i <> 0)
+              Cmd.Exit.defaults))
+    Term.(const run $ rec_alg_arg $ n_arg $ pairs_arg $ seeds_arg)
 
 let native_cmd =
   let domains_list_arg =

@@ -15,29 +15,24 @@ type access = {
   is_write : bool;
 }
 
-type t = {
-  seen : (int * int * string, access) Hashtbl.t;
-      (* keyed (pid, register id, op class) *)
-  lock : Mutex.t;  (* the observer may fire from worker domains *)
-}
+(* keyed (pid, register id, op class) *)
+type t = (int * int * string, access) Hashtbl.t
 
-let create () = { seen = Hashtbl.create 64; lock = Mutex.create () }
+let create () : t = Hashtbl.create 64
 
 let observer t ~pid ~reg ~kind =
   let cls = Independence.class_of_kind kind in
   let key = (pid, reg.Cfc_runtime.Register.id, cls) in
-  Mutex.lock t.lock;
-  if not (Hashtbl.mem t.seen key) then
-    Hashtbl.add t.seen key
+  if not (Hashtbl.mem t key) then
+    Hashtbl.add t key
       { pid;
         rid = reg.Cfc_runtime.Register.id;
         reg = reg.Cfc_runtime.Register.name;
         cls;
-        is_write = Cfc_runtime.Event.is_write kind };
-  Mutex.unlock t.lock
+        is_write = Cfc_runtime.Event.is_write kind }
 
 let accesses t =
-  Hashtbl.fold (fun _ a acc -> a :: acc) t.seen []
+  Hashtbl.fold (fun _ a acc -> a :: acc) t []
   |> List.sort (fun a b -> compare (a.pid, a.rid, a.cls) (b.pid, b.rid, b.cls))
 
 type pair = {

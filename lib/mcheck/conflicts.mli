@@ -18,10 +18,8 @@ val observer :
   reg:Cfc_runtime.Register.t ->
   kind:Cfc_runtime.Event.access_kind ->
   unit
-(** Pass [observer t] as [observe_access].  Deduplicating and
-    thread-safe (worker domains may fire it concurrently), so wiring it
-    into a multi-node search is cheap: one mutex + one hash probe per
-    access. *)
+(** Pass [observer t] as [observe_access].  Deduplicating, so wiring it
+    into a multi-node search is cheap: one hash probe per access. *)
 
 type access = {
   pid : int;

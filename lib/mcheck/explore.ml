@@ -108,21 +108,12 @@ type counters = {
   mutable fp_collisions : int;
   mutable seen_pop : int;
   mutable seen_cap : int;
-  mutable cutoffs : int;
-      (* depth/step-budget cutoffs below the current node — a subtree is
-         marked fully explored (sharable across branches) only when this
-         did not move while expanding it *)
   mutable truncated : bool;
 }
 
 let new_counters () =
   { runs = 0; states = 0; pruned_dedup = 0; pruned_sym = 0; pruned_por = 0;
-    fp_collisions = 0; seen_pop = 0; seen_cap = 0; cutoffs = 0;
-    truncated = false }
-
-let cutoff c =
-  c.truncated <- true;
-  c.cutoffs <- c.cutoffs + 1
+    fp_collisions = 0; seen_pop = 0; seen_cap = 0; truncated = false }
 
 let stats_of c : stats =
   { runs = c.runs; states = c.states; pruned_dedup = c.pruned_dedup;
@@ -131,30 +122,18 @@ let stats_of c : stats =
     seen_cap = c.seen_cap; truncated = c.truncated }
 
 (* ------------------------------------------------------------------ *)
-(* The seen set.  One abstraction covers the four storage shapes the
-   engines need: exact keys or 64-bit×2 fingerprints (compact mode),
-   private to one search or shared across domain-parallel branches
-   (sharded, mutex-striped).
-
-   Every stored state carries one {!Seen.entry}:
+(* The incremental engine's seen set: exact keys or 64-bit×2
+   fingerprints (compact mode).  Every stored state carries one
+   {!Seen.entry}:
 
    - [e_sleep]/[e_steps] — what the stored exploration assumed, for the
      partial-order reduction's coverage check ({!Seen.covers}): a
      revisit is pruned only if the stored exploration slept on no more
      transitions and had at least as much per-process step budget.
      Without reduction they are never read (presence alone prunes).
-   - [e_open] — in-progress expansions of the state on some DFS stack:
+   - [e_open] — in-progress expansions of the state on the DFS stack:
      the reduction's cycle proviso (a singleton ample set must not step
      onto a state still being expanded).
-   - [e_done]/[e_branch] — cross-branch prune gating in shared mode: a
-     branch may prune on another branch's entry only once that branch
-     {e completed} the state's subtree without hitting any bound
-     ([e_done]); an in-progress or bound-cut foreign entry is adopted
-     and re-explored instead.  Completion-gating is what keeps the
-     verdict and counterexample schedule deterministic and identical to
-     the sequential search's: a pruned-on foreign subtree is fully
-     explored and violation-free, so no branch's DFS can have its
-     verdict changed by another branch's timing — only its stats.
    - [e_fp2] — the second fingerprint lane in compact mode: a first-lane
      hit with a second-lane mismatch is a {e detected} collision
      (counted in [fp_collisions], explored without storing — sound,
@@ -165,53 +144,23 @@ module Seen = struct
     mutable e_sleep : int;
     mutable e_steps : int array;
     mutable e_open : int;
-    mutable e_done : bool;
-    mutable e_branch : int;
     e_fp2 : int;
   }
 
-  (* Shared entry for the unreduced single-search fast path, where only
-     presence matters; never mutated. *)
-  let dummy =
-    { e_sleep = 0; e_steps = [||]; e_open = 0; e_done = false;
-      e_branch = 0; e_fp2 = 0 }
+  (* Shared entry for the unreduced fast path, where only presence
+     matters; never mutated. *)
+  let dummy = { e_sleep = 0; e_steps = [||]; e_open = 0; e_fp2 = 0 }
 
-  type store = Exact of entry Tbl.t | Compact of (int, entry) Hashtbl.t
+  type t = Exact of entry Tbl.t | Compact of (int, entry) Hashtbl.t
 
-  type shard = { sh_lock : Mutex.t; sh_store : store }
-
-  type t = Local of store | Sharded of shard array
-
-  (* Handle on an entered state: the entry plus the lock protecting it
-     (shared mode only). *)
-  type tok = { t_entry : entry; t_lock : Mutex.t option }
-
-  let nshards = 64
-
-  let mk_store ~compact cap =
+  let create ~compact cap =
     if compact then Compact (Hashtbl.create cap) else Exact (Tbl.create cap)
 
-  let create ~compact ~shared cap =
-    if shared then
-      Sharded
-        (Array.init nshards (fun _ ->
-             { sh_lock = Mutex.create ();
-               sh_store = mk_store ~compact (max 16 (cap / nshards)) }))
-    else Local (mk_store ~compact cap)
-
-  let store_pop = function
+  let population = function
     | Exact t -> Tbl.length t
     | Compact t -> Hashtbl.length t
 
-  let population = function
-    | Local s -> store_pop s
-    | Sharded shards ->
-      Array.fold_left (fun acc sh -> acc + store_pop sh.sh_store) 0 shards
-
   let fp_of ((key, used) : State_key.t * int) = State_key.fingerprint key used
-
-  let shard_of shards ((k, u) : State_key.t * int) =
-    shards.(((State_key.hash k + u) land max_int) mod nshards)
 
   let covers e ~sleep ~steps =
     e.e_sleep land lnot sleep = 0
@@ -219,32 +168,28 @@ module Seen = struct
         Array.iteri (fun i s -> if s < e.e_steps.(i) then ok := false) steps;
         !ok)
 
-  let fresh ~sleep ~steps ~branch ~fp2 =
-    { e_sleep = sleep; e_steps = steps; e_open = 0; e_done = false;
-      e_branch = branch; e_fp2 = fp2 }
+  let fresh ~sleep ~steps ~fp2 =
+    { e_sleep = sleep; e_steps = steps; e_open = 0; e_fp2 = fp2 }
 
   (* [None]: pruned (the matching counter has been bumped).  [Some e]:
      proceed and expand; [e]'s payload has been (re)set to this visit's
      sleep/steps. *)
-  let enter_store store ~c ~por ~shared ~branch ~rewritten ~sleep ~steps key
-      =
+  let enter seen ~c ~por ~rewritten ~sleep ~steps key =
     let prune () =
       if rewritten then c.pruned_sym <- c.pruned_sym + 1
       else c.pruned_dedup <- c.pruned_dedup + 1;
       None
     in
     let decide e =
-      let mine = (not shared) || e.e_done || e.e_branch = branch in
-      if mine && ((not por) || covers e ~sleep ~steps) then prune ()
+      if (not por) || covers e ~sleep ~steps then prune ()
       else begin
         e.e_sleep <- sleep;
         e.e_steps <- steps;
-        e.e_branch <- branch;
         Some e
       end
     in
-    match store with
-    | Exact tbl when (not por) && not shared ->
+    match seen with
+    | Exact tbl when not por ->
       (* membership test and insert in one hashing pass: [replace] on a
          present key leaves the size unchanged *)
       let population = Tbl.length tbl in
@@ -254,7 +199,7 @@ module Seen = struct
       match Tbl.find_opt tbl key with
       | Some e -> decide e
       | None ->
-        let e = fresh ~sleep ~steps ~branch ~fp2:0 in
+        let e = fresh ~sleep ~steps ~fp2:0 in
         Tbl.add tbl key e;
         Some e)
     | Compact tbl -> (
@@ -262,105 +207,24 @@ module Seen = struct
       match Hashtbl.find_opt tbl fp1 with
       | Some e when e.e_fp2 <> fp2 ->
         c.fp_collisions <- c.fp_collisions + 1;
-        Some (fresh ~sleep ~steps ~branch ~fp2)
+        Some (fresh ~sleep ~steps ~fp2)
       | Some e -> decide e
       | None ->
-        let e = fresh ~sleep ~steps ~branch ~fp2 in
+        let e = fresh ~sleep ~steps ~fp2 in
         Hashtbl.add tbl fp1 e;
         Some e)
 
-  let enter seen ~c ~por ~branch ~rewritten ~sleep ~steps key =
-    match seen with
-    | Local store -> (
-      match
-        enter_store store ~c ~por ~shared:false ~branch ~rewritten ~sleep
-          ~steps key
-      with
-      | None -> None
-      | Some e -> Some { t_entry = e; t_lock = None })
-    | Sharded shards -> (
-      let sh = shard_of shards key in
-      Mutex.lock sh.sh_lock;
-      let r =
-        enter_store sh.sh_store ~c ~por ~shared:true ~branch ~rewritten
-          ~sleep ~steps key
-      in
-      Mutex.unlock sh.sh_lock;
-      match r with
-      | None -> None
-      | Some e -> Some { t_entry = e; t_lock = Some sh.sh_lock })
-
-  let with_lock tok f =
-    match tok.t_lock with
-    | None -> f tok.t_entry
-    | Some l ->
-      Mutex.lock l;
-      let r = f tok.t_entry in
-      Mutex.unlock l;
-      r
-
-  let open_incr tok = with_lock tok (fun e -> e.e_open <- e.e_open + 1)
-  let open_decr tok = with_lock tok (fun e -> e.e_open <- e.e_open - 1)
-
-  (* Mark the state's subtree fully explored — only meaningful (and only
-     paid for) in shared mode, where it gates cross-branch pruning. *)
-  let mark_done tok =
-    match tok.t_lock with
-    | None -> ()
-    | Some l ->
-      Mutex.lock l;
-      tok.t_entry.e_done <- true;
-      Mutex.unlock l
-
-  let find_store store key =
-    match store with
-    | Exact tbl -> Tbl.find_opt tbl key
-    | Compact tbl -> (
-      let fp1, fp2 = fp_of key in
-      match Hashtbl.find_opt tbl fp1 with
-      | Some e when e.e_fp2 = fp2 -> Some e
-      | Some _ | None -> None)
-
   let is_open seen key =
-    match seen with
-    | Local store -> (
-      match find_store store key with Some e -> e.e_open > 0 | None -> false)
-    | Sharded shards ->
-      let sh = shard_of shards key in
-      Mutex.lock sh.sh_lock;
-      let r =
-        match find_store sh.sh_store key with
-        | Some e -> e.e_open > 0
-        | None -> false
-      in
-      Mutex.unlock sh.sh_lock;
-      r
-
-  (* Seed the root state of a branch-parallel search: the root node is
-     handled by the coordinator (it is the common prefix of every
-     branch), so every branch may prune schedules looping back to it —
-     exactly as the sequential search does with its root entry. *)
-  let seed seen ~nprocs ~sleep key =
-    let e =
-      { e_sleep = sleep; e_steps = Array.make nprocs 0; e_open = 0;
-        e_done = true; e_branch = -1; e_fp2 = 0 }
+    let found =
+      match seen with
+      | Exact tbl -> Tbl.find_opt tbl key
+      | Compact tbl -> (
+        let fp1, fp2 = fp_of key in
+        match Hashtbl.find_opt tbl fp1 with
+        | Some e when e.e_fp2 = fp2 -> Some e
+        | Some _ | None -> None)
     in
-    match seen with
-    | Local store -> (
-      match store with
-      | Exact tbl -> Tbl.replace tbl key e
-      | Compact tbl ->
-        let fp1, fp2 = fp_of key in
-        Hashtbl.replace tbl fp1 { e with e_fp2 = fp2 })
-    | Sharded shards -> (
-      let sh = shard_of shards key in
-      Mutex.lock sh.sh_lock;
-      (match sh.sh_store with
-      | Exact tbl -> Tbl.replace tbl key e
-      | Compact tbl ->
-        let fp1, fp2 = fp_of key in
-        Hashtbl.replace tbl fp1 { e with e_fp2 = fp2 });
-      Mutex.unlock sh.sh_lock)
+    match found with Some e -> e.e_open > 0 | None -> false
 end
 
 (* Scheduler choices offered at the current state, in the canonical order
@@ -535,8 +399,8 @@ let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
     Violation { schedule; violation; stats = stats_of c }
 
 (* ------------------------------------------------------------------ *)
-(* The incremental engine: one live (memory, scheduler, trace) per search
-   branch, extended by a single action per node and rolled back by
+(* The incremental engine: one live (memory, scheduler, trace) per
+   search, extended by a single action per node and rolled back by
    checkpoint/undo between siblings.  Checkpoints are O(nprocs +
    registers) scalars — continuations are one-shot and cannot be cloned,
    so a process whose continuation was consumed by an abandoned sibling
@@ -567,7 +431,6 @@ type inc_state = {
   i_fresh_only : bool;
   i_sym : Symmetry.t option;
   i_pairs : int;
-  i_branch : int;  (* root-branch index in parallel mode, else 0 *)
   i_memory : Memory.t;
   i_sched : Scheduler.t;
   i_trace : Trace.t;
@@ -594,8 +457,7 @@ type checkpoint = {
     option;
 }
 
-let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
-    ~observe =
+let make_inc_state ~config ~sym ~pairs ~system ~inc ~ind ~seen ~c ~observe =
   let memory, procs = system () in
   let trace = Trace.create () in
   let obs = Array.make (Array.length procs) [] in
@@ -613,7 +475,7 @@ let make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
           p_probe = Tbl.create 256 }
   in
   { i_config = config; i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
-    i_pairs = pairs; i_branch = branch; i_memory = memory; i_sched = sched;
+    i_pairs = pairs; i_memory = memory; i_sched = sched;
     i_trace = trace; i_obs = obs;
     i_obs_hash = Array.make (Array.length procs) 0; i_nprocs = nprocs;
     i_inc = Inc.start inc ~nprocs; i_seen = seen; i_c = c; i_por = por;
@@ -924,7 +786,7 @@ let others_commute st por ~p ~afp ~a_visible ~used =
 let rec expand_inc st schedule depth used ~from ~sleep ~pre =
   let config = st.i_config and c = st.i_c in
   if c.states >= config.max_states then begin
-    cutoff c;
+    c.truncated <- true;
     raise Budget
   end;
   c.states <- c.states + 1;
@@ -958,20 +820,18 @@ let rec expand_inc st schedule depth used ~from ~sleep ~pre =
   let sleep_c = perm_sleep kk.kk_pi sleep in
   let steps_c = if por then perm_steps kk.kk_pi (steps_vector st) else [||] in
   let proceed =
-    Seen.enter st.i_seen ~c ~por ~branch:st.i_branch
-      ~rewritten:kk.kk_rewritten ~sleep:sleep_c ~steps:steps_c kk.kk_key
+    Seen.enter st.i_seen ~c ~por ~rewritten:kk.kk_rewritten ~sleep:sleep_c
+      ~steps:steps_c kk.kk_key
   in
   match proceed with
   | None -> ()
-  | Some tok ->
+  | Some e ->
     (* Stack tracking is only consulted (and only safe to mutate — the
-       POR-off local path shares [Seen.dummy] across states) under
+       POR-off path shares [Seen.dummy] across states) under
        reduction. *)
-    let tracked = por in
-    if tracked then Seen.open_incr tok;
-    let cut0 = c.cutoffs in
+    if por then e.Seen.e_open <- e.Seen.e_open + 1;
     Fun.protect
-      ~finally:(fun () -> if tracked then Seen.open_decr tok)
+      ~finally:(fun () -> if por then e.Seen.e_open <- e.Seen.e_open - 1)
       (fun () ->
         let candidates =
           candidates_of st.i_sched ~config ~fresh_only:st.i_fresh_only
@@ -984,10 +844,11 @@ let rec expand_inc st schedule depth used ~from ~sleep ~pre =
         | None -> (
           match candidates with
           | [] ->
-            if not (Scheduler.all_quiescent st.i_sched) then cutoff c;
+            if not (Scheduler.all_quiescent st.i_sched) then
+              c.truncated <- true;
             c.runs <- c.runs + 1
           | _ when depth >= config.max_depth ->
-            cutoff c;
+            c.truncated <- true;
             c.runs <- c.runs + 1
           | [ a ] ->
             (* A chain: no sibling will ever need this state back, so no
@@ -1006,10 +867,7 @@ let rec expand_inc st schedule depth used ~from ~sleep ~pre =
                 ignore (apply st a);
                 expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
                   ~from:trace_len ~sleep:0 ~pre:None)
-              candidates));
-    (* Completed without raising and without hitting any bound below:
-       other branches may now prune on this state. *)
-    if c.cutoffs = cut0 then Seen.mark_done tok
+              candidates))
 
 (* The reduced node expansion.  Sleeping processes' steps are covered by
    commuted schedules under an earlier sibling, so they are dropped up
@@ -1033,13 +891,13 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
   match live with
   | [] ->
     if candidates = [] then begin
-      if not (Scheduler.all_quiescent st.i_sched) then cutoff c;
+      if not (Scheduler.all_quiescent st.i_sched) then c.truncated <- true;
       c.runs <- c.runs + 1
     end
     (* otherwise every enabled step is asleep: each is explored, after
        commuting, under an earlier sibling of some ancestor *)
   | _ when depth >= config.max_depth ->
-    cutoff c;
+    c.truncated <- true;
     c.runs <- c.runs + 1
   | [ a ] ->
     (* a chain, as in the unreduced engine: no checkpoint *)
@@ -1119,15 +977,14 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
 let with_system st f =
   Fun.protect ~finally:(fun () -> Scheduler.dispose st.i_sched) f
 
-let run_inc_seq ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system
-    ~inc ~ind () =
+let run_inc ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system ~inc
+    ~ind () =
   let c = new_counters () in
   let cap = tbl_size ?hint:seen_hint config in
-  let seen = Seen.create ~compact ~shared:false cap in
+  let seen = Seen.create ~compact cap in
   c.seen_cap <- cap;
   let st =
-    make_inc_state ~config ~sym ~pairs ~branch:0 ~system ~inc ~ind ~seen ~c
-      ~observe
+    make_inc_state ~config ~sym ~pairs ~system ~inc ~ind ~seen ~c ~observe
   in
   let finish () = c.seen_pop <- Seen.population seen in
   match
@@ -1145,198 +1002,6 @@ let run_inc_seq ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system
     Violation { schedule; violation; stats = stats_of c }
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel exploration: the root node's candidate actions are
-   independent subtrees; workers pull them from a shared index and run a
-   full incremental engine on each (own system, own counters —
-   continuations and registers cannot cross domains).  Results are
-   merged by branch index, so the verdict, counterexample schedule and
-   stats are deterministic and independent of the number of domains: the
-   reported violation is the one in the earliest branch in canonical
-   candidate order, i.e. the same branch the sequential DFS enters first.
-
-   By default the branches pool their prunes through one shared sharded
-   seen set ([share_seen]); cross-branch pruning is gated on subtree
-   completion (see {!Seen}), which keeps verdict and schedule — though
-   not the stats — deterministic.  [share_seen:false] falls back to
-   fully private per-branch tables (each branch then re-discovers the
-   states the others reached first — the A/B baseline the bench uses to
-   demonstrate the pooling).  Each branch keeps the full [max_states]
-   budget either way.
-
-   Under reduction the root expands fully, and branch [i] starts with the
-   prior branches' pids asleep (filtered through its own first action),
-   mirroring the sequential sleep propagation. *)
-
-type branch_result =
-  | B_ok of stats
-  | B_viol of action list * Cfc_core.Spec.violation * stats
-  | B_fallback
-
-let run_branch ~config ?seen_hint ?observe ~sym ~compact ~shared ~branch
-    ~pairs ~system ~inc ~ind ~sleep0 a =
-  let c = new_counters () in
-  let seen =
-    match shared with
-    | Some seen -> seen
-    | None ->
-      let cap = tbl_size ?hint:seen_hint config in
-      c.seen_cap <- cap;
-      Seen.create ~compact ~shared:false cap
-  in
-  let st =
-    make_inc_state ~config ~sym ~pairs ~branch ~system ~inc ~ind ~seen ~c
-      ~observe
-  in
-  let regvals0 = Memory.values st.i_memory in
-  (* With a private table, seed the memo with the initial state's key so
-     a schedule that loops back to it is pruned exactly as in the
-     sequential search (the shared table is seeded once by the
-     coordinator instead). *)
-  (match shared with
-  | Some _ -> ()
-  | None ->
-    let kk = canon_key_of st ~regvals:regvals0 ~used:0 in
-    Seen.seed seen ~nprocs:st.i_nprocs ~sleep:sleep0 kk.kk_key);
-  let finish () =
-    if shared = None then c.seen_pop <- Seen.population seen
-  in
-  match
-    with_system st (fun () ->
-        let access = apply st a in
-        let sleep =
-          match st.i_por with
-          | None -> 0
-          | Some por -> filter_sleep st por sleep0 access ~before:regvals0
-        in
-        expand_inc st [ a ] 1 (bump_used 0 a) ~from:0 ~sleep ~pre:None)
-  with
-  | () ->
-    finish ();
-    B_ok (stats_of c)
-  | exception Budget ->
-    finish ();
-    B_ok (stats_of c)
-  | exception Found (schedule, violation) ->
-    finish ();
-    B_viol (schedule, violation, stats_of c)
-  | exception Fallback -> B_fallback
-
-let run_inc_par ~config ?seen_hint ?observe ~sym ~compact ~share_seen ~pairs
-    ~system ~inc ~ind ~domains () =
-  (* The root node is processed by the coordinator (it is the common
-     prefix of every branch); its counter contributions mirror the
-     sequential engine's. *)
-  let c = new_counters () in
-  let st =
-    make_inc_state ~config ~sym ~pairs ~branch:0 ~system ~inc ~ind
-      ~seen:(Seen.create ~compact ~shared:false 64) ~c ~observe
-  in
-  c.states <- 1;
-  (* No process has run at the root: no errors, nothing to feed. *)
-  let candidates =
-    candidates_of st.i_sched ~config ~fresh_only:st.i_fresh_only ~pairs
-      ~nprocs:st.i_nprocs ~used:0
-  in
-  match candidates with
-  | [] ->
-    if not (Scheduler.all_quiescent st.i_sched) then c.truncated <- true;
-    c.runs <- 1;
-    Ok (stats_of c)
-  | _ when 0 >= config.max_depth ->
-    c.truncated <- true;
-    c.runs <- 1;
-    Ok (stats_of c)
-  | candidates ->
-    let jobs = Array.of_list candidates in
-    let njobs = Array.length jobs in
-    let shared_cap = tbl_size ?hint:seen_hint config in
-    let shared =
-      if share_seen then begin
-        let seen = Seen.create ~compact ~shared:true shared_cap in
-        (* seed the root state (fully handled here) so every branch may
-           prune schedules looping back to it *)
-        let regvals0 = Memory.values st.i_memory in
-        let kk = canon_key_of st ~regvals:regvals0 ~used:0 in
-        Seen.seed seen ~nprocs:st.i_nprocs ~sleep:0 kk.kk_key;
-        Some seen
-      end
-      else None
-    in
-    (* sleep seed per branch: the pids of the branches before it *)
-    let sleeps = Array.make njobs 0 in
-    (match ind with
-    | None -> ()
-    | Some _ ->
-      let acc = ref 0 in
-      Array.iteri
-        (fun i a ->
-          sleeps.(i) <- !acc;
-          match a with
-          | Step p -> acc := !acc lor (1 lsl p)
-          | Crash _ | Recover _ -> ())
-        jobs);
-    let results = Array.make njobs (B_ok (stats_of (new_counters ()))) in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < njobs then begin
-          results.(i) <-
-            run_branch ~config ?seen_hint ?observe ~sym ~compact ~shared
-              ~branch:i ~pairs ~system ~inc ~ind ~sleep0:sleeps.(i) jobs.(i);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers =
-      List.init
-        (max 0 (min domains njobs - 1))
-        (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    List.iter Domain.join helpers;
-    if Array.exists (function B_fallback -> true | B_ok _ | B_viol _ -> false)
-         results
-    then raise Fallback;
-    (* First violating branch in candidate order wins; its stats merge
-       with the branches the sequential DFS would have completed before
-       reaching it. *)
-    let first_viol = ref None in
-    for i = njobs - 1 downto 0 do
-      match results.(i) with
-      | B_viol (schedule, violation, _) -> first_viol := Some (i, schedule, violation)
-      | B_ok _ | B_fallback -> ()
-    done;
-    let last = match !first_viol with Some (i, _, _) -> i | None -> njobs - 1 in
-    for i = 0 to last do
-      let s =
-        match results.(i) with
-        | B_ok s -> s
-        | B_viol (_, _, s) -> s
-        | B_fallback -> assert false
-      in
-      c.runs <- c.runs + s.runs;
-      c.states <- c.states + s.states;
-      c.pruned_dedup <- c.pruned_dedup + s.pruned_dedup;
-      c.pruned_sym <- c.pruned_sym + s.pruned_sym;
-      c.pruned_por <- c.pruned_por + s.pruned_por;
-      c.fp_collisions <- c.fp_collisions + s.fp_collisions;
-      c.seen_pop <- c.seen_pop + s.seen_pop;
-      c.seen_cap <- c.seen_cap + s.seen_cap;
-      c.truncated <- c.truncated || s.truncated
-    done;
-    (match shared with
-    | Some seen ->
-      c.seen_pop <- c.seen_pop + Seen.population seen;
-      c.seen_cap <- c.seen_cap + shared_cap
-    | None -> ());
-    (match !first_viol with
-    | Some (_, schedule, violation) ->
-      Violation { schedule; violation; stats = stats_of c }
-    | None -> Ok (stats_of c))
-
-(* ------------------------------------------------------------------ *)
 
 (* The engine, over action schedules.  [pairs] is the crash–recovery
    budget: 0 disables fault injection entirely (the plain interleaving
@@ -1344,8 +1009,7 @@ let run_inc_par ~config ?seen_hint ?observe ~sym ~compact ~share_seen ~pairs
    point, crashing any started runnable process (while crashes remain in
    the budget) and recovering any crashed one. *)
 let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
-    ?(domains = 1) ?(share_seen = true) ?(compact = false)
-    ?(replay_safe = true) ?independence ?seen_hint ~inc ?observe_access
+    ?(compact = false) ?(replay_safe = true) ?independence ?seen_hint ~inc ?observe_access
     ~pairs ~system ~check () =
   (* The partial-order reduction applies only where its soundness
      argument does: the plain interleaving exploration (no crash
@@ -1378,12 +1042,8 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
     run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check ()
   | Incremental -> (
     try
-      if domains <= 1 then
-        run_inc_seq ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system
-          ~inc ~ind ()
-      else
-        run_inc_par ~config ?seen_hint ?observe ~sym ~compact ~share_seen
-          ~pairs ~system ~inc ~ind ~domains ()
+      run_inc ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system ~inc
+        ~ind ()
     with Fallback ->
       (* Some process caught a register-op exception and continued; its
          local state is invisible to observation replay.  Start over on
@@ -1391,12 +1051,11 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
       run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check
         ())
 
-let run ?config ?symmetry ?engine ?domains ?share_seen ?compact ?replay_safe
-    ?independence ?seen_hint ~inc ?observe_access ~system ~check () =
+let run ?config ?symmetry ?engine ?compact ?replay_safe ?independence
+    ?seen_hint ~inc ?observe_access ~system ~check () =
   match
-    run_gen ?config ?symmetry ?engine ?domains ?share_seen ?compact
-      ?replay_safe ?independence ?seen_hint ~inc ?observe_access ~pairs:0
-      ~system ~check ()
+    run_gen ?config ?symmetry ?engine ?compact ?replay_safe ?independence
+      ?seen_hint ~inc ?observe_access ~pairs:0 ~system ~check ()
   with
   | Ok stats -> Ok stats
   | Violation { schedule; violation; stats } ->
@@ -1409,9 +1068,7 @@ let run ?config ?symmetry ?engine ?domains ?share_seen ?compact ?replay_safe
     in
     Violation { schedule = pids; violation; stats }
 
-let run_faults ?config ?symmetry ?engine ?domains ?share_seen ?compact
-    ?replay_safe ?independence ?seen_hint ~inc ?observe_access ?(pairs = 2)
-    ~system ~check () =
-  run_gen ?config ?symmetry ?engine ?domains ?share_seen ?compact
-    ?replay_safe ?independence ?seen_hint ~inc ?observe_access ~pairs
-    ~system ~check ()
+let run_faults ?config ?symmetry ?engine ?compact ?replay_safe ?independence
+    ?seen_hint ~inc ?observe_access ?(pairs = 2) ~system ~check () =
+  run_gen ?config ?symmetry ?engine ?compact ?replay_safe ?independence
+    ?seen_hint ~inc ?observe_access ~pairs ~system ~check ()

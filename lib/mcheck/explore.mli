@@ -3,7 +3,7 @@
     Two engines share one search order and one memoization:
 
     - {b Incremental} (the default): one live (memory, scheduler, trace)
-      per search branch, extended by a single action per node.  Sibling
+      per search, extended by a single action per node.  Sibling
       branches are explored by checkpoint/undo — a checkpoint stores the
       register values, the trace length, the scheduler's scalar state
       and the incremental-checker state, all O(nprocs + registers).
@@ -79,24 +79,6 @@
     lanes to collide at once (~124 bits).  The exact mode remains the
     default and the tests cross-check compact verdicts against it.
 
-    {b Domain parallelism} ([domains > 1], incremental engine only): the
-    root node's candidate actions are independent subtrees fanned out
-    over [Domain.spawn] workers, each with its own system and counters.
-    By default ([share_seen]) the branches pool their prunes through one
-    shared, mutex-striped seen set; cross-branch pruning is gated on
-    subtree {e completion} (a state another branch finished exploring
-    without hitting any bound), which keeps the verdict and the reported
-    counterexample schedule deterministic — identical for every
-    [domains] value and every timing — while the stats (how much work
-    each branch happened to skip) may vary run to run.  Results merge by
-    branch index: the reported violation is the one in the earliest
-    branch in canonical candidate order, i.e. the same branch the
-    sequential DFS enters first.  [share_seen:false] reverts to fully
-    private per-branch tables (deterministic stats, but branches
-    re-discover each other's states).  Each branch gets the full
-    [max_states] budget either way; [domains = 1] (the default) is
-    exactly the sequential search.
-
     {!run_faults} additionally enumerates bounded crash–recovery faults
     ({!action}) as scheduler choices: at every decision point any started
     runnable process may crash (losing its local state — its observation
@@ -106,7 +88,9 @@
     Guarantees: within the given bounds the search visits every reachable
     interleaving class, so a reported [Ok] means no violation exists up to
     the bounds (not absolute correctness); a reported violation comes with
-    its schedule and replays deterministically. *)
+    its schedule and replays deterministically.  The search is sequential,
+    so the verdict, the schedule and every stat are a pure function of
+    the inputs. *)
 
 type config = {
   max_depth : int;  (** total scheduler steps per explored run *)
@@ -133,8 +117,7 @@ type stats = {
           without storing); always 0 in exact mode *)
   seen_pop : int;  (** seen-set entries at the end of the search *)
   seen_cap : int;
-      (** seen-set initial capacity ([max_states] or the [seen_hint]);
-          with private per-branch tables, the sum over branches *)
+      (** seen-set initial capacity ([max_states] or the [seen_hint]) *)
   truncated : bool;  (** some branch hit a bound *)
 }
 
@@ -166,8 +149,6 @@ val run :
   ?config:config ->
   ?symmetry:Symmetry.t ->
   ?engine:engine ->
-  ?domains:int ->
-  ?share_seen:bool ->
   ?compact:bool ->
   ?replay_safe:bool ->
   ?independence:Independence.t ->
@@ -202,12 +183,6 @@ val run :
     pid — the old candidate-level pruning — when no [independence] hint
     is active.
 
-    [domains] (default 1) fans the root branches over that many domains
-    (capped by the branch count; incremental engine only); [share_seen]
-    (default [true]) pools prunes across branches through a shared
-    sharded seen set — see the module docstring for the determinism
-    story.
-
     [compact] (default [false]) stores 2×62-bit fingerprints instead of
     full keys in the incremental engine's seen set; collisions are
     counted in [fp_collisions].  The replay engine ignores it.
@@ -241,16 +216,12 @@ val run :
     times (once per node that performs or — on the replay engine —
     re-executes it), so consumers must deduplicate; the set of (pid,
     register, kind) triples delivered is the set of accesses in the
-    explored prefix tree, on either engine.  With [domains > 1] the
-    callback fires concurrently from worker domains and must be
-    thread-safe. *)
+    explored prefix tree, on either engine. *)
 
 val run_faults :
   ?config:config ->
   ?symmetry:Symmetry.t ->
   ?engine:engine ->
-  ?domains:int ->
-  ?share_seen:bool ->
   ?compact:bool ->
   ?replay_safe:bool ->
   ?independence:Independence.t ->

@@ -234,7 +234,8 @@ let detector ?config det (p : Cfc_mutex.Mutex_intf.params) =
    are computed once when it is interned, and each (set, register, op
    class) transition is memoised.  A warmed tracker therefore observes
    and answers without allocating.  The tables live in the tracker, not
-   in [t], because parallel search branches share [t] across domains. *)
+   in [t], because one [t] serves many searches (a registry sweep, a
+   bench's repeated runs) and each search starts its own tracker. *)
 
 let top = -1
 

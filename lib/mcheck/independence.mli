@@ -87,7 +87,7 @@ val of_report : Cfc_analysis.Analyze.report -> t
     so once a tracker has met a position and transition, {!observe},
     {!cycle_member}, {!next_fp}, {!future_fp}, {!known} and
     {!next_may_end} allocate nothing.  Each tracker owns its tables: one
-    [t] may be tracked from several domains at once. *)
+    [t] may back any number of trackers. *)
 
 type tracker
 type snap

@@ -3,8 +3,8 @@
     checker supplies the incremental form of its property
     ({!Cfc_core.Spec.Inc}), so the default {!Explore.Incremental} engine
     pays O(new events) per node instead of a whole-trace rescan;
-    [symmetry]/[engine]/[domains]/[share_seen]/[compact]/[replay_safe]/
-    [independence]/[seen_hint] are forwarded to
+    [symmetry]/[engine]/[compact]/[replay_safe]/[independence]/
+    [seen_hint] are forwarded to
     {!Explore.run}/{!Explore.run_faults} — pass [replay_safe:false] when
     static analysis says the algorithm swallows discontinuation, so the
     search starts on the replay engine instead of falling back,
@@ -18,8 +18,7 @@
 
 val check_mutex :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?domains:int -> ?share_seen:bool -> ?compact:bool ->
-  ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   ?observe_access:
     (pid:int ->
     reg:Cfc_runtime.Register.t ->
@@ -34,8 +33,7 @@ val check_mutex :
 
 val check_mutex_recoverable :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?domains:int -> ?share_seen:bool -> ?compact:bool ->
-  ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   ?pairs:int -> ?rounds:int ->
   Cfc_mutex.Registry.alg -> Cfc_mutex.Mutex_intf.params ->
   Explore.fault_result
@@ -48,30 +46,29 @@ val check_mutex_recoverable :
 
 val check_detector :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?domains:int -> ?share_seen:bool -> ?compact:bool ->
-  ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   Cfc_mutex.Registry.detector ->
   Cfc_mutex.Mutex_intf.params -> Explore.result
 (** Verify the at-most-one-winner property of a contention detector. *)
 
 val check_consensus :
-  ?config:Explore.config -> ?engine:Explore.engine -> ?domains:int ->
-  ?share_seen:bool -> ?compact:bool -> ?replay_safe:bool -> ?seen_hint:int ->
+  ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
+  ?replay_safe:bool -> ?seen_hint:int ->
   Cfc_consensus.Registry.alg -> n:int ->
   inputs:int array -> Explore.result
 (** Verify agreement + validity of a consensus algorithm for the given
     inputs. *)
 
 val check_renaming :
-  ?config:Explore.config -> ?engine:Explore.engine -> ?domains:int ->
-  ?share_seen:bool -> ?compact:bool -> ?replay_safe:bool -> ?seen_hint:int ->
+  ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
+  ?replay_safe:bool -> ?seen_hint:int ->
   Cfc_renaming.Registry.alg -> n:int ->
   Explore.result
 (** Verify distinct in-range new names (full participation bound). *)
 
 val check_naming :
-  ?config:Explore.config -> ?engine:Explore.engine -> ?domains:int ->
-  ?share_seen:bool -> ?compact:bool -> ?replay_safe:bool -> ?seen_hint:int ->
+  ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
+  ?replay_safe:bool -> ?seen_hint:int ->
   ?symmetric:bool -> Cfc_naming.Registry.alg ->
   n:int -> Explore.result
 (** Verify unique in-range names.  [symmetric] (default true — naming

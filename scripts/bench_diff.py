@@ -12,9 +12,7 @@ so against a committed baseline:
 
   - a verdict change on any (name, kind, engine, n, extra) entry fails;
   - growth in states explored fails (the memoization, the partial-order
-    reduction or the symmetry canonicalisation lost ground) — except on
-    share_seen=1 rows, whose state counts depend on worker timing (the
-    verdict does not) and are only noted;
+    reduction or the symmetry canonicalisation lost ground);
   - an entry present in the baseline but missing from the current run
     fails (a silent sweep cap crept back in);
   - an exhaustive baseline entry coming back truncated fails — this is
@@ -150,8 +148,7 @@ def diff_mcheck(base_doc, cur_doc, regressions, changes):
             regressions.append(
                 f"{label}: verdict {b['verdict']} -> {c['verdict']}"
             )
-        pooled = c.get("share_seen") == 1
-        if c["states"] > b["states"] and not pooled:
+        if c["states"] > b["states"]:
             regressions.append(
                 f"{label}: states explored grew {b['states']} -> {c['states']}"
             )

@@ -420,10 +420,9 @@ let test_finds_naming_race () =
       (violation.Cfc_core.Spec.what <> "")
 
 (* ------------------------------------------------------------------ *)
-(* Engine and domain equivalence: the incremental engine (and its
-   domain-parallel mode) must be indistinguishable from the replay
-   reference — same verdicts, same counterexample schedules, and (for
-   domains = 1) the same exact {runs; states; pruned; truncated}. *)
+(* Engine equivalence: the incremental engine must be indistinguishable
+   from the replay reference — same verdicts, same counterexample
+   schedules and the same exact {runs; states; pruned; truncated}. *)
 
 let pp_stats ppf (s : Explore.stats) =
   Format.fprintf ppf
@@ -451,13 +450,6 @@ let result_t : Explore.result Alcotest.testable =
 
 let fault_result_t : Explore.fault_result Alcotest.testable =
   Alcotest.testable (pp_gen_result pp_action_schedule) ( = )
-
-(* Verdict + schedule only (parallel stats legitimately differ from the
-   sequential engine's, and with the shared seen set they additionally
-   vary run to run — only the verdict and schedule are guaranteed). *)
-let drop_stats = function
-  | Explore.Ok _ -> None
-  | Explore.Violation { schedule; violation; _ } -> Some (schedule, violation)
 
 let test_engine_equivalence_registry () =
   List.iter
@@ -501,115 +493,16 @@ let test_engine_equivalence_broken () =
     (Props.check_naming ~engine:Explore.Incremental (module Broken_naming)
        ~n:2)
 
-let test_domains_equivalence () =
-  (* With private per-branch tables ([share_seen:false]) the parallel
-     stats are deterministic: any domains>1 gives the same result, bit
-     for bit. *)
-  let check_alg name run =
-    let seq = run 1 and par2 = run 2 and par3 = run 3 in
-    Alcotest.(check bool)
-      (name ^ ": domains=2 verdict+schedule = sequential")
-      true
-      (drop_stats par2 = drop_stats seq);
-    Alcotest.(check bool) (name ^ ": domains=2 = domains=3") true (par2 = par3)
-  in
-  let p2 = Mutex_intf.params 2 in
-  List.iter
-    (fun alg ->
-      let (module A : Mutex_intf.ALG) = alg in
-      check_alg A.name (fun domains ->
-          Props.check_mutex ~domains ~share_seen:false alg p2))
-    [ Registry.lamport_fast; Registry.tas_lock; Registry.peterson_tournament ];
-  check_alg "broken-lock" (fun domains ->
-      Props.check_mutex ~domains ~share_seen:false (module Broken_lock) p2);
-  let fault_check name run =
-    let seq = run 1 and par2 = run 2 and par3 = run 3 in
-    Alcotest.(check bool)
-      (name ^ ": domains=2 verdict+schedule = sequential")
-      true
-      (drop_stats par2 = drop_stats seq);
-    Alcotest.(check bool) (name ^ ": domains=2 = domains=3") true (par2 = par3)
-  in
-  fault_check "recoverable-tas pairs=1" (fun domains ->
-      Props.check_mutex_recoverable ~domains ~share_seen:false ~pairs:1
-        Registry.rec_tas p2);
-  fault_check "broken-recovery pairs=1" (fun domains ->
-      Props.check_mutex_recoverable ~domains ~share_seen:false ~pairs:1
-        (module Broken_recovery) p2)
-
-(* The shared (pooled) seen set must leave the verdict and the reported
-   counterexample schedule exactly equal to the sequential search's, for
-   every domain count and on every repetition — completion-gated
-   cross-branch pruning makes pruning timing-invisible to the DFS.  The
-   stats are explicitly allowed to vary, so only verdict+schedule are
-   compared. *)
-let test_shared_seen_determinism () =
-  let p2 = Mutex_intf.params 2 in
-  let check name seq run =
-    let expected = drop_stats seq in
-    List.iter
-      (fun domains ->
-        List.iter
-          (fun rep ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: shared-seen domains=%d rep=%d" name domains
-                 rep)
-              true
-              (drop_stats (run domains) = expected))
-          [ 1; 2 ])
-      [ 1; 2; 4 ]
-  in
-  List.iter
-    (fun alg ->
-      let (module A : Mutex_intf.ALG) = alg in
-      check A.name
-        (Props.check_mutex alg p2)
-        (fun domains -> Props.check_mutex ~domains ~share_seen:true alg p2))
-    [ Registry.lamport_fast; Registry.peterson_tournament ];
-  check "broken-lock"
-    (Props.check_mutex (module Broken_lock) p2)
-    (fun domains ->
-      Props.check_mutex ~domains ~share_seen:true (module Broken_lock) p2);
-  (* and composed with POR, where the shared entries carry sleep/step
-     payloads *)
-  let independence =
-    Option.get (Independence.mutex Registry.peterson_tournament p2)
-  in
-  check "peterson-tournament por"
-    (Props.check_mutex ~independence Registry.peterson_tournament p2)
-    (fun domains ->
-      Props.check_mutex ~domains ~share_seen:true ~independence
-        Registry.peterson_tournament p2);
-  (* fault injection: the violating branch and schedule stay fixed *)
-  let seq =
-    Props.check_mutex_recoverable ~pairs:1 (module Broken_recovery) p2
-  in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "broken-recovery: shared-seen domains=%d" domains)
-        true
-        (drop_stats
-           (Props.check_mutex_recoverable ~domains ~share_seen:true ~pairs:1
-              (module Broken_recovery) p2)
-        = drop_stats seq))
-    [ 2; 4 ]
-
 let test_symmetric_still_refutes () =
   List.iter
     (fun engine ->
-      List.iter
-        (fun domains ->
-          match
-            Props.check_naming ~engine ~domains ~symmetric:true
-              (module Broken_naming) ~n:2
-          with
-          | Explore.Ok _ ->
-            Alcotest.fail "symmetric reduction hid the naming race"
-          | Explore.Violation { violation; _ } ->
-            Alcotest.(check bool) "duplicate found" true
-              (violation.Cfc_core.Spec.what <> ""))
-        [ 1; 2 ])
+      match
+        Props.check_naming ~engine ~symmetric:true (module Broken_naming) ~n:2
+      with
+      | Explore.Ok _ -> Alcotest.fail "symmetric reduction hid the naming race"
+      | Explore.Violation { violation; _ } ->
+        Alcotest.(check bool) "duplicate found" true
+          (violation.Cfc_core.Spec.what <> ""))
     [ Explore.Replay; Explore.Incremental ]
 
 (* ------------------------------------------------------------------ *)
@@ -817,30 +710,6 @@ let test_por_finds_chunked_splitter_bug () =
     in
     check_bool "por counterexample replays to violation" true
       (Cfc_core.Spec.at_most_one_winner out.Runner.trace ~nprocs:3 <> None)
-
-let test_por_domains_equivalence () =
-  let p = Mutex_intf.params 2 in
-  List.iter
-    (fun alg ->
-      let (module A : Mutex_intf.ALG) = alg in
-      let independence = Option.get (Independence.mutex alg p) in
-      let run domains =
-        Props.check_mutex ~domains ~share_seen:false ~independence alg p
-      in
-      let seq = run 1 and par2 = run 2 and par3 = run 3 in
-      check_bool (A.name ^ ": por domains=2 verdict+schedule = sequential")
-        true
-        (drop_stats par2 = drop_stats seq);
-      check_bool (A.name ^ ": por domains=2 = domains=3") true (par2 = par3))
-    [ Registry.peterson_tournament; Registry.bakery; Registry.lamport_fast ];
-  let independence =
-    Option.get (Independence.mutex (module Broken_lock) p)
-  in
-  let run domains =
-    Props.check_mutex ~domains ~independence (module Broken_lock) p
-  in
-  check_bool "broken-lock: por domains=2 verdict+schedule = sequential" true
-    (drop_stats (run 2) = drop_stats (run 1))
 
 (* [seen_hint] pre-sizes the memo table; apart from the reported capacity
    ([seen_cap], which is exactly what the hint overrides) it must be
@@ -1436,10 +1305,6 @@ let () =
             test_engine_equivalence_registry;
           Alcotest.test_case "broken fixtures replay=incremental" `Quick
             test_engine_equivalence_broken;
-          Alcotest.test_case "domains=1 vs domains>1" `Slow
-            test_domains_equivalence;
-          Alcotest.test_case "shared seen set deterministic" `Slow
-            test_shared_seen_determinism;
           Alcotest.test_case "symmetric still refutes" `Quick
             test_symmetric_still_refutes;
           Alcotest.test_case "replay-unsafe fixture: fallback = replay"
@@ -1470,8 +1335,6 @@ let () =
             test_por_finds_planted_race;
           Alcotest.test_case "chunked-splitter bug survives reduction" `Quick
             test_por_finds_chunked_splitter_bug;
-          Alcotest.test_case "por under domains" `Slow
-            test_por_domains_equivalence;
           Alcotest.test_case "seen_hint invisible" `Quick
             test_seen_hint_invisible;
           QCheck_alcotest.to_alcotest prop_independent_steps_commute;
