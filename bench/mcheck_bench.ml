@@ -3,25 +3,26 @@
    results to BENCH_mcheck.json so successive PRs accumulate a perf
    trajectory (states, states/sec, wall time per entry).
 
-   Mutex configurations run on four engines — [replay] (re-execute the
-   schedule prefix at every node; the pre-incremental behavior),
-   [incremental] (live system + checkpoint/undo), [por] (incremental
-   plus the access-graph partial-order reduction) and [por+sym] (POR
-   composed with the pid-symmetry canonicalisation, for the algorithms
-   whose access graphs admit a group) — so the JSON carries the
-   speedups directly.  Identical state counts between replay and
-   incremental, and identical verdicts between the reduced engines and
-   incremental, act as cross-checks that the faster engines answer the
-   same question.  One gated extra: the n=4 tournament-lock headline
-   (exhaustive, non-truncated, 500k state cap, hash-compacted seen set).
+   Mutex configurations run four ways — [replay] (the search's Replay
+   rollback policy: every process is rebuilt after every rollback),
+   [incremental] (the default policy: only the processes the undone
+   branch touched are rebuilt), [por] (incremental plus the access-graph
+   partial-order reduction) and [por+sym] (POR composed with the
+   pid-symmetry canonicalisation, for the algorithms whose access graphs
+   admit a group) — so the JSON carries the speedups directly.
+   Identical stats between replay and incremental, and identical
+   verdicts between the reduced searches and incremental, act as
+   cross-checks that the faster ways answer the same question.  One
+   gated extra: the n=4 tournament-lock headline (exhaustive,
+   non-truncated, 500k state cap, hash-compacted seen set).
 
    The n sweep is explicit: every supported (algorithm, n) pair in the
    sweep gets a row, and rows that hit a bound say which bound
    ([trunc_reason]), so a config that stops producing n=3 rows is a
-   visible regression rather than a silent cap.  The replay engine is
-   skipped at n >= 3 — it is the reference implementation, pinned at
-   n=2, and re-executing prefixes over tens of thousands of states adds
-   minutes for no extra signal.
+   visible regression rather than a silent cap.  The replay policy is
+   skipped at n >= 3: it is pinned to incremental at n=2, and
+   rebuilding every process at every rollback over tens of thousands of
+   states adds time for no extra signal.
 
    [--quick] times each entry once instead of min-of-reps; states,
    verdicts and prune counts are deterministic either way, so CI diffs

@@ -135,8 +135,10 @@ let engine_arg =
         Cfc_mcheck.Explore.Incremental
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Exploration engine: $(b,incremental) (checkpoint/undo, default) \
-           or $(b,replay) (re-execute each prefix; reference).")
+          "Rollback policy of the search: $(b,incremental) (default) \
+           rebuilds only the processes an undone branch touched; \
+           $(b,replay) rebuilds every process on each rollback and gives \
+           the same numbers.")
 
 let mcheck_cmd =
   let depth_arg =
@@ -177,21 +179,8 @@ let mcheck_cmd =
       { Cfc_mcheck.Explore.max_depth = depth; max_steps_per_proc = depth;
         max_states = 2_000_000 }
     in
-    (* Pre-classify replay safety statically so an unsafe algorithm
-       starts on the replay engine instead of burning half the search
-       before the incremental engine's dynamic fallback fires. *)
-    let replay_safe =
-      match Cfc_analysis.Subjects.of_mutex ~l ~n alg with
-      | None -> true
-      | Some subject ->
-        let report = Cfc_analysis.Analyze.analyze subject in
-        if not report.Cfc_analysis.Analyze.replay_safe then
-          Printf.printf
-            "note: statically replay-unsafe; using the replay engine\n";
-        report.Cfc_analysis.Analyze.replay_safe
-    in
-    (* The same analysis family also yields the independence hint that
-       drives the partial-order reduction. *)
+    (* The access-graph analysis yields the independence hint that drives
+       the partial-order reduction. *)
     let independence =
       if no_por then None
       else Cfc_mcheck.Independence.mutex alg { Mutex_intf.n; l }
@@ -208,8 +197,8 @@ let mcheck_cmd =
           None
     in
     match
-      Cfc_mcheck.Props.check_mutex ~config ~engine ~replay_safe
-        ?independence ?symmetry ~compact alg { Mutex_intf.n; l }
+      Cfc_mcheck.Props.check_mutex ~config ~engine ?independence ?symmetry
+        ~compact alg { Mutex_intf.n; l }
     with
     | Cfc_mcheck.Explore.Ok stats ->
       (* A search that hit a bound proves nothing about the runs past it:
@@ -843,8 +832,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Static analysis gate: symbolic access-graph CF complexity vs \
-          closed forms and traces, atomicity conformance, spin structure, \
-          replay safety, and the determinism source scan.")
+          closed forms and traces, atomicity conformance, spin structure \
+          and the determinism source scan.")
     Term.(const run $ json_arg $ fixtures_arg)
 
 let races_cmd =

@@ -57,7 +57,6 @@ type variant_report = {
   vr_writes_line : int list;
   vr_writes_cycle : int list;
   vr_max_width : int;
-  vr_replay_safe : bool;
 }
 
 type spin_class = Wait_free | Local_spin | Spin_on_shared
@@ -75,17 +74,16 @@ type report = {
   edges : int;
   max_width : int;
   spin_class : spin_class;
-  replay_safe : bool;
 }
 
 (* ---------- one path ---------- *)
 
 type path_end = P_done | P_cut of Sym_mem.cut_reason | P_raised of exn
 
-let run_variant ~config (v : Subjects.variant) ~plan ~probe_at =
+let run_variant ~config (v : Subjects.variant) ~plan =
   let ctx =
     Sym_mem.create ~max_steps:config.max_steps ~max_period:config.max_period
-      ~plan ~probe_at ()
+      ~plan ()
   in
   let mem = Sym_mem.mem ctx in
   let solo = v.Subjects.make mem in
@@ -98,14 +96,6 @@ let run_variant ~config (v : Subjects.variant) ~plan ~probe_at =
     | exception e -> P_raised e
   in
   (ctx, ending)
-
-(* An exception was swallowed iff some access raised and the process
-   nevertheless went on — performed further accesses, or completed the
-   body instead of letting the exception escape. *)
-let swallowed ctx ending =
-  Sym_mem.swallowed ctx
-  || Sym_mem.raised_at ctx <> None
-     && (match ending with P_raised _ -> false | P_done | P_cut _ -> true)
 
 (* ---------- graph construction ---------- *)
 
@@ -237,13 +227,11 @@ let explore ~config (v : Subjects.variant) =
   Hashtbl.add seen_plans [] ();
   let paths = ref 0 in
   let baseline = ref Measures.zero in
-  let baseline_len = ref 0 in
-  let natural_swallow = ref false in
   let completed = ref [] in
   while (not (Queue.is_empty queue)) && !paths < config.max_paths do
     let plan = Queue.take queue in
     incr paths;
-    let ctx, ending = run_variant ~config v ~plan ~probe_at:(-1) in
+    let ctx, ending = run_variant ~config v ~plan in
     let steps = Sym_mem.steps ctx in
     let is_baseline = plan = [] in
     if is_baseline then begin
@@ -252,14 +240,12 @@ let explore ~config (v : Subjects.variant) =
       | P_cut _ ->
         failwith "Analyze: solo contention-free execution did not terminate"
       | P_done -> ());
-      baseline := sample_of_steps steps;
-      baseline_len := List.length steps
+      baseline := sample_of_steps steps
     end;
     let infeasible =
       match ending with P_raised _ -> not is_baseline | _ -> false
     in
     if not infeasible then begin
-      if swallowed ctx ending then natural_swallow := true;
       let cycle = Option.value ~default:[] (Sym_mem.spin_cycle ctx) in
       let ended = match ending with P_done -> true | P_cut _ | P_raised _ -> false in
       let keys = merge_path g ~baseline:is_baseline ~ended ~cycle steps in
@@ -281,24 +267,10 @@ let explore ~config (v : Subjects.variant) =
       end
     end
   done;
-  (g, !baseline, !baseline_len, !paths, List.rev !completed, !natural_swallow)
-
-(* The replay-safety probe: discontinue each baseline access in turn and
-   check the exception escapes (the process really stops). *)
-let probe_replay_safe ~config (v : Subjects.variant) ~len =
-  let safe = ref true in
-  for k = 0 to len - 1 do
-    if !safe then begin
-      let ctx, ending = run_variant ~config v ~plan:[] ~probe_at:k in
-      if swallowed ctx ending then safe := false
-    end
-  done;
-  !safe
+  (g, !baseline, !paths, List.rev !completed)
 
 let analyze_variant ~config (v : Subjects.variant) =
-  let g, baseline, baseline_len, paths, completed, natural_swallow =
-    explore ~config v
-  in
+  let g, baseline, paths, completed = explore ~config v in
   let spin_regs = Hashtbl.create 8 in
   let w_line = Hashtbl.create 8 in
   let w_cycle = Hashtbl.create 8 in
@@ -324,8 +296,6 @@ let analyze_variant ~config (v : Subjects.variant) =
     vr_writes_line = keys w_line;
     vr_writes_cycle = keys w_cycle;
     vr_max_width = !max_width;
-    vr_replay_safe =
-      (not natural_swallow) && probe_replay_safe ~config v ~len:baseline_len;
   }
 
 (* ---------- whole-subject classification ---------- *)
@@ -364,5 +334,4 @@ let analyze ?(config = default_config) (subject : Subjects.t) =
         variants;
     max_width = List.fold_left (fun w vr -> max w vr.vr_max_width) 0 variants;
     spin_class = spin_classify variants;
-    replay_safe = List.for_all (fun vr -> vr.vr_replay_safe) variants;
   }

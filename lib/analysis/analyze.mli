@@ -1,8 +1,8 @@
 (** The symbolic access-graph analyzer: bounded exhaustive solo
     exploration of one {!Subjects.t} on the {!Sym_mem} backend, the
-    per-variant shared-access graph, and the four static passes —
-    contention-free complexity, atomicity conformance, spin-structure
-    classification, and replay-safety.
+    per-variant shared-access graph, and the three static passes —
+    contention-free complexity, atomicity conformance and spin-structure
+    classification.
 
     Exploration: the baseline path runs with no injections (it {e is}
     the contention-free run, so the §2.2/§3.2 measures are read off its
@@ -83,7 +83,6 @@ type variant_report = {
   vr_writes_line : int list;  (** registers written outside any cycle *)
   vr_writes_cycle : int list;  (** registers written inside a cycle *)
   vr_max_width : int;  (** widest register accessed on any path *)
-  vr_replay_safe : bool;
 }
 
 (** The spin-structure prediction, in the write-invalidate (YA93) model
@@ -111,11 +110,6 @@ type report = {
   edges : int;
   max_width : int;
   spin_class : spin_class;
-  replay_safe : bool;
-      (** no access raising mid-body can leave the process running: the
-          static counterpart of [Scheduler.replay_safe], established by
-          probing every baseline access index (plus any genuine raise
-          observed while exploring) *)
 }
 
 val analyze : ?config:config -> Subjects.t -> report

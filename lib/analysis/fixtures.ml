@@ -33,9 +33,11 @@ end
 
 (* A lock that tolerates a width violation: the first entry access writes
    2 into a 1-bit register and swallows the resulting Invalid_argument.
-   Under the scheduler the same handler would swallow a replay
-   discontinuation, so the process cannot be stopped mid-access — the
-   shape that forces the model checker onto the replay engine. *)
+   The failed write leaves no event in the trace, so the model checker
+   can rebuild this process only because the scheduler logs the failure
+   and raises it again at the same call.  (Discontinuing the process is
+   no problem: that raises [Proc.Crashed], which this handler does not
+   catch.) *)
 module Swallows : Mutex_intf.ALG = struct
   let name = "fixture-swallows"
   let supports (p : Mutex_intf.params) = p.n >= 1

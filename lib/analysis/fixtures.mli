@@ -1,6 +1,6 @@
-(** Deliberately defective algorithms the lint gate must flag — the
-    negative tests of the static analyzer.  They are never registered in
-    {!Cfc_mutex.Registry}; only the analysis tests and the
+(** Deliberately defective algorithms — the negative tests of the
+    static analyzer and the model checker.  They are never registered
+    in {!Cfc_mutex.Registry}; only the tests and the
     [cfc-tables lint --fixtures] gate see them. *)
 
 val wide_spin : Cfc_mutex.Registry.alg
@@ -11,10 +11,11 @@ val wide_spin : Cfc_mutex.Registry.alg
 
 val swallows : Cfc_mutex.Registry.alg
 (** A lock that performs an out-of-width write under [try ... with
-    Invalid_argument _ -> ()] and keeps going: the discontinuation
-    exception of a replay would be swallowed the same way, so the static
-    replay-safety pass must classify it unsafe (and the dynamic
-    [Scheduler.replay_safe] flag agrees). *)
+    Invalid_argument _ -> ()] and keeps going.  The failed write leaves
+    no event in the trace, so rebuilding the process after an undo must
+    raise it again from the scheduler's failure log; the model checker's
+    tests check that it does.  The lint gate has nothing to flag on
+    it. *)
 
 val subjects : unit -> Subjects.t list
-(** Both fixtures packaged as analysis subjects (n = 2). *)
+(** The fixtures packaged as analysis subjects (n = 2). *)

@@ -53,10 +53,6 @@ let check_subject ?config (subject : Subjects.t) =
          "accesses a %d-bit register but declares atomicity l=%d"
          report.Analyze.max_width l)
   | _ -> ());
-  if not report.Analyze.replay_safe then
-    push Warning "replay-unsafe"
-      "a process can swallow a mid-access discontinuation and keep \
-       running; the model checker must use the replay engine";
   List.iter
     (fun (r : Product.race) ->
       push Error "harmful-race"
@@ -246,7 +242,7 @@ let print outcome =
       ~header:
         [ "family"; "algorithm"; "cfg"; "static s/r"; "closed form";
           "measured"; "l decl/max"; "spin"; "liveness"; "races h/t";
-          "replay"; "issues" ]
+          "issues" ]
   in
   List.iter
     (fun r ->
@@ -269,7 +265,6 @@ let print outcome =
           Printf.sprintf "%d/%d"
             (List.length (Product.harmful r.product))
             (List.length r.product.Product.races);
-          (if r.report.Analyze.replay_safe then "safe" else "UNSAFE");
           string_of_int (List.length r.violations);
         ])
     outcome.rows;
@@ -339,7 +334,7 @@ let to_json outcome =
        \"static\": %s, \"measured\": %s, \"predicted_steps\": %s, \
        \"predicted_registers\": %s, \"declared_atomicity\": %s, \
        \"max_accessed_width\": %d, \"spin_class\": \"%s\", \
-       \"replay_safe\": %b, \"graph_nodes\": %d, \"graph_edges\": %d, \
+       \"graph_nodes\": %d, \"graph_edges\": %d, \
        \"liveness\": \"%s\", \"races\": {\"total\": %d, \"harmful\": %d, \
        \"sync\": %d, \"benign\": %d}, \"registers\": [%s], \
        \"violations\": [%s]}"
@@ -353,7 +348,7 @@ let to_json outcome =
       (opt_json s.Subjects.declared_atomicity)
       r.report.Analyze.max_width
       (Analyze.spin_class_name r.report.Analyze.spin_class)
-      r.report.Analyze.replay_safe r.report.Analyze.nodes
+      r.report.Analyze.nodes
       r.report.Analyze.edges
       (Product.liveness_name p.Product.liveness)
       (List.length p.Product.races)

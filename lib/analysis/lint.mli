@@ -1,6 +1,6 @@
 (** The lint gate: run the {!Analyze} passes over a battery of subjects,
-    check every closed form, the trace-measured agreement, atomicity
-    conformance and replay-safety, scan the library sources for
+    check every closed form, the trace-measured agreement and atomicity
+    conformance, scan the library sources for
     non-deterministic randomness, and render the outcome as a table or a
     JSON report.  [cfc-tables lint] is a thin wrapper; CI fails the
     build on any error-severity finding. *)
@@ -10,7 +10,7 @@ type severity = Error | Warning
 type violation = { severity : severity; code : string; detail : string }
 (** [code] is a stable machine-readable tag: ["cf-steps"],
     ["cf-registers"], ["static-vs-measured"], ["atomicity"],
-    ["replay-unsafe"], ["harmful-race"], ["liveness"],
+    ["harmful-race"], ["liveness"],
     ["nondeterminism"], ["wall-clock"]. *)
 
 type row = {

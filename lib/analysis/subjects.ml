@@ -1,5 +1,4 @@
 open Cfc_base
-open Cfc_runtime
 open Cfc_core
 
 type family = Mutex | Detector | Naming | Consensus | Renaming
@@ -24,7 +23,6 @@ type t = {
   predicted_registers : int option;
   variants : variant list;
   measured : unit -> Measures.sample;
-  dynamic_replay_safe : unit -> bool;
 }
 
 let of_mutex ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
@@ -67,12 +65,6 @@ let of_mutex ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
         measured =
           (fun () ->
             (Mutex_harness.contention_free (module A) p).Mutex_harness.max);
-        dynamic_replay_safe =
-          (fun () ->
-            let out =
-              Mutex_harness.run ~pick:(Schedule.round_robin ()) (module A) p
-            in
-            Scheduler.replay_safe out.Runner.scheduler);
       }
 
 (* The model-checked mutex system is not the bare [lock; unlock] solo the
@@ -129,12 +121,6 @@ let of_mutex_checked ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
         measured =
           (fun () ->
             (Mutex_harness.contention_free (module A) p).Mutex_harness.max);
-        dynamic_replay_safe =
-          (fun () ->
-            let out =
-              Mutex_harness.run ~pick:(Schedule.round_robin ()) (module A) p
-            in
-            Scheduler.replay_safe out.Runner.scheduler);
       }
 
 (* The recovery path as a static subject: in the Golab–Ramaraju model a
@@ -217,12 +203,6 @@ let of_mutex_recovery ~held ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
                   | _ -> acc)
                 Measures.zero
                 (Recovery_harness.solo_sweep (module A : Cfc_mutex.Mutex_intf.ALG) p));
-          dynamic_replay_safe =
-            (fun () ->
-              let out =
-                Mutex_harness.run ~pick:(Schedule.round_robin ()) (module A) p
-              in
-              Scheduler.replay_safe out.Runner.scheduler);
         }
 
 let of_detector ~n (module D : Cfc_mutex.Mutex_intf.DETECTOR) =
@@ -256,12 +236,6 @@ let of_detector ~n (module D : Cfc_mutex.Mutex_intf.DETECTOR) =
         measured =
           (fun () ->
             (Detect_harness.contention_free (module D) p).Detect_harness.max);
-        dynamic_replay_safe =
-          (fun () ->
-            let out =
-              Detect_harness.run ~pick:(Schedule.round_robin ()) (module D) p
-            in
-            Scheduler.replay_safe out.Runner.scheduler);
       }
 
 let of_naming ~n (module A : Cfc_naming.Naming_intf.ALG) =
@@ -296,12 +270,6 @@ let of_naming ~n (module A : Cfc_naming.Naming_intf.ALG) =
         measured =
           (fun () ->
             (Naming_harness.contention_free (module A) ~n).Naming_harness.max);
-        dynamic_replay_safe =
-          (fun () ->
-            let out =
-              Naming_harness.run ~pick:(Schedule.round_robin ()) (module A) ~n
-            in
-            Scheduler.replay_safe out.Runner.scheduler);
       }
 
 let of_consensus ~n (module C : Cfc_consensus.Consensus_intf.ALG) =
@@ -346,13 +314,6 @@ let of_consensus ~n (module C : Cfc_consensus.Consensus_intf.ALG) =
                     .Consensus_harness.max)
               Measures.zero
               [ Array.make n 0; Array.make n 1 ]);
-        dynamic_replay_safe =
-          (fun () ->
-            let out =
-              Consensus_harness.run ~pick:(Schedule.round_robin ()) (module C)
-                ~n ~inputs:(Array.init n (fun i -> i land 1))
-            in
-            Scheduler.replay_safe out.Runner.scheduler);
       }
 
 let of_renaming ~n (module R : Cfc_renaming.Renaming_intf.ALG) =
@@ -380,12 +341,6 @@ let of_renaming ~n (module R : Cfc_renaming.Renaming_intf.ALG) =
     measured =
       (fun () ->
         (Renaming_harness.contention_free (module R) ~n).Renaming_harness.max);
-    dynamic_replay_safe =
-      (fun () ->
-        let out =
-          Renaming_harness.run ~pick:(Schedule.round_robin ()) (module R) ~n
-        in
-        Scheduler.replay_safe out.Runner.scheduler);
   }
 
 let registry () =

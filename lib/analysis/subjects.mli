@@ -39,10 +39,6 @@ type t = {
   variants : variant list;
   measured : unit -> Cfc_core.Measures.sample;
       (** the harness's trace-measured contention-free max *)
-  dynamic_replay_safe : unit -> bool;
-      (** [Scheduler.replay_safe] after a full contended round-robin run
-          — the dynamic flag the static classification must agree
-          with *)
 }
 
 (** Builders return [None] when the algorithm does not support the

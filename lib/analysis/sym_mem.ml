@@ -37,24 +37,14 @@ type ctx = {
   arena : Memory.t;
   max_steps : int;
   max_period : int;
-  probe_at : int;
   mutable pending : (int * int) list;
   mutable steps_rev : step list;
   mutable nsteps : int;
   mutable recording : bool;
   mutable alts_rev : (int * int) list;
-  mutable raised_at : int option;
-  mutable after_raise : bool;
   mutable injected_now : bool;
   mutable spin : step list option;
 }
-
-let probe_msg = "symbolic replay-safety probe: access discontinued"
-let probe_exn = Invalid_argument probe_msg
-
-let is_probe = function
-  | Invalid_argument m -> String.equal m probe_msg
-  | _ -> false
 
 let exhaustive_width_limit = 4
 
@@ -64,8 +54,7 @@ let candidate_values ~width =
     let top = if width >= 62 then max_int else (1 lsl width) - 1 in
     [ 0; 1; 2; top ]
 
-let create ?(max_steps = 2000) ?(max_period = 8) ?(plan = []) ?(probe_at = -1)
-    () =
+let create ?(max_steps = 2000) ?(max_period = 8) ?(plan = []) () =
   let rec increasing = function
     | (i, _) :: ((j, _) :: _ as rest) ->
       if i >= j then invalid_arg "Sym_mem.create: plan indices not increasing";
@@ -77,14 +66,11 @@ let create ?(max_steps = 2000) ?(max_period = 8) ?(plan = []) ?(probe_at = -1)
     arena = Memory.create ();
     max_steps;
     max_period;
-    probe_at;
     pending = plan;
     steps_rev = [];
     nsteps = 0;
     recording = false;
     alts_rev = [];
-    raised_at = None;
-    after_raise = false;
     injected_now = false;
     spin = None;
   }
@@ -94,24 +80,15 @@ let start_recording t = t.recording <- true
 let steps t = List.rev t.steps_rev
 let spin_cycle t = t.spin
 let alternatives t = List.rev t.alts_rev
-let raised_at t = t.raised_at
-let swallowed t = t.after_raise
 
-(* Bookkeeping shared by every recorded access: budget, the replay-safety
-   probe, and the injection of an adversarial pre-value.  Returns [true]
-   when the access is to be recorded (i.e. we are past
-   [start_recording]). *)
+(* Bookkeeping shared by every recorded access: budget, and the
+   injection of an adversarial pre-value.  Returns [true] when the
+   access is to be recorded (i.e. we are past [start_recording]). *)
 let pre_access t r =
   if not t.recording then false
   else begin
-    if t.raised_at <> None then t.after_raise <- true;
     if t.nsteps >= t.max_steps then raise (Cut Budget);
     let i = t.nsteps in
-    if i = t.probe_at then begin
-      t.nsteps <- i + 1;
-      if t.raised_at = None then t.raised_at <- Some i;
-      raise probe_exn
-    end;
     (match t.pending with
     | (j, v) :: rest when j = i ->
       Register.restore r v;
@@ -122,17 +99,13 @@ let pre_access t r =
   end
 
 (* Run the semantic operation; a raise (width or model violation) still
-   consumes the access index — in the simulator a failing access is a
-   scheduler step that discontinues the process — and is remembered so
-   that any later access proves the exception was swallowed. *)
+   consumes the access index. *)
 let guarded t f =
   try f ()
   with
   | Cut _ as e -> raise e
   | e ->
-    let i = t.nsteps in
-    t.nsteps <- i + 1;
-    if t.raised_at = None then t.raised_at <- Some i;
+    t.nsteps <- t.nsteps + 1;
     raise e
 
 let alts_for r op value =

@@ -58,8 +58,7 @@ type cut_reason =
 
 exception Cut of cut_reason
 (** Raised out of an access to end the current path.  Algorithms never
-    catch it (asserted by the replay-safety pass itself: a process that
-    swallows foreign exceptions is flagged). *)
+    catch it. *)
 
 type ctx
 
@@ -67,14 +66,10 @@ val create :
   ?max_steps:int ->
   ?max_period:int ->
   ?plan:(int * int) list ->
-  ?probe_at:int ->
   unit ->
   ctx
 (** A fresh symbolic context.  [plan] is the injection list (strictly
-    increasing indices).  [probe_at] (default: none) raises
-    {!probe_exn} {e instead of} performing the access with that index —
-    the replay-safety probe, standing in for the scheduler discontinuing
-    the process mid-access.  [max_steps] (default 2000) bounds the path;
+    increasing indices).  [max_steps] (default 2000) bounds the path;
     [max_period] (default 8) bounds the busy-wait patterns recognized:
     a cycle is declared when the last [3p] recorded accesses are three
     identical repetitions of a length-[p] pattern of
@@ -102,23 +97,6 @@ val alternatives : ctx -> (int * int) list
     injecting pre-value [v] at access [i] could change the execution
     (only value-returning accesses generate alternatives, and [v] ranges
     over {!candidate_values} minus the observed pre-value). *)
-
-val raised_at : ctx -> int option
-(** Index of the first access that raised (a genuine width/model
-    violation, or the probe). *)
-
-val swallowed : ctx -> bool
-(** The process kept accessing shared memory (or terminated normally)
-    after an access raised — it caught an exception that was not
-    addressed to it, so discontinuing it mid-access would not stop it:
-    the static face of [Scheduler.replay_safe = false]. *)
-
-val probe_exn : exn
-(** The exception injected by [probe_at].  It is an [Invalid_argument]
-    (like every genuine register error), so an algorithm's handler
-    cannot tell it from the real thing. *)
-
-val is_probe : exn -> bool
 
 val candidate_values : width:int -> int list
 (** The adversarial value pool for a register of the given width: all

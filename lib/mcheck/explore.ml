@@ -39,7 +39,7 @@ type result = int list gen_result
 type fault_result = action list gen_result
 
 (* Execute one action schedule from scratch. *)
-let exec_actions ~system actions =
+let replay_actions ~system ~schedule =
   let memory, procs = system () in
   let trace = Trace.create () in
   let sched = Scheduler.create ~memory ~trace procs in
@@ -48,10 +48,7 @@ let exec_actions ~system actions =
       | Step pid -> ignore (Scheduler.step sched pid)
       | Crash pid -> Scheduler.crash sched pid
       | Recover pid -> Scheduler.recover sched pid)
-    actions;
-  (memory, sched, trace)
-
-let outcome_of (memory, sched, trace) =
+    schedule;
   let stopped =
     if Scheduler.all_quiescent sched then Runner.Quiescent
     else Runner.Picker_done
@@ -65,19 +62,11 @@ let outcome_of (memory, sched, trace) =
     total_steps = Scheduler.total_steps sched;
   }
 
-let replay_actions ~system ~schedule =
-  outcome_of (exec_actions ~system schedule)
-
 let replay ~system ~schedule =
   replay_actions ~system ~schedule:(List.map (fun pid -> Step pid) schedule)
 
 exception Found of action list * Cfc_core.Spec.violation
 exception Budget
-
-exception Fallback
-(* Raised when a process catches a register-op exception and keeps going:
-   observation replay cannot rebuild such a process, so the incremental
-   engine bails out and the exploration re-runs on the replay engine. *)
 
 (* The memo table: compact structural keys ({!State_key.t} plus the crash
    budget already used), hashed deeply.  Pre-sized from the state budget
@@ -122,7 +111,7 @@ let stats_of c : stats =
     seen_cap = c.seen_cap; truncated = c.truncated }
 
 (* ------------------------------------------------------------------ *)
-(* The incremental engine's seen set: exact keys or 64-bit×2
+(* The seen set: exact keys or 64-bit×2
    fingerprints (compact mode).  Every stored state carries one
    {!Seen.entry}:
 
@@ -227,11 +216,11 @@ module Seen = struct
     match found with Some e -> e.e_open > 0 | None -> false
 end
 
-(* Scheduler choices offered at the current state, in the canonical order
-   shared by both engines: steps (runnable pids ascending, optionally
-   restricted to the lowest fresh pid, within the step budget), then
-   crashes, then recoveries.  Built back-to-front by consing so the hot
-   path allocates exactly the result list. *)
+(* Scheduler choices offered at the current state, in the canonical
+   order: steps (runnable pids ascending, optionally restricted to the
+   lowest fresh pid, within the step budget), then crashes, then
+   recoveries.  Built back-to-front by consing so the hot path allocates
+   exactly the result list. *)
 let candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used =
   let acc = ref [] in
   if pairs > 0 then begin
@@ -292,121 +281,15 @@ let fresh_only_of ~sym ~ind =
   && ind = None
 
 (* ------------------------------------------------------------------ *)
-(* The replay engine: dscheck-style re-execution of the whole schedule
-   prefix at every node.  Kept as the reference implementation (the
-   equivalence tests pin the incremental engine to it) and as the
-   fallback for replay-unsafe processes.  Never partial-order reduced
-   and always exact-keyed; the symmetry canonicalisation does apply, so
-   reduced verdicts can be cross-checked on both engines. *)
-
-let run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check () =
-  let cap = tbl_size ?hint:seen_hint config in
-  let seen : unit Tbl.t = Tbl.create cap in
-  let c = new_counters () in
-  c.seen_cap <- cap;
-  let fresh_only = fresh_only_of ~sym ~ind:None in
-  (* The process count is a property of the system shape, not of any
-     particular node: hoist the pid list out of the per-node work. *)
-  let nprocs = Array.length (snd (system ())) in
-  let pids = List.init nprocs Fun.id in
-  let rec expand schedule depth used =
-    if c.states >= config.max_states then begin
-      c.truncated <- true;
-      raise Budget
-    end;
-    c.states <- c.states + 1;
-    (* [schedule] is kept reversed (most recent action first).  The
-       node's system is needed only until its candidates are known; it
-       is disposed before the children build their own. *)
-    let memory, sched, trace = exec_actions ~system (List.rev schedule) in
-    match
-      Fun.protect
-        ~finally:(fun () -> Scheduler.dispose sched)
-        (fun () -> visit schedule used memory sched trace)
-    with
-    | None -> ()
-    | Some [] ->
-      if not (Scheduler.all_quiescent sched) then c.truncated <- true;
-      c.runs <- c.runs + 1
-    | Some _ when depth >= config.max_depth ->
-      c.truncated <- true;
-      c.runs <- c.runs + 1
-    | Some candidates ->
-      List.iter
-        (fun a -> expand (a :: schedule) (depth + 1) (bump_used used a))
-        candidates
-  (* Check one node's system and enter its key; [None] when pruned. *)
-  and visit schedule used memory sched trace =
-    (* Re-executing a prefix replays its accesses; the observer sees each
-       one once per node that extends it.  Consumers dedup. *)
-    (match observe with
-    | None -> ()
-    | Some f ->
-      for i = 0 to Trace.length trace - 1 do
-        let e = Trace.get trace i in
-        match e.Event.body with
-        | Event.Access (r, k) -> f ~pid:e.Event.pid ~reg:r ~kind:k
-        | Event.Crash | Event.Recover | Event.Region_change _ -> ()
-      done);
-    (* Process errors (assertion failures inside algorithms, the critical
-       section witness, model violations) are violations in themselves. *)
-    List.iter
-      (fun pid ->
-        match Scheduler.status sched pid with
-        | Scheduler.Errored e ->
-          raise
-            (Found
-               ( List.rev schedule,
-                 {
-                   Cfc_core.Spec.at = Trace.length trace;
-                   pids = [ pid ];
-                   what = "process error: " ^ Printexc.to_string e;
-                 } ))
-        | Scheduler.Runnable | Scheduler.Halted | Scheduler.Crashed -> ())
-      pids;
-    (match check trace ~nprocs with
-    | Some v -> raise (Found (List.rev schedule, v))
-    | None -> ());
-    let raw = State_key.of_system memory sched trace in
-    let ckey, rewritten =
-      match sym with
-      | None -> (raw, false)
-      | Some s ->
-        let k, pi = Symmetry.canon s raw in
-        (k, pi <> None)
-    in
-    let key = (ckey, used) in
-    if Tbl.mem seen key then begin
-      if rewritten then c.pruned_sym <- c.pruned_sym + 1
-      else c.pruned_dedup <- c.pruned_dedup + 1;
-      None
-    end
-    else begin
-      Tbl.add seen key ();
-      Some (candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used)
-    end
-  in
-  let finish () = c.seen_pop <- Tbl.length seen in
-  match expand [] 0 0 with
-  | () ->
-    finish ();
-    Ok (stats_of c)
-  | exception Budget ->
-    finish ();
-    Ok (stats_of c)
-  | exception Found (schedule, violation) ->
-    finish ();
-    Violation { schedule; violation; stats = stats_of c }
-
-(* ------------------------------------------------------------------ *)
-(* The incremental engine: one live (memory, scheduler, trace) per
-   search, extended by a single action per node and rolled back by
-   checkpoint/undo between siblings.  Checkpoints are O(nprocs +
-   registers) scalars — continuations are one-shot and cannot be cloned,
-   so a process whose continuation was consumed by an abandoned sibling
-   is rebuilt lazily by the scheduler from its recorded observations
-   (exactly the [obs] lists maintained here, which double as the state
-   key's per-process component). *)
+(* The engine: one live (memory, scheduler, trace) per search, extended
+   by a single action per node and rolled back by checkpoint/undo
+   between siblings.  Checkpoints are O(nprocs + registers) scalars —
+   continuations are one-shot and cannot be cloned, so a process whose
+   continuation was consumed by an abandoned sibling is rebuilt lazily
+   by the scheduler from its recorded observations (exactly the [obs]
+   lists maintained here, which double as the state key's per-process
+   component).  Under the [Replay] policy every rollback drops every
+   live continuation, so each process is rebuilt at its next step. *)
 
 (* Partial-order reduction state, present only when an independence hint
    is active.  [p_canon]/[p_meta] are the canonical observation lists the
@@ -428,6 +311,7 @@ type por_state = {
 
 type inc_state = {
   i_config : config;
+  i_rebuild_all : bool;
   i_fresh_only : bool;
   i_sym : Symmetry.t option;
   i_pairs : int;
@@ -457,7 +341,8 @@ type checkpoint = {
     option;
 }
 
-let make_inc_state ~config ~sym ~pairs ~system ~inc ~ind ~seen ~c ~observe =
+let make_inc_state ~config ~rebuild_all ~sym ~pairs ~system ~inc ~ind ~seen
+    ~c ~observe =
   let memory, procs = system () in
   let trace = Trace.create () in
   let obs = Array.make (Array.length procs) [] in
@@ -474,7 +359,8 @@ let make_inc_state ~config ~sym ~pairs ~system ~inc ~ind ~seen ~c ~observe =
           p_meta = Array.make nprocs [];
           p_probe = Tbl.create 256 }
   in
-  { i_config = config; i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
+  { i_config = config; i_rebuild_all = rebuild_all;
+    i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
     i_pairs = pairs; i_memory = memory; i_sched = sched;
     i_trace = trace; i_obs = obs;
     i_obs_hash = Array.make (Array.length procs) 0; i_nprocs = nprocs;
@@ -514,7 +400,6 @@ let apply st a =
   | Step pid -> ignore (Scheduler.step st.i_sched pid)
   | Crash pid -> Scheduler.crash st.i_sched pid
   | Recover pid -> Scheduler.recover st.i_sched pid);
-  if not (Scheduler.replay_safe st.i_sched) then raise Fallback;
   (* Fold the new events into the per-process observation lists (a crash
      wipes local state, so the observation history restarts). *)
   let access = ref None in
@@ -575,6 +460,7 @@ let save st ~regvals ~tracelen =
 
 let rollback st ck =
   Scheduler.restore st.i_sched ck.ck_sched;
+  if st.i_rebuild_all then Scheduler.dispose st.i_sched;
   Memory.restore_values st.i_memory ck.ck_regvals;
   Trace.truncate st.i_trace ck.ck_tracelen;
   Array.blit ck.ck_obs 0 st.i_obs 0 st.i_nprocs;
@@ -972,45 +858,16 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
           | Crash _ | Recover _ -> ())
         live)
 
-(* Run a search on [st]'s live system, then free its suspended processes
-   however the search ends (verdict, [Found], [Budget] or [Fallback]). *)
-let with_system st f =
-  Fun.protect ~finally:(fun () -> Scheduler.dispose st.i_sched) f
-
-let run_inc ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system ~inc
-    ~ind () =
-  let c = new_counters () in
-  let cap = tbl_size ?hint:seen_hint config in
-  let seen = Seen.create ~compact cap in
-  c.seen_cap <- cap;
-  let st =
-    make_inc_state ~config ~sym ~pairs ~system ~inc ~ind ~seen ~c ~observe
-  in
-  let finish () = c.seen_pop <- Seen.population seen in
-  match
-    with_system st (fun () ->
-        expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None)
-  with
-  | () ->
-    finish ();
-    Ok (stats_of c)
-  | exception Budget ->
-    finish ();
-    Ok (stats_of c)
-  | exception Found (schedule, violation) ->
-    finish ();
-    Violation { schedule; violation; stats = stats_of c }
-
 (* ------------------------------------------------------------------ *)
 
-(* The engine, over action schedules.  [pairs] is the crash–recovery
+(* The search, over action schedules.  [pairs] is the crash–recovery
    budget: 0 disables fault injection entirely (the plain interleaving
    exploration), [pairs > 0] additionally offers, at every decision
    point, crashing any started runnable process (while crashes remain in
    the budget) and recovering any crashed one. *)
 let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
-    ?(compact = false) ?(replay_safe = true) ?independence ?seen_hint ~inc ?observe_access
-    ~pairs ~system ~check () =
+    ?(compact = false) ?independence ?seen_hint ~inc ?observe_access ~pairs
+    ~system () =
   (* The partial-order reduction applies only where its soundness
      argument does: the plain interleaving exploration (no crash
      branches — a crash wipes local state asynchronously and commutes
@@ -1023,39 +880,44 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
     | Some t when pairs = 0 && Independence.usable t -> Some t
     | Some _ | None -> None
   in
-  let sym = symmetry in
-  let observe = observe_access in
   (* Start on a collected heap.  What the caller dropped, such as the
      previous search's seen set, node stack and fibers (a registry sweep
      runs one search per lock), is otherwise freed only when the GC's
      next cycle ends, and this search would build its own on top of it
      to a peak that depends on where that cycle happened to be. *)
   Gc.full_major ();
-  match engine with
-  | Replay ->
-    run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check ()
-  | Incremental when not replay_safe ->
-    (* A static analysis (or a previous run) already knows some process
-       swallows mid-access discontinuation; the incremental engine would
-       only rediscover that and raise [Fallback] mid-search.  Skip the
-       wasted work and start on the replay engine directly. *)
-    run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check ()
-  | Incremental -> (
-    try
-      run_inc ~config ?seen_hint ?observe ~sym ~compact ~pairs ~system ~inc
-        ~ind ()
-    with Fallback ->
-      (* Some process caught a register-op exception and continued; its
-         local state is invisible to observation replay.  Start over on
-         the (always sound) replay engine. *)
-      run_replay ~config ?seen_hint ?observe ~sym ~pairs ~system ~check
-        ())
+  let c = new_counters () in
+  let cap = tbl_size ?hint:seen_hint config in
+  let seen = Seen.create ~compact cap in
+  c.seen_cap <- cap;
+  let st =
+    make_inc_state ~config ~rebuild_all:(engine = Replay) ~sym:symmetry
+      ~pairs ~system ~inc ~ind ~seen ~c ~observe:observe_access
+  in
+  (* However the search ends (verdict, [Found] or [Budget]), free the
+     live system's suspended processes. *)
+  let found =
+    match
+      Fun.protect
+        ~finally:(fun () -> Scheduler.dispose st.i_sched)
+        (fun () -> expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None)
+    with
+    | () | (exception Budget) -> None
+    | exception Found (schedule, violation) -> Some (schedule, violation)
+  in
+  c.seen_pop <- Seen.population seen;
+  match found with
+  | None -> Ok (stats_of c)
+  | Some (schedule, violation) ->
+    Violation { schedule; violation; stats = stats_of c }
 
-let run ?config ?symmetry ?engine ?compact ?replay_safe ?independence
-    ?seen_hint ~inc ?observe_access ~system ~check () =
+(* [check] is the whole-trace form of [inc]; the search feeds [inc]
+   only. *)
+let run ?config ?symmetry ?engine ?compact ?independence ?seen_hint ~inc
+    ?observe_access ~system ~check:_ () =
   match
-    run_gen ?config ?symmetry ?engine ?compact ?replay_safe ?independence
-      ?seen_hint ~inc ?observe_access ~pairs:0 ~system ~check ()
+    run_gen ?config ?symmetry ?engine ?compact ?independence ?seen_hint ~inc
+      ?observe_access ~pairs:0 ~system ()
   with
   | Ok stats -> Ok stats
   | Violation { schedule; violation; stats } ->
@@ -1068,7 +930,7 @@ let run ?config ?symmetry ?engine ?compact ?replay_safe ?independence
     in
     Violation { schedule = pids; violation; stats }
 
-let run_faults ?config ?symmetry ?engine ?compact ?replay_safe ?independence
-    ?seen_hint ~inc ?observe_access ?(pairs = 2) ~system ~check () =
-  run_gen ?config ?symmetry ?engine ?compact ?replay_safe ?independence
-    ?seen_hint ~inc ?observe_access ~pairs ~system ~check ()
+let run_faults ?config ?symmetry ?engine ?compact ?independence ?seen_hint
+    ~inc ?observe_access ?(pairs = 2) ~system ~check:_ () =
+  run_gen ?config ?symmetry ?engine ?compact ?independence ?seen_hint ~inc
+    ?observe_access ~pairs ~system ()

@@ -1,25 +1,25 @@
 (** Bounded exhaustive exploration of interleavings.
 
-    Two engines share one search order and one memoization:
+    One engine: one live (memory, scheduler, trace) per search, extended
+    by a single action per node.  Sibling branches are explored by
+    checkpoint/undo — a checkpoint stores the register values, the trace
+    length, the scheduler's scalar state and the incremental-checker
+    state, all O(nprocs + registers).  One-shot continuations cannot be
+    cloned, so a process whose continuation was consumed by an abandoned
+    sibling is rebuilt lazily: its thunk is restarted and driven against
+    the observations recorded for it, and every register-op failure it
+    caught is raised again at the same call (see
+    {!Cfc_runtime.Scheduler.restore}), so a deterministic process
+    re-suspends at exactly the same point.
 
-    - {b Incremental} (the default): one live (memory, scheduler, trace)
-      per search, extended by a single action per node.  Sibling
-      branches are explored by checkpoint/undo — a checkpoint stores the
-      register values, the trace length, the scheduler's scalar state
-      and the incremental-checker state, all O(nprocs + registers).
-      One-shot continuations cannot be cloned, so a process whose
-      continuation was consumed by an abandoned sibling is rebuilt
-      lazily: its thunk is restarted and driven against the observations
-      recorded for it (deterministic processes re-suspend at exactly the
-      same point).  A process that catches a register-op exception and
-      keeps going cannot be rebuilt this way; the engine detects this and
-      transparently re-runs on the replay engine.
-    - {b Replay} (dscheck-style): every node re-executes the whole
-      schedule prefix from a fresh system.  Kept as the reference
-      implementation and the fallback; the test suite pins the
-      incremental engine's verdicts, schedules and stats to it.  The
-      replay engine is never partial-order reduced and never
-      hash-compacted (always exact keys).
+    The {!engine} picks the rollback policy: [Incremental] rebuilds only
+    the processes the abandoned sibling touched, [Replay] rebuilds every
+    process after every rollback — each node's processes are then
+    re-executed from their thunks, as a dscheck-style explorer would,
+    but without re-running the scheduler or the checkers.  Both give the
+    same verdicts, schedules and stats with every reduction below.  The
+    test suite pins them to a reference explorer that builds a fresh
+    system for every node.
 
     The state space is pruned with a soundness-preserving memoization:
     two schedule prefixes that reach the same fingerprint
@@ -30,7 +30,7 @@
     the search.  The crash count joins the memo key, so pruning stays
     sound across fault branches.
 
-    {b Symmetry reduction} ([symmetry] hint, both engines): memo keys
+    {b Symmetry reduction} ([symmetry] hint): memo keys
     are canonicalised under the admissible pid permutations before
     lookup (see {!Symmetry}), so states that are pid-renamings of each
     other — registers, register contents and observation histories
@@ -41,8 +41,8 @@
     and stays on under fault injection.  [pruned_sym] counts prune hits
     whose key the canonicalisation had rewritten.
 
-    {b Partial-order reduction} ([independence] hint, incremental engine
-    only): a static may-conflict relation between per-process next steps,
+    {b Partial-order reduction} ([independence] hint): a static
+    may-conflict relation between per-process next steps,
     derived from the {!Independence} access-graph models, lets a node
     schedule a single process when its next step provably commutes with
     everything every other live process may still do — the skipped
@@ -69,7 +69,7 @@
     and unreduced searches are asserted to agree on every registry
     system and every broken fixture by the test suite.
 
-    {b Compact seen set} ([compact], incremental engine only): the memo
+    {b Compact seen set} ([compact]): the memo
     stores two independent 62-bit fingerprints of each key
     ({!State_key.fingerprint}) instead of the full structural key —
     a large constant-factor memory saving on big sweeps.  A first-lane
@@ -121,10 +121,14 @@ type stats = {
   truncated : bool;  (** some branch hit a bound *)
 }
 
-(** Which exploration engine to use (see the module docstring). *)
+(** The rollback policy of the search (see the module docstring).  The
+    two give the same results; they differ only in how much process code
+    each rollback re-executes. *)
 type engine =
-  | Incremental  (** live system + checkpoint/undo (default) *)
-  | Replay       (** re-execute the whole prefix at every node *)
+  | Incremental
+      (** rebuild only the processes the abandoned branch touched
+          (default) *)
+  | Replay  (** rebuild every process after every rollback *)
 
 (** One scheduler choice in a fault-aware schedule. *)
 type action =
@@ -150,7 +154,6 @@ val run :
   ?symmetry:Symmetry.t ->
   ?engine:engine ->
   ?compact:bool ->
-  ?replay_safe:bool ->
   ?independence:Independence.t ->
   ?seen_hint:int ->
   inc:Cfc_core.Spec.Inc.t ->
@@ -168,10 +171,11 @@ val run :
     closures on each call) and checks the safety property at every node.
     No faults are injected.
 
-    [check] is the whole-trace property and [inc] its incremental form
-    (see {!Cfc_core.Spec.Inc}), which the incremental engine feeds only
-    the events each action appends.  The two must agree; the replay
-    engine always uses [check].
+    [inc] is the safety property in incremental form (see
+    {!Cfc_core.Spec.Inc}): the search feeds it only the events each
+    action appends.  [check] is the same property over a whole trace;
+    the search does not call it (the test suite's reference explorer
+    does), and the two must agree.
 
     [symmetry] switches on the canonicalisation-based symmetry reduction
     described in the module docstring (build the group with
@@ -179,28 +183,20 @@ val run :
     {!Symmetry.mutex}/{!Symmetry.of_report} for pid-specialised code).
     Sound only when the checked property is pid-symmetric, which every
     property in {!Props} is.  For a pure (identical-processes) group the
-    engines additionally restrict fresh-process candidates to the lowest
+    search additionally restricts fresh-process candidates to the lowest
     pid — the old candidate-level pruning — when no [independence] hint
     is active.
 
     [compact] (default [false]) stores 2×62-bit fingerprints instead of
-    full keys in the incremental engine's seen set; collisions are
-    counted in [fp_collisions].  The replay engine ignores it.
+    full keys in the seen set; collisions are counted in
+    [fp_collisions].
 
-    [replay_safe] (default [true]) is a hint from static analysis (see
-    [Cfc_analysis.Analyze]): pass [false] when some process is known to
-    swallow a mid-access discontinuation, and the exploration starts on
-    the replay engine directly instead of discovering the problem and
-    falling back mid-search.  Passing [false] for a replay-safe system is
-    sound — only slower; passing [true] for an unsafe one merely restores
-    the dynamic fallback.
-
-    [independence] (see {!Independence.mutex}) switches the incremental
-    engine to the partial-order-reduced search described in the module
-    docstring; the verdict is unchanged, [states] shrinks, [pruned_por]
-    counts the skipped work.  Composes with [symmetry].  Ignored under
-    fault injection, on the replay engine and when no per-process model
-    is usable.
+    [independence] (see {!Independence.mutex}) switches on the
+    partial-order-reduced search described in the module docstring; the
+    verdict is unchanged, [states] shrinks, [pruned_por] counts the
+    skipped work.  Composes with [symmetry] and with either [engine].
+    Ignored under fault injection and when no per-process model is
+    usable.
 
     [seen_hint] pre-sizes the memo table below its [max_states] default
     (pass a previous run's [seen_pop] to trim memory on repeated small
@@ -212,18 +208,18 @@ val run :
     and a sequence of searches peaks at its largest one.
 
     [observe_access] is called on every shared access the exploration
-    executes, as it happens.  The callback sees each distinct access many
-    times (once per node that performs or — on the replay engine —
-    re-executes it), so consumers must deduplicate; the set of (pid,
-    register, kind) triples delivered is the set of accesses in the
-    explored prefix tree, on either engine. *)
+    executes, as it happens (a rebuild's replayed prefix is not
+    executed again, so it is not delivered again).  The callback sees
+    a distinct access once per node that performs it, and may meet the
+    same (pid, register, kind) triple on many nodes, so consumers must
+    deduplicate; the set of triples delivered is the set of accesses in
+    the explored prefix tree, under either [engine]. *)
 
 val run_faults :
   ?config:config ->
   ?symmetry:Symmetry.t ->
   ?engine:engine ->
   ?compact:bool ->
-  ?replay_safe:bool ->
   ?independence:Independence.t ->
   ?seen_hint:int ->
   inc:Cfc_core.Spec.Inc.t ->

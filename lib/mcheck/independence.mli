@@ -13,10 +13,10 @@
     the moment an observed access fails to match — from then on the
     exploration treats that process as conflicting with everything.
     End-to-end soundness is anchored the way the engine-equivalence
-    suite anchors the incremental engine: reduced and unreduced
-    verdicts are asserted identical over the whole registry and the
-    broken fixtures, and static independence is qcheck-validated
-    against dynamic commutation on live schedulers.
+    suite anchors the search to its reference explorer: reduced and
+    unreduced verdicts are asserted identical over the whole registry
+    and the broken fixtures, and static independence is
+    qcheck-validated against dynamic commutation on live schedulers.
 
     Models describe the system the checker actually runs: the mutex
     constructor analyzes [Subjects.of_mutex_checked] (the harness arena

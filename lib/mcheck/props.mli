@@ -1,13 +1,10 @@
 (** Ready-made model-checking problems: systems (from the core harnesses)
     paired with the safety property the paper requires of them.  Every
     checker supplies the incremental form of its property
-    ({!Cfc_core.Spec.Inc}), so the default {!Explore.Incremental} engine
-    pays O(new events) per node instead of a whole-trace rescan;
-    [symmetry]/[engine]/[compact]/[replay_safe]/[independence]/
-    [seen_hint] are forwarded to
-    {!Explore.run}/{!Explore.run_faults} — pass [replay_safe:false] when
-    static analysis says the algorithm swallows discontinuation, so the
-    search starts on the replay engine instead of falling back,
+    ({!Cfc_core.Spec.Inc}), so the search pays O(new events) per node
+    instead of a whole-trace rescan;
+    [symmetry]/[engine]/[compact]/[independence]/[seen_hint] are
+    forwarded to {!Explore.run}/{!Explore.run_faults} — pass
     [independence] (from {!Independence.mutex} /
     {!Independence.detector}) to enable the partial-order reduction, and
     [symmetry] (from {!Symmetry.mutex}) to canonicalise memo keys under
@@ -18,7 +15,7 @@
 
 val check_mutex :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   ?observe_access:
     (pid:int ->
     reg:Cfc_runtime.Register.t ->
@@ -33,7 +30,7 @@ val check_mutex :
 
 val check_mutex_recoverable :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   ?pairs:int -> ?rounds:int ->
   Cfc_mutex.Registry.alg -> Cfc_mutex.Mutex_intf.params ->
   Explore.fault_result
@@ -46,14 +43,14 @@ val check_mutex_recoverable :
 
 val check_detector :
   ?config:Explore.config -> ?symmetry:Symmetry.t -> ?engine:Explore.engine ->
-  ?compact:bool -> ?replay_safe:bool -> ?independence:Independence.t -> ?seen_hint:int ->
+  ?compact:bool -> ?independence:Independence.t -> ?seen_hint:int ->
   Cfc_mutex.Registry.detector ->
   Cfc_mutex.Mutex_intf.params -> Explore.result
 (** Verify the at-most-one-winner property of a contention detector. *)
 
 val check_consensus :
   ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
-  ?replay_safe:bool -> ?seen_hint:int ->
+  ?seen_hint:int ->
   Cfc_consensus.Registry.alg -> n:int ->
   inputs:int array -> Explore.result
 (** Verify agreement + validity of a consensus algorithm for the given
@@ -61,14 +58,14 @@ val check_consensus :
 
 val check_renaming :
   ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
-  ?replay_safe:bool -> ?seen_hint:int ->
+  ?seen_hint:int ->
   Cfc_renaming.Registry.alg -> n:int ->
   Explore.result
 (** Verify distinct in-range new names (full participation bound). *)
 
 val check_naming :
   ?config:Explore.config -> ?engine:Explore.engine -> ?compact:bool ->
-  ?replay_safe:bool -> ?seen_hint:int ->
+  ?seen_hint:int ->
   ?symmetric:bool -> Cfc_naming.Registry.alg ->
   n:int -> Explore.result
 (** Verify unique in-range names.  [symmetric] (default true — naming

@@ -20,31 +20,6 @@ let status_tag = function
 let cell r k = { reg = r.Register.id; kind = k }
 let cell_hash h c = (h * 31) + Hashtbl.hash c
 
-let of_system memory sched trace =
-  let nprocs = Scheduler.nprocs sched in
-  let obs = Array.make nprocs [] in
-  let obs_hash = Array.make nprocs 0 in
-  Trace.iter
-    (fun e ->
-      match e.Event.body with
-      | Event.Access (r, k) ->
-        let pid = e.Event.pid in
-        let c = cell r k in
-        obs.(pid) <- c :: obs.(pid);
-        obs_hash.(pid) <- cell_hash obs_hash.(pid) c
-      | Event.Crash ->
-        obs.(e.Event.pid) <- [];
-        obs_hash.(e.Event.pid) <- 0
-      | Event.Region_change _ | Event.Recover -> ())
-    trace;
-  { k_regvals = Memory.values memory;
-    k_procs =
-      Array.init nprocs (fun pid ->
-          { k_status = status_tag (Scheduler.status sched pid);
-            k_region = Scheduler.region sched pid;
-            k_obs_hash = obs_hash.(pid);
-            k_obs = obs.(pid) }) }
-
 let equal (a : t) (b : t) = a = b
 
 (* Two independent multiply–xorshift lanes over the full key structure.

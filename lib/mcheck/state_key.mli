@@ -22,8 +22,8 @@ type proc_key = {
   k_region : Event.region;
   k_obs_hash : int;
       (** left fold of {!cell_hash} over [k_obs], oldest observation
-          first, starting from [0] — maintained incrementally by the
-          incremental engine so {!hash} never walks the lists *)
+          first, starting from [0] — maintained incrementally by
+          {!Explore} so {!hash} never walks the lists *)
   k_obs : cell list;  (** observations since last (re)start, newest first *)
 }
 
@@ -36,15 +36,10 @@ val status_tag : Scheduler.status -> int
 val cell : Register.t -> Event.access_kind -> cell
 
 val cell_hash : int -> cell -> int
-(** One fold step of the rolling observation hash.  Both construction
-    paths ({!of_system}'s trace scan and the incremental engine's
-    per-event update) must fold in the same order — oldest first — so
-    structurally equal keys carry equal [k_obs_hash] fields. *)
-
-val of_system : Memory.t -> Scheduler.t -> Trace.t -> t
-(** Build the key by a full trace scan (the replay engine's path; the
-    incremental engine maintains the observation lists and their rolling
-    hashes as events are appended instead). *)
+(** One fold step of the rolling observation hash.  Every construction
+    path (the engine's per-event update, a full trace scan) must fold in
+    the same order — oldest first — so structurally equal keys carry
+    equal [k_obs_hash] fields. *)
 
 val equal : t -> t -> bool
 (** Structural — no hash collision can cause unsound pruning. *)

@@ -63,11 +63,14 @@ val value_changed : t -> before:int array -> Register.t -> bool
     {b Replay.}  While {!Scheduler} rebuilds a suspension, the cursor
     carries the answers of the replayed prefix: a count of
     access-or-pause calls still to answer and the recorded access
-    answers, oldest first.  {!Sim_mem}'s access operations take the next
-    answer when its kind matches and return it, and its pause counts
-    itself off the same way.  On a kind mismatch or an exhausted list
-    they perform the effect as usual, so the rebuilding scheduler sees
-    it and reports the divergence.
+    answers, oldest first.  The scheduler loads the count one segment
+    at a time, up to each register-op failure the process caught, so
+    the cursor runs dry exactly at the failing op, which performs its
+    effect and gets its exception again.  {!Sim_mem}'s access operations
+    take the next answer when its kind matches and return it, and its
+    pause counts itself off the same way.  On a kind mismatch or an
+    exhausted list they perform the effect as usual, so the rebuilding
+    scheduler sees it and reports the divergence.
 
     {b Run-ahead.}  When {!Scheduler.step_ahead} grants the running
     process [n] inline accesses, the cursor holds [n] and a {!tap}.

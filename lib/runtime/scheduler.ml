@@ -20,6 +20,10 @@ type pstate = {
          (re)start; pins the suspension point for observation replay *)
   mutable started : bool;
   mutable stamp : int;  (* clock value of the last step, crash or recover *)
+  mutable failed : (int * exn) list;
+      (* register ops that raised and that the process caught, newest
+         first, since its last (re)start: the [calls] count at which
+         each raised, and its exception.  [rebuild] raises them again. *)
 }
 
 (* The table's empty slot.  Its fields are the state of a process nobody
@@ -27,7 +31,7 @@ type pstate = {
 let absent =
   { pid = -1; thunk = ignore; susp = None; status = Runnable;
     region = Event.Remainder; steps = 0; calls = 0; started = false;
-    stamp = 0 }
+    stamp = 0; failed = [] }
 
 type t = {
   nprocs : int;
@@ -40,10 +44,6 @@ type t = {
          its last (re)start, oldest first — what [rebuild] replays *)
   mutable active : int;  (* processes still Runnable *)
   mutable clock : int;
-  mutable replay_safe : bool;
-      (* false once a process catches a register-op exception and keeps
-         going: that answer is not in the trace, so rebuilds would
-         diverge.  Checked by the incremental explorer. *)
   mutable ahead : int;  (* run-ahead budget of this step, not yet armed *)
   mutable ahead_taken : int;  (* inline accesses of the last step *)
   mutable home : Register.home;
@@ -55,7 +55,7 @@ exception Replay_mismatch of string
 
 let make ~sink ~nprocs ~spawn replay =
   { nprocs; spawn; procs = Array.make nprocs absent; spawned = 0; sink;
-    replay; active = nprocs; clock = 0; replay_safe = true; ahead = 0;
+    replay; active = nprocs; clock = 0; ahead = 0;
     ahead_taken = 0; home = Register.Unhomed }
 
 let of_spawn ~sink ~nprocs ~spawn = make ~sink ~nprocs ~spawn None
@@ -100,7 +100,6 @@ let steps_taken t pid = (slot t pid).steps
 let started t pid = (slot t pid).started
 let stamp t pid = (slot t pid).stamp
 let spawned t = t.spawned
-let replay_safe t = t.replay_safe
 let total_steps t = Array.fold_left (fun acc p -> acc + p.steps) 0 t.procs
 
 let runnable t =
@@ -256,9 +255,9 @@ and settle t p s =
 
 (* A semantic violation (model/width): unwind the process with the
    offending exception so its continuation is consumed.  A process that
-   catches it and keeps going goes on within the same step — that answer
-   is invisible to observation replay, so rebuilds of it would
-   diverge. *)
+   catches it and keeps going goes on within the same step; the trace
+   holds no answer for the failed op, so the failure is logged for
+   [rebuild]. *)
 and abort : type a.
     t -> pstate -> (a, Proc.suspension) Effect.Deep.continuation -> exn ->
     step_result =
@@ -266,9 +265,56 @@ and abort : type a.
   match Effect.Deep.discontinue k e with
   | (Proc.Done | Proc.Failed _) as s -> settle t p s
   | s ->
-    t.replay_safe <- false;
+    p.failed <- (p.calls, e) :: p.failed;
     go t p s
   | exception e' -> settle t p (Proc.Failed e')
+
+(* Raise [e] in a process suspended at a register op, as [abort] did. *)
+let fail_at s e =
+  let raise_in k = Some (Effect.Deep.discontinue k e) in
+  match s with
+  | Proc.Read (_, k) -> raise_in k
+  | Proc.Write (_, _, k) -> raise_in k
+  | Proc.Write_field (_, _, _, _, k) -> raise_in k
+  | Proc.Xchg (_, _, k) -> raise_in k
+  | Proc.Cas (_, _, _, k) -> raise_in k
+  | Proc.Bit_op (_, _, k) -> raise_in k
+  | Proc.Done | Proc.Failed _ | Proc.Region _ | Proc.Pause _ | Proc.Sleep _ ->
+    None
+
+let replay_mismatch cur p s what =
+  ignore (Memory.replay_stop cur);
+  discontinue_susp s;
+  raise (Replay_mismatch (Printf.sprintf "pid %d: %s" p.pid what))
+
+(* Answer calls up to the next logged failure, or to the end. *)
+let replay_segment cur p ~from failed answers =
+  let upto = match failed with (at, _) :: _ -> at | [] -> p.calls in
+  Memory.replay_start cur ~calls:(upto - from) answers
+
+let rec drive cur p s failed =
+  match s with
+  | Proc.Region (_, k) -> drive cur p (Effect.Deep.continue k ()) failed
+  | _ when not (Memory.replaying cur) -> (
+    match failed with
+    | [] -> s
+    | (at, e) :: failed -> (
+      (* load the next segment first: the process runs on into it *)
+      replay_segment cur p ~from:at failed cur.Memory.answers;
+      match fail_at s e with
+      | Some s -> drive cur p s failed
+      | None ->
+        replay_mismatch cur p s "logged failure is not at a register op"))
+  | Proc.Sleep (_, k) ->
+    Memory.replay_skip cur;
+    drive cur p (Effect.Deep.continue k ()) failed
+  | Proc.Done | Proc.Failed _ ->
+    replay_mismatch cur p s "process terminated early"
+  | _ -> (
+    match Memory.replay_pending cur with
+    | [] -> replay_mismatch cur p s "observation list exhausted"
+    | _ :: _ ->
+      replay_mismatch cur p s "recorded observation is of another kind")
 
 (* Reconstruct the suspension of a process whose continuation was
    invalidated by [restore].  One-shot continuations cannot be cloned, so
@@ -276,11 +322,14 @@ and abort : type a.
    exactly [p.calls] access, pause or sleep calls have been answered.
    The answers sit on the arena's replay cursor, where {!Sim_mem}'s
    operations take them without performing an effect; the only effects
-   that reach [drive] are region changes (free, already recorded before
-   the checkpoint, so absorbed silently), sleeps, the first call past
-   the prefix (the suspension we want), and a call the recording cannot
-   answer — its kind does not match or the list ran out — which [drive]
-   reports as {!Replay_mismatch}. *)
+   that reach [drive] (top-level, so that a rebuild allocates no
+   closure) are region changes (free, already recorded before
+   the checkpoint, so absorbed silently), sleeps, the op at each logged
+   failure (the cursor is loaded one segment at a time, so it runs dry
+   exactly there, and the op gets its exception again), the first call
+   past the prefix (the suspension we want), and a call the recording
+   cannot answer — its kind does not match or the list ran out — which
+   [drive] reports as {!Replay_mismatch}. *)
 let rebuild t p =
   let cur, oracle =
     match t.replay with
@@ -290,28 +339,11 @@ let rebuild t p =
         "Scheduler.rebuild: no observation oracle (create with ~oracle \
          before using snapshot/restore)"
   in
-  let mismatch s what =
-    ignore (Memory.replay_stop cur);
-    discontinue_susp s;
-    raise (Replay_mismatch (Printf.sprintf "pid %d: %s" p.pid what))
-  in
-  let rec drive s =
-    match s with
-    | Proc.Region (_, k) -> drive (Effect.Deep.continue k ())
-    | _ when not (Memory.replaying cur) -> s
-    | Proc.Sleep (_, k) ->
-      Memory.replay_skip cur;
-      drive (Effect.Deep.continue k ())
-    | Proc.Done | Proc.Failed _ -> mismatch s "process terminated early"
-    | _ -> (
-      match Memory.replay_pending cur with
-      | [] -> mismatch s "observation list exhausted"
-      | _ :: _ -> mismatch s "recorded observation is of another kind")
-  in
-  Memory.replay_start cur ~calls:p.calls (oracle p.pid);
-  let s = drive (Proc.start p.thunk) in
+  let failed = List.rev p.failed in
+  replay_segment cur p ~from:0 failed (oracle p.pid);
+  let s = drive cur p (Proc.start p.thunk) failed in
   if not (Memory.replay_stop cur) then
-    mismatch s "unconsumed observations after replay";
+    replay_mismatch cur p s "unconsumed observations after replay";
   s
 
 let advance t p =
@@ -377,6 +409,7 @@ let recover t pid =
     p.region <- Event.Remainder;
     p.calls <- 0;
     p.started <- false;
+    p.failed <- [];
     t.active <- t.active + 1;
     bump t p;
     emit t p Event.Recover
@@ -389,6 +422,7 @@ type psnap = {
   s_calls : int;
   s_started : bool;
   s_stamp : int;
+  s_failed : (int * exn) list;
 }
 
 type snap = { s_active : int; s_procs : psnap array }
@@ -399,7 +433,8 @@ let snapshot t =
       Array.map
         (fun p ->
           { s_status = p.status; s_region = p.region; s_steps = p.steps;
-            s_calls = p.calls; s_started = p.started; s_stamp = p.stamp })
+            s_calls = p.calls; s_started = p.started; s_stamp = p.stamp;
+            s_failed = p.failed })
         t.procs }
 
 let restore t snap =
@@ -422,6 +457,7 @@ let restore t snap =
         p.calls <- ps.s_calls;
         p.started <- ps.s_started;
         p.stamp <- ps.s_stamp;
+        p.failed <- ps.s_failed;
         p.susp <- None
       end)
     snap.s_procs

@@ -22,8 +22,9 @@
     state; a process whose continuation was consumed by an abandoned
     branch is discontinued at once (its fiber stack is freed) and rebuilt
     lazily by restarting its thunk and replaying its recorded
-    observations (supplied by the [oracle] given at creation).  The
-    replay runs without effects: the answers sit on the arena's
+    observations (supplied by the [oracle] given at creation) and the
+    register-op failures it caught (logged by the scheduler itself).
+    The replay runs without effects: the answers sit on the arena's
     {!Memory.cursor}, where {!Sim_mem} takes them directly. *)
 
 type status =
@@ -108,10 +109,14 @@ type step_result =
 val step : t -> int -> step_result
 (** Advance process [pid] by one shared-memory access (absorbing any free
     region-change events on the way).  Errors raised by the process are
-    captured in its status.  A process that catches the exception of a
-    failed register operation (a model or width violation) goes on within
-    the same step, and {!replay_safe} becomes false.  [step t pid] is
-    [step_ahead t pid ~ahead:0], without resetting {!ahead_taken}. *)
+    captured in its status.  A register operation that fails (a model
+    or width violation) is no step: it records no event, and the
+    process is unwound with its exception.  A process that catches the
+    exception goes on within the same step, and the scheduler logs the
+    failure — its exception, and how many calls the process had been
+    answered before it — so that a rebuild after {!restore} raises it
+    again at the same call.  [step t pid] is [step_ahead t pid ~ahead:0],
+    without resetting {!ahead_taken}. *)
 
 val step_ahead : t -> int -> ahead:int -> step_result
 (** {!step}, granting the process a run-ahead of up to [ahead] further
@@ -145,24 +150,19 @@ val recover : t -> int -> unit
 (** Crash–recovery model (Golab–Ramaraju): restart a [Crashed] process
     with fresh local state.  The process thunk is re-invoked from the top
     at its next [step]; shared memory persists untouched.  A [Recover]
-    event is recorded and the process region resets to [Remainder].
-    No-op if the process is not currently [Crashed]. *)
+    event is recorded, the process region resets to [Remainder] and its
+    failure log (see {!step}) starts empty.  No-op if the process is not
+    currently [Crashed]. *)
 
 val started : t -> int -> bool
 (** Whether the process has been scheduled at least once (stays true
     after a crash; reset by {!recover}). *)
 
-val replay_safe : t -> bool
-(** False once some process caught a register-op exception and continued:
-    that answer is invisible to observation replay, so {!restore} can no
-    longer rebuild suspensions faithfully.  The incremental model checker
-    checks this and falls back to whole-schedule replay. *)
-
 type snap
 (** A checkpoint of the scheduler's logical state (statuses, regions,
-    step/call counters — O(nprocs), no continuations).  Register values
-    and the trace are checkpointed separately by the caller
-    ({!Memory.values}, {!Trace.length}/{!Trace.truncate}). *)
+    step/call counters, failure logs — O(nprocs), no continuations).
+    Register values and the trace are checkpointed separately by the
+    caller ({!Memory.values}, {!Trace.length}/{!Trace.truncate}). *)
 
 val snapshot : t -> snap
 
@@ -171,8 +171,11 @@ val restore : t -> snap -> unit
     snapshot (same {!stamp}) keep their live suspension; others have
     it discontinued with {!Proc.Crashed} (so its fiber is freed now) and
     are rebuilt lazily at their next {!step} by observation replay
-    through the creation-time [oracle].  Raises [Invalid_argument] if the
-    scheduler was created without an oracle.
+    through the creation-time [oracle]: the thunk restarts, the recorded
+    answers are fed back, and each failure in the process's log, as of
+    [snap], is raised again at the call where it happened.  Raises
+    [Invalid_argument] if the scheduler was created without an
+    oracle.
 
     Raises {!Replay_mismatch} later (at the rebuilding [step]) if the
     replayed effect stream diverges from the recorded observations —
@@ -183,7 +186,7 @@ val restore : t -> snap -> unit
 val dispose : t -> unit
 (** Discontinue every live suspension with {!Proc.Crashed}, freeing the
     fiber stacks of a system that is being abandoned.  Statuses and the
-    trace are left as they are; the scheduler must not be stepped,
-    crashed, recovered or restored afterwards. *)
+    trace are left as they are.  A process stepped afterwards is rebuilt
+    as after {!restore}, which needs the creation-time [oracle]. *)
 
 exception Replay_mismatch of string

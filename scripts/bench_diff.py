@@ -71,7 +71,7 @@ intentional or a regression.  Subjects are keyed (family, name, config):
 
   - a subject present in the baseline but missing from the current
     report fails (the battery silently shrank);
-  - a flip of liveness, spin_class or replay_safe fails;
+  - a flip of liveness or spin_class fails;
   - growth of the harmful race count fails (total race count changes
     are notes — adding a register legitimately adds Sync pairs);
   - a register vanishing or changing its required semantics
@@ -390,7 +390,7 @@ def diff_lint(base_doc, cur_doc, regressions, changes):
         if c is None:
             regressions.append(f"{label}: subject vanished from the battery")
             continue
-        for field in ("liveness", "spin_class", "replay_safe"):
+        for field in ("liveness", "spin_class"):
             if c[field] != b[field]:
                 regressions.append(
                     f"{label}: {field} flipped {b[field]} -> {c[field]}"

@@ -1,10 +1,13 @@
 (* Reference implementations of the §2.2/§3.2 measures and of the
    mutual-exclusion checkers, written as direct walks over a recorded
-   trace.  The library computes all of these with one streaming fold
-   ([Measures.Online]) and one occupancy monitor ([Spec.Monitor]); the
+   trace, and of the model checker's search, which re-executes every
+   node from scratch.  The library computes all of these with one
+   streaming fold ([Measures.Online]), one occupancy monitor
+   ([Spec.Monitor]) and one checkpoint/undo search ([Explore]); the
    equivalence batteries compare those against the definitions here,
    which stay deliberately simple (materialised access lists, region
-   arrays, hash sets) so that they can be read against the paper. *)
+   arrays, hash sets, fresh systems) so that they can be read against
+   the paper. *)
 
 open Cfc_runtime
 open Cfc_core
@@ -315,3 +318,183 @@ let mutual_exclusion_recoverable trace ~nprocs =
         | Event.Access _ | Event.Crash | Event.Recover -> None))
     None trace
 
+(* ------------------------------------------------------------------ *)
+(* Exhaustive exploration                                             *)
+
+(* The model checker's reference: a dscheck-style search that builds a
+   fresh system for every node and re-executes the node's whole
+   schedule on it, checks the whole trace with [check], and keys the
+   node by a full trace scan.  No checkpoint, no rebuild, no incremental
+   checker, no partial-order reduction, exact keys only; the symmetry
+   canonicalisation applies.  [Explore]'s engine must give the same
+   verdict, schedule and stats under either rollback policy. *)
+
+module Explore = Cfc_mcheck.Explore
+module State_key = Cfc_mcheck.State_key
+
+(* A node's key, from its system: register values, and per process its
+   status, region and the accesses since its last (re)start, read off
+   the trace. *)
+let state_key_of_system memory sched trace =
+  let nprocs = Scheduler.nprocs sched in
+  let obs = Array.make nprocs [] in
+  let obs_hash = Array.make nprocs 0 in
+  Trace.iter
+    (fun e ->
+      match e.Event.body with
+      | Event.Access (r, k) ->
+        let pid = e.Event.pid in
+        let c = State_key.cell r k in
+        obs.(pid) <- c :: obs.(pid);
+        obs_hash.(pid) <- State_key.cell_hash obs_hash.(pid) c
+      | Event.Crash ->
+        obs.(e.Event.pid) <- [];
+        obs_hash.(e.Event.pid) <- 0
+      | Event.Region_change _ | Event.Recover -> ())
+    trace;
+  { State_key.k_regvals = Memory.values memory;
+    k_procs =
+      Array.init nprocs (fun pid ->
+          { State_key.k_status =
+              State_key.status_tag (Scheduler.status sched pid);
+            k_region = Scheduler.region sched pid;
+            k_obs_hash = obs_hash.(pid);
+            k_obs = obs.(pid) }) }
+
+module Keys = Hashtbl.Make (struct
+  type t = State_key.t * int
+
+  let equal ((ka, ua) : t) ((kb, ub) : t) = ua = ub && State_key.equal ka kb
+  let hash ((k, u) : t) = State_key.hash k + u
+end)
+
+(* The choices at a node, in the search's canonical order: steps of the
+   runnable processes within their step budget (for a pure symmetry
+   group: the started ones, then only the lowest fresh one), crashes of
+   started runnable processes while the budget lasts, recoveries. *)
+let candidates sched ~(config : Explore.config) ~fresh_only ~pairs ~used =
+  let pids = List.init (Scheduler.nprocs sched) Fun.id in
+  let runnable p = Scheduler.status sched p = Scheduler.Runnable in
+  let steppable =
+    List.filter
+      (fun p ->
+        runnable p
+        && Scheduler.steps_taken sched p < config.Explore.max_steps_per_proc)
+      pids
+  in
+  let steps =
+    if not fresh_only then steppable
+    else
+      let started, fresh = List.partition (Scheduler.started sched) steppable in
+      started @ match fresh with p :: _ -> [ p ] | [] -> []
+  in
+  let crashes =
+    if pairs > 0 && used < pairs then
+      List.filter (fun p -> runnable p && Scheduler.started sched p) pids
+    else []
+  in
+  let recoveries =
+    if pairs > 0 then
+      List.filter (fun p -> Scheduler.status sched p = Scheduler.Crashed) pids
+    else []
+  in
+  List.map (fun p -> Explore.Step p) steps
+  @ List.map (fun p -> Explore.Crash p) crashes
+  @ List.map (fun p -> Explore.Recover p) recoveries
+
+exception Found of Explore.action list * violation
+exception Budget
+
+let explore_faults ?(config = Explore.default_config) ?symmetry ~pairs ~system
+    ~check () : Explore.fault_result =
+  let cap = max 64 config.Explore.max_states in
+  let seen = Keys.create cap in
+  let fresh_only =
+    match symmetry with
+    | Some s -> Cfc_mcheck.Symmetry.is_pure s
+    | None -> false
+  in
+  let runs = ref 0 and states = ref 0 and dedup = ref 0 and sym = ref 0 in
+  let truncated = ref false in
+  let leaf ~cut =
+    if cut then truncated := true;
+    incr runs
+  in
+  (* [schedule] is newest first. *)
+  let rec expand schedule depth used =
+    if !states >= config.Explore.max_states then begin
+      truncated := true;
+      raise Budget
+    end;
+    incr states;
+    let out = Explore.replay_actions ~system ~schedule:(List.rev schedule) in
+    let sched = out.Runner.scheduler in
+    let next =
+      Fun.protect
+        ~finally:(fun () -> Scheduler.dispose sched)
+        (fun () -> visit schedule used out)
+    in
+    match next with
+    | None -> ()
+    | Some [] -> leaf ~cut:(not (Scheduler.all_quiescent sched))
+    | Some _ when depth >= config.Explore.max_depth -> leaf ~cut:true
+    | Some cands ->
+      List.iter
+        (fun a ->
+          let used = match a with Explore.Crash _ -> used + 1 | _ -> used in
+          expand (a :: schedule) (depth + 1) used)
+        cands
+  (* Check the node and enter its key; [None] when it was seen. *)
+  and visit schedule used out =
+    let sched = out.Runner.scheduler and trace = out.Runner.trace in
+    let nprocs = Scheduler.nprocs sched in
+    for pid = 0 to nprocs - 1 do
+      match Scheduler.status sched pid with
+      | Scheduler.Errored e ->
+        raise
+          (Found
+             ( List.rev schedule,
+               { at = Trace.length trace;
+                 pids = [ pid ];
+                 what = "process error: " ^ Printexc.to_string e } ))
+      | Scheduler.Runnable | Scheduler.Halted | Scheduler.Crashed -> ()
+    done;
+    (match check trace ~nprocs with
+    | Some v -> raise (Found (List.rev schedule, v))
+    | None -> ());
+    let raw = state_key_of_system out.Runner.memory sched trace in
+    let key, rewritten =
+      match symmetry with
+      | None -> (raw, false)
+      | Some s ->
+        let k, pi = Cfc_mcheck.Symmetry.canon s raw in
+        (k, pi <> None)
+    in
+    if Keys.mem seen (key, used) then begin
+      incr (if rewritten then sym else dedup);
+      None
+    end
+    else begin
+      Keys.add seen (key, used) ();
+      Some (candidates sched ~config ~fresh_only ~pairs ~used)
+    end
+  in
+  let stats () =
+    { Explore.runs = !runs; states = !states; pruned_dedup = !dedup;
+      pruned_sym = !sym; pruned_por = 0; fp_collisions = 0;
+      seen_pop = Keys.length seen; seen_cap = cap; truncated = !truncated }
+  in
+  match expand [] 0 0 with
+  | () | (exception Budget) -> Explore.Ok (stats ())
+  | exception Found (schedule, violation) ->
+    Explore.Violation { schedule; violation; stats = stats () }
+
+let explore ?config ?symmetry ~system ~check () : Explore.result =
+  match explore_faults ?config ?symmetry ~pairs:0 ~system ~check () with
+  | Explore.Ok s -> Explore.Ok s
+  | Explore.Violation { schedule; violation; stats } ->
+    let pid = function
+      | Explore.Step p -> p
+      | Explore.Crash _ | Explore.Recover _ -> assert false (* pairs = 0 *)
+    in
+    Explore.Violation { schedule = List.map pid schedule; violation; stats }

@@ -1,8 +1,8 @@
 (* Tests for the symbolic access-graph analyzer (lib/analysis): the
    three-way agreement static = closed form = trace-measured over every
    registered algorithm of every family, the symbolic-vs-simulated solo
-   equivalence property, the spin-structure and replay-safety
-   classifications, the lint gate (clean on the real registry, failing
+   equivalence property, the spin-structure classification, the lint
+   gate (clean on the real registry, failing
    on the broken fixtures), and the determinism source scan. *)
 
 open Cfc_base
@@ -197,29 +197,6 @@ let test_spin_classes () =
           true
           (row.Lint.report.Analyze.spin_class = Analyze.Wait_free))
     (Lazy.force outcome).Lint.rows
-
-(* ------------------------------------------------------------------ *)
-(* Replay safety: static classification = dynamic scheduler flag       *)
-(* ------------------------------------------------------------------ *)
-
-let test_replay_safety_agreement () =
-  List.iter
-    (fun (row : Lint.row) ->
-      let s = row.Lint.report.Analyze.subject in
-      check_bool (row_label row ^ " replay safety")
-        (s.Subjects.dynamic_replay_safe ())
-        row.Lint.report.Analyze.replay_safe)
-    (Lazy.force outcome).Lint.rows
-
-let test_swallows_fixture_detected () =
-  let row = find_row "fixture-swallows" "n=2" in
-  check_bool "statically replay-unsafe" false
-    row.Lint.report.Analyze.replay_safe;
-  check_bool "warned" true
-    (List.exists
-       (fun (v : Lint.violation) ->
-         v.Lint.code = "replay-unsafe" && v.Lint.severity = Lint.Warning)
-       row.Lint.violations)
 
 (* ------------------------------------------------------------------ *)
 (* The lint gate                                                       *)
@@ -422,11 +399,7 @@ let () =
             test_battery_covers_families;
           QCheck_alcotest.to_alcotest prop_sym_matches_sim ] );
       ( "classification",
-        [ Alcotest.test_case "spin classes" `Quick test_spin_classes;
-          Alcotest.test_case "replay safety static = dynamic" `Quick
-            test_replay_safety_agreement;
-          Alcotest.test_case "swallows fixture detected" `Quick
-            test_swallows_fixture_detected ] );
+        [ Alcotest.test_case "spin classes" `Quick test_spin_classes ] );
       ( "product",
         [ Alcotest.test_case "lost-wakeup refuted, benign twin clean" `Quick
             test_lost_wakeup_refuted_benign_clean;

@@ -420,8 +420,9 @@ let test_finds_naming_race () =
       (violation.Cfc_core.Spec.what <> "")
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence: the incremental engine must be indistinguishable
-   from the replay reference — same verdicts, same counterexample
+(* Engine equivalence: both rollback policies must be indistinguishable
+   from the reference explorer, which re-executes every node on a fresh
+   system ([Oracle.explore]) — same verdicts, same counterexample
    schedules and the same exact {runs; states; pruned; truncated}. *)
 
 let pp_stats ppf (s : Explore.stats) =
@@ -451,59 +452,88 @@ let result_t : Explore.result Alcotest.testable =
 let fault_result_t : Explore.fault_result Alcotest.testable =
   Alcotest.testable (pp_gen_result pp_action_schedule) ( = )
 
+let engines =
+  [ ("incremental", Explore.Incremental); ("replay", Explore.Replay) ]
+
+(* [run engine] under each rollback policy = [reference]. *)
+let check_policies t name ~reference run =
+  List.iter
+    (fun (ename, engine) ->
+      Alcotest.check t (Printf.sprintf "%s: %s = oracle" name ename) reference
+        (run engine))
+    engines
+
+(* The reference searches for the [Props] problems, with the oracle's own
+   whole-trace checkers where it has one. *)
+let oracle_check_mutex alg p =
+  Oracle.explore ~system:(Cfc_core.Mutex_harness.system alg p)
+    ~check:Oracle.mutual_exclusion ()
+
+let oracle_check_recoverable ~pairs alg p =
+  Oracle.explore_faults ~pairs ~system:(Cfc_core.Mutex_harness.system alg p)
+    ~check:Oracle.mutual_exclusion_recoverable ()
+
+let oracle_check_naming alg ~n =
+  Oracle.explore ~symmetry:(Symmetry.identical ~nprocs:n)
+    ~system:(Cfc_core.Naming_harness.system alg ~n)
+    ~check:(fun trace ~nprocs -> Cfc_core.Spec.unique_names trace ~nprocs ~n)
+    ()
+
 let test_engine_equivalence_registry () =
   List.iter
-    (fun (module A : Mutex_intf.ALG) ->
+    (fun ((module A : Mutex_intf.ALG) as alg) ->
       let p = Mutex_intf.params 2 in
       if A.supports p then
-        Alcotest.check result_t (A.name ^ " n=2 replay=incremental")
-          (Props.check_mutex ~engine:Explore.Replay (module A) p)
-          (Props.check_mutex ~engine:Explore.Incremental (module A) p))
+        check_policies result_t (A.name ^ " n=2")
+          ~reference:(oracle_check_mutex alg p)
+          (fun engine -> Props.check_mutex ~engine alg p))
     Registry.all;
   List.iter
-    (fun (module A : Cfc_naming.Naming_intf.ALG) ->
+    (fun ((module A : Cfc_naming.Naming_intf.ALG) as alg) ->
       if A.supports ~n:2 then
-        Alcotest.check result_t (A.name ^ " naming n=2 replay=incremental")
-          (Props.check_naming ~engine:Explore.Replay (module A) ~n:2)
-          (Props.check_naming ~engine:Explore.Incremental (module A) ~n:2))
+        check_policies result_t (A.name ^ " naming n=2")
+          ~reference:(oracle_check_naming alg ~n:2)
+          (fun engine -> Props.check_naming ~engine alg ~n:2))
     Cfc_naming.Registry.all
 
 let test_engine_equivalence_broken () =
   let p2 = Mutex_intf.params 2 in
-  Alcotest.check result_t "broken-lock replay=incremental"
-    (Props.check_mutex ~engine:Explore.Replay (module Broken_lock) p2)
-    (Props.check_mutex ~engine:Explore.Incremental (module Broken_lock) p2);
-  Alcotest.check result_t "broken-chunked n=3 replay=incremental"
-    (Props.check_detector ~engine:Explore.Replay (module Broken_chunked)
-       { Mutex_intf.n = 3; l = 1 })
-    (Props.check_detector ~engine:Explore.Incremental (module Broken_chunked)
-       { Mutex_intf.n = 3; l = 1 });
-  Alcotest.check fault_result_t "broken-recovery replay=incremental"
-    (Props.check_mutex_recoverable ~engine:Explore.Replay ~pairs:1
-       (module Broken_recovery) p2)
-    (Props.check_mutex_recoverable ~engine:Explore.Incremental ~pairs:1
-       (module Broken_recovery) p2);
-  Alcotest.check fault_result_t "recoverable-tas pairs=2 replay=incremental"
-    (Props.check_mutex_recoverable ~engine:Explore.Replay ~pairs:2
-       Registry.rec_tas p2)
-    (Props.check_mutex_recoverable ~engine:Explore.Incremental ~pairs:2
-       Registry.rec_tas p2);
-  Alcotest.check result_t "broken-naming replay=incremental"
-    (Props.check_naming ~engine:Explore.Replay (module Broken_naming) ~n:2)
-    (Props.check_naming ~engine:Explore.Incremental (module Broken_naming)
-       ~n:2)
+  check_policies result_t "broken-lock"
+    ~reference:(oracle_check_mutex (module Broken_lock) p2)
+    (fun engine -> Props.check_mutex ~engine (module Broken_lock) p2);
+  let p3 = { Mutex_intf.n = 3; l = 1 } in
+  check_policies result_t "broken-chunked n=3"
+    ~reference:
+      (Oracle.explore
+         ~system:(Cfc_core.Detect_harness.system (module Broken_chunked) p3)
+         ~check:(fun trace ~nprocs ->
+           Cfc_core.Spec.at_most_one_winner trace ~nprocs)
+         ())
+    (fun engine -> Props.check_detector ~engine (module Broken_chunked) p3);
+  check_policies fault_result_t "broken-recovery pairs=1"
+    ~reference:(oracle_check_recoverable ~pairs:1 (module Broken_recovery) p2)
+    (fun engine ->
+      Props.check_mutex_recoverable ~engine ~pairs:1 (module Broken_recovery)
+        p2);
+  check_policies fault_result_t "recoverable-tas pairs=2"
+    ~reference:(oracle_check_recoverable ~pairs:2 Registry.rec_tas p2)
+    (fun engine ->
+      Props.check_mutex_recoverable ~engine ~pairs:2 Registry.rec_tas p2);
+  check_policies result_t "broken-naming"
+    ~reference:(oracle_check_naming (module Broken_naming) ~n:2)
+    (fun engine -> Props.check_naming ~engine (module Broken_naming) ~n:2)
 
 let test_symmetric_still_refutes () =
-  List.iter
-    (fun engine ->
-      match
-        Props.check_naming ~engine ~symmetric:true (module Broken_naming) ~n:2
-      with
-      | Explore.Ok _ -> Alcotest.fail "symmetric reduction hid the naming race"
-      | Explore.Violation { violation; _ } ->
-        Alcotest.(check bool) "duplicate found" true
-          (violation.Cfc_core.Spec.what <> ""))
-    [ Explore.Replay; Explore.Incremental ]
+  let expect_race = function
+    | Explore.Ok _ -> Alcotest.fail "symmetric reduction hid the naming race"
+    | Explore.Violation { violation; _ } ->
+      Alcotest.(check bool) "duplicate found" true
+        (violation.Cfc_core.Spec.what <> "")
+  in
+  let reference = oracle_check_naming (module Broken_naming) ~n:2 in
+  expect_race reference;
+  check_policies result_t "symmetric broken-naming" ~reference (fun engine ->
+      Props.check_naming ~engine ~symmetric:true (module Broken_naming) ~n:2)
 
 (* ------------------------------------------------------------------ *)
 (* State-key regression: the pre-rewrite fingerprint packed access kinds
@@ -544,7 +574,8 @@ let test_state_key_kinds_distinct () =
 
 (* An exchange-based lock whose register values live in the >= 10_000
    range that used to alias other access kinds; the exploration must
-   still verify it and both engines must agree exactly. *)
+   still verify it, under both rollback policies and in the reference
+   explorer alike. *)
 module Big_values : Mutex_intf.ALG = struct
   let name = "big-values"
   let supports (p : Mutex_intf.params) = p.Mutex_intf.n = 2
@@ -577,10 +608,10 @@ end
 
 let test_large_register_values () =
   let p = Mutex_intf.params 2 in
-  let inc = Props.check_mutex ~engine:Explore.Incremental (module Big_values) p
-  and rep = Props.check_mutex ~engine:Explore.Replay (module Big_values) p in
-  expect_ok "big-values n=2" inc;
-  Alcotest.check result_t "big-values replay=incremental" rep inc
+  let reference = oracle_check_mutex (module Big_values) p in
+  expect_ok "big-values n=2" reference;
+  check_policies result_t "big-values" ~reference (fun engine ->
+      Props.check_mutex ~engine (module Big_values) p)
 
 (* Pruning effectiveness: the state memo must prune a substantial share
    on a spin-heavy system, or exploration would not terminate in bounds. *)
@@ -595,9 +626,11 @@ let test_pruning_observable () =
 (* A search starts on a collected heap: what its caller dropped is
    freed before the search builds its first system, so its peak does not
    depend on the GC's cycle phase.  A weak pointer sees the difference
-   without the test running the GC itself. *)
+   without the test running the GC itself.  The search's result is the
+   reference explorer's. *)
 let test_search_starts_collected () =
   let p = Mutex_intf.params 2 in
+  let reference = oracle_check_mutex Registry.peterson_tournament p in
   List.iter
     (fun (name, engine) ->
       let build = Cfc_core.Mutex_harness.system Registry.peterson_tournament p in
@@ -608,18 +641,15 @@ let test_search_starts_collected () =
         alive := Weak.check dropped 0 :: !alive;
         build ()
       in
-      (match
-         Explore.run ~engine ~inc:Cfc_core.Spec.Inc.mutual_exclusion ~system
+      Alcotest.check result_t (name ^ " = oracle") reference
+        (Explore.run ~engine ~inc:Cfc_core.Spec.Inc.mutual_exclusion ~system
            ~check:(fun trace ~nprocs ->
              Cfc_core.Spec.mutual_exclusion trace ~nprocs)
-           ()
-       with
-      | Explore.Ok _ -> ()
-      | Explore.Violation _ -> Alcotest.failf "%s: unexpected violation" name);
+           ());
       check_bool (name ^ ": built a system") true (!alive <> []);
       check_bool (name ^ ": dropped memory collected first") false
         (List.mem true !alive))
-    [ ("incremental", Explore.Incremental); ("replay", Explore.Replay) ]
+    engines
 
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction: the reduced search is anchored exactly like
@@ -809,7 +839,7 @@ let congruence_sample ~seed ~subject ~len =
   let schedule = List.init len (fun _ -> Random.State.int rng n) in
   let key sched =
     let out = Explore.replay ~system ~schedule:sched in
-    State_key.of_system out.Runner.memory out.Runner.scheduler
+    Oracle.state_key_of_system out.Runner.memory out.Runner.scheduler
       out.Runner.trace
   in
   let key1 = key schedule in
@@ -905,7 +935,11 @@ let test_sym_equivalence_registry () =
             in
             Alcotest.check result_t (A.name ^ " n=2 compact = exact") sp spc;
             check_bool (A.name ^ " n=2 compact: no collisions") true
-              ((stats_of_r spc).Explore.fp_collisions = 0)))
+              ((stats_of_r spc).Explore.fp_collisions = 0);
+            Alcotest.check result_t
+              (A.name ^ " n=2 sym x por x compact: replay = incremental") spc
+              (Props.check_mutex ~engine:Explore.Replay ~symmetry ~independence
+                 ~compact:true (module A) p)))
     Registry.all;
   check_bool
     (Printf.sprintf "symmetry actually merged states somewhere (%d)"
@@ -1012,7 +1046,7 @@ let commutation_subjects =
    tracking every process's position in its access graph; if the reached
    state has two enabled processes whose next-step footprints are
    statically independent, execute the pair in both orders (from fresh
-   systems, via the replay engine) and compare the end-state
+   systems, via [Explore.replay]) and compare the end-state
    fingerprints.  This is the claim the reduction rests on, checked
    against the real scheduler rather than the abstraction. *)
 let commutation_sample ~seed ~subject ~prefix_len =
@@ -1054,7 +1088,7 @@ let commutation_sample ~seed ~subject ~prefix_len =
     | Some fa, Some fb when not (Independence.conflict fa fb) ->
       let key schedule =
         let out = Explore.replay ~system ~schedule in
-        State_key.of_system out.Runner.memory out.Runner.scheduler
+        Oracle.state_key_of_system out.Runner.memory out.Runner.scheduler
           out.Runner.trace
       in
       `Tested
@@ -1247,30 +1281,40 @@ let test_conflict_coverage_registry () =
     (Printf.sprintf "enough dynamic conflict pairs exercised (%d)" !total)
     true (!total >= 50)
 
-(* The checker's fallback: fixture-swallows catches the exception of a
-   failed write and keeps going, which the scheduler flags as replay
-   unsafe.  The default engine finds that out mid-search and restarts on
-   the replay engine; starting there ([replay_safe:false] or
-   [engine:Replay]) must give the same verdict and the same stats. *)
-let test_swallows_fallback () =
+(* fixture-swallows catches the exception of a failed write and keeps
+   going.  The failed write leaves no event in the trace; the scheduler
+   logs it, and a rebuild raises it again at the same call.  So the one
+   search checks the fixture on the one system it builds, with the
+   reference explorer's result under either rollback policy, and with
+   and without the reductions and faults. *)
+let test_swallows_one_engine () =
   let alg = Cfc_analysis.Fixtures.swallows and p = Mutex_intf.params 2 in
-  let out = Cfc_core.Mutex_harness.run ~pick:(Schedule.round_robin ()) alg p in
-  check_bool "a run leaves the scheduler replay-unsafe" false
-    (Scheduler.replay_safe out.Runner.scheduler);
-  let stats name = function
-    | Explore.Ok s -> s
-    | Explore.Violation _ -> Alcotest.failf "%s: unexpected violation" name
+  let reference = oracle_check_mutex alg p in
+  (match reference with
+  | Explore.Ok s ->
+    Alcotest.(check (list int)) "states, runs, pruned_dedup" [ 37; 2; 12 ]
+      [ s.Explore.states; s.Explore.runs; s.Explore.pruned_dedup ]
+  | Explore.Violation _ -> Alcotest.fail "oracle: unexpected violation");
+  let builds = ref 0 in
+  let system () =
+    incr builds;
+    Cfc_core.Mutex_harness.system alg p ()
   in
-  let fallback = stats "fallback" (Props.check_mutex alg p) in
-  Alcotest.(check (list int)) "states, runs, pruned_dedup" [ 37; 2; 12 ]
-    [ fallback.Explore.states; fallback.Explore.runs;
-      fallback.Explore.pruned_dedup ];
-  check_bool "replay_safe:false = fallback" true
-    (stats "replay_safe:false" (Props.check_mutex ~replay_safe:false alg p)
-     = fallback);
-  check_bool "engine:Replay = fallback" true
-    (stats "engine:Replay" (Props.check_mutex ~engine:Explore.Replay alg p)
-     = fallback)
+  Alcotest.check result_t "Explore.run = oracle" reference
+    (Explore.run ~inc:Cfc_core.Spec.Inc.mutual_exclusion ~system
+       ~check:(fun trace ~nprocs ->
+         Cfc_core.Spec.mutual_exclusion trace ~nprocs)
+       ());
+  Alcotest.(check int) "one system build" 1 !builds;
+  check_policies result_t "fixture-swallows" ~reference (fun engine ->
+      Props.check_mutex ~engine alg p);
+  (match Independence.mutex alg p with
+  | None -> Alcotest.fail "no independence model for fixture-swallows"
+  | Some independence ->
+    expect_ok "fixture-swallows por" (Props.check_mutex ~independence alg p));
+  check_policies fault_result_t "fixture-swallows pairs=1"
+    ~reference:(oracle_check_recoverable ~pairs:1 alg p)
+    (fun engine -> Props.check_mutex_recoverable ~engine ~pairs:1 alg p)
 
 let () =
   Alcotest.run "cfc_mcheck"
@@ -1301,14 +1345,15 @@ let () =
           Alcotest.test_case "detectors" `Quick test_detectors_exhaustive;
           Alcotest.test_case "naming n∈{2,4}" `Slow test_naming_exhaustive ] );
       ( "engine-equivalence",
-        [ Alcotest.test_case "registry n=2 replay=incremental" `Slow
+        [ Alcotest.test_case "registry n=2 replay=incremental=oracle" `Slow
             test_engine_equivalence_registry;
-          Alcotest.test_case "broken fixtures replay=incremental" `Quick
+          Alcotest.test_case "broken fixtures replay=incremental=oracle"
+            `Quick
             test_engine_equivalence_broken;
           Alcotest.test_case "symmetric still refutes" `Quick
             test_symmetric_still_refutes;
-          Alcotest.test_case "replay-unsafe fixture: fallback = replay"
-            `Quick test_swallows_fallback ] );
+          Alcotest.test_case "swallows fixture: one build, no fallback"
+            `Quick test_swallows_one_engine ] );
       ( "symmetry",
         [ Alcotest.test_case "groups derived for the symmetric algorithms"
             `Quick test_symmetry_groups_exist;

@@ -1192,6 +1192,118 @@ let test_replay_mismatch () =
   check_bool "wheel quiescent" true (Wheel.run wheel = Wheel.Quiescent);
   check "wheel writes through" 9 (final_value memory "r")
 
+(* A process that catches the exception of a failed register op and goes
+   on.  Its first incarnation finds [r] = 0, sets it and writes 2 into the
+   1-bit [b], which fails without an event; any later incarnation finds
+   [r] = 1 and skips both.  Then it reads, writes and reads [s]. *)
+let failing_system () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:4 ~init:0 () in
+  let b = M.alloc ~name:"b" ~width:1 ~init:0 () in
+  let s = M.alloc ~name:"s" ~width:4 ~init:0 () in
+  let proc () =
+    if M.read r = 0 then begin
+      M.write r 1;
+      try M.write b 2 with Invalid_argument _ -> ()
+    end;
+    ignore (M.read s);
+    M.write s 5;
+    ignore (M.read s)
+  in
+  let trace = Trace.create () in
+  let sched =
+    Scheduler.create ~oracle:(trace_oracle trace) ~memory ~trace [| proc |]
+  in
+  (memory, trace, sched)
+
+let events trace =
+  List.init (Trace.length trace) (fun i ->
+      Format.asprintf "%a" Event.pp (Trace.get trace i))
+
+let step_n sched k =
+  for _ = 1 to k do
+    ignore (Scheduler.step sched 0)
+  done
+
+let step_out sched =
+  while Scheduler.status sched 0 = Scheduler.Runnable do
+    ignore (Scheduler.step sched 0)
+  done
+
+(* The end of a run: its events, the process's steps and status. *)
+let run_end trace sched =
+  ( events trace,
+    Scheduler.steps_taken sched 0,
+    match Scheduler.status sched 0 with
+    | Scheduler.Halted -> "halted"
+    | Scheduler.Runnable -> "runnable"
+    | Scheduler.Crashed -> "crashed"
+    | Scheduler.Errored e -> "errored: " ^ Printexc.to_string e )
+
+let run_end_t = Alcotest.(triple (list string) int string)
+
+let check_halted what (_, _, status) =
+  Alcotest.(check string) (what ^ " halts") "halted" status
+
+(* A rebuild raises a caught register-op failure again at the same call:
+   undoing to a checkpoint taken before or after the failing step and
+   stepping on gives the events, step count and status of a run that
+   was never undone. *)
+let test_rebuild_replays_failure () =
+  let expected =
+    let _, trace, sched = failing_system () in
+    step_out sched;
+    run_end trace sched
+  in
+  check_halted "the plain run" expected;
+  let memory, trace, sched = failing_system () in
+  step_n sched 2;
+  let before = checkpoint sched memory trace in
+  (* the failed write, caught, then the read of [s] *)
+  step_n sched 1;
+  let after = checkpoint sched memory trace in
+  step_out sched;
+  Alcotest.check run_end_t "advanced" expected (run_end trace sched);
+  undo sched memory trace after;
+  step_out sched;
+  Alcotest.check run_end_t "undone to after the failure" expected
+    (run_end trace sched);
+  undo sched memory trace before;
+  step_out sched;
+  Alcotest.check run_end_t "undone to before the failure" expected
+    (run_end trace sched)
+
+(* [recover] starts the failure log afresh: the rebuild of the new
+   incarnation, which skips the failing write, does not raise the old
+   failure (at its third call, that would end it as [Errored]).  The log
+   is part of the checkpoint, so undoing across the recover brings the
+   old one back. *)
+let test_recover_clears_failures () =
+  let memory, trace, sched = failing_system () in
+  step_n sched 3;
+  let failed = checkpoint sched memory trace in
+  Scheduler.crash sched 0;
+  Scheduler.recover sched 0;
+  step_n sched 2;
+  let ck = checkpoint sched memory trace in
+  step_out sched;
+  let expected = run_end trace sched in
+  check_halted "the new incarnation" expected;
+  undo sched memory trace ck;
+  step_out sched;
+  Alcotest.check run_end_t "undone in the new incarnation" expected
+    (run_end trace sched);
+  undo sched memory trace failed;
+  step_out sched;
+  let plain =
+    let _, trace, sched = failing_system () in
+    step_out sched;
+    run_end trace sched
+  in
+  Alcotest.check run_end_t "undone across the recover" plain
+    (run_end trace sched)
+
 let () =
   Alcotest.run "cfc_runtime"
     [ ( "registers",
@@ -1281,4 +1393,8 @@ let () =
           Alcotest.test_case "dispose skips unstarted processes" `Quick
             test_dispose_unstarted;
           Alcotest.test_case "replay mismatch clears the cursor" `Quick
-            test_replay_mismatch ] ) ]
+            test_replay_mismatch;
+          Alcotest.test_case "rebuild raises a caught failure again" `Quick
+            test_rebuild_replays_failure;
+          Alcotest.test_case "recover starts a fresh failure log" `Quick
+            test_recover_clears_failures ] ) ]
