@@ -151,42 +151,43 @@ module Seen = struct
 
   let fp_of ((key, used) : State_key.t * int) = State_key.fingerprint key used
 
+  let rec steps_cover e_steps steps i =
+    i < 0 || (steps.(i) >= e_steps.(i) && steps_cover e_steps steps (i - 1))
+
   let covers e ~sleep ~steps =
     e.e_sleep land lnot sleep = 0
-    && (let ok = ref true in
-        Array.iteri (fun i s -> if s < e.e_steps.(i) then ok := false) steps;
-        !ok)
+    && steps_cover e.e_steps steps (Array.length steps - 1)
 
   let fresh ~sleep ~steps ~fp2 =
     { e_sleep = sleep; e_steps = steps; e_open = 0; e_fp2 = fp2 }
+
+  let prune c ~rewritten =
+    if rewritten then c.pruned_sym <- c.pruned_sym + 1
+    else c.pruned_dedup <- c.pruned_dedup + 1;
+    None
+
+  let decide e ~c ~por ~rewritten ~sleep ~steps =
+    if (not por) || covers e ~sleep ~steps then prune c ~rewritten
+    else begin
+      e.e_sleep <- sleep;
+      e.e_steps <- steps;
+      Some e
+    end
 
   (* [None]: pruned (the matching counter has been bumped).  [Some e]:
      proceed and expand; [e]'s payload has been (re)set to this visit's
      sleep/steps. *)
   let enter seen ~c ~por ~rewritten ~sleep ~steps key =
-    let prune () =
-      if rewritten then c.pruned_sym <- c.pruned_sym + 1
-      else c.pruned_dedup <- c.pruned_dedup + 1;
-      None
-    in
-    let decide e =
-      if (not por) || covers e ~sleep ~steps then prune ()
-      else begin
-        e.e_sleep <- sleep;
-        e.e_steps <- steps;
-        Some e
-      end
-    in
     match seen with
     | Exact tbl when not por ->
       (* membership test and insert in one hashing pass: [replace] on a
          present key leaves the size unchanged *)
       let population = Tbl.length tbl in
       Tbl.replace tbl key dummy;
-      if Tbl.length tbl = population then prune () else Some dummy
+      if Tbl.length tbl = population then prune c ~rewritten else Some dummy
     | Exact tbl -> (
       match Tbl.find_opt tbl key with
-      | Some e -> decide e
+      | Some e -> decide e ~c ~por ~rewritten ~sleep ~steps
       | None ->
         let e = fresh ~sleep ~steps ~fp2:0 in
         Tbl.add tbl key e;
@@ -197,7 +198,7 @@ module Seen = struct
       | Some e when e.e_fp2 <> fp2 ->
         c.fp_collisions <- c.fp_collisions + 1;
         Some (fresh ~sleep ~steps ~fp2)
-      | Some e -> decide e
+      | Some e -> decide e ~c ~por ~rewritten ~sleep ~steps
       | None ->
         let e = fresh ~sleep ~steps ~fp2 in
         Hashtbl.add tbl fp1 e;
@@ -216,27 +217,35 @@ module Seen = struct
     match found with Some e -> e.e_open > 0 | None -> false
 end
 
+let is_runnable sched pid =
+  match Scheduler.status sched pid with
+  | Scheduler.Runnable -> true
+  | Scheduler.Halted | Scheduler.Crashed | Scheduler.Errored _ -> false
+
+let is_crashed sched pid =
+  match Scheduler.status sched pid with
+  | Scheduler.Crashed -> true
+  | Scheduler.Runnable | Scheduler.Halted | Scheduler.Errored _ -> false
+
 (* Scheduler choices offered at the current state, in the canonical
    order: steps (runnable pids ascending, optionally restricted to the
    lowest fresh pid, within the step budget), then crashes, then
    recoveries.  Built back-to-front by consing so the hot path allocates
-   exactly the result list. *)
-let candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used =
+   exactly the result list; [step.(pid)] is [Step pid], built once per
+   search. *)
+let candidates_of sched ~config ~step ~fresh_only ~pairs ~nprocs ~used =
   let acc = ref [] in
   if pairs > 0 then begin
     for pid = nprocs - 1 downto 0 do
-      if Scheduler.status sched pid = Scheduler.Crashed then
-        acc := Recover pid :: !acc
+      if is_crashed sched pid then acc := Recover pid :: !acc
     done;
     (* Crashing a process that has not yet taken a step reaches, after its
        recovery, a state indistinguishable from never crashing it — skip
        those branches outright. *)
     if used < pairs then
       for pid = nprocs - 1 downto 0 do
-        if
-          Scheduler.status sched pid = Scheduler.Runnable
-          && Scheduler.started sched pid
-        then acc := Crash pid :: !acc
+        if is_runnable sched pid && Scheduler.started sched pid then
+          acc := Crash pid :: !acc
       done
   end;
   if fresh_only then begin
@@ -248,26 +257,26 @@ let candidates_of sched ~config ~fresh_only ~pairs ~nprocs ~used =
     let fresh = ref (-1) in
     for pid = nprocs - 1 downto 0 do
       if
-        Scheduler.status sched pid = Scheduler.Runnable
+        is_runnable sched pid
         && Scheduler.steps_taken sched pid < config.max_steps_per_proc
         && not (Scheduler.started sched pid)
       then fresh := pid
     done;
-    if !fresh >= 0 then acc := Step !fresh :: !acc;
+    if !fresh >= 0 then acc := step.(!fresh) :: !acc;
     for pid = nprocs - 1 downto 0 do
       if
-        Scheduler.status sched pid = Scheduler.Runnable
+        is_runnable sched pid
         && Scheduler.steps_taken sched pid < config.max_steps_per_proc
         && Scheduler.started sched pid
-      then acc := Step pid :: !acc
+      then acc := step.(pid) :: !acc
     done
   end
   else
     for pid = nprocs - 1 downto 0 do
       if
-        Scheduler.status sched pid = Scheduler.Runnable
+        is_runnable sched pid
         && Scheduler.steps_taken sched pid < config.max_steps_per_proc
-      then acc := Step pid :: !acc
+      then acc := step.(pid) :: !acc
     done;
   !acc
 
@@ -291,6 +300,117 @@ let fresh_only_of ~sym ~ind =
    component).  Under the [Replay] policy every rollback drops every
    live continuation, so each process is rebuilt at its next step. *)
 
+(* A memo key plus how canonicalisation transformed it: [kk_pi] is the
+   witness permutation (raw pid [p] sits at canonical slot
+   [kk_pi.(p)]), needed to carry the POR payload — sleep sets and step
+   vectors are per-pid and must live in the same pid space as the key
+   they are stored under. *)
+type keyed = {
+  kk_key : State_key.t * int;
+  kk_rewritten : bool;
+  kk_pi : int array option;
+}
+
+(* One checkpoint buffer.  The search keeps one per DFS depth, and the
+   commutation probe one per probe depth, allocated the first time that
+   depth branches and overwritten by every later save there: a node's
+   checkpoint is live only while its own children run, and they save at
+   deeper slots.  The search saves whole states ([save]); the probe saves
+   only the part one step changes ([save_step]) and never touches the
+   property monitor, so its buffers leave [ck_inc] at [ignore] and
+   [ck_pre_*] unused.  [ck_pre_*] hold, per pid whose bit is set in
+   [ck_pre_mask], the child key and register values the reduced node's
+   pick loop computed, for the full expansion to reuse. *)
+type checkpoint = {
+  ck_sched : Scheduler.snap;
+  mutable ck_regvals : int array;
+  mutable ck_tracelen : int;
+  ck_obs : State_key.cell list array;
+  ck_obs_hash : int array;
+  mutable ck_inc : unit -> unit;
+  ck_canon : State_key.cell list array;  (* [||] without reduction *)
+  ck_meta : (int * bool) list array;  (* [||] without reduction *)
+  ck_ind : Independence.snap option;  (* [None] without reduction *)
+  mutable ck_pre_mask : int;
+  ck_pre_kk : keyed array;
+  ck_pre_regvals : int array array;
+}
+
+type pool = {
+  mutable cks : checkpoint array;
+  mutable used : int;  (* buffers [0, used) may hold references *)
+}
+
+(* [others_commute]'s visited set: open addressing with linear probing,
+   emptied between probes by clearing only the slots that probe filled,
+   so a probe that visits a handful of nodes pays for a handful of
+   slots, and no key outlives its probe.  A probe's keys all carry the
+   same crash budget (the probe only steps), so the set stores bare
+   keys. *)
+module Probe_seen = struct
+  type t = {
+    mutable keys : State_key.t array;  (* [no_key] marks a free slot *)
+    mutable hashes : int array;
+    mutable filled : int array;  (* the slots filled, [count] of them *)
+    mutable count : int;
+  }
+
+  let no_key = { State_key.k_regvals = [||]; k_procs = [||] }
+
+  let create cap =
+    { keys = Array.make cap no_key; hashes = Array.make cap 0;
+      filled = Array.make (cap / 2) 0; count = 0 }
+
+  let clear t =
+    for j = 0 to t.count - 1 do
+      t.keys.(t.filled.(j)) <- no_key
+    done;
+    t.count <- 0
+
+  (* The slot holding [key] (whose hash is [h]), or the free slot where
+     it would go. *)
+  let slot t key h =
+    let mask = Array.length t.keys - 1 in
+    let i = ref (h land mask) in
+    while
+      t.keys.(!i) != no_key
+      && not (t.hashes.(!i) = h && State_key.equal t.keys.(!i) key)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let put t i key h =
+    t.keys.(i) <- key;
+    t.hashes.(i) <- h;
+    t.filled.(t.count) <- i;
+    t.count <- t.count + 1
+
+  let grow t =
+    let keys = t.keys and hashes = t.hashes and filled = t.filled in
+    let n = t.count in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap no_key;
+    t.hashes <- Array.make cap 0;
+    t.filled <- Array.make (cap / 2) 0;
+    t.count <- 0;
+    for j = 0 to n - 1 do
+      let k = keys.(filled.(j)) and h = hashes.(filled.(j)) in
+      put t (slot t k h) k h
+    done
+
+  (* Insert [key]; [false] when it was already present. *)
+  let add t key =
+    if 2 * (t.count + 1) > Array.length t.keys then grow t;
+    let h = State_key.hash key in
+    let i = slot t key h in
+    if t.keys.(i) != no_key then false
+    else begin
+      put t i key h;
+      true
+    end
+end
+
 (* Partial-order reduction state, present only when an independence hint
    is active.  [p_canon]/[p_meta] are the canonical observation lists the
    memo key uses instead of the raw ones: completed busy-wait iterations
@@ -306,7 +426,8 @@ type por_state = {
   p_canon : State_key.cell list array;  (* per pid, newest first *)
   p_meta : (int * bool) list array;
       (* parallel to [p_canon]: (hash after this cell, cycle-member) *)
-  p_probe : unit Tbl.t;  (* [others_commute]'s seen set, reset per probe *)
+  p_probe : Probe_seen.t;  (* [others_commute]'s seen set, per probe *)
+  mutable p_budget : int;  (* [others_commute]'s remaining nodes *)
 }
 
 type inc_state = {
@@ -321,34 +442,37 @@ type inc_state = {
   i_obs : State_key.cell list array;  (* per pid, newest first *)
   i_obs_hash : int array;  (* per pid, rolling State_key.cell_hash fold *)
   i_nprocs : int;
+  i_step : action array;  (* [Step pid] per pid *)
   i_inc : Inc.run;
   i_seen : Seen.t;
   i_c : counters;
   i_por : por_state option;
   i_observe :
     (pid:int -> reg:Register.t -> kind:Event.access_kind -> unit) option;
-}
-
-type checkpoint = {
-  ck_sched : Scheduler.snap;
-  ck_regvals : int array;
-  ck_tracelen : int;
-  ck_obs : State_key.cell list array;
-  ck_obs_hash : int array;
-  ck_inc : unit -> unit;
-  ck_por :
-    (State_key.cell list array * (int * bool) list array * Independence.snap)
-    option;
+  i_cks : pool;  (* the search's checkpoints, by depth *)
+  i_probe_cks : pool;  (* the probe's checkpoints, by probe depth *)
 }
 
 let make_inc_state ~config ~rebuild_all ~sym ~pairs ~system ~inc ~ind ~seen
     ~c ~observe =
   let memory, procs = system () in
   let trace = Trace.create () in
-  let obs = Array.make (Array.length procs) [] in
-  let oracle pid = List.rev_map (fun cl -> cl.State_key.kind) obs.(pid) in
+  let nprocs = Array.length procs in
+  let obs = Array.make nprocs [] in
+  (* The rebuild oracle, memoised per process on the physical identity
+     of its observation list: a rollback puts back the very list it
+     saved, so rebuilding the same process at the same history again
+     reuses the answers instead of reversing the list anew. *)
+  let memo_obs = Array.make nprocs [] and memo_kinds = Array.make nprocs [] in
+  let oracle pid =
+    let o = obs.(pid) in
+    if o != memo_obs.(pid) then begin
+      memo_obs.(pid) <- o;
+      memo_kinds.(pid) <- List.rev_map (fun cl -> cl.State_key.kind) o
+    end;
+    memo_kinds.(pid)
+  in
   let sched = Scheduler.create ~oracle ~memory ~trace procs in
-  let nprocs = Scheduler.nprocs sched in
   let por =
     match ind with
     | None -> None
@@ -357,15 +481,63 @@ let make_inc_state ~config ~rebuild_all ~sym ~pairs ~system ~inc ~ind ~seen
         { p_tr = Independence.track t ~nprocs;
           p_canon = Array.make nprocs [];
           p_meta = Array.make nprocs [];
-          p_probe = Tbl.create 256 }
+          p_probe = Probe_seen.create 256;
+          p_budget = 0 }
   in
   { i_config = config; i_rebuild_all = rebuild_all;
     i_fresh_only = fresh_only_of ~sym ~ind; i_sym = sym;
     i_pairs = pairs; i_memory = memory; i_sched = sched;
     i_trace = trace; i_obs = obs;
-    i_obs_hash = Array.make (Array.length procs) 0; i_nprocs = nprocs;
+    i_obs_hash = Array.make nprocs 0; i_nprocs = nprocs;
+    i_step = Array.init nprocs (fun pid -> Step pid);
     i_inc = Inc.start inc ~nprocs; i_seen = seen; i_c = c; i_por = por;
-    i_observe = observe }
+    i_observe = observe; i_cks = { cks = [||]; used = 0 };
+    i_probe_cks = { cks = [||]; used = 0 } }
+
+let no_keyed =
+  { kk_key = (Probe_seen.no_key, 0); kk_rewritten = false; kk_pi = None }
+
+let new_checkpoint st =
+  let n = st.i_nprocs in
+  let por_lists () = match st.i_por with Some _ -> Array.make n [] | None -> [||] in
+  { ck_sched = Scheduler.snapshot st.i_sched; ck_regvals = [||];
+    ck_tracelen = 0; ck_obs = Array.make n []; ck_obs_hash = Array.make n 0;
+    ck_inc = ignore; ck_canon = por_lists (); ck_meta = por_lists ();
+    ck_ind = Option.map (fun por -> Independence.snapshot por.p_tr) st.i_por;
+    ck_pre_mask = 0; ck_pre_kk = Array.make n no_keyed;
+    ck_pre_regvals = Array.make n [||] }
+
+(* The buffer of depth [d], created on first use. *)
+let checkpoint_at st pool d =
+  let have = Array.length pool.cks in
+  if d >= have then
+    pool.cks <-
+      Array.init (max (d + 1) (2 * have)) (fun i ->
+          if i < have then pool.cks.(i) else new_checkpoint st);
+  if d >= pool.used then pool.used <- d + 1;
+  pool.cks.(d)
+
+(* Drop what a buffer references once its node is done, so that it
+   keeps no dead branch's lists alive: buffers live in the major heap,
+   and what they point to at a minor collection gets promoted. *)
+let release ck =
+  ck.ck_regvals <- [||];
+  Array.fill ck.ck_obs 0 (Array.length ck.ck_obs) [];
+  Array.fill ck.ck_canon 0 (Array.length ck.ck_canon) [];
+  Array.fill ck.ck_meta 0 (Array.length ck.ck_meta) [];
+  for p = 0 to Array.length ck.ck_pre_kk - 1 do
+    if ck.ck_pre_mask land (1 lsl p) <> 0 then begin
+      ck.ck_pre_kk.(p) <- no_keyed;
+      ck.ck_pre_regvals.(p) <- [||]
+    end
+  done;
+  ck.ck_pre_mask <- 0
+
+let release_pool pool =
+  for d = 0 to pool.used - 1 do
+    release pool.cks.(d)
+  done;
+  pool.used <- 0
 
 (* ---- spin-history canonicalization (lists newest first) ---- *)
 
@@ -380,61 +552,55 @@ let make_inc_state ~config ~rebuild_all ~sym ~pairs ~system ~inc ~ind ~seen
    register values in the key.  The scan stops at the first non-cycle
    cell, so loop exits and later re-entries (harness rounds) never
    collapse across. *)
-let drop_reentry obs meta ~reg ~cls =
-  let rec scan obs meta =
-    match (obs, meta) with
-    | cl :: obs', (_, true) :: meta' ->
-      if cl.State_key.reg = reg && Independence.class_id cl.State_key.kind = cls
-      then Some (obs', meta')
-      else scan obs' meta'
-    | _, _ -> None
-  in
-  scan obs meta
+let rec drop_reentry obs meta ~reg ~cls =
+  match (obs, meta) with
+  | cl :: obs', (_, true) :: meta' ->
+    if cl.State_key.reg = reg && Independence.class_id cl.State_key.kind = cls
+    then Some (obs', meta')
+    else drop_reentry obs' meta' ~reg ~cls
+  | _, _ -> None
 
-(* Apply one action to the live system.  Returns the shared access the
-   step performed, if any (a step performs at most one; pause steps and
-   crash/recover perform none). *)
-let apply st a =
-  let before = Trace.length st.i_trace in
-  (match a with
-  | Step pid -> ignore (Scheduler.step st.i_sched pid)
-  | Crash pid -> Scheduler.crash st.i_sched pid
-  | Recover pid -> Scheduler.recover st.i_sched pid);
-  (* Fold the new events into the per-process observation lists (a crash
-     wipes local state, so the observation history restarts). *)
-  let access = ref None in
+let push_canon por pid cl ~digest ~is_cyc obs meta =
+  let h = match meta with [] -> 0 | (h, _) :: _ -> h in
+  por.p_canon.(pid) <- cl :: obs;
+  por.p_meta.(pid) <- (State_key.fold_digest h digest, is_cyc) :: meta
+
+(* Fold the events appended since trace position [before] into the
+   per-process observation lists (a crash wipes local state, so the
+   observation history restarts).  Returns the trace position of the
+   shared access among them, or [-1] (a step performs at most one;
+   pause steps and crash/recover perform none). *)
+let absorb st ~before =
+  let access = ref (-1) in
   for i = before to Trace.length st.i_trace - 1 do
     let e = Trace.get st.i_trace i in
     match e.Event.body with
     | Event.Access (r, k) ->
       let pid = e.Event.pid in
       let cl = State_key.cell r k in
+      let digest = State_key.cell_digest cl in
       st.i_obs.(pid) <- cl :: st.i_obs.(pid);
-      st.i_obs_hash.(pid) <- State_key.cell_hash st.i_obs_hash.(pid) cl;
-      access := Some (pid, r, k);
+      st.i_obs_hash.(pid) <- State_key.fold_digest st.i_obs_hash.(pid) digest;
+      access := i;
       (match st.i_observe with
       | Some f -> f ~pid ~reg:r ~kind:k
       | None -> ());
       (match st.i_por with
       | None -> ()
-      | Some por ->
+      | Some por -> (
         Independence.observe por.p_tr ~pid ~reg:r.Register.id ~kind:k;
         let is_cyc =
           Independence.cycle_member por.p_tr ~pid ~reg:r.Register.id ~kind:k
         in
-        let obs0, meta0 =
+        let obs = por.p_canon.(pid) and meta = por.p_meta.(pid) in
+        match
           if is_cyc then
-            match
-              drop_reentry por.p_canon.(pid) por.p_meta.(pid)
-                ~reg:r.Register.id ~cls:(Independence.class_id k)
-            with
-            | Some om -> om
-            | None -> (por.p_canon.(pid), por.p_meta.(pid))
-          else (por.p_canon.(pid), por.p_meta.(pid))
-        in
-        let h = match meta0 with [] -> 0 | (h, _) :: _ -> h in
-        por.p_canon.(pid) <- cl :: obs0;
-        por.p_meta.(pid) <- (State_key.cell_hash h cl, is_cyc) :: meta0)
+            drop_reentry obs meta ~reg:r.Register.id
+              ~cls:(Independence.class_id k)
+          else None
+        with
+        | Some (obs, meta) -> push_canon por pid cl ~digest ~is_cyc obs meta
+        | None -> push_canon por pid cl ~digest ~is_cyc obs meta))
     | Event.Crash ->
       st.i_obs.(e.Event.pid) <- [];
       st.i_obs_hash.(e.Event.pid) <- 0
@@ -442,21 +608,70 @@ let apply st a =
   done;
   !access
 
-let save st ~regvals ~tracelen =
-  { ck_sched = Scheduler.snapshot st.i_sched;
-    ck_regvals = regvals;
-    ck_tracelen = tracelen;
-    ck_obs = Array.copy st.i_obs;
-    ck_obs_hash = Array.copy st.i_obs_hash;
-    ck_inc = st.i_inc.Inc.save ();
-    ck_por =
-      (match st.i_por with
-      | None -> None
-      | Some por ->
-        Some
-          ( Array.copy por.p_canon,
-            Array.copy por.p_meta,
-            Independence.snapshot por.p_tr )) }
+(* Apply one action to the live system; the result is [absorb]'s. *)
+let apply st a =
+  let before = Trace.length st.i_trace in
+  (match a with
+  | Step pid -> ignore (Scheduler.step st.i_sched pid)
+  | Crash pid -> Scheduler.crash st.i_sched pid
+  | Recover pid -> Scheduler.recover st.i_sched pid);
+  absorb st ~before
+
+(* The value-aware footprint of the access at trace position [i]
+   ([before] is the register-value array at the parent node; a step
+   performs at most one access, so only its register can differ). *)
+let access_fp st ~before i =
+  match (Trace.get st.i_trace i).Event.body with
+  | Event.Access (r, k) ->
+    Independence.fp_of_access
+      ~changed:(Memory.value_changed st.i_memory ~before r)
+      ~reg:r.Register.id k
+  | Event.Region_change _ | Event.Crash | Event.Recover ->
+    invalid_arg "Explore.access_fp"
+
+let save st ck ~regvals ~tracelen =
+  Scheduler.snapshot_into st.i_sched ck.ck_sched;
+  ck.ck_regvals <- regvals;
+  ck.ck_tracelen <- tracelen;
+  Array.blit st.i_obs 0 ck.ck_obs 0 st.i_nprocs;
+  Array.blit st.i_obs_hash 0 ck.ck_obs_hash 0 st.i_nprocs;
+  ck.ck_inc <- st.i_inc.Inc.save ();
+  match (st.i_por, ck.ck_ind) with
+  | Some por, Some ind ->
+    Array.blit por.p_canon 0 ck.ck_canon 0 st.i_nprocs;
+    Array.blit por.p_meta 0 ck.ck_meta 0 st.i_nprocs;
+    Independence.snapshot_into por.p_tr ind
+  | _, _ -> ()
+
+(* The probe's undo of one step of [q]: a step changes only [q]'s
+   scheduler record, observations and tracker position, one register
+   and the trace's tail, so only those are saved. *)
+let save_step st ck q ~regvals ~tracelen =
+  Scheduler.snapshot_pid_into st.i_sched ck.ck_sched q;
+  ck.ck_regvals <- regvals;
+  ck.ck_tracelen <- tracelen;
+  ck.ck_obs.(q) <- st.i_obs.(q);
+  ck.ck_obs_hash.(q) <- st.i_obs_hash.(q);
+  match (st.i_por, ck.ck_ind) with
+  | Some por, Some ind ->
+    ck.ck_canon.(q) <- por.p_canon.(q);
+    ck.ck_meta.(q) <- por.p_meta.(q);
+    Independence.snapshot_pid_into por.p_tr ind q
+  | _, _ -> ()
+
+let undo_step st ck q =
+  Scheduler.restore_pid st.i_sched ck.ck_sched q;
+  if st.i_rebuild_all then Scheduler.dispose st.i_sched;
+  Memory.restore_values st.i_memory ck.ck_regvals;
+  Trace.truncate st.i_trace ck.ck_tracelen;
+  st.i_obs.(q) <- ck.ck_obs.(q);
+  st.i_obs_hash.(q) <- ck.ck_obs_hash.(q);
+  match (st.i_por, ck.ck_ind) with
+  | Some por, Some ind ->
+    por.p_canon.(q) <- ck.ck_canon.(q);
+    por.p_meta.(q) <- ck.ck_meta.(q);
+    Independence.restore_pid por.p_tr ind q
+  | _, _ -> ()
 
 let rollback st ck =
   Scheduler.restore st.i_sched ck.ck_sched;
@@ -466,53 +681,49 @@ let rollback st ck =
   Array.blit ck.ck_obs 0 st.i_obs 0 st.i_nprocs;
   Array.blit ck.ck_obs_hash 0 st.i_obs_hash 0 st.i_nprocs;
   ck.ck_inc ();
-  match (st.i_por, ck.ck_por) with
-  | Some por, Some (canon, meta, snap) ->
-    Array.blit canon 0 por.p_canon 0 st.i_nprocs;
-    Array.blit meta 0 por.p_meta 0 st.i_nprocs;
-    Independence.restore por.p_tr snap
+  match (st.i_por, ck.ck_ind) with
+  | Some por, Some ind ->
+    Array.blit ck.ck_canon 0 por.p_canon 0 st.i_nprocs;
+    Array.blit ck.ck_meta 0 por.p_meta 0 st.i_nprocs;
+    Independence.restore por.p_tr ind
   | _, _ -> ()
 
-let state_key_of st ~regvals ~used =
-  let obs, obs_hash =
-    match st.i_por with
-    | Some por ->
-      ( (fun pid -> por.p_canon.(pid)),
-        fun pid ->
-          match por.p_meta.(pid) with [] -> 0 | (h, _) :: _ -> h )
-    | None -> ((fun pid -> st.i_obs.(pid)), fun pid -> st.i_obs_hash.(pid))
-  in
-  ( { State_key.k_regvals = regvals;
-      k_procs =
-        Array.init st.i_nprocs (fun pid ->
-            { State_key.k_status =
-                State_key.status_tag (Scheduler.status st.i_sched pid);
-              k_region = Scheduler.region st.i_sched pid;
-              k_obs_hash = obs_hash pid;
-              k_obs = obs pid }) },
-    used )
+let no_proc =
+  { State_key.k_status = 0; k_region = Event.Remainder; k_obs_hash = 0;
+    k_obs = [] }
+
+let proc_key st pid ~obs_hash ~obs =
+  { State_key.k_status = State_key.status_tag (Scheduler.status st.i_sched pid);
+    k_region = Scheduler.region st.i_sched pid;
+    k_obs_hash = obs_hash;
+    k_obs = obs }
+
+(* The raw key of the live state, over the canonical observation lists
+   under reduction and the exact ones otherwise. *)
+let state_key_of st ~regvals =
+  let procs = Array.make st.i_nprocs no_proc in
+  (match st.i_por with
+  | Some por ->
+    for pid = 0 to st.i_nprocs - 1 do
+      let obs_hash = match por.p_meta.(pid) with [] -> 0 | (h, _) :: _ -> h in
+      procs.(pid) <- proc_key st pid ~obs_hash ~obs:por.p_canon.(pid)
+    done
+  | None ->
+    for pid = 0 to st.i_nprocs - 1 do
+      procs.(pid) <-
+        proc_key st pid ~obs_hash:st.i_obs_hash.(pid) ~obs:st.i_obs.(pid)
+    done);
+  { State_key.k_regvals = regvals; k_procs = procs }
 
 (* ---- symmetry canonicalisation of memo keys ---- *)
 
-(* A memo key plus how canonicalisation transformed it: [kk_pi] is the
-   witness permutation (raw pid [p] sits at canonical slot
-   [kk_pi.(p)]), needed to carry the POR payload — sleep sets and step
-   vectors are per-pid and must live in the same pid space as the key
-   they are stored under. *)
-type keyed = {
-  kk_key : State_key.t * int;
-  kk_rewritten : bool;
-  kk_pi : int array option;
-}
-
 let canon_key_of st ~regvals ~used =
-  let raw = state_key_of st ~regvals ~used in
+  let raw = state_key_of st ~regvals in
   match st.i_sym with
-  | None -> { kk_key = raw; kk_rewritten = false; kk_pi = None }
+  | None -> { kk_key = (raw, used); kk_rewritten = false; kk_pi = None }
   | Some s ->
-    let k, u = raw in
-    let k', pi = Symmetry.canon s k in
-    { kk_key = (k', u); kk_rewritten = pi <> None; kk_pi = pi }
+    let k', pi = Symmetry.canon s raw in
+    { kk_key = (k', used); kk_rewritten = pi <> None; kk_pi = pi }
 
 let perm_sleep pi sleep =
   match pi with
@@ -537,31 +748,33 @@ let perm_steps pi steps =
 
 (* ---- reduction helpers ---- *)
 
-let steps_vector st = Array.init st.i_nprocs (Scheduler.steps_taken st.i_sched)
+let steps_vector st =
+  let v = Array.make st.i_nprocs 0 in
+  for pid = 0 to st.i_nprocs - 1 do
+    v.(pid) <- Scheduler.steps_taken st.i_sched pid
+  done;
+  v
 
-(* Which sleeping processes stay asleep across the executed access: those
-   whose next step provably commutes with it.  A pause step (no access)
-   commutes with everything, and so does the value-aware footprint of an
-   access that changed nothing ([before] is the register-value array at
-   the parent node; a step performs at most one access, so only its
-   register can differ).  An unknown next step wakes the sleeper. *)
+(* Which sleeping processes stay asleep across the executed access (the
+   trace position [access], or [-1] for none): those whose next step
+   provably commutes with it.  A pause step (no access) commutes with
+   everything, and so does the value-aware footprint of an access that
+   changed nothing.  An unknown next step wakes the sleeper. *)
 let filter_sleep st por sleep access ~before =
   if sleep = 0 then 0
-  else
-    match access with
-    | None -> sleep
-    | Some (_, r, k) ->
-      let changed = Memory.value_changed st.i_memory ~before r in
-      let afp = Independence.fp_of_access ~changed ~reg:r.Register.id k in
-      let s = ref 0 in
-      for t = 0 to st.i_nprocs - 1 do
-        if sleep land (1 lsl t) <> 0 then
-          match Independence.next_fp por.p_tr t with
-          | Some nfp when not (Independence.conflict nfp afp) ->
-            s := !s lor (1 lsl t)
-          | Some _ | None -> ()
-      done;
-      !s
+  else if access < 0 then sleep
+  else begin
+    let afp = access_fp st ~before access in
+    let s = ref 0 in
+    for t = 0 to st.i_nprocs - 1 do
+      if sleep land (1 lsl t) <> 0 then
+        match Independence.next_fp por.p_tr t with
+        | Some nfp when not (Independence.conflict nfp afp) ->
+          s := !s lor (1 lsl t)
+        | Some _ | None -> ()
+    done;
+    !s
+  end
 
 (* The static side of the singleton-ample check: a process degraded to
    unknown (its accesses stopped matching its graph) is never picked as
@@ -571,21 +784,19 @@ let singleton_prefilter por a =
   | Crash _ | Recover _ -> false
   | Step p -> Independence.known por.p_tr p
 
-(* Did the events appended since [from] include a region change?  The
+(* Does the trace from position [i] on hold a region change?  The
    property checkers consume exactly region changes (protocol regions,
-   decisions, halting) — so this is the dynamic visibility of the step
-   just applied, checked on the real transition rather than approximated
-   statically. *)
-let step_visible st ~from =
-  let n = Trace.length st.i_trace in
-  let rec scan i =
-    i < n
-    &&
-    match (Trace.get st.i_trace i).Event.body with
-    | Event.Region_change _ -> true
-    | Event.Access _ | Event.Crash | Event.Recover -> scan (i + 1)
-  in
-  scan from
+   decisions, halting) — so from the parent's trace length this is the
+   dynamic visibility of the step just applied, checked on the real
+   transition rather than approximated statically. *)
+let rec region_change_from trace i =
+  i < Trace.length trace
+  &&
+  match (Trace.get trace i).Event.body with
+  | Event.Region_change _ -> true
+  | Event.Access _ | Event.Crash | Event.Recover -> region_change_from trace (i + 1)
+
+let step_visible st ~from = region_change_from st.i_trace from
 
 exception Sub_conflict
 exception Sub_budget
@@ -612,63 +823,73 @@ exception Sub_budget
 
    The probe keeps raw (uncanonicalised) keys: it answers a question
    about this concrete state, and the few hundred nodes it touches are
-   not worth the canonicalisation work.
+   not worth the canonicalisation work.  [regvals] and [key] are the
+   root's register values and raw key, which the caller has at hand.
+   Its checkpoints skip the property monitor, which only the search
+   feeds.
 
-   The probe restores the entry state on normal return and may leave it
-   dirty on a negative answer — callers roll back to their own
-   checkpoint before trying anything else. *)
-let others_commute st por ~p ~afp ~a_visible ~used =
-  let config = st.i_config in
-  let seen = por.p_probe in
-  Tbl.reset seen;
-  let budget = ref 4096 in
-  let rec go () =
-    decr budget;
-    if !budget <= 0 then raise Sub_budget;
-    let regvals = Memory.values st.i_memory in
-    let key = state_key_of st ~regvals ~used in
-    if not (Tbl.mem seen key) then begin
-      Tbl.add seen key ();
-      let cands =
-        candidates_of st.i_sched ~config ~fresh_only:false ~pairs:0
-          ~nprocs:st.i_nprocs ~used
-        |> List.filter (function
-             | Step q -> q <> p
-             | Crash _ | Recover _ -> false)
-      in
-      match cands with
-      | [] -> ()
-      | cands ->
-        let tracelen = Trace.length st.i_trace in
-        let ck = save st ~regvals ~tracelen in
-        List.iter
-          (fun a ->
-            (match apply st a with
-            | Some (_, r, k) ->
-              let changed = Memory.value_changed st.i_memory ~before:regvals r in
-              if
-                Independence.conflict
-                  (Independence.fp_of_access ~changed ~reg:r.Register.id k)
-                  afp
-              then raise Sub_conflict
-            | None -> ());
-            if a_visible && step_visible st ~from:tracelen then
-              raise Sub_conflict;
-            go ();
-            rollback st ck)
-          cands
-    end
+   The probe restores the entry state on normal return.  On a negative
+   answer it leaves the state where it found the answer: just after the
+   conflicting step, or at the node where the budget ran out, tracker
+   positions included.  The caller rolls back to its own checkpoint
+   before it applies another step, but the pick loop reads
+   [Independence.known] for its next candidate before that rollback
+   (see [pick]). *)
+let rec probe_visit st por ~p ~afp ~a_visible ~depth ~regvals key =
+  por.p_budget <- por.p_budget - 1;
+  if por.p_budget <= 0 then raise Sub_budget;
+  if Probe_seen.add por.p_probe key then begin
+    let max_steps = st.i_config.max_steps_per_proc in
+    let tracelen = Trace.length st.i_trace in
+    let ck = checkpoint_at st st.i_probe_cks depth in
+    for q = 0 to st.i_nprocs - 1 do
+      if
+        q <> p
+        && is_runnable st.i_sched q
+        && Scheduler.steps_taken st.i_sched q < max_steps
+      then begin
+        save_step st ck q ~regvals ~tracelen;
+        ignore (Scheduler.step st.i_sched q);
+        let access = absorb st ~before:tracelen in
+        if
+          access >= 0
+          && Independence.conflict (access_fp st ~before:regvals access) afp
+        then raise Sub_conflict;
+        if a_visible && step_visible st ~from:tracelen then raise Sub_conflict;
+        let regvals = Memory.values st.i_memory in
+        probe_visit st por ~p ~afp ~a_visible ~depth:(depth + 1) ~regvals
+          (state_key_of st ~regvals);
+        undo_step st ck q
+      end
+    done
+  end
+
+let others_commute st por ~p ~afp ~a_visible ~regvals key =
+  Probe_seen.clear por.p_probe;
+  por.p_budget <- 4096;
+  let ok =
+    match probe_visit st por ~p ~afp ~a_visible ~depth:0 ~regvals key with
+    | () -> true
+    | exception Sub_conflict -> false
+    | exception Sub_budget -> false
   in
-  match go () with
-  | () -> true
-  | exception Sub_conflict -> false
-  | exception Sub_budget -> false
+  release_pool st.i_probe_cks;
+  ok
+
+(* The live candidates of a reduced node: those not asleep. *)
+let rec awake sleep = function
+  | [] -> []
+  | (Step p as a) :: rest ->
+    if sleep land (1 lsl p) = 0 then a :: awake sleep rest else awake sleep rest
+  | ((Crash _ | Recover _) as a) :: rest ->
+    (* reduction is gated to pairs = 0 *)
+    a :: awake sleep rest
 
 (* [from] is the trace length at the parent node: the incremental check
    consumes only the events the arriving action appended.  [sleep] is the
    sleep set as a pid bitmask (always 0 without reduction); [pre] carries
    the child's canonical key and register values when the parent's
-   singleton probe already computed them. *)
+   pick loop already computed them. *)
 let rec expand_inc st schedule depth used ~from ~sleep ~pre =
   let config = st.i_config and c = st.i_c in
   if c.states >= config.max_states then begin
@@ -711,49 +932,60 @@ let rec expand_inc st schedule depth used ~from ~sleep ~pre =
   in
   match proceed with
   | None -> ()
-  | Some e ->
-    (* Stack tracking is only consulted (and only safe to mutate — the
-       POR-off path shares [Seen.dummy] across states) under
-       reduction. *)
-    if por then e.Seen.e_open <- e.Seen.e_open + 1;
-    Fun.protect
-      ~finally:(fun () -> if por then e.Seen.e_open <- e.Seen.e_open - 1)
-      (fun () ->
-        let candidates =
-          candidates_of st.i_sched ~config ~fresh_only:st.i_fresh_only
-            ~pairs:st.i_pairs ~nprocs:st.i_nprocs ~used
-        in
-        match st.i_por with
-        | Some por ->
-          expand_por st por schedule depth used ~trace_len ~regvals ~sleep
-            candidates
-        | None -> (
-          match candidates with
-          | [] ->
-            if not (Scheduler.all_quiescent st.i_sched) then
-              c.truncated <- true;
-            c.runs <- c.runs + 1
-          | _ when depth >= config.max_depth ->
-            c.truncated <- true;
-            c.runs <- c.runs + 1
-          | [ a ] ->
-            (* A chain: no sibling will ever need this state back, so no
-               checkpoint is taken. *)
-            ignore (apply st a);
-            expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
-              ~from:trace_len ~sleep:0 ~pre:None
-          | candidates ->
-            (* Checkpoint once; restore between siblings only — the last
-               child leaves the state dirty, and the nearest branching
-               ancestor's (absolute) restore repairs it. *)
-            let ck = save st ~regvals ~tracelen:trace_len in
-            List.iteri
-              (fun i a ->
-                if i > 0 then rollback st ck;
-                ignore (apply st a);
-                expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
-                  ~from:trace_len ~sleep:0 ~pre:None)
-              candidates))
+  | Some _ when not por ->
+    (* The POR-off path shares [Seen.dummy] across states: no stack
+       tracking. *)
+    expand_children st schedule depth used ~trace_len ~regvals ~sleep
+  | Some e -> (
+    (* Stack tracking, for the cycle proviso. *)
+    e.Seen.e_open <- e.Seen.e_open + 1;
+    match expand_children st schedule depth used ~trace_len ~regvals ~sleep with
+    | () -> e.Seen.e_open <- e.Seen.e_open - 1
+    | exception ex ->
+      e.Seen.e_open <- e.Seen.e_open - 1;
+      raise ex)
+
+and expand_children st schedule depth used ~trace_len ~regvals ~sleep =
+  let config = st.i_config and c = st.i_c in
+  let candidates =
+    candidates_of st.i_sched ~config ~step:st.i_step
+      ~fresh_only:st.i_fresh_only ~pairs:st.i_pairs ~nprocs:st.i_nprocs ~used
+  in
+  match st.i_por with
+  | Some por ->
+    expand_por st por schedule depth used ~trace_len ~regvals ~sleep
+      candidates
+  | None -> (
+    match candidates with
+    | [] ->
+      if not (Scheduler.all_quiescent st.i_sched) then c.truncated <- true;
+      c.runs <- c.runs + 1
+    | _ when depth >= config.max_depth ->
+      c.truncated <- true;
+      c.runs <- c.runs + 1
+    | [ a ] ->
+      (* A chain: no sibling will ever need this state back, so no
+         checkpoint is taken. *)
+      ignore (apply st a);
+      expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
+        ~from:trace_len ~sleep:0 ~pre:None
+    | candidates ->
+      (* Checkpoint once; restore between siblings only — the last
+         child leaves the state dirty, and the nearest branching
+         ancestor's (absolute) restore repairs it. *)
+      let ck = checkpoint_at st st.i_cks depth in
+      save st ck ~regvals ~tracelen:trace_len;
+      expand_all st ck schedule depth used ~trace_len ~first:true candidates;
+      release ck)
+
+and expand_all st ck schedule depth used ~trace_len ~first = function
+  | [] -> ()
+  | a :: rest ->
+    if not first then rollback st ck;
+    ignore (apply st a);
+    expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
+      ~from:trace_len ~sleep:0 ~pre:None;
+    expand_all st ck schedule depth used ~trace_len ~first:false rest
 
 (* The reduced node expansion.  Sleeping processes' steps are covered by
    commuted schedules under an earlier sibling, so they are dropped up
@@ -766,22 +998,19 @@ let rec expand_inc st schedule depth used ~from ~sleep ~pre =
    fully, accumulating prior siblings into each child's sleep set. *)
 and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates =
   let config = st.i_config and c = st.i_c in
-  let live, slept =
-    List.partition
-      (function
-        | Step p -> sleep land (1 lsl p) = 0
-        | Crash _ | Recover _ -> true (* reduction is gated to pairs = 0 *))
-      candidates
-  in
-  c.pruned_por <- c.pruned_por + List.length slept;
+  let live = if sleep = 0 then candidates else awake sleep candidates in
+  let nlive = List.length live in
+  c.pruned_por <- c.pruned_por + (List.length candidates - nlive);
   match live with
-  | [] ->
-    if candidates = [] then begin
+  | [] -> (
+    match candidates with
+    | [] ->
       if not (Scheduler.all_quiescent st.i_sched) then c.truncated <- true;
       c.runs <- c.runs + 1
-    end
-    (* otherwise every enabled step is asleep: each is explored, after
-       commuting, under an earlier sibling of some ancestor *)
+    | _ :: _ ->
+      (* every enabled step is asleep: each is explored, after
+         commuting, under an earlier sibling of some ancestor *)
+      ())
   | _ when depth >= config.max_depth ->
     c.truncated <- true;
     c.runs <- c.runs + 1
@@ -792,71 +1021,105 @@ and expand_por st por schedule depth used ~trace_len ~regvals ~sleep candidates 
       ~from:trace_len
       ~sleep:(filter_sleep st por sleep access ~before:regvals)
       ~pre:None
-  | live ->
-    let nlive = List.length live in
-    let ck = save st ~regvals ~tracelen:trace_len in
-    let dirty = ref false in
-    let chosen = ref None in
-    let rec pick = function
-      | [] -> ()
-      | a :: rest ->
-        if not (singleton_prefilter por a) then pick rest
-        else begin
-          if !dirty then rollback st ck;
-          dirty := true;
-          let access = apply st a in
-          let child_regvals = Memory.values st.i_memory in
-          let child_used = bump_used used a in
-          let child_kk = canon_key_of st ~regvals:child_regvals ~used:child_used in
-          let child_sleep = filter_sleep st por sleep access ~before:regvals in
-          (* the cycle proviso: never step a singleton onto a state still
-             being expanded on the DFS stack — the other processes' steps
-             would be deferred around the cycle forever.  A child already
-             fully explored is fine: its (completed) subtree carried the
-             deferred steps.  The canonical key is the one the stack
-             tracking is recorded under. *)
-          let child_open = Seen.is_open st.i_seen child_kk.kk_key in
-          let ok =
-            (not child_open)
-            &&
-            match (a, access) with
-            | Step p, Some (_, r, k) ->
-              others_commute st por ~p
-                ~afp:
-                  (Independence.fp_of_access
-                     ~changed:(Memory.value_changed st.i_memory ~before:regvals r)
-                     ~reg:r.Register.id k)
-                ~a_visible:(step_visible st ~from:trace_len)
-                ~used:child_used
-            | _, None -> false (* a pause child shares the parent's key *)
-            | (Crash _ | Recover _), _ -> false
-          in
-          if ok then chosen := Some (a, child_kk, child_regvals, child_sleep)
-          else pick rest
-        end
-    in
-    pick live;
-    (match !chosen with
+  | live -> (
+    let ck = checkpoint_at st st.i_cks depth in
+    save st ck ~regvals ~tracelen:trace_len;
+    ck.ck_pre_mask <- 0;
+    match pick st por ck ~trace_len ~regvals ~sleep ~used live with
     | Some (a, child_kk, child_regvals, child_sleep) ->
       (* the state already carries [a] applied (the probe's work) *)
+      release ck;
       c.pruned_por <- c.pruned_por + (nlive - 1);
       expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
         ~from:trace_len ~sleep:child_sleep
         ~pre:(Some (child_kk, child_regvals))
     | None ->
-      let sleep_now = ref sleep in
-      List.iteri
-        (fun i a ->
-          if i > 0 || !dirty then rollback st ck;
-          let access = apply st a in
-          expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
-            ~from:trace_len
-            ~sleep:(filter_sleep st por !sleep_now access ~before:regvals)
-            ~pre:None;
-          match a with
-          | Step p -> sleep_now := !sleep_now lor (1 lsl p)
-          | Crash _ | Recover _ -> ())
-        live)
+      expand_full st por ck schedule depth used ~trace_len ~regvals ~sleep
+        ~first:true live;
+      release ck)
+
+(* The pick loop: the first live step that passes the singleton checks,
+   applied, with its child key, register values and sleep set.  Every
+   step it applies records its child key and register values in [ck],
+   so a nonzero [ck.ck_pre_mask] also means the state is dirty. *)
+and pick st por ck ~trace_len ~regvals ~sleep ~used = function
+  | [] -> None
+  | a :: rest ->
+    (* The prefilter reads [Independence.known] before the rollback
+       below: after a failed probe the tracker still holds the
+       positions where that probe stopped, not this node's.  The order
+       is observable — rolling back first changes the recoverable-queue
+       POR n=3 counts — and it stays sound.  The dirty positions
+       extend this node's by further observed accesses, and an unknown
+       position ([top]) stays unknown, so a process the dirty tracker
+       reports known is known here too.  The dirty read can only skip a
+       candidate the clean read would try, and skipping one is sound:
+       a later candidate must pass the same checks, and the full
+       expansion is the fallback. *)
+    if not (singleton_prefilter por a) then
+      pick st por ck ~trace_len ~regvals ~sleep ~used rest
+    else begin
+      if ck.ck_pre_mask <> 0 then rollback st ck;
+      let access = apply st a in
+      let child_regvals = Memory.values st.i_memory in
+      let child_used = bump_used used a in
+      let child_kk = canon_key_of st ~regvals:child_regvals ~used:child_used in
+      (match a with
+      | Step p ->
+        ck.ck_pre_mask <- ck.ck_pre_mask lor (1 lsl p);
+        ck.ck_pre_kk.(p) <- child_kk;
+        ck.ck_pre_regvals.(p) <- child_regvals
+      | Crash _ | Recover _ -> ());
+      let child_sleep = filter_sleep st por sleep access ~before:regvals in
+      (* the cycle proviso: never step a singleton onto a state still
+         being expanded on the DFS stack — the other processes' steps
+         would be deferred around the cycle forever.  A child already
+         fully explored is fine: its (completed) subtree carried the
+         deferred steps.  The canonical key is the one the stack
+         tracking is recorded under. *)
+      let child_open = Seen.is_open st.i_seen child_kk.kk_key in
+      let ok =
+        (not child_open)
+        &&
+        match a with
+        | Step p when access >= 0 ->
+          let key =
+            match st.i_sym with
+            | None -> fst child_kk.kk_key
+            | Some _ -> state_key_of st ~regvals:child_regvals
+          in
+          others_commute st por ~p
+            ~afp:(access_fp st ~before:regvals access)
+            ~a_visible:(step_visible st ~from:trace_len)
+            ~regvals:child_regvals key
+        | Step _ -> false (* a pause child shares the parent's key *)
+        | Crash _ | Recover _ -> false
+      in
+      if ok then Some (a, child_kk, child_regvals, child_sleep)
+      else pick st por ck ~trace_len ~regvals ~sleep ~used rest
+    end
+
+and expand_full st por ck schedule depth used ~trace_len ~regvals ~sleep
+    ~first = function
+  | [] -> ()
+  | a :: rest ->
+    if (not first) || ck.ck_pre_mask <> 0 then rollback st ck;
+    let access = apply st a in
+    let pre =
+      match a with
+      | Step p when ck.ck_pre_mask land (1 lsl p) <> 0 ->
+        Some (ck.ck_pre_kk.(p), ck.ck_pre_regvals.(p))
+      | Step _ | Crash _ | Recover _ -> None
+    in
+    expand_inc st (a :: schedule) (depth + 1) (bump_used used a)
+      ~from:trace_len
+      ~sleep:(filter_sleep st por sleep access ~before:regvals)
+      ~pre;
+    let sleep =
+      match a with Step p -> sleep lor (1 lsl p) | Crash _ | Recover _ -> sleep
+    in
+    expand_full st por ck schedule depth used ~trace_len ~regvals ~sleep
+      ~first:false rest
 
 (* ------------------------------------------------------------------ *)
 
@@ -897,14 +1160,14 @@ let run_gen ?(config = default_config) ?symmetry ?(engine = Incremental)
   (* However the search ends (verdict, [Found] or [Budget]), free the
      live system's suspended processes. *)
   let found =
-    match
-      Fun.protect
-        ~finally:(fun () -> Scheduler.dispose st.i_sched)
-        (fun () -> expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None)
-    with
+    match expand_inc st [] 0 0 ~from:0 ~sleep:0 ~pre:None with
     | () | (exception Budget) -> None
     | exception Found (schedule, violation) -> Some (schedule, violation)
+    | exception e ->
+      Scheduler.dispose st.i_sched;
+      raise e
   in
+  Scheduler.dispose st.i_sched;
   c.seen_pop <- Seen.population seen;
   match found with
   | None -> Ok (stats_of c)

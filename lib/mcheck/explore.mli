@@ -4,11 +4,12 @@
     by a single action per node.  Sibling branches are explored by
     checkpoint/undo — a checkpoint stores the register values, the trace
     length, the scheduler's scalar state and the incremental-checker
-    state, all O(nprocs + registers).  One-shot continuations cannot be
-    cloned, so a process whose continuation was consumed by an abandoned
-    sibling is rebuilt lazily: its thunk is restarted and driven against
-    the observations recorded for it, and every register-op failure it
-    caught is raised again at the same call (see
+    state, all O(nprocs + registers), written into a buffer kept per
+    search depth rather than allocated per save.  One-shot continuations
+    cannot be cloned, so a process whose continuation was consumed by an
+    abandoned sibling is rebuilt lazily: its thunk is restarted and
+    driven against the observations recorded for it, and every
+    register-op failure it caught is raised again at the same call (see
     {!Cfc_runtime.Scheduler.restore}), so a deterministic process
     re-suspends at exactly the same point.
 

@@ -324,7 +324,10 @@ let track t ~nprocs =
   { t; ix; pos }
 
 let snapshot tr = Array.copy tr.pos
+let snapshot_into tr s = Array.blit tr.pos 0 s 0 (Array.length tr.pos)
 let restore tr s = Array.blit s 0 tr.pos 0 (Array.length tr.pos)
+let snapshot_pid_into tr s pid = s.(pid) <- tr.pos.(pid)
+let restore_pid tr s pid = tr.pos.(pid) <- s.(pid)
 
 let observe tr ~pid ~reg ~kind =
   let set = tr.pos.(pid) in

@@ -128,4 +128,13 @@ val next_may_end : tracker -> int -> bool
     static pre-filter before the dynamic visibility probe. *)
 
 val snapshot : tracker -> snap
+
+val snapshot_into : tracker -> snap -> unit
+(** Overwrite a snap taken earlier from the same tracker, allocating
+    nothing. *)
+
 val restore : tracker -> snap -> unit
+
+val snapshot_pid_into : tracker -> snap -> int -> unit
+val restore_pid : tracker -> snap -> int -> unit
+(** One process's position only, for undoing a step of that process. *)

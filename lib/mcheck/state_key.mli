@@ -36,13 +36,23 @@ val status_tag : Scheduler.status -> int
 val cell : Register.t -> Event.access_kind -> cell
 
 val cell_hash : int -> cell -> int
-(** One fold step of the rolling observation hash.  Every construction
-    path (the engine's per-event update, a full trace scan) must fold in
-    the same order — oldest first — so structurally equal keys carry
-    equal [k_obs_hash] fields. *)
+(** One fold step of the rolling observation hash,
+    [fold_digest h (cell_digest c)].  Every construction path (the
+    engine's per-event update, a full trace scan) must fold in the same
+    order — oldest first — so structurally equal keys carry equal
+    [k_obs_hash] fields. *)
+
+val cell_digest : cell -> int
+(** [Hashtbl.hash] of the cell: computed once, it can feed several
+    folds. *)
+
+val fold_digest : int -> int -> int
 
 val equal : t -> t -> bool
-(** Structural — no hash collision can cause unsound pruning. *)
+(** Structural: the same relation as polymorphic [=] on keys, so no
+    hash collision can cause unsound pruning.  Typed and allocation
+    free; physically equal observation-list tails compare equal without
+    a walk. *)
 
 val hash : t -> int
 (** O(nprocs + registers): combines the register values and each

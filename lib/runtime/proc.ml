@@ -69,6 +69,13 @@ let handler : (unit, suspension) Effect.Deep.handler =
 
 let start f = Effect.Deep.match_with f () handler
 
-let region r = Effect.perform (E_region r)
+(* Set while this domain's scheduler rebuilds a suspension: the replayed
+   prefix's region changes were recorded when they first happened, so
+   they are skipped rather than performed and absorbed. *)
+let rebuilding_key = Domain.DLS.new_key (fun () -> ref false)
+let rebuilding () = Domain.DLS.get rebuilding_key
+
+let region r =
+  if not !(Domain.DLS.get rebuilding_key) then Effect.perform (E_region r)
 let decide v = region (Event.Decided v)
 let sleep d = Effect.perform (E_sleep d)

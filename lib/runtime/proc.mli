@@ -57,7 +57,12 @@ val start : (unit -> unit) -> suspension
 
 val region : Event.region -> unit
 (** Performs [E_region] — annotate the current process's protocol region.
-    Harness code uses this around entry/critical/exit sections. *)
+    Harness code uses this around entry/critical/exit sections.  While
+    {!rebuilding} is set it does nothing. *)
+
+val rebuilding : unit -> bool ref
+(** This domain's rebuild flag.  {!Scheduler} sets it while it replays a
+    process's recorded prefix, whose region changes it already holds. *)
 
 val decide : int -> unit
 (** [decide v] = [region (Decided v)]. *)

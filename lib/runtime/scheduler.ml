@@ -321,10 +321,11 @@ let rec drive cur p s failed =
    we restart the thunk and replay its (deterministic) prefix until
    exactly [p.calls] access, pause or sleep calls have been answered.
    The answers sit on the arena's replay cursor, where {!Sim_mem}'s
-   operations take them without performing an effect; the only effects
+   operations take them without performing an effect, and region
+   changes (free, already recorded before the checkpoint) are skipped
+   by {!Proc.region} while the rebuild flag is set.  The only effects
    that reach [drive] (top-level, so that a rebuild allocates no
-   closure) are region changes (free, already recorded before
-   the checkpoint, so absorbed silently), sleeps, the op at each logged
+   closure) are sleeps, the op at each logged
    failure (the cursor is loaded one segment at a time, so it runs dry
    exactly there, and the op gets its exception again), the first call
    past the prefix (the suspension we want), and a call the recording
@@ -341,10 +342,17 @@ let rebuild t p =
   in
   let failed = List.rev p.failed in
   replay_segment cur p ~from:0 failed (oracle p.pid);
-  let s = drive cur p (Proc.start p.thunk) failed in
-  if not (Memory.replay_stop cur) then
-    replay_mismatch cur p s "unconsumed observations after replay";
-  s
+  let rebuilding = Proc.rebuilding () in
+  rebuilding := true;
+  match drive cur p (Proc.start p.thunk) failed with
+  | s ->
+    rebuilding := false;
+    if not (Memory.replay_stop cur) then
+      replay_mismatch cur p s "unconsumed observations after replay";
+    s
+  | exception e ->
+    rebuilding := false;
+    raise e
 
 let advance t p =
   match p.susp with
@@ -415,52 +423,86 @@ let recover t pid =
     emit t p Event.Recover
   end
 
-type psnap = {
-  s_status : status;
-  s_region : Event.region;
-  s_steps : int;
-  s_calls : int;
-  s_started : bool;
-  s_stamp : int;
-  s_failed : (int * exn) list;
+(* Struct of arrays, one slot per pid, so that a caller checkpointing at
+   every node can fill one snap per depth ([snapshot_into]) instead of
+   allocating a record per process on every save. *)
+type snap = {
+  mutable s_active : int;
+  s_status : status array;
+  s_region : Event.region array;
+  s_steps : int array;
+  s_calls : int array;
+  s_started : bool array;
+  s_stamp : int array;
+  s_failed : (int * exn) list array;
 }
 
-type snap = { s_active : int; s_procs : psnap array }
+let save_slot t s i =
+  let p = Array.unsafe_get t.procs i in
+  s.s_status.(i) <- p.status;
+  s.s_region.(i) <- p.region;
+  s.s_steps.(i) <- p.steps;
+  s.s_calls.(i) <- p.calls;
+  s.s_started.(i) <- p.started;
+  s.s_stamp.(i) <- p.stamp;
+  s.s_failed.(i) <- p.failed
+
+let snapshot_into t s =
+  s.s_active <- t.active;
+  for i = 0 to t.nprocs - 1 do
+    save_slot t s i
+  done
+
+let snapshot_pid_into t s pid =
+  if pid < 0 || pid >= t.nprocs then out_of_range t pid;
+  s.s_active <- t.active;
+  save_slot t s pid
 
 let snapshot t =
-  { s_active = t.active;
-    s_procs =
-      Array.map
-        (fun p ->
-          { s_status = p.status; s_region = p.region; s_steps = p.steps;
-            s_calls = p.calls; s_started = p.started; s_stamp = p.stamp;
-            s_failed = p.failed })
-        t.procs }
+  let n = t.nprocs in
+  let s =
+    { s_active = 0; s_status = Array.make n Runnable;
+      s_region = Array.make n Event.Remainder; s_steps = Array.make n 0;
+      s_calls = Array.make n 0; s_started = Array.make n false;
+      s_stamp = Array.make n 0; s_failed = Array.make n [] }
+  in
+  snapshot_into t s;
+  s
+
+(* Equal stamps mean the process was not touched since the snapshot: its
+   suspension is still the live, unconsumed one.  Otherwise it belongs to
+   the abandoned branch: discontinue it, so its fiber stack goes back to
+   the runtime now rather than at some later major GC, and rebuild lazily
+   at the next [step]. *)
+let restore_slot t snap i =
+  let p = t.procs.(i) in
+  if p.stamp <> snap.s_stamp.(i) then begin
+    (match p.susp with Some s -> discontinue_susp s | None -> ());
+    p.status <- snap.s_status.(i);
+    p.region <- snap.s_region.(i);
+    p.steps <- snap.s_steps.(i);
+    p.calls <- snap.s_calls.(i);
+    p.started <- snap.s_started.(i);
+    p.stamp <- snap.s_stamp.(i);
+    p.failed <- snap.s_failed.(i);
+    p.susp <- None
+  end
+
+let check_undo t =
+  if t.replay = None then
+    invalid_arg "Scheduler.restore: create with ~oracle to enable undo"
 
 let restore t snap =
-  if t.replay = None then
-    invalid_arg "Scheduler.restore: create with ~oracle to enable undo";
+  check_undo t;
   t.active <- snap.s_active;
-  Array.iteri
-    (fun i ps ->
-      let p = t.procs.(i) in
-      (* Equal stamps mean the process was not touched since the
-         snapshot: its suspension is still the live, unconsumed one.
-         Otherwise it belongs to the abandoned branch: discontinue it, so
-         its fiber stack goes back to the runtime now rather than at some
-         later major GC, and rebuild lazily at the next [step]. *)
-      if p.stamp <> ps.s_stamp then begin
-        (match p.susp with Some s -> discontinue_susp s | None -> ());
-        p.status <- ps.s_status;
-        p.region <- ps.s_region;
-        p.steps <- ps.s_steps;
-        p.calls <- ps.s_calls;
-        p.started <- ps.s_started;
-        p.stamp <- ps.s_stamp;
-        p.failed <- ps.s_failed;
-        p.susp <- None
-      end)
-    snap.s_procs
+  for i = 0 to t.nprocs - 1 do
+    restore_slot t snap i
+  done
+
+let restore_pid t snap pid =
+  check_undo t;
+  t.active <- snap.s_active;
+  restore_slot t snap pid
 
 let dispose t =
   Array.iter

@@ -166,6 +166,12 @@ type snap
 
 val snapshot : t -> snap
 
+val snapshot_into : t -> snap -> unit
+(** [snapshot_into t s] overwrites [s], which must come from {!snapshot}
+    of the same scheduler, with the current state: a checkpoint that
+    allocates nothing, for callers that keep one buffer per search
+    depth. *)
+
 val restore : t -> snap -> unit
 (** Roll the scheduler back to [snap].  Processes untouched since the
     snapshot (same {!stamp}) keep their live suspension; others have
@@ -182,6 +188,17 @@ val restore : t -> snap -> unit
     that would mean a process is nondeterministic or the caller's oracle
     is out of sync.  The arena's replay cursor is clear again after a
     rebuild, whether it succeeded or raised. *)
+
+val snapshot_pid_into : t -> snap -> int -> unit
+(** [snapshot_pid_into t s pid] overwrites only [pid]'s part of [s] (and
+    the runnable count): enough to undo a step of [pid] alone with
+    {!restore_pid}. *)
+
+val restore_pid : t -> snap -> int -> unit
+(** {!restore} limited to [pid] and the runnable count.  After
+    [snapshot_pid_into t s pid], it undoes whatever happened to [pid]
+    since, provided every other process is back at the stamp it had
+    then (each was left alone, or rolled back itself). *)
 
 val dispose : t -> unit
 (** Discontinue every live suspension with {!Proc.Crashed}, freeing the

@@ -18,6 +18,10 @@ so against a committed baseline:
   - an exhaustive baseline entry coming back truncated fails — this is
     the n=4 tournament-lock headline gate (the bench itself also
     refuses to write such a row);
+  - any change of runs, pruned_dedup, pruned_sym, pruned_por,
+    fp_collisions or seen_pop fails: a search cut off at the state cap
+    keeps its states count while the path it took changes, and these
+    counts are what shows it;
   - new entries and wall-time changes are reported, never asserted
     (CI runners are noisy).
 
@@ -134,6 +138,17 @@ def index(rows, key_fn):
     return out
 
 
+# Deterministic counts of a model-checker row that must not move at all.
+MCHECK_EXACT = (
+    "runs",
+    "pruned_dedup",
+    "pruned_sym",
+    "pruned_por",
+    "fp_collisions",
+    "seen_pop",
+)
+
+
 def diff_mcheck(base_doc, cur_doc, regressions, changes):
     base = index(base_doc.get("entries", []), key)
     cur = index(cur_doc.get("entries", []), key)
@@ -160,6 +175,11 @@ def diff_mcheck(base_doc, cur_doc, regressions, changes):
             regressions.append(
                 f"{label}: now truncated ({c.get('trunc_reason', '?')})"
             )
+        for field in MCHECK_EXACT:
+            if field in b and field in c and c[field] != b[field]:
+                regressions.append(
+                    f"{label}: {field} changed {b[field]} -> {c[field]}"
+                )
 
     added = [k for k in cur if k not in base]
     for k in sorted(added):

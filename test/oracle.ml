@@ -361,6 +361,27 @@ let state_key_of_system memory sched trace =
             k_obs_hash = obs_hash.(pid);
             k_obs = obs.(pid) }) }
 
+(* The polymorphic definitions the typed [State_key] functions replaced:
+   structural equality, the rolling observation hash folded with
+   [Hashtbl.hash] over the cells oldest first, and the key hash over the
+   register values, statuses, [Hashtbl.hash] of the regions and the
+   stored observation hashes. *)
+let key_equal (a : State_key.t) (b : State_key.t) = a = b
+
+let obs_hash (obs : State_key.cell list) =
+  List.fold_left (fun h c -> (h * 31) + Hashtbl.hash c) 0 (List.rev obs)
+
+let key_hash (t : State_key.t) =
+  let h = ref 0 in
+  Array.iter (fun v -> h := (!h * 31) + v) t.State_key.k_regvals;
+  Array.iter
+    (fun p ->
+      h := (!h * 31) + p.State_key.k_status;
+      h := (!h * 31) + Hashtbl.hash p.State_key.k_region;
+      h := (!h * 31) + p.State_key.k_obs_hash)
+    t.State_key.k_procs;
+  !h land max_int
+
 module Keys = Hashtbl.Make (struct
   type t = State_key.t * int
 

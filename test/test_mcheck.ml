@@ -572,6 +572,187 @@ let test_state_key_kinds_distinct () =
        (key (Event.A_xchg (10_001, 7)))
        (key (Event.A_xchg (10_001, 7))))
 
+(* Typed key functions.  [State_key.equal] and [State_key.hash] are
+   typed code in place of polymorphic [=] and closure folds, and the
+   engine folds each cell's digest once into two rolling hashes.  Each
+   must agree with the polymorphic reference in [Oracle]: on keys built
+   from every access kind, every region ([Decided] included) and every
+   status tag, whose observation lists share their tails physically, are
+   copies of each other, or differ. *)
+
+let random_kind rs =
+  let v () = Random.State.int rs 3 in
+  match Random.State.int rs 6 with
+  | 0 -> Event.A_read (v ())
+  | 1 -> Event.A_write (v ())
+  | 2 -> Event.A_field (v (), 1 + v (), v ())
+  | 3 -> Event.A_xchg (v (), v ())
+  | 4 -> Event.A_cas (v (), v (), Random.State.bool rs)
+  | _ ->
+    Event.A_bit
+      ( List.nth Ops.all (Random.State.int rs (List.length Ops.all)),
+        if Random.State.bool rs then Some (v ()) else None )
+
+(* [k] with exactly one operand changed. *)
+let perturb_kind rs (k : Event.access_kind) =
+  let bump v = v + 1 in
+  let pick3 = Random.State.int rs 3 in
+  match k with
+  | Event.A_read v -> Event.A_read (bump v)
+  | Event.A_write v -> Event.A_write (bump v)
+  | Event.A_field (i, w, v) ->
+    if pick3 = 0 then Event.A_field (bump i, w, v)
+    else if pick3 = 1 then Event.A_field (i, bump w, v)
+    else Event.A_field (i, w, bump v)
+  | Event.A_xchg (v, o) ->
+    if Random.State.bool rs then Event.A_xchg (bump v, o)
+    else Event.A_xchg (v, bump o)
+  | Event.A_cas (e, d, ok) ->
+    if pick3 = 0 then Event.A_cas (bump e, d, ok)
+    else if pick3 = 1 then Event.A_cas (e, bump d, ok)
+    else Event.A_cas (e, d, not ok)
+  | Event.A_bit (op, r) -> (
+    match (pick3, r) with
+    | 0, _ ->
+      let others = List.filter (fun o -> o <> op) Ops.all in
+      Event.A_bit (List.nth others (Random.State.int rs (List.length others)), r)
+    | 1, Some v -> Event.A_bit (op, Some (bump v))
+    | _, Some _ -> Event.A_bit (op, None)
+    | _, None -> Event.A_bit (op, Some 0))
+
+let random_cell rs =
+  { State_key.reg = Random.State.int rs 2; kind = random_kind rs }
+
+let random_region rs =
+  match Random.State.int rs 6 with
+  | 0 -> Event.Remainder
+  | 1 -> Event.Trying
+  | 2 -> Event.Critical
+  | 3 -> Event.Exiting
+  | 4 -> Event.Halted
+  | _ -> Event.Decided (Random.State.int rs 2)
+
+(* The rolling hash as the engine folds it: one digest per cell. *)
+let engine_obs_hash obs =
+  List.fold_left
+    (fun h c -> State_key.fold_digest h (State_key.cell_digest c))
+    0 (List.rev obs)
+
+let proc_of ~status ~region obs =
+  { State_key.k_status = status; k_region = region;
+    k_obs_hash = engine_obs_hash obs; k_obs = obs }
+
+let random_key rs ~nprocs ~nregs =
+  { State_key.k_regvals = Array.init nregs (fun _ -> Random.State.int rs 3);
+    k_procs =
+      Array.init nprocs (fun _ ->
+          proc_of ~status:(Random.State.int rs 4) ~region:(random_region rs)
+            (List.init (Random.State.int rs 4) (fun _ -> random_cell rs))) }
+
+let with_proc (k : State_key.t) i p =
+  let procs = Array.copy k.State_key.k_procs in
+  procs.(i) <- p;
+  { k with State_key.k_procs = procs }
+
+(* A second key from [k]: an equal one sharing nothing, an equal one
+   sharing the observation lists, both extended by a cell on a shared
+   tail, one field changed, an unrelated one, or one of another shape. *)
+let derive rs (k : State_key.t) =
+  let nprocs = Array.length k.State_key.k_procs in
+  let i = Random.State.int rs nprocs in
+  let p = k.State_key.k_procs.(i) in
+  match Random.State.int rs 6 with
+  | 0 ->
+    let copy_proc p =
+      proc_of ~status:p.State_key.k_status ~region:p.State_key.k_region
+        (List.map (fun c -> { c with State_key.reg = c.State_key.reg })
+           p.State_key.k_obs)
+    in
+    (k, { State_key.k_regvals = Array.copy k.State_key.k_regvals;
+          k_procs = Array.map copy_proc k.State_key.k_procs })
+  | 1 ->
+    let share p = { p with State_key.k_status = p.State_key.k_status } in
+    (k, { k with State_key.k_procs = Array.map share k.State_key.k_procs })
+  | 2 ->
+    let c1 = random_cell rs in
+    let c2 =
+      if Random.State.bool rs then { c1 with State_key.reg = c1.State_key.reg }
+      else random_cell rs
+    in
+    let push c =
+      proc_of ~status:p.State_key.k_status ~region:p.State_key.k_region
+        (c :: p.State_key.k_obs)
+    in
+    (with_proc k i (push c1), with_proc k i (push c2))
+  | 3 ->
+    let b =
+      match Random.State.int rs 5 with
+      | 0 ->
+        let regvals = Array.copy k.State_key.k_regvals in
+        let j = Random.State.int rs (Array.length regvals) in
+        regvals.(j) <- Random.State.int rs 3;
+        { k with State_key.k_regvals = regvals }
+      | 1 -> with_proc k i { p with State_key.k_status = Random.State.int rs 4 }
+      | 2 -> with_proc k i { p with State_key.k_region = random_region rs }
+      | 3 ->
+        let h = p.State_key.k_obs_hash + Random.State.int rs 2 in
+        with_proc k i { p with State_key.k_obs_hash = h }
+      | _ ->
+        (* another list under the same stored hash: equality must walk
+           the lists, whatever their lengths *)
+        let obs =
+          match (Random.State.int rs 4, p.State_key.k_obs) with
+          | 0, _ :: tl -> tl
+          | 1, obs -> random_cell rs :: obs
+          | 2, c :: tl ->
+            (* one operand of one cell changed, the tail shared *)
+            let c' =
+              if Random.State.bool rs then
+                { c with State_key.reg = c.State_key.reg + 1 }
+              else { c with State_key.kind = perturb_kind rs c.State_key.kind }
+            in
+            c' :: tl
+          | _, obs -> List.map (fun _ -> random_cell rs) obs
+        in
+        with_proc k i { p with State_key.k_obs = obs }
+    in
+    (k, b)
+  | 4 -> (k, random_key rs ~nprocs ~nregs:(Array.length k.State_key.k_regvals))
+  | _ ->
+    ( k,
+      random_key rs ~nprocs:(1 + Random.State.int rs 3)
+        ~nregs:(1 + Random.State.int rs 3) )
+
+let prop_typed_key_functions =
+  QCheck.Test.make ~count:300
+    ~name:"typed key equal and hashes = polymorphic references"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          let k =
+            random_key rs ~nprocs:(1 + Random.State.int rs 3)
+              ~nregs:(1 + Random.State.int rs 3)
+          in
+          let a, b = derive rs k in
+          let eq = State_key.equal a b in
+          let agrees (k : State_key.t) =
+            State_key.hash k = Oracle.key_hash k
+            && Array.for_all
+                 (fun p ->
+                   let obs = p.State_key.k_obs in
+                   engine_obs_hash obs = Oracle.obs_hash obs
+                   && List.fold_left State_key.cell_hash 0 (List.rev obs)
+                      = Oracle.obs_hash obs)
+                 k.State_key.k_procs
+          in
+          eq = Oracle.key_equal a b
+          && ((not eq) || State_key.hash a = State_key.hash b)
+          && State_key.equal a a
+          && agrees a && agrees b)
+        (List.init 50 Fun.id))
+
 (* An exchange-based lock whose register values live in the >= 10_000
    range that used to alias other access kinds; the exploration must
    still verify it, under both rollback policies and in the reference
@@ -1316,6 +1497,33 @@ let test_swallows_one_engine () =
     ~reference:(oracle_check_recoverable ~pairs:1 alg p)
     (fun engine -> Props.check_mutex_recoverable ~engine ~pairs:1 alg p)
 
+(* The deterministic cost proxy of the reduced search: minor words per
+   explored state of a partial-order-reduced check at n=2, the
+   independence hint derived beforehand, the fresh system and seen set
+   included.  It was 684 (bakery) and 818 (lamport-fast) while every
+   checkpoint was allocated afresh, the probe saved the monitor and
+   keys were built through closures; per-depth buffers, one-step probe
+   undo and closure-free keys give 281 and 333. *)
+let test_reduced_alloc () =
+  List.iter
+    (fun alg ->
+      let (module A : Mutex_intf.ALG) = alg in
+      let p = Mutex_intf.params 2 in
+      let independence = Independence.mutex alg p in
+      check_bool (A.name ^ ": independence model") true (independence <> None);
+      let before = Gc.minor_words () in
+      let r = Props.check_mutex ?independence alg p in
+      let words = Gc.minor_words () -. before in
+      match r with
+      | Explore.Ok s ->
+        let per_state = words /. float_of_int s.Explore.states in
+        check_bool
+          (Printf.sprintf "%s: %.1f minor words per state (%d states), bound 365"
+             A.name per_state s.Explore.states)
+          true (per_state <= 365.)
+      | Explore.Violation _ -> Alcotest.failf "%s: violation" A.name)
+    [ Registry.bakery; Registry.lamport_fast ]
+
 let () =
   Alcotest.run "cfc_mcheck"
     [ ( "finds-bugs",
@@ -1370,7 +1578,8 @@ let () =
         [ Alcotest.test_case "access kinds never alias (regression)" `Quick
             test_state_key_kinds_distinct;
           Alcotest.test_case "register values >= 10_000" `Quick
-            test_large_register_values ] );
+            test_large_register_values;
+          QCheck_alcotest.to_alcotest prop_typed_key_functions ] );
       ( "partial-order-reduction",
         [ Alcotest.test_case "registry n=2 por=unreduced" `Slow
             test_por_equivalence_registry;
@@ -1395,4 +1604,6 @@ let () =
         [ Alcotest.test_case "pruning observable" `Quick
             test_pruning_observable;
           Alcotest.test_case "search starts on a collected heap" `Quick
-            test_search_starts_collected ] ) ]
+            test_search_starts_collected;
+          Alcotest.test_case "reduced search: at most 365 minor words per state"
+            `Quick test_reduced_alloc ] ) ]

@@ -1116,6 +1116,79 @@ let test_restore_discontinues () =
   check "dispose unwinds every live fiber" 3 unwound.(0);
   check "including the untouched one" 1 unwound.(1)
 
+(* A rebuild skips the region changes of the replayed prefix: they were
+   recorded when they first happened, so no effect is performed for
+   them, and the rebuilt process's region is the one the checkpoint
+   holds.  Undoing one process's step with [snapshot_pid_into] and
+   [restore_pid] leaves the scheduler as a whole-state [restore] does. *)
+let test_rebuild_skips_regions () =
+  let memory = Memory.create () in
+  let (module M) = Sim_mem.mem memory in
+  let r = M.alloc ~name:"r" ~width:4 ~init:0 () in
+  let regions = ref 0 in
+  let counting f =
+    Effect.Deep.match_with f ()
+      { retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Proc.E_region _ ->
+              Some
+                (fun (k : (a, _) Effect.Deep.continuation) ->
+                  incr regions;
+                  Effect.Deep.continue k (Effect.perform eff))
+            | _ -> None) }
+  in
+  let proc () =
+    counting (fun () ->
+        for i = 1 to 3 do
+          Proc.region Event.Trying;
+          M.write r i;
+          Proc.region Event.Critical;
+          ignore (M.read r);
+          Proc.region Event.Remainder
+        done)
+  in
+  let trace = Trace.create () in
+  let sched =
+    Scheduler.create ~oracle:(trace_oracle trace) ~memory ~trace
+      [| proc; proc |]
+  in
+  (* taken before any step: only [snapshot_pid_into] brings it up to
+     date *)
+  let pid_snap = Scheduler.snapshot sched in
+  for _ = 1 to 3 do
+    ignore (Scheduler.step sched 0)
+  done;
+  ignore (Scheduler.step sched 1);
+  let ck = checkpoint sched memory trace in
+  Scheduler.snapshot_pid_into sched pid_snap 0;
+  let fields () =
+    List.init 2 (fun pid ->
+        ( Scheduler.steps_taken sched pid,
+          Scheduler.stamp sched pid,
+          Format.asprintf "%a" Event.pp_region (Scheduler.region sched pid) ))
+  in
+  let at_ck = fields () in
+  ignore (Scheduler.step sched 0);
+  let seen = last_event trace in
+  undo sched memory trace ck;
+  check_bool "restore: back at the checkpoint" true (fields () = at_ck);
+  let before = !regions in
+  ignore (Scheduler.step sched 0);
+  Alcotest.(check string) "rebuilt at the same access" seen (last_event trace);
+  (* the replayed prefix (write, read, write) held five region changes;
+     only the two after the new read are performed *)
+  check "prefix regions skipped" 2 (!regions - before);
+  Scheduler.restore_pid sched pid_snap 0;
+  Memory.restore_values memory (let _, vals, _ = ck in vals);
+  Trace.truncate trace (let _, _, len = ck in len);
+  check_bool "restore_pid: back at the checkpoint" true (fields () = at_ck);
+  ignore (Scheduler.step sched 0);
+  Alcotest.(check string) "rebuilt again" seen (last_event trace);
+  Scheduler.dispose sched
+
 (* A process never started has no fiber for [dispose] to unwind. *)
 let test_dispose_unstarted () =
   let memory = Memory.create () in
@@ -1397,4 +1470,6 @@ let () =
           Alcotest.test_case "rebuild raises a caught failure again" `Quick
             test_rebuild_replays_failure;
           Alcotest.test_case "recover starts a fresh failure log" `Quick
-            test_recover_clears_failures ] ) ]
+            test_recover_clears_failures;
+          Alcotest.test_case "rebuild skips regions; one-process undo" `Quick
+            test_rebuild_skips_regions ] ) ]
