@@ -36,7 +36,7 @@ type entry = {
   kind : string;
   engine : string;
   n : int;
-  extra : (string * int) list;  (* [("pairs", k)] on fault rows *)
+  pairs : int option;  (* fault rows only *)
   verdict : string;
   runs : int;
   states : int;
@@ -98,7 +98,7 @@ let reason (config : Explore.config) (s : Explore.stats) =
    pre-sized to the measured state count (the [seen_hint] perf knob):
    the pair of wall times in the JSON is the before/after of table
    rehashing. *)
-let entry ?hint ~config ~name ~kind ~engine ~n ~extra f =
+let entry ?hint ~config ~name ~kind ~engine ~n ~pairs f =
   let r, wall_s = time f in
   let verdict, s = stats_of r in
   let wall_hint_s =
@@ -131,7 +131,7 @@ let entry ?hint ~config ~name ~kind ~engine ~n ~extra f =
     kind;
     engine;
     n;
-    extra;
+    pairs;
     verdict;
     runs = s.Explore.runs;
     states = s.Explore.states;
@@ -174,13 +174,13 @@ let mutex_entries () =
               else
                 [
                   entry ~config ~name:A.name ~kind:"mutex" ~engine:"replay"
-                    ~n ~extra:[]
+                    ~n ~pairs:None
                     (fun () -> run ~engine:Explore.Replay ());
                 ]
             in
             let inc =
               entry ~config ~name:A.name ~kind:"mutex" ~engine:"incremental"
-                ~n ~extra:[]
+                ~n ~pairs:None
                 ~hint:(fun ~seen_hint ->
                   run ~engine:Explore.Incremental ~seen_hint ())
                 (fun () -> run ~engine:Explore.Incremental ())
@@ -194,7 +194,7 @@ let mutex_entries () =
               | Some independence ->
                 let por =
                   entry ~config ~name:A.name ~kind:"mutex" ~engine:"por" ~n
-                    ~extra:[]
+                    ~pairs:None
                     (fun () ->
                       run ~engine:Explore.Incremental ~independence ())
                 in
@@ -210,7 +210,7 @@ let mutex_entries () =
                   | Some symmetry ->
                     [
                       entry ~config ~name:A.name ~kind:"mutex"
-                        ~engine:"por+sym" ~n ~extra:[]
+                        ~engine:"por+sym" ~n ~pairs:None
                         (fun () ->
                           run ~engine:Explore.Incremental ~independence
                             ~symmetry ());
@@ -259,7 +259,7 @@ let n4_entries () =
         end;
         Some
           (entry ~config:n4_config ~name:A.name ~kind:"mutex" ~engine ~n
-             ~extra:[]
+             ~pairs:None
              (fun () ->
                Props.check_mutex ~config:n4_config
                  ~engine:Explore.Incremental ?independence ?symmetry
@@ -288,7 +288,7 @@ let fault_entries () =
               entry ~config:Explore.default_config
                 ~name:(Printf.sprintf "%s pairs=%d" name pairs)
                 ~kind:"faults" ~engine:ename ~n:2
-                ~extra:[ ("pairs", pairs) ]
+                ~pairs:(Some pairs)
                 (fun () ->
                   Props.check_mutex_recoverable ~engine:e ~pairs alg
                     (Mutex_intf.params 2)))
@@ -305,37 +305,51 @@ let naming_entries () =
             List.map
               (fun (ename, e) ->
                 entry ~config:Explore.default_config ~name:A.name
-                  ~kind:"naming" ~engine:ename ~n ~extra:[]
+                  ~kind:"naming" ~engine:ename ~n ~pairs:None
                   (fun () -> Props.check_naming ~engine:e (module A) ~n))
               engines
           else [])
         [ 2; 4 ])
     Cfc_naming.Registry.all
 
-let json_of_entry e =
-  let extra =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %d" k v) e.extra)
-  in
-  Printf.sprintf
-    "    {\"name\": %S, \"kind\": %S, \"engine\": %S, \"n\": %d%s, \
-     \"verdict\": %S, \"runs\": %d, \"states\": %d, \"pruned_dedup\": %d, \
-     \"pruned_sym\": %d, \"pruned_por\": %d, \"fp_collisions\": %d, \
-     \"seen_pop\": %d, \"seen_cap\": %d, \"truncated\": %b, \
-     \"trunc_reason\": %S, \"wall_s\": %.6f%s, \"states_per_sec\": %.1f}"
-    e.name e.kind e.engine e.n extra e.verdict e.runs e.states e.pruned_dedup
-    e.pruned_sym e.pruned_por e.fp_collisions e.seen_pop e.seen_cap
-    e.truncated e.trunc_reason e.wall_s
-    (match e.wall_hint_s with
-    | None -> ""
-    | Some w -> Printf.sprintf ", \"wall_hint_s\": %.6f" w)
-    (float_of_int e.states /. e.wall_s)
+(* The BENCH_mcheck.json columns.  Verdicts, state counts and prune
+   counts are deterministic (seeded exploration, fixed configs), so
+   against the committed baseline a verdict change, growth in states
+   explored (the memoization, the partial-order reduction or the
+   symmetry canonicalisation lost ground), any change of runs or of a
+   prune or seen-set count (a search cut off at the state cap keeps its
+   states count while the path it took changes, and these counts show
+   it) and an exhaustive row coming back truncated all fail. *)
+let columns =
+  let open Cfc_base.Record in
+  [ col "name" Key (fun e -> Str e.name);
+    col "kind" Key (fun e -> Str e.kind);
+    col "engine" Key (fun e -> Str e.engine);
+    col "n" Key (fun e -> Int e.n);
+    col "pairs" Key (fun e ->
+        match e.pairs with Some k -> Int k | None -> Null);
+    col "verdict" Exact (fun e -> Str e.verdict);
+    col "runs" Exact (fun e -> Int e.runs);
+    col "states" No_growth (fun e -> Int e.states);
+    col "pruned_dedup" Exact (fun e -> Int e.pruned_dedup);
+    col "pruned_sym" Exact (fun e -> Int e.pruned_sym);
+    col "pruned_por" Exact (fun e -> Int e.pruned_por);
+    col "fp_collisions" Exact (fun e -> Int e.fp_collisions);
+    col "seen_pop" Exact (fun e -> Int e.seen_pop);
+    col "seen_cap" Note (fun e -> Int e.seen_cap);
+    col "truncated" No_growth (fun e -> Bool e.truncated);
+    col "trunc_reason" Note (fun e -> Str e.trunc_reason);
+    fcol ~decimals:6 "wall_s" Wall (fun e -> Float e.wall_s);
+    fcol ~decimals:6 "wall_hint_s" Wall (fun e ->
+        match e.wall_hint_s with Some w -> Float w | None -> Null);
+    fcol ~decimals:1 "states_per_sec" Wall (fun e ->
+        Float (float_of_int e.states /. e.wall_s)) ]
 
 let find_engine entries e engine =
   List.find_opt
     (fun e' ->
       e'.engine = engine && e'.name = e.name && e'.kind = e.kind
-      && e'.n = e.n && e'.extra = e.extra)
+      && e'.n = e.n && e'.pairs = e.pairs)
     entries
 
 let () =
@@ -421,10 +435,10 @@ let () =
         end
       end)
     entries;
-  let oc = open_out "BENCH_mcheck.json" in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"cfc-mcheck-bench/4\",\n  \"entries\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map json_of_entry entries));
-  close_out oc;
+  (* --quick only drops timing reps: both modes cover the same rows *)
+  Cfc_base.Record.(
+    write "BENCH_mcheck.json"
+      { bench = "mcheck"; sweep = "all";
+        tables = [ table "entries" columns entries ] });
   Printf.printf "\nwrote BENCH_mcheck.json (%d entries)\n"
     (List.length entries)

@@ -74,26 +74,35 @@ let run_one (module A : Mutex_intf.ALG) ~domains ~mean_think ~rounds ~cs_len =
     | None -> "");
   { name = A.name; domains; mean_think; rounds; cs_len; r; sim_rmr_per_acq }
 
-let json_of_entry e =
-  let c = e.r.Lock_service.counters in
-  Printf.sprintf
-    "    {\"name\": %S, \"domains\": %d, \"mean_think\": %d, \"rounds\": %d, \
-     \"cs_len\": %d, \"acquisitions\": %d, \"elapsed_ns\": %d, \
-     \"throughput\": %.1f, \"p50_ns\": %.1f, \"p90_ns\": %.1f, \
-     \"p99_ns\": %.1f, \"max_ns\": %d, \"ops\": %d, \"reads\": %d, \
-     \"writes\": %d, \"cas_attempts\": %d, \"cas_failures\": %d, \
-     \"rmr\": %d, \"rmr_per_acq\": %.4f%s, \"exclusion_ok\": %b}"
-    e.name e.domains e.mean_think e.rounds e.cs_len
-    e.r.Lock_service.acquisitions e.r.Lock_service.elapsed_ns
-    e.r.Lock_service.throughput e.r.Lock_service.p50_ns
-    e.r.Lock_service.p90_ns e.r.Lock_service.p99_ns e.r.Lock_service.max_ns
-    c.Instr_mem.ops c.Instr_mem.reads c.Instr_mem.writes
-    c.Instr_mem.cas_attempts c.Instr_mem.cas_failures c.Instr_mem.rmr
-    e.r.Lock_service.rmr_per_acq
-    (match e.sim_rmr_per_acq with
-    | Some s -> Printf.sprintf ", \"sim_rmr_per_acq\": %.4f" s
-    | None -> "")
-    e.r.Lock_service.exclusion_ok
+(* Only exclusion_ok is gated: every other measured column is wall
+   clock or depends on the interleaving. *)
+let entry_columns =
+  let open Cfc_base.Record in
+  let c f e = Int (f e.r.Lock_service.counters) in
+  [ col "name" Key (fun e -> Str e.name);
+    col "domains" Key (fun e -> Int e.domains);
+    col "mean_think" Key (fun e -> Int e.mean_think);
+    col "rounds" Note (fun e -> Int e.rounds);
+    col "cs_len" Note (fun e -> Int e.cs_len);
+    col "acquisitions" Note (fun e -> Int e.r.Lock_service.acquisitions);
+    col "elapsed_ns" Wall (fun e -> Int e.r.Lock_service.elapsed_ns);
+    fcol ~decimals:1 "throughput" Wall
+      (fun e -> Float e.r.Lock_service.throughput);
+    fcol ~decimals:1 "p50_ns" Wall (fun e -> Float e.r.Lock_service.p50_ns);
+    fcol ~decimals:1 "p90_ns" Wall (fun e -> Float e.r.Lock_service.p90_ns);
+    fcol ~decimals:1 "p99_ns" Wall (fun e -> Float e.r.Lock_service.p99_ns);
+    col "max_ns" Wall (fun e -> Int e.r.Lock_service.max_ns);
+    col "ops" Wall (c (fun c -> c.Instr_mem.ops));
+    col "reads" Wall (c (fun c -> c.Instr_mem.reads));
+    col "writes" Wall (c (fun c -> c.Instr_mem.writes));
+    col "cas_attempts" Wall (c (fun c -> c.Instr_mem.cas_attempts));
+    col "cas_failures" Wall (c (fun c -> c.Instr_mem.cas_failures));
+    col "rmr" Wall (c (fun c -> c.Instr_mem.rmr));
+    fcol ~decimals:4 "rmr_per_acq" Wall
+      (fun e -> Float e.r.Lock_service.rmr_per_acq);
+    fcol ~decimals:4 "sim_rmr_per_acq" Note (fun e ->
+        match e.sim_rmr_per_acq with Some s -> Float s | None -> Null);
+    col "exclusion_ok" No_drop (fun e -> Bool e.r.Lock_service.exclusion_ok) ]
 
 (* Crash-injection sweep over every recoverable registry lock: seeded
    cooperative crashes while holding (see Lock_service.crash_every),
@@ -134,19 +143,29 @@ let run_recoverable (module A : Mutex_intf.ALG) ~domains ~rounds =
     re_rounds = rounds; re_r = r;
     re_predicted_rmr_held = forms.Mutex_intf.rec_registers_held }
 
-let json_of_rec_entry e =
-  Printf.sprintf
-    "    {\"name\": %S, \"domains\": %d, \"crash_every\": %d, \
-     \"rounds\": %d, \"recoveries\": %d, \"recovery_p50_ns\": %.1f, \
-     \"recovery_p99_ns\": %.1f, \"recovery_max_ns\": %d, \
-     \"recovery_rmr_mean\": %.4f, \"recovery_rmr_max\": %d, \
-     \"predicted_rmr_held\": %d, \"exclusion_ok\": %b}"
-    e.re_name e.re_domains e.re_crash_every e.re_rounds
-    e.re_r.Lock_service.recoveries e.re_r.Lock_service.recovery_p50_ns
-    e.re_r.Lock_service.recovery_p99_ns e.re_r.Lock_service.recovery_max_ns
-    e.re_r.Lock_service.recovery_rmr_mean
-    e.re_r.Lock_service.recovery_rmr_max e.re_predicted_rmr_held
-    e.re_r.Lock_service.exclusion_ok
+(* Gated: an exclusion_ok flip under crash injection, growth of the
+   cold-cache recovery RMR, or a change of the closed form itself.  The
+   recovery count depends on the interleaving, like the latencies. *)
+let rec_columns =
+  let open Cfc_base.Record in
+  [ col "name" Key (fun e -> Str e.re_name);
+    col "domains" Key (fun e -> Int e.re_domains);
+    col "crash_every" Key (fun e -> Int e.re_crash_every);
+    col "rounds" Note (fun e -> Int e.re_rounds);
+    col "recoveries" Wall (fun e -> Int e.re_r.Lock_service.recoveries);
+    fcol ~decimals:1 "recovery_p50_ns" Wall
+      (fun e -> Float e.re_r.Lock_service.recovery_p50_ns);
+    fcol ~decimals:1 "recovery_p99_ns" Wall
+      (fun e -> Float e.re_r.Lock_service.recovery_p99_ns);
+    col "recovery_max_ns" Wall
+      (fun e -> Int e.re_r.Lock_service.recovery_max_ns);
+    fcol ~decimals:4 "recovery_rmr_mean" Note
+      (fun e -> Float e.re_r.Lock_service.recovery_rmr_mean);
+    col "recovery_rmr_max" No_growth
+      (fun e -> Int e.re_r.Lock_service.recovery_rmr_max);
+    col "predicted_rmr_held" Exact (fun e -> Int e.re_predicted_rmr_held);
+    col "exclusion_ok" No_drop
+      (fun e -> Bool e.re_r.Lock_service.exclusion_ok) ]
 
 (* The symbolic analyzer's prediction of the same distinction, from the
    access graph alone (no execution under contention): a register spun
@@ -232,26 +251,23 @@ let () =
       Registry.recoverable
   in
   let styles = classify entries in
-  let json_styles =
-    String.concat ",\n"
-      (List.map
-         (fun (name, solo, sat, style, static) ->
-           Printf.sprintf
-             "    {\"name\": %S, \"solo_rmr_per_acq\": %.4f, \
-              \"saturated_rmr_per_acq\": %.4f, \"style\": %S, \
-              \"static_style\": %S}"
-             name solo sat style static)
-         styles)
+  (* [style] is classified from the measured RMR, so it moves with the
+     host like the figures it comes from. *)
+  let style_columns =
+    let open Cfc_base.Record in
+    [ col "name" Key (fun (name, _, _, _, _) -> Str name);
+      fcol ~decimals:4 "solo_rmr_per_acq" Wall (fun (_, s, _, _, _) -> Float s);
+      fcol ~decimals:4 "saturated_rmr_per_acq" Wall
+        (fun (_, _, c, _, _) -> Float c);
+      col "style" Wall (fun (_, _, _, style, _) -> Str style);
+      col "static_style" Note (fun (_, _, _, _, static) -> Str static) ]
   in
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"cfc-native-bench/2\",\n  \"quick\": %b,\n  \
-     \"entries\": [\n%s\n  ],\n  \"spin_styles\": [\n%s\n  ],\n  \
-     \"recoverable\": [\n%s\n  ]\n}\n"
-    quick
-    (String.concat ",\n" (List.map json_of_entry entries))
-    json_styles
-    (String.concat ",\n" (List.map json_of_rec_entry rec_entries));
-  close_out oc;
+  Cfc_base.Record.(
+    write "BENCH_native.json"
+      { bench = "native"; sweep = (if quick then "quick" else "full");
+        tables =
+          [ table "entries" entry_columns entries;
+            table "spin_styles" style_columns styles;
+            table "recoverable" rec_columns rec_entries ] });
   Printf.printf "\nwrote BENCH_native.json (%d entries, %d recoverable)\n"
     (List.length entries) (List.length rec_entries)

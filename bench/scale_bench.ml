@@ -16,8 +16,9 @@
      monitor.  The same config is re-run once to assert bit-for-bit
      determinism of the result record.
 
-   Wall-clock columns are recorded for the record; the diff gate
-   (scripts/bench_diff.py, family cfc-scale-bench) ignores them. *)
+   Each column of the record declares how scripts/bench_diff.py
+   compares it (Workload_report.scale_cf_columns and
+   scale_chaos_columns); wall-clock columns are never compared. *)
 
 open Cfc_mutex
 open Cfc_workload
@@ -108,17 +109,15 @@ let () =
   let chaos = chaos_sweep () in
   let det = determinism_check () in
   Printf.printf "determinism: %s\n%!" (if det then "ok" else "DIVERGED");
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"cfc-scale-bench/1\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cf_entries\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map Workload_report.json_of_scale_cf_row cf));
-  Printf.fprintf oc "  \"chaos_entries\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map Workload_report.json_of_scale_chaos_row chaos));
-  Printf.fprintf oc "  \"determinism_ok\": %b\n}\n" det;
-  close_out oc;
+  Cfc_base.Record.(
+    write "BENCH_scale.json"
+      { bench = "scale"; sweep = (if quick then "quick" else "full");
+        tables =
+          [ table "cf_entries" Workload_report.scale_cf_columns cf;
+            table "chaos_entries" Workload_report.scale_chaos_columns chaos;
+            table "summary"
+              [ col "determinism_ok" No_drop (fun d -> Bool d) ]
+              [ det ] ] });
   Printf.printf "wrote BENCH_scale.json (%d cf rows, %d chaos rows)\n%!"
     (List.length cf) (List.length chaos);
   let bad = List.filter (fun r -> not r.Workload_report.scf_ok) cf in

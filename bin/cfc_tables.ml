@@ -582,7 +582,9 @@ let scale_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the rows as JSON (BENCH_scale.json row format).")
+          ~doc:
+            "Also write the rows as a run record (the layout and columns \
+             of BENCH_scale.json).")
   in
   let run name n seed chaos pairs json =
     let p = Mutex_intf.params n in
@@ -607,13 +609,17 @@ let scale_cmd =
       exit 2
     end;
     let open Cfc_workload in
-    let write_json rows =
+    let write_json table_name columns rows =
       match json with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" rows);
-        close_out oc;
+        Record.(
+          write path
+            { bench = "scale";
+              sweep =
+                Printf.sprintf "n=%d a=%s" n
+                  (Option.value name ~default:"all");
+              tables = [ table table_name columns rows ] });
         Printf.printf "wrote %s\n" path
     in
     if chaos then begin
@@ -628,7 +634,7 @@ let scale_cmd =
          (deterministic; the exclusion monitor runs streamed)\n"
         n pairs seed;
       Texttab.print (Workload_report.scale_chaos_table rows);
-      write_json (List.map Workload_report.json_of_scale_chaos_row rows)
+      write_json "chaos_entries" Workload_report.scale_chaos_columns rows
     end
     else begin
       let rows =
@@ -639,7 +645,7 @@ let scale_cmd =
          checked against the registered closed forms)\n"
         n;
       Texttab.print (Workload_report.scale_cf_table rows);
-      write_json (List.map Workload_report.json_of_scale_cf_row rows);
+      write_json "cf_entries" Workload_report.scale_cf_columns rows;
       if List.exists (fun r -> not r.Workload_report.scf_ok) rows then begin
         Printf.eprintf "closed-form mismatch (see the table)\n";
         exit 1
@@ -803,7 +809,9 @@ let lint_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the JSON report to $(docv) ('-' for stdout).")
+          ~doc:
+            "Also write the report as a run record (the layout of \
+             lint_report.json) to $(docv) ('-' for stdout).")
   in
   let fixtures_arg =
     Arg.(
@@ -815,15 +823,18 @@ let lint_cmd =
   in
   let run json fixtures =
     let outcome = Cfc_analysis.Lint.run ~fixtures () in
-    (* With the JSON report on stdout, keep stdout machine-readable and
-       let the table go to callers that asked for a file (or nothing). *)
+    let record () =
+      Cfc_analysis.Lint.to_record
+        ~sweep:(if fixtures then "registry+fixtures" else "registry")
+        outcome
+    in
+    (* With the record on stdout, keep stdout machine-readable and let
+       the table go to callers that asked for a file (or nothing). *)
     (match json with
-    | Some "-" -> print_string (Cfc_analysis.Lint.to_json outcome)
+    | Some "-" -> Record.write "-" (record ())
     | Some path ->
       Cfc_analysis.Lint.print outcome;
-      let oc = open_out path in
-      output_string oc (Cfc_analysis.Lint.to_json outcome);
-      close_out oc;
+      Record.write path (record ());
       Printf.printf "wrote %s\n" path
     | None -> Cfc_analysis.Lint.print outcome);
     Stdlib.exit (Cfc_analysis.Lint.exit_code outcome)

@@ -286,81 +286,101 @@ let print outcome =
   Printf.printf "lint: %d subjects, %d errors, %d warnings\n"
     (List.length outcome.rows) outcome.errors outcome.warnings
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let sample_json (s : Measures.sample) =
-  Printf.sprintf
-    "{\"steps\": %d, \"registers\": %d, \"read_steps\": %d, \
-     \"write_steps\": %d, \"read_registers\": %d, \"write_registers\": %d}"
-    s.Measures.steps s.Measures.registers s.Measures.read_steps
-    s.Measures.write_steps s.Measures.read_registers s.Measures.write_registers
-
-let violation_json v =
-  Printf.sprintf "{\"severity\": \"%s\", \"code\": \"%s\", \"detail\": \"%s\"}"
-    (severity_name v.severity) (json_escape v.code) (json_escape v.detail)
-
-let opt_json = function Some i -> string_of_int i | None -> "null"
-
-let to_json outcome =
-  let row_json r =
-    let s = r.report.Analyze.subject in
-    let p = r.product in
-    let count verdict =
-      List.length
-        (List.filter
-           (fun (x : Product.race) -> x.Product.r_verdict = verdict)
-           p.Product.races)
-    in
-    let register_json (g : Product.reg_verdict) =
-      Printf.sprintf "{\"name\": \"%s\", \"width\": %d, \"semantics\": \"%s\"}"
-        (json_escape g.Product.g_name)
-        g.Product.g_width
-        (Product.semantics_name g.Product.g_semantics)
-    in
-    Printf.sprintf
-      "    {\"family\": \"%s\", \"name\": \"%s\", \"config\": \"%s\", \
-       \"static\": %s, \"measured\": %s, \"predicted_steps\": %s, \
-       \"predicted_registers\": %s, \"declared_atomicity\": %s, \
-       \"max_accessed_width\": %d, \"spin_class\": \"%s\", \
-       \"graph_nodes\": %d, \"graph_edges\": %d, \
-       \"liveness\": \"%s\", \"races\": {\"total\": %d, \"harmful\": %d, \
-       \"sync\": %d, \"benign\": %d}, \"registers\": [%s], \
-       \"violations\": [%s]}"
-      (Subjects.family_name s.Subjects.family)
-      (json_escape s.Subjects.alg_name)
-      (json_escape s.Subjects.config)
-      (sample_json r.report.Analyze.static_cf)
-      (sample_json r.measured)
-      (opt_json s.Subjects.predicted_steps)
-      (opt_json s.Subjects.predicted_registers)
-      (opt_json s.Subjects.declared_atomicity)
-      r.report.Analyze.max_width
-      (Analyze.spin_class_name r.report.Analyze.spin_class)
-      r.report.Analyze.nodes
-      r.report.Analyze.edges
-      (Product.liveness_name p.Product.liveness)
-      (List.length p.Product.races)
-      (count Product.Harmful) (count Product.Sync)
-      (count Product.Read_read + count Product.Same_value_write
-     + count Product.Failed_cas + count Product.Protected)
-      (String.concat ", " (List.map register_json p.Product.registers))
-      (String.concat ", " (List.map violation_json r.violations))
+(* The record's tables: one row per subject, one per register a
+   subject's product pass classified, one per violation (source
+   findings carry family "source"), and the report-wide counts.  A
+   liveness or spin-class flip, harmful-race growth, a register that
+   vanishes or changes semantics, and growth of a subject's or the
+   report's error count fail the diff gate. *)
+let to_record ~sweep outcome =
+  let open Record in
+  let subject r = r.report.Analyze.subject in
+  let id r =
+    let s = subject r in
+    (Subjects.family_name s.Subjects.family, s.Subjects.alg_name,
+     s.Subjects.config)
   in
-  Printf.sprintf
-    "{\n  \"schema\": \"cfc-lint/2\",\n  \"errors\": %d,\n  \"warnings\": \
-     %d,\n  \"source_findings\": [%s],\n  \"subjects\": [\n%s\n  ]\n}\n"
-    outcome.errors outcome.warnings
-    (String.concat ", " (List.map violation_json outcome.source_findings))
-    (String.concat ",\n" (List.map row_json outcome.rows))
+  let id_columns get =
+    [ col "family" Key (fun x -> let f, _, _ = get x in Str f);
+      col "name" Key (fun x -> let _, n, _ = get x in Str n);
+      col "config" Key (fun x -> let _, _, c = get x in Str c) ]
+  in
+  let opt = function Some i -> Int i | None -> Null in
+  let sample prefix get =
+    List.map
+      (fun (name, f) -> col (prefix ^ name) Note (fun r -> Int (f (get r))))
+      [ ("steps", fun s -> s.Measures.steps);
+        ("registers", fun s -> s.Measures.registers);
+        ("read_steps", fun s -> s.Measures.read_steps);
+        ("write_steps", fun s -> s.Measures.write_steps);
+        ("read_registers", fun s -> s.Measures.read_registers);
+        ("write_registers", fun s -> s.Measures.write_registers) ]
+  in
+  let races r verdicts =
+    Int
+      (List.length
+         (List.filter
+            (fun (x : Product.race) -> List.mem x.Product.r_verdict verdicts)
+            r.product.Product.races))
+  in
+  let errors vs =
+    List.length (List.filter (fun v -> v.severity = Error) vs)
+  in
+  let subjects =
+    id_columns id
+    @ sample "static_" (fun r -> r.report.Analyze.static_cf)
+    @ sample "measured_" (fun r -> r.measured)
+    @ [ col "predicted_steps" Note (fun r ->
+            opt (subject r).Subjects.predicted_steps);
+        col "predicted_registers" Note (fun r ->
+            opt (subject r).Subjects.predicted_registers);
+        col "declared_atomicity" Note (fun r ->
+            opt (subject r).Subjects.declared_atomicity);
+        col "max_accessed_width" Note (fun r ->
+            Int r.report.Analyze.max_width);
+        col "spin_class" Exact (fun r ->
+            Str (Analyze.spin_class_name r.report.Analyze.spin_class));
+        col "graph_nodes" Note (fun r -> Int r.report.Analyze.nodes);
+        col "graph_edges" Note (fun r -> Int r.report.Analyze.edges);
+        col "liveness" Exact (fun r ->
+            Str (Product.liveness_name r.product.Product.liveness));
+        col "races_total" Note (fun r ->
+            Int (List.length r.product.Product.races));
+        col "races_harmful" No_growth (fun r -> races r [ Product.Harmful ]);
+        col "races_sync" Note (fun r -> races r [ Product.Sync ]);
+        col "races_benign" Note (fun r ->
+            races r
+              Product.
+                [ Read_read; Same_value_write; Failed_cas; Protected ]);
+        col "errors" No_growth (fun r -> Int (errors r.violations)) ]
+  in
+  let registers =
+    id_columns fst
+    @ [ col "register" Key (fun (_, g) -> Str g.Product.g_name);
+        col "width" Note (fun (_, g) -> Int g.Product.g_width);
+        col "semantics" Exact (fun (_, g) ->
+            Str (Product.semantics_name g.Product.g_semantics)) ]
+  in
+  let violations =
+    id_columns fst
+    @ [ col "code" Key (fun (_, v) -> Str v.code);
+        col "detail" Key (fun (_, v) -> Str v.detail);
+        col "severity" Note (fun (_, v) -> Str (severity_name v.severity)) ]
+  in
+  let per_row f = List.concat_map (fun r -> List.map (fun x -> (id r, x)) (f r)) in
+  let source = ("source", "", "") in
+  {
+    bench = "lint";
+    sweep;
+    tables =
+      [ table "subjects" subjects outcome.rows;
+        table "registers" registers
+          (per_row (fun r -> r.product.Product.registers) outcome.rows);
+        table "violations" violations
+          (List.map (fun v -> (source, v)) outcome.source_findings
+          @ per_row (fun r -> r.violations) outcome.rows);
+        table "summary"
+          [ col "errors" No_growth (fun o -> Int o.errors);
+            col "warnings" Note (fun o -> Int o.warnings) ]
+          [ outcome ] ];
+  }

@@ -2,7 +2,7 @@
     check every closed form, the trace-measured agreement and atomicity
     conformance, scan the library sources for
     non-deterministic randomness, and render the outcome as a table or a
-    JSON report.  [cfc-tables lint] is a thin wrapper; CI fails the
+    run record.  [cfc-tables lint] is a thin wrapper; CI fails the
     build on any error-severity finding. *)
 
 type severity = Error | Warning
@@ -56,7 +56,9 @@ val run :
 val print : outcome -> unit
 (** Human-readable table plus one line per violation. *)
 
-val to_json : outcome -> string
+val to_record : sweep:string -> outcome -> Cfc_base.Record.t
+(** The lint report as a run record (bench ["lint"]); [sweep] names the
+    subject battery the run covered. *)
 
 val exit_code : outcome -> int
 (** 0 when no error-severity finding, 1 otherwise (warnings alone do not

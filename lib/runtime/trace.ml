@@ -38,53 +38,6 @@ let fold f acc t =
 
 let to_list t = List.init t.len (fun i -> t.events.(i))
 
-let in_range ?(from = 0) ?until t f =
-  let until = match until with Some u -> min u t.len | None -> t.len in
-  for i = max 0 from to until - 1 do
-    f t.events.(i)
-  done
-
-let accesses_of ?from ?until ~pid t =
-  let acc = ref [] in
-  in_range ?from ?until t (fun e ->
-      match e.Event.body with
-      | Event.Access (r, k) when e.Event.pid = pid -> acc := (r, k) :: !acc
-      | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> ());
-  List.rev !acc
-
-let step_count ?from ?until ~pid t =
-  let n = ref 0 in
-  in_range ?from ?until t (fun e ->
-      match e.Event.body with
-      | Event.Access _ when e.Event.pid = pid -> incr n
-      | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> ());
-  !n
-
-let distinct_in ?from ?until ~pid ~keep t =
-  let seen = Hashtbl.create 16 in
-  in_range ?from ?until t (fun e ->
-      match e.Event.body with
-      | Event.Access (r, k) when e.Event.pid = pid && keep k ->
-        Hashtbl.replace seen r.Register.id ()
-      | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> ());
-  Hashtbl.length seen
-
-let distinct_registers ?from ?until ~pid t =
-  distinct_in ?from ?until ~pid ~keep:(fun _ -> true) t
-
-let rw_step_count ?from ?until ~pid t =
-  let r = ref 0 and w = ref 0 in
-  in_range ?from ?until t (fun e ->
-      match e.Event.body with
-      | Event.Access (_, k) when e.Event.pid = pid ->
-        if Event.is_write k then incr w else incr r
-      | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> ());
-  (!r, !w)
-
-let rw_register_count ?from ?until ~pid t =
-  ( distinct_in ?from ?until ~pid ~keep:Event.is_read t,
-    distinct_in ?from ?until ~pid ~keep:Event.is_write t )
-
 (* Region bookkeeping mirrors the scheduler's: a [Recover] restarts the
    process from the top with fresh local state, so the new incarnation
    begins in [Remainder] (Scheduler.recover sets exactly that).  A bare

@@ -31,25 +31,6 @@ val fold : ('a -> Event.t -> 'a) -> 'a -> t -> 'a
 
 val to_list : t -> Event.t list
 
-val accesses_of : ?from:int -> ?until:int -> pid:int -> t ->
-  (Register.t * Event.access_kind) list
-(** Shared-memory accesses of [pid] in the fragment [\[from, until)]
-    (defaults: whole trace), in order. *)
-
-val step_count : ?from:int -> ?until:int -> pid:int -> t -> int
-(** Step complexity of [pid] in the fragment: number of its accesses. *)
-
-val distinct_registers : ?from:int -> ?until:int -> pid:int -> t -> int
-(** Register complexity of [pid] in the fragment: number of distinct
-    registers accessed. *)
-
-val rw_step_count : ?from:int -> ?until:int -> pid:int -> t -> int * int
-(** [(reads, writes)] split of {!step_count} (Lemma 3's r and w). *)
-
-val rw_register_count : ?from:int -> ?until:int -> pid:int -> t -> int * int
-(** Distinct registers read, distinct registers written (a register both
-    read and written counts in both). *)
-
 val regions_at : t -> int -> nprocs:int -> Event.region array
 (** [regions_at t i ~nprocs]: each process's region in the state {i just
     before} event [i] (processes start in [Remainder]).  O(i); prefer

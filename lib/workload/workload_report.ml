@@ -132,36 +132,44 @@ let scale_chaos_table rows =
     rows;
   t
 
-(* JSON rows, native_bench style: hand-rolled Printf, predictions as
-   null when no closed form is registered, wall clock carried as a note
-   column (bench_diff ignores it). *)
+(* A closed-form mismatch, any move of the solo path itself, and growth
+   of the chaos entry or recovery-RMR maxima fail the diff gate; the
+   other counts are deterministic too and reported when they move. *)
+let scale_cf_columns =
+  let open Record in
+  let sample f r = Int (f r.scf_sample) in
+  let opt = function None -> Null | Some v -> Int v in
+  [ col "name" Key (fun r -> Str r.scf_alg);
+    col "n" Key (fun r -> Int r.scf_n);
+    col "cf_steps" Exact (sample (fun s -> s.Measures.steps));
+    col "cf_registers" Exact (sample (fun s -> s.Measures.registers));
+    col "cf_reads" Note (sample (fun s -> s.Measures.read_steps));
+    col "cf_writes" Note (sample (fun s -> s.Measures.write_steps));
+    col "predicted_steps" Note (fun r -> opt r.scf_predicted_steps);
+    col "predicted_registers" Note (fun r -> opt r.scf_predicted_registers);
+    col "ok" No_drop (fun r -> Bool r.scf_ok);
+    fcol ~decimals:4 "wall_s" Wall (fun r -> Float r.scf_wall_s) ]
 
-let json_opt = function None -> "null" | Some v -> string_of_int v
-
-let json_of_scale_cf_row r =
-  Printf.sprintf
-    "    {\"name\": %S, \"n\": %d, \"cf_steps\": %d, \"cf_registers\": %d, \
-     \"cf_reads\": %d, \"cf_writes\": %d, \"predicted_steps\": %s, \
-     \"predicted_registers\": %s, \"ok\": %b, \"wall_s\": %.4f}"
-    r.scf_alg r.scf_n r.scf_sample.Measures.steps
-    r.scf_sample.Measures.registers r.scf_sample.Measures.read_steps
-    r.scf_sample.Measures.write_steps
-    (json_opt r.scf_predicted_steps)
-    (json_opt r.scf_predicted_registers)
-    r.scf_ok r.scf_wall_s
-
-let json_of_scale_chaos_row row =
-  let r = row.sch_result in
-  Printf.sprintf
-    "    {\"name\": %S, \"n\": %d, \"pairs\": %d, \"acquisitions\": %d, \
-     \"crashes\": %d, \"recoveries\": %d, \"entry_steps_max\": %d, \
-     \"entry_steps_mean\": %.4f, \"recovery_steps_max\": %d, \
-     \"recovery_rmr_max\": %d, \"events\": %d, \"turns\": %d, \
-     \"total_steps\": %d, \"spawned\": %d, \"live_peak\": %d, \
-     \"wall_s\": %.4f}"
-    row.sch_alg row.sch_n row.sch_pairs r.Workload.sr_acquisitions
-    r.Workload.sr_crashes r.Workload.sr_recoveries
-    r.Workload.sr_entry_steps_max r.Workload.sr_entry_steps_mean
-    r.Workload.sr_recovery_steps_max r.Workload.sr_recovery_rmr_max
-    r.Workload.sr_events r.Workload.sr_turns r.Workload.sr_total_steps
-    r.Workload.sr_spawned r.Workload.sr_live_peak row.sch_wall_s
+let scale_chaos_columns =
+  let open Record in
+  let res f row = Int (f row.sch_result) in
+  [ col "name" Key (fun row -> Str row.sch_alg);
+    col "n" Key (fun row -> Int row.sch_n);
+    col "pairs" Note (fun row -> Int row.sch_pairs);
+    col "acquisitions" Note (res (fun r -> r.Workload.sr_acquisitions));
+    col "crashes" Note (res (fun r -> r.Workload.sr_crashes));
+    col "recoveries" Note (res (fun r -> r.Workload.sr_recoveries));
+    col "entry_steps_max" No_growth
+      (res (fun r -> r.Workload.sr_entry_steps_max));
+    fcol ~decimals:4 "entry_steps_mean" Note (fun row ->
+        Float row.sch_result.Workload.sr_entry_steps_mean);
+    col "recovery_steps_max" Note
+      (res (fun r -> r.Workload.sr_recovery_steps_max));
+    col "recovery_rmr_max" No_growth
+      (res (fun r -> r.Workload.sr_recovery_rmr_max));
+    col "events" Note (res (fun r -> r.Workload.sr_events));
+    col "turns" Note (res (fun r -> r.Workload.sr_turns));
+    col "total_steps" Note (res (fun r -> r.Workload.sr_total_steps));
+    col "spawned" Note (res (fun r -> r.Workload.sr_spawned));
+    col "live_peak" Note (res (fun r -> r.Workload.sr_live_peak));
+    fcol ~decimals:4 "wall_s" Wall (fun row -> Float row.sch_wall_s) ]

@@ -11,8 +11,7 @@ val backoff_table :
     subcommand: one row per (algorithm, n) with the streaming
     contention-free measurement checked against the registered closed
     forms, and one row per chaos run of the Jepsen-in-one-process rig.
-    Wall-clock fields are recorded for the record only — the diff gate
-    ignores them. *)
+    Wall-clock fields are recorded, never compared. *)
 
 type scale_cf_row = {
   scf_alg : string;
@@ -47,8 +46,8 @@ val scale_chaos_row :
 val scale_cf_table : scale_cf_row list -> Cfc_base.Texttab.t
 val scale_chaos_table : scale_chaos_row list -> Cfc_base.Texttab.t
 
-val json_of_scale_cf_row : scale_cf_row -> string
-val json_of_scale_chaos_row : scale_chaos_row -> string
-(** One JSON object per row, 4-space indented — the BENCH_scale.json
-    row format ([wall_s] fields are informational; see
+val scale_cf_columns : scale_cf_row Cfc_base.Record.column list
+val scale_chaos_columns : scale_chaos_row Cfc_base.Record.column list
+(** The [cf_entries] and [chaos_entries] tables of a scale record, with
+    their diff policies ([wall_s] is never compared; see
     [scripts/bench_diff.py]). *)

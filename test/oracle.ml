@@ -49,6 +49,35 @@ let of_accesses accesses =
     write_registers = Hashtbl.length seen_w;
   }
 
+(* [pid]'s accesses in the fragment [\[from, until)] (defaults: the whole
+   trace), in order, and the §2.2 counts over them. *)
+let accesses_of ?(from = 0) ?until ~pid trace =
+  let until = min (Option.value until ~default:max_int) (Trace.length trace) in
+  let acc = ref [] in
+  for i = until - 1 downto max 0 from do
+    let e = Trace.get trace i in
+    match e.Event.body with
+    | Event.Access (r, k) when e.Event.pid = pid -> acc := (r, k) :: !acc
+    | Event.Access _ | Event.Region_change _ | Event.Crash | Event.Recover -> ()
+  done;
+  !acc
+
+let fragment ?from ?until ~pid trace =
+  of_accesses (accesses_of ?from ?until ~pid trace)
+
+let step_count ?from ?until ~pid t = (fragment ?from ?until ~pid t).steps
+
+let distinct_registers ?from ?until ~pid t =
+  (fragment ?from ?until ~pid t).registers
+
+let rw_step_count ?from ?until ~pid t =
+  let s = fragment ?from ?until ~pid t in
+  (s.read_steps, s.write_steps)
+
+let rw_register_count ?from ?until ~pid t =
+  let s = fragment ?from ?until ~pid t in
+  (s.read_registers, s.write_registers)
+
 let in_regions trace ~nprocs ~pid ~in_region =
   let accesses =
     Trace.fold_states ~nprocs
@@ -91,7 +120,7 @@ let mutex_wc_entry trace ~nprocs =
           when Event.region_equal regions.(e.Event.pid) Event.Trying ->
           let pid = e.Event.pid in
           let from = max (entered.(pid) + 1) (!last_occupied + 1) in
-          let accesses = Trace.accesses_of ~from ~until:e.Event.seq ~pid trace in
+          let accesses = accesses_of ~from ~until:e.Event.seq ~pid trace in
           out := (pid, of_accesses accesses) :: !out
         | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> ())
       () trace
@@ -111,7 +140,7 @@ let mutex_wc_exit trace ~nprocs =
           when Event.region_equal regions.(e.Event.pid) Event.Exiting ->
           let pid = e.Event.pid in
           let from = entered_exit.(pid) + 1 in
-          let accesses = Trace.accesses_of ~from ~until:e.Event.seq ~pid trace in
+          let accesses = accesses_of ~from ~until:e.Event.seq ~pid trace in
           out := (pid, of_accesses accesses) :: !out
         | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> ())
       () trace
@@ -196,7 +225,7 @@ let recovery_paths trace ~nprocs =
         | Some from ->
           Hashtbl.remove open_at e.Event.pid;
           let accesses =
-            Trace.accesses_of ~from:(from + 1) ~until:e.Event.seq
+            accesses_of ~from:(from + 1) ~until:e.Event.seq
               ~pid:e.Event.pid trace
           in
           out := (e.Event.pid, of_accesses accesses) :: !out

@@ -106,7 +106,7 @@ let sim_signature (v : Subjects.variant) =
           | Event.A_xchg _ -> "xchg"
           | Event.A_cas _ -> "cas"
           | Event.A_bit (op, _) -> "bit:" ^ Ops.to_string op ))
-      (Trace.accesses_of ~pid:0 out.Runner.trace)
+      (Oracle.accesses_of ~pid:0 out.Runner.trace)
   in
   let prefix =
     accesses (fun solo -> List.iter (fun f -> f ()) solo.Subjects.context)
@@ -225,10 +225,12 @@ let test_lint_gate () =
        (fun (v : Lint.violation) ->
          v.Lint.code = "atomicity" && v.Lint.severity = Lint.Error)
        wide.Lint.violations);
-  (* The JSON report round-trips the headline numbers. *)
-  let json = Lint.to_json o in
-  check_bool "json mentions schema" true
-    (let sub = "\"schema\": \"cfc-lint/2\"" in
+  (* The report is a lint run record. *)
+  let json =
+    Cfc_base.Record.to_json (Lint.to_record ~sweep:"registry+fixtures" o)
+  in
+  check_bool "json names the bench" true
+    (let sub = "\"bench\": \"lint\"" in
      let len = String.length sub in
      let rec scan i =
        i + len <= String.length json
@@ -321,39 +323,6 @@ let test_recovery_products_n3 () =
   check_bool "recovery subjects analyzed" true (!count >= 4)
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let contains_sub haystack sub =
-  let len = String.length sub in
-  let rec scan i =
-    i + len <= String.length haystack
-    && (String.sub haystack i len = sub || scan (i + 1))
-  in
-  scan 0
-
-(* Regression: the hand-rolled JSON emission must escape every string it
-   interpolates.  Violation details carry source lines and rendered
-   access paths, so quotes, backslashes and control characters all
-   occur in practice. *)
-let test_json_escaping () =
-  let v =
-    { Lint.severity = Lint.Error; code = "wall-clock";
-      detail = "tricky \"quoted\" back\\slash\nnewline\ttab" }
-  in
-  let o =
-    { Lint.rows = []; source_findings = [ v ]; errors = 1; warnings = 0 }
-  in
-  let json = Lint.to_json o in
-  check_bool "quote escaped" true
-    (contains_sub json "tricky \\\"quoted\\\"");
-  check_bool "backslash escaped" true (contains_sub json "back\\\\slash");
-  check_bool "newline escaped" true (contains_sub json "\\nnewline");
-  check_bool "tab escaped" true (contains_sub json "\\u0009tab");
-  check_bool "no raw newline inside the string" true
-    (not (contains_sub json "\nnewline"))
-
-(* ------------------------------------------------------------------ *)
 (* Determinism source scan                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -410,8 +379,6 @@ let () =
       ( "gate",
         [ Alcotest.test_case "fixtures fail, registry passes" `Quick
             test_lint_gate;
-          Alcotest.test_case "json strings escaped" `Quick
-            test_json_escaping;
           Alcotest.test_case "sources deterministic" `Quick
             test_sources_deterministic;
           Alcotest.test_case "scanner catches global Random" `Quick

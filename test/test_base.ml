@@ -326,6 +326,55 @@ let test_texttab () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "overlong row accepted")
 
+(* ------------------------------------------------------------------ *)
+(* Run records                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let contains_sub haystack sub =
+  let len = String.length sub in
+  let rec scan i =
+    i + len <= String.length haystack
+    && (String.sub haystack i len = sub || scan (i + 1))
+  in
+  scan 0
+
+(* Regression: every string a record carries must be escaped.  Lint
+   violation details carry source lines and rendered access paths, so
+   quotes, backslashes and control characters all occur in practice,
+   and a bench name may carry UTF-8 (which must pass through, not come
+   out as OCaml's decimal escapes) or a stray non-UTF-8 byte. *)
+let test_record_escaping () =
+  let row = ("caf\xc3\xa9+bell\x07 stray\xff", 0.99, 0.0761719) in
+  let json =
+    Record.(
+      to_json
+        { bench = "test"; sweep = "tricky \"quoted\" back\\slash\nnewline\ttab";
+          tables =
+            [ table "entries"
+                [ col "name" Key (fun (n, _, _) -> Str n);
+                  fcol ~decimals:2 "theta" Key (fun (_, t, _) -> Float t);
+                  fcol ~decimals:6 "hot_share" Note (fun (_, _, h) -> Float h);
+                  col "wall_s" Wall (fun _ -> Float Float.nan) ]
+                [ row ] ] })
+  in
+  check_bool "quote escaped" true (contains_sub json "tricky \\\"quoted\\\"");
+  check_bool "backslash escaped" true (contains_sub json "back\\\\slash");
+  check_bool "newline escaped" true (contains_sub json "\\nnewline");
+  check_bool "tab escaped" true (contains_sub json "\\u0009tab");
+  check_bool "no raw newline inside the string" true
+    (not (contains_sub json "\nnewline"));
+  check_bool "UTF-8 passes through" true (contains_sub json "caf\xc3\xa9+");
+  check_bool "control byte escaped" true (contains_sub json "+bell\\u0007 ");
+  check_bool "stray byte escaped" true (contains_sub json "stray\\u00ff\"");
+  check_bool "declared precision" true
+    (contains_sub json "\"theta\": 0.99, \"hot_share\": 0.076172");
+  check_bool "non-finite float is null" true
+    (contains_sub json "\"wall_s\": null}");
+  check_bool "columns carry their policy" true
+    (contains_sub json
+       "\"columns\": {\"name\": \"key\", \"theta\": \"key\", \
+        \"hot_share\": \"note\", \"wall_s\": \"wall\"}")
+
 let () =
   Alcotest.run "cfc_base"
     [ ( "ixmath",
@@ -354,4 +403,7 @@ let () =
         [ Alcotest.test_case "ops strings" `Quick test_ops_strings;
           Alcotest.test_case "model algebra" `Quick test_model_algebra;
           QCheck_alcotest.to_alcotest prop_dual_involution_model ] );
-      ("texttab", [ Alcotest.test_case "render" `Quick test_texttab ]) ]
+      ("texttab", [ Alcotest.test_case "render" `Quick test_texttab ]);
+      ( "record",
+        [ Alcotest.test_case "json strings escaped" `Quick
+            test_record_escaping ] ) ]

@@ -488,7 +488,7 @@ let prop_cf_remote_equals_registers =
                    out.Cfc_runtime.Runner.trace)
             in
             let regs =
-              Cfc_runtime.Trace.distinct_registers ~pid:0
+              Oracle.distinct_registers ~pid:0
                 out.Cfc_runtime.Runner.trace
             in
             remote = regs

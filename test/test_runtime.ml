@@ -467,12 +467,12 @@ let test_trace_measures () =
   in
   let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   let t = out.Runner.trace in
-  check "steps" 4 (Trace.step_count ~pid:0 t);
-  check "registers" 2 (Trace.distinct_registers ~pid:0 t);
-  let reads, writes = Trace.rw_step_count ~pid:0 t in
+  check "steps" 4 (Oracle.step_count ~pid:0 t);
+  check "registers" 2 (Oracle.distinct_registers ~pid:0 t);
+  let reads, writes = Oracle.rw_step_count ~pid:0 t in
   check "reads" 1 reads;
   check "writes" 3 writes;
-  let rregs, wregs = Trace.rw_register_count ~pid:0 t in
+  let rregs, wregs = Oracle.rw_register_count ~pid:0 t in
   check "read registers" 1 rregs;
   check "written registers" 2 wregs
 
@@ -487,7 +487,7 @@ let test_trace_fragment_bounds () =
   in
   let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   let t = out.Runner.trace in
-  check "window" 2 (Trace.step_count ~from:1 ~until:3 ~pid:0 t)
+  check "window" 2 (Oracle.step_count ~from:1 ~until:3 ~pid:0 t)
 
 (* Multi-grain sub-word stores (§1.3 / MS93): one step, neighbours
    untouched, whole word readable in one step. *)
@@ -501,14 +501,14 @@ let test_write_field () =
     ignore (M.read w)
   in
   let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
-  check "three steps" 3 (Trace.step_count ~pid:0 out.Runner.trace);
-  check "one register" 1 (Trace.distinct_registers ~pid:0 out.Runner.trace);
-  let reads, writes = Trace.rw_step_count ~pid:0 out.Runner.trace in
+  check "three steps" 3 (Oracle.step_count ~pid:0 out.Runner.trace);
+  check "one register" 1 (Oracle.distinct_registers ~pid:0 out.Runner.trace);
+  let reads, writes = Oracle.rw_step_count ~pid:0 out.Runner.trace in
   check "field writes count as writes" 2 writes;
   check "one read" 1 reads;
   (* value = 3 + 2 << 6 = 131 *)
   let last =
-    Trace.accesses_of ~pid:0 out.Runner.trace |> List.rev |> List.hd
+    Oracle.accesses_of ~pid:0 out.Runner.trace |> List.rev |> List.hd
   in
   (match last with
   | _, Event.A_read v -> check "packed value" 131 v
