@@ -78,24 +78,189 @@ type report = {
 
 (* ---------- one path ---------- *)
 
-type path_end = P_done | P_cut of Sym_mem.cut_reason | P_raised of exn
+let bit_classes =
+  Array.of_list
+    (List.map (fun op -> "bit:" ^ Cfc_base.Ops.to_string op) Cfc_base.Ops.all)
 
-let run_variant ~config (v : Subjects.variant) ~plan =
-  let ctx =
-    Sym_mem.create ~max_steps:config.max_steps ~max_period:config.max_period
-      ~plan ()
+let op_class : Event.access_kind -> string = function
+  | A_read _ -> "read"
+  | A_write _ -> "write"
+  | A_field _ -> "write-field"
+  | A_xchg _ -> "xchg"
+  | A_cas _ -> "cas"
+  | A_bit (op, _) -> bit_classes.(Cfc_base.Ops.to_index op)
+
+let observes : Event.access_kind -> bool = function
+  | A_read _ | A_xchg _ | A_cas _ -> true
+  | A_bit (op, _) -> Cfc_base.Ops.returns_value op
+  | A_write _ | A_field _ -> false
+
+(* One recorded access of a path. *)
+type step = {
+  s_reg : Register.t;
+  s_kind : Event.access_kind;
+  s_class : string;  (* [op_class s_kind] *)
+  s_value : int;
+      (* observed pre-value for value-returning ops, written value for
+         plain writes *)
+  s_post : int;  (* the register's content right after the access *)
+}
+
+(* Raised by the recorder to end a path: its step budget is spent, or
+   it closed a busy-wait cycle. *)
+exception Cut
+
+(* The recorder of one path, fed by the scheduler's sink.  A plan entry
+   [(i, id, v)] injects pre-value [v] into register [id] just before
+   access [i] (as if a remote process had just written it); the
+   recorder applies it right after recording access [i - 1], which is
+   the same point: a solo process makes no shared access in between,
+   and by prefix determinism a child plan's access [i] is on the
+   register its parent's was. *)
+type path = {
+  max_steps : int;
+  max_period : int;
+  fork_from : int;
+      (* alternatives are collected from this access index on
+         ([max_int]: the plan may not grow) *)
+  mutable pending : (int * int * int) list;
+  mutable recording : bool;
+  mutable regs : Register.t array;  (* the arena's registers, by id *)
+  mutable last : int array;
+      (* last-known value by register id: the pre-value of an access
+         whose event does not carry it (CAS, a bit op returning none) *)
+  mutable steps_rev : step list;
+  mutable nsteps : int;
+  mutable alts_rev : (int * int * int) list;
+      (* fork opportunities: [(i, id, v)] such that injecting [v] at
+         access [i] could change the execution *)
+  mutable period : int;
+      (* length of the busy-wait cycle that cut the path, 0 if none *)
+}
+
+(* The adversarial value pool for a register: every value up to 4
+   bits, else the corners [0; 1; 2; 2^w-1]. *)
+let candidate_values ~width =
+  if width <= 4 then List.init (1 lsl width) Fun.id
+  else
+    let top = if width >= 62 then max_int else (1 lsl width) - 1 in
+    [ 0; 1; 2; top ]
+
+let inject t =
+  match t.pending with
+  | (i, id, v) :: rest when i = t.nsteps ->
+    Register.restore t.regs.(id) v;
+    t.last.(id) <- v;
+    t.pending <- rest
+  | _ -> ()
+
+(* Registers are allocated by the variant's [make], before recording
+   starts, so the arrays cover every register the body accesses. *)
+let start_recording t arena =
+  t.regs <- Array.of_list (Memory.registers arena);
+  t.last <- Array.map (fun r -> r.Register.value) t.regs;
+  t.recording <- true;
+  inject t
+
+let add_alternatives t i (r : Register.t) kind value =
+  let add v = if v <> value then t.alts_rev <- (i, r.id, v) :: t.alts_rev in
+  match kind with
+  | Event.A_read _ | A_xchg _ | A_cas _ ->
+    List.iter add (candidate_values ~width:r.width)
+  | A_bit (op, _) when Cfc_base.Ops.returns_value op -> add (1 - value)
+  | A_bit _ | A_write _ | A_field _ -> ()
+
+let rec drop k l =
+  match l with _ :: tl when k > 0 -> drop (k - 1) tl | _ -> l
+
+(* The first [k] steps of [a] and of [b] agree pairwise on (register,
+   op class, observed value). *)
+let rec agree k a b =
+  k = 0
+  ||
+  match (a, b) with
+  | x :: a, y :: b ->
+    x.s_reg.Register.id = y.s_reg.Register.id
+    && String.equal x.s_class y.s_class
+    && x.s_value = y.s_value
+    && agree (k - 1) a b
+  | _ -> false
+
+(* Busy-wait recognition: the newest [3p] steps are three identical
+   repetitions of a length-[p] pattern, for the least [p] up to
+   [max_period]; 0 when there is none.  A deterministic solo process
+   whose observations repeat is looping.  Walks the list in place, so
+   the check allocates nothing. *)
+let rec spin_period t p =
+  if p > t.max_period || 3 * p > t.nsteps then 0
+  else if agree (2 * p) t.steps_rev (drop p t.steps_rev) then p
+  else spin_period t (p + 1)
+
+let record t ~pid:_ = function
+  | Event.Access (r, kind) when t.recording ->
+    if t.nsteps >= t.max_steps then raise Cut;
+    let id = r.Register.id in
+    let value =
+      match kind with
+      | A_read v | A_write v | A_field (_, _, v) | A_xchg (_, v)
+      | A_bit (_, Some v) ->
+        v
+      | A_cas _ | A_bit (_, None) -> t.last.(id)
+    in
+    t.last.(id) <- r.value;
+    let i = t.nsteps in
+    t.nsteps <- i + 1;
+    t.steps_rev <-
+      { s_reg = r; s_kind = kind; s_class = op_class kind; s_value = value;
+        s_post = r.value }
+      :: t.steps_rev;
+    if i >= t.fork_from then add_alternatives t i r kind value;
+    let p = spin_period t 1 in
+    if p > 0 then begin
+      t.period <- p;
+      raise Cut
+    end;
+    inject t
+  | _ -> ()
+
+type path_end = P_done | P_cut | P_raised of exn
+
+(* Run one path as the only process of a scheduler over [Sim_mem],
+   every step granted an unbounded run-ahead: the process runs inline
+   up to its next pause or its end.  The subject's [context] runs
+   unrecorded.  A [Cut] raised on an inline access ends the process as
+   errored; one raised on the access that opens a step escapes the
+   step. *)
+let run_variant ~(config : config) (v : Subjects.variant) ~plan ~fork_from =
+  let t =
+    { max_steps = config.max_steps; max_period = config.max_period;
+      fork_from; pending = plan; recording = false; regs = [||];
+      last = [||]; steps_rev = []; nsteps = 0; alts_rev = []; period = 0 }
   in
-  let mem = Sym_mem.mem ctx in
-  let solo = v.Subjects.make mem in
-  List.iter (fun f -> f ()) solo.Subjects.context;
-  Sym_mem.start_recording ctx;
-  let ending =
-    match solo.Subjects.body () with
-    | () -> P_done
-    | exception Sym_mem.Cut r -> P_cut r
-    | exception e -> P_raised e
+  let arena = Memory.create () in
+  let solo = v.Subjects.make (Sim_mem.mem arena) in
+  let run () =
+    List.iter (fun f -> f ()) solo.Subjects.context;
+    start_recording t arena;
+    solo.Subjects.body ()
   in
-  (ctx, ending)
+  let sched =
+    Scheduler.of_spawn ~sink:(record t) ~nprocs:1 ~spawn:(fun _ -> run)
+  in
+  let rec drive () =
+    match Scheduler.status sched 0 with
+    | Runnable -> (
+      match Scheduler.step_ahead sched 0 ~ahead:max_int with
+      | _ -> drive ()
+      | exception Cut -> P_cut)
+    | Halted -> P_done
+    | Errored Cut -> P_cut
+    | Errored e -> P_raised e
+    | Crashed -> P_raised Proc.Crashed
+  in
+  let ending = drive () in
+  Scheduler.dispose sched;
+  (t, ending)
 
 (* ---------- graph construction ---------- *)
 
@@ -105,11 +270,11 @@ let sample_of_steps steps =
   let seen_w = Hashtbl.create 16 in
   let n = ref 0 and reads = ref 0 and writes = ref 0 in
   List.iter
-    (fun (s : Sym_mem.step) ->
+    (fun s ->
       incr n;
       let id = s.s_reg.Register.id in
       Hashtbl.replace seen id ();
-      if s.s_write then begin
+      if Event.is_write s.s_kind then begin
         incr writes;
         Hashtbl.replace seen_w id ()
       end
@@ -127,28 +292,24 @@ let sample_of_steps steps =
     write_registers = Hashtbl.length seen_w;
   }
 
-let observes : Sym_mem.op -> bool = function
-  | O_read | O_xchg | O_cas _ -> true
-  | O_bit b -> Cfc_base.Ops.returns_value b
-  | O_write | O_field _ -> false
-
 (* Merge one path into the graph and return its key sequence.  Node
    identity is (register, op class, occurrence along the path), so
    re-executions of the same instruction in a loop become distinct nodes
-   up to the point where the cycle was recognized; [cycle] holds the
-   trace indices of the detected period. *)
-let merge_path g ~baseline ~ended ~cycle steps =
+   up to the point where the cycle was recognized; the last [period]
+   steps are the detected cycle. *)
+let merge_path g ~baseline ~ended ~period steps =
   let occs = Hashtbl.create 16 in
-  let in_cycle i = List.exists (fun (s : Sym_mem.step) -> s.s_index = i) cycle in
   let nsteps = List.length steps in
   let prev = ref None in
   let keys = ref [] in
   let first_cycle_key = ref None in
   let last_cycle_key = ref None in
   List.iteri
-    (fun pos (s : Sym_mem.step) ->
+    (fun pos s ->
       let id = s.s_reg.Register.id in
-      let cls = Sym_mem.op_class s.s_op in
+      let cls = s.s_class in
+      let write = Event.is_write s.s_kind in
+      let observes = observes s.s_kind in
       let occ =
         let o = Option.value ~default:0 (Hashtbl.find_opt occs (id, cls)) in
         Hashtbl.replace occs (id, cls) (o + 1);
@@ -181,16 +342,16 @@ let merge_path g ~baseline ~ended ~cycle steps =
           Hashtbl.add g.g_nodes k n;
           n
       in
-      node.n_write <- node.n_write || s.s_write;
-      node.n_observes <- node.n_observes || observes s.s_op;
-      if s.s_write then begin
+      node.n_write <- node.n_write || write;
+      node.n_observes <- node.n_observes || observes;
+      if write then begin
         let vals, exact = add_val node.n_wvals node.n_wvals_exact s.s_post in
         node.n_wvals <- vals;
         node.n_wvals_exact <- exact
       end;
-      if in_cycle s.s_index then begin
+      if period > 0 && pos >= nsteps - period then begin
         node.n_cycle <- true;
-        if observes s.s_op then begin
+        if observes then begin
           let vals, exact =
             add_val node.n_spinvals node.n_spinvals_exact s.s_value
           in
@@ -203,7 +364,7 @@ let merge_path g ~baseline ~ended ~cycle steps =
       if ended && pos = nsteps - 1 then node.n_may_end <- true;
       if baseline then begin
         node.n_baseline <- pos;
-        node.n_baseline_write <- s.s_write
+        node.n_baseline_write <- write
       end;
       (match !prev with
       | Some pk -> Hashtbl.replace g.g_edges (pk, k) ()
@@ -219,25 +380,33 @@ let merge_path g ~baseline ~ended ~cycle steps =
 
 (* ---------- per-variant exploration ---------- *)
 
-let explore ~config (v : Subjects.variant) =
+let explore ~(config : config) (v : Subjects.variant) =
   let g = { g_nodes = Hashtbl.create 64; g_edges = Hashtbl.create 64 } in
+  (* Breadth-first over plans.  A child plan extends its parent by one
+     injection past the parent's last, and the injections one path
+     offers are distinct, so no plan is queued twice; only the first
+     [max_paths] plans queued ever run, so queuing stops there. *)
   let queue = Queue.create () in
   Queue.add [] queue;
-  let seen_plans = Hashtbl.create 64 in
-  Hashtbl.add seen_plans [] ();
+  let queued = ref 1 in
   let paths = ref 0 in
   let baseline = ref Measures.zero in
   let completed = ref [] in
   while (not (Queue.is_empty queue)) && !paths < config.max_paths do
     let plan = Queue.take queue in
     incr paths;
-    let ctx, ending = run_variant ~config v ~plan in
-    let steps = Sym_mem.steps ctx in
+    let fork_from =
+      if List.length plan >= config.max_forks || !queued >= config.max_paths
+      then max_int
+      else match List.rev plan with [] -> 0 | (i, _, _) :: _ -> i + 1
+    in
+    let path, ending = run_variant ~config v ~plan ~fork_from in
+    let steps = List.rev path.steps_rev in
     let is_baseline = plan = [] in
     if is_baseline then begin
       (match ending with
       | P_raised e -> raise e
-      | P_cut _ ->
+      | P_cut ->
         failwith "Analyze: solo contention-free execution did not terminate"
       | P_done -> ());
       baseline := sample_of_steps steps
@@ -246,25 +415,20 @@ let explore ~config (v : Subjects.variant) =
       match ending with P_raised _ -> not is_baseline | _ -> false
     in
     if not infeasible then begin
-      let cycle = Option.value ~default:[] (Sym_mem.spin_cycle ctx) in
-      let ended = match ending with P_done -> true | P_cut _ | P_raised _ -> false in
-      let keys = merge_path g ~baseline:is_baseline ~ended ~cycle steps in
+      let ended =
+        match ending with P_done -> true | P_cut | P_raised _ -> false
+      in
+      let keys =
+        merge_path g ~baseline:is_baseline ~ended ~period:path.period steps
+      in
       if ended then completed := keys :: !completed;
-      if List.length plan < config.max_forks then begin
-        let last =
-          match List.rev plan with [] -> -1 | (i, _) :: _ -> i
-        in
-        List.iter
-          (fun (i, value) ->
-            if i > last then begin
-              let child = plan @ [ (i, value) ] in
-              if not (Hashtbl.mem seen_plans child) then begin
-                Hashtbl.add seen_plans child ();
-                Queue.add child queue
-              end
-            end)
-          (Sym_mem.alternatives ctx)
-      end
+      List.iter
+        (fun alt ->
+          if !queued < config.max_paths then begin
+            incr queued;
+            Queue.add (plan @ [ alt ]) queue
+          end)
+        (List.rev path.alts_rev)
     end
   done;
   (g, !baseline, !paths, List.rev !completed)

@@ -1,21 +1,35 @@
 (** The symbolic access-graph analyzer: bounded exhaustive solo
-    exploration of one {!Subjects.t} on the {!Sym_mem} backend, the
-    per-variant shared-access graph, and the three static passes —
-    contention-free complexity, atomicity conformance and spin-structure
-    classification.
+    exploration of one {!Subjects.t}, the per-variant shared-access
+    graph, and the three static passes — contention-free complexity,
+    atomicity conformance and spin-structure classification.
+
+    Each path runs the variant as the only process of a
+    {!Cfc_runtime.Scheduler} over {!Cfc_runtime.Sim_mem}, the simulator
+    every other run uses, and records its accesses from the scheduler's
+    event sink.  A driver {e injects} adversarial register contents at
+    chosen access indices — the "unconstrained read" forks.
 
     Exploration: the baseline path runs with no injections (it {e is}
     the contention-free run, so the §2.2/§3.2 measures are read off its
     graph nodes); every value-returning access then becomes a fork
     point, and plans of up to [max_forks] injections (strictly
-    increasing indices, values from {!Sym_mem.candidate_values}) are
-    replayed breadth-first up to [max_paths] per variant.  A path ends
-    when the body returns, the step budget runs out, a busy-wait cycle
-    is recognized (three identical observation periods), or an injected
-    value drives the algorithm into an exception (such a path is
-    infeasible under real schedules and is discarded). *)
+    increasing indices, values exhaustive up to 4-bit registers and the
+    corners [{0, 1, 2, 2{^w}-1}] beyond) are replayed breadth-first up
+    to [max_paths] per variant.  A path ends when the body returns, the
+    step budget runs out, a busy-wait cycle is recognized (three
+    identical (register, op class, observed value) periods), or an
+    injected value drives the algorithm into an exception (such a path
+    is infeasible under real schedules and is discarded).  A register
+    operation that fails (a model or width violation) is no access: it
+    takes no index and is not recorded. *)
 
 open Cfc_core
+
+val op_class : Cfc_runtime.Event.access_kind -> string
+(** Coarse label of an access, the class part of a graph node's
+    identity: ["read"], ["write"], ["write-field"], ["xchg"], ["cas"]
+    (successful or not) and ["bit:<op>"].  The model checker matches its
+    dynamic accesses to graph nodes by it. *)
 
 type config = {
   max_forks : int;  (** injections per path (fork depth bound) *)
@@ -33,7 +47,7 @@ type node = {
   n_reg : int;  (** register id (allocation order) *)
   n_name : string;
   n_width : int;
-  n_class : string;  (** {!Sym_mem.op_class} *)
+  n_class : string;  (** {!op_class} *)
   n_occ : int;
   mutable n_write : bool;  (** writes the register on some path *)
   mutable n_observes : bool;  (** returns a value read from it *)

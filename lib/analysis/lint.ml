@@ -207,16 +207,23 @@ let find_root () =
 
 (* ---------- driver ---------- *)
 
-let run ?config ?(fixtures = false) ?root () =
+let scan_checkout () =
+  match find_root () with
+  | Some root -> scan_sources ~root
+  | None ->
+    [ { severity = Error; code = "no-checkout";
+        detail =
+          Printf.sprintf
+            "no source checkout (lib/base/ops.ml) at or above %s: the \
+             determinism scan read no source; run lint from the repository"
+            (Sys.getcwd ()) } ]
+
+let run ?config ?(fixtures = false) () =
   let subjects =
     Subjects.registry () @ (if fixtures then Fixtures.subjects () else [])
   in
   let rows = List.map (check_subject ?config) subjects in
-  let source_findings =
-    match (root, find_root ()) with
-    | Some r, _ | None, Some r -> scan_sources ~root:r
-    | None, None -> []
-  in
+  let source_findings = scan_checkout () in
   let all =
     source_findings @ List.concat_map (fun r -> r.violations) rows
   in

@@ -11,7 +11,7 @@ type violation = { severity : severity; code : string; detail : string }
 (** [code] is a stable machine-readable tag: ["cf-steps"],
     ["cf-registers"], ["static-vs-measured"], ["atomicity"],
     ["harmful-race"], ["liveness"],
-    ["nondeterminism"], ["wall-clock"]. *)
+    ["nondeterminism"], ["wall-clock"], ["no-checkout"]. *)
 
 type row = {
   report : Analyze.report;
@@ -42,16 +42,15 @@ val find_root : unit -> string option
     [lib/base/ops.ml] (works both from a dune sandbox and from a source
     checkout). *)
 
-val run :
-  ?config:Analyze.config ->
-  ?fixtures:bool ->
-  ?root:string ->
-  unit ->
-  outcome
+val scan_checkout : unit -> violation list
+(** {!scan_sources} of the checkout {!find_root} finds.  Outside a
+    checkout there is nothing to scan, and the result is one
+    error-severity ["no-checkout"] finding naming the current
+    directory, so a gate run from the wrong place fails. *)
+
+val run : ?config:Analyze.config -> ?fixtures:bool -> unit -> outcome
 (** Analyze the whole {!Subjects.registry} (plus the broken
-    {!Fixtures} when [fixtures] is set) and scan the sources under
-    [root] (default: {!find_root}; the scan is skipped when no root is
-    found). *)
+    {!Fixtures} when [fixtures] is set) and {!scan_checkout}. *)
 
 val print : outcome -> unit
 (** Human-readable table plus one line per violation. *)

@@ -20,7 +20,7 @@
     to [Harmful] with both access paths.
 
     {b 2. Spin-wakeup / liveness skeleton.}  For every busy-wait cycle
-    {!Sym_mem} detected, the set of remote writes that can break it: a
+    {!Analyze} detected, the set of remote writes that can break it: a
     write by another process that can store a value outside the set the
     spin was observed rejecting.  A breaking write is {e suppressible}
     when it is guarded by an observation of a register that two processes
@@ -56,7 +56,7 @@ val verdict_name : verdict -> string
     raced register, with a representative control-flow path. *)
 type party = {
   p_group : string;  (** process label, e.g. ["p0"] *)
-  p_class : string;  (** {!Sym_mem.op_class} *)
+  p_class : string;  (** {!Analyze.op_class} *)
   p_writes : bool;
   p_values : int list option;
       (** stored values when statically exact, [None] when unknown *)

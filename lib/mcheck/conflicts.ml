@@ -21,7 +21,7 @@ type t = (int * int * string, access) Hashtbl.t
 let create () : t = Hashtbl.create 64
 
 let observer t ~pid ~reg ~kind =
-  let cls = Independence.class_of_kind kind in
+  let cls = Cfc_analysis.Analyze.op_class kind in
   let key = (pid, reg.Cfc_runtime.Register.id, cls) in
   if not (Hashtbl.mem t key) then
     Hashtbl.add t key

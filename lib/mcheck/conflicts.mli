@@ -25,7 +25,7 @@ type access = {
   pid : int;
   rid : int;      (** register id within the checked arena *)
   reg : string;   (** register name, as allocated by the algorithm *)
-  cls : string;   (** op class per {!Independence.class_of_kind} *)
+  cls : string;   (** op class per {!Cfc_analysis.Analyze.op_class} *)
   is_write : bool;
       (** per {!Cfc_runtime.Event.is_write} — a CAS counts as a write
           whether or not it succeeded on any particular execution *)

@@ -22,35 +22,17 @@ let conflict a b =
    bit of a 63-bit OCaml int. *)
 let max_reg_bits = 62
 
-let class_of_kind : Event.access_kind -> string = function
-  | Event.A_read _ -> "read"
-  | Event.A_write _ -> "write"
-  | Event.A_field _ -> "write-field"
-  | Event.A_xchg _ -> "xchg"
-  | Event.A_cas _ -> "cas"
-  | Event.A_bit (op, _) -> "bit:" ^ Cfc_base.Ops.to_string op
-
 (* Op classes interned as ints: the five register operations, then one
-   per bit operation in [Ops.all] order.  [class_id_of_string] maps the
-   analyzer's class names ({!class_of_kind}'s) onto the same ids ([-1]
-   for a name no dynamic access can carry). *)
-let bit_op_index = function
-  | Cfc_base.Ops.Skip -> 0
-  | Cfc_base.Ops.Read -> 1
-  | Cfc_base.Ops.Write_0 -> 2
-  | Cfc_base.Ops.Test_and_reset -> 3
-  | Cfc_base.Ops.Write_1 -> 4
-  | Cfc_base.Ops.Test_and_set -> 5
-  | Cfc_base.Ops.Flip -> 6
-  | Cfc_base.Ops.Test_and_flip -> 7
-
+   per bit operation in [Ops.to_index] order.  [class_id_of_string] maps
+   the analyzer's class names ({!Cfc_analysis.Analyze.op_class}'s) onto
+   the same ids ([-1] for a name no dynamic access can carry). *)
 let class_id : Event.access_kind -> int = function
   | Event.A_read _ -> 0
   | Event.A_write _ -> 1
   | Event.A_field _ -> 2
   | Event.A_xchg _ -> 3
   | Event.A_cas _ -> 4
-  | Event.A_bit (op, _) -> 5 + bit_op_index op
+  | Event.A_bit (op, _) -> 5 + Cfc_base.Ops.to_index op
 
 let class_id_of_string s =
   let kinds =
@@ -58,7 +40,11 @@ let class_id_of_string s =
     :: Event.A_xchg (0, 0) :: Event.A_cas (0, 0, false)
     :: List.map (fun op -> Event.A_bit (op, None)) Cfc_base.Ops.all
   in
-  match List.find_opt (fun k -> String.equal (class_of_kind k) s) kinds with
+  match
+    List.find_opt
+      (fun k -> String.equal (Cfc_analysis.Analyze.op_class k) s)
+      kinds
+  with
   | Some k -> class_id k
   | None -> -1
 

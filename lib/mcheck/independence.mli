@@ -44,12 +44,10 @@ val fp_of_access :
     change what it read yields the same memory and the same local
     outcome, so its footprint carries no write bit. *)
 
-val class_of_kind : Cfc_runtime.Event.access_kind -> string
-(** The dynamic access's [Sym_mem.op_class] — the node-matching key. *)
-
 val class_id : Cfc_runtime.Event.access_kind -> int
-(** {!class_of_kind} interned as a small int (below 64): equal ids iff
-    equal class names.  What the tracker matches on; allocation-free. *)
+(** {!Cfc_analysis.Analyze.op_class} interned as a small int (below
+    64): equal ids iff equal class names.  What the tracker matches on;
+    allocation-free. *)
 
 type t
 (** Per-process static models for one checked system ([None] for a

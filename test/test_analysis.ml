@@ -1,12 +1,9 @@
 (* Tests for the symbolic access-graph analyzer (lib/analysis): the
    three-way agreement static = closed form = trace-measured over every
-   registered algorithm of every family, the symbolic-vs-simulated solo
-   equivalence property, the spin-structure classification, the lint
-   gate (clean on the real registry, failing
+   registered algorithm of every family, the spin-structure
+   classification, the lint gate (clean on the real registry, failing
    on the broken fixtures), and the determinism source scan. *)
 
-open Cfc_base
-open Cfc_runtime
 open Cfc_analysis
 
 let check = Alcotest.(check int)
@@ -73,76 +70,6 @@ let test_battery_covers_families () =
            rows))
     [ Subjects.Mutex; Subjects.Detector; Subjects.Naming; Subjects.Consensus;
       Subjects.Renaming ]
-
-(* ------------------------------------------------------------------ *)
-(* Symbolic vs simulated solo executions                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The (register, operation class) signature of one solo execution on
-   the symbolic backend. *)
-let sym_signature (v : Subjects.variant) =
-  let ctx = Sym_mem.create () in
-  let solo = v.Subjects.make (Sym_mem.mem ctx) in
-  List.iter (fun f -> f ()) solo.Subjects.context;
-  Sym_mem.start_recording ctx;
-  solo.Subjects.body ();
-  List.map Sym_mem.step_sig (Sym_mem.steps ctx)
-
-(* The same signature from the effect-based simulator: run the contexts
-   and the body as one solo process and drop the context prefix. *)
-let sim_signature (v : Subjects.variant) =
-  let accesses run =
-    let memory = Memory.create () in
-    let solo = v.Subjects.make (Sim_mem.mem memory) in
-    let p () = run solo in
-    let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
-    List.map
-      (fun ((r : Register.t), kind) ->
-        ( r.Register.id,
-          match kind with
-          | Event.A_read _ -> "read"
-          | Event.A_write _ -> "write"
-          | Event.A_field _ -> "write-field"
-          | Event.A_xchg _ -> "xchg"
-          | Event.A_cas _ -> "cas"
-          | Event.A_bit (op, _) -> "bit:" ^ Ops.to_string op ))
-      (Oracle.accesses_of ~pid:0 out.Runner.trace)
-  in
-  let prefix =
-    accesses (fun solo -> List.iter (fun f -> f ()) solo.Subjects.context)
-  in
-  let full =
-    accesses (fun solo ->
-        List.iter (fun f -> f ()) solo.Subjects.context;
-        solo.Subjects.body ())
-  in
-  (* The context prefix is deterministic, so the body's accesses are the
-     suffix beyond it. *)
-  List.filteri (fun i _ -> i >= List.length prefix) full
-
-let subjects_with_variants =
-  lazy
-    (List.concat_map
-       (fun (s : Subjects.t) ->
-         List.map (fun v -> (s, v)) s.Subjects.variants)
-       (Subjects.registry ()))
-
-let prop_sym_matches_sim =
-  QCheck.Test.make ~count:300
-    ~name:"analysis: symbolic solo visits the simulated access sequence"
-    QCheck.(int_bound (List.length (Lazy.force subjects_with_variants) - 1))
-    (fun i ->
-      let s, v = List.nth (Lazy.force subjects_with_variants) i in
-      let sym = sym_signature v and sim = sim_signature v in
-      if sym <> sim then
-        QCheck.Test.fail_reportf "%s %s %s: symbolic %s <> simulated %s"
-          (Subjects.family_name s.Subjects.family)
-          s.Subjects.alg_name v.Subjects.v_label
-          (String.concat ";"
-             (List.map (fun (r, c) -> Printf.sprintf "%d:%s" r c) sym))
-          (String.concat ";"
-             (List.map (fun (r, c) -> Printf.sprintf "%d:%s" r c) sim))
-      else true)
 
 (* ------------------------------------------------------------------ *)
 (* Spin-structure classification                                       *)
@@ -278,6 +205,28 @@ let test_lost_wakeup_refuted_benign_clean () =
   check_bool "benign twin is not a deadlock risk" true
     (benign.Lint.product.Product.liveness <> Product.Deadlock_risk)
 
+(* The fixtures' analysis, pinned: the graph size, spin class and
+   liveness verdict of each.  [fixture-swallows] is the one subject whose
+   paths hit a register-op failure the process catches. *)
+let test_fixture_analysis_pinned () =
+  List.iter
+    (fun (name, nodes, edges, spin, liveness) ->
+      let row = find_row name "n=2" in
+      let r = row.Lint.report in
+      check (name ^ " graph nodes") nodes r.Analyze.nodes;
+      check (name ^ " graph edges") edges r.Analyze.edges;
+      Alcotest.(check string)
+        (name ^ " spin class") spin
+        (Analyze.spin_class_name r.Analyze.spin_class);
+      Alcotest.(check string)
+        (name ^ " liveness") liveness
+        (Product.liveness_name row.Lint.product.Product.liveness))
+    [ ("fixture-wide-spin", 20, 42, "spin-on-shared", "unknown");
+      ("fixture-swallows", 8, 12, "spin-on-shared", "deadlock-free-candidate");
+      ("fixture-lost-wakeup", 12, 16, "spin-on-shared", "DEADLOCK-RISK");
+      ( "fixture-lost-wakeup-benign", 12, 16, "spin-on-shared",
+        "deadlock-free-candidate" ) ]
+
 (* The real registry must clear all three product passes: no harmful
    race and no deadlock-risk verdict anywhere (the lint-gate test
    already implies this via severities; this pins the product fields
@@ -359,19 +308,37 @@ let test_scan_detects_global_random () =
      in
      scan 0)
 
+(* Outside a checkout the scan has nothing to read; it must report that
+   as an error rather than pass having scanned nothing. *)
+let test_scan_outside_checkout () =
+  let cwd = Sys.getcwd () in
+  let findings =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        Sys.chdir (Filename.get_temp_dir_name ());
+        Lint.scan_checkout ())
+  in
+  match findings with
+  | [ v ] ->
+    Alcotest.(check string) "code" "no-checkout" v.Lint.code;
+    check_bool "error severity" true (v.Lint.severity = Lint.Error)
+  | l -> Alcotest.failf "expected one finding, got %d" (List.length l)
+
 let () =
   Alcotest.run "cfc_analysis"
     [ ( "agreement",
         [ Alcotest.test_case "static = closed form = measured" `Quick
             test_three_way_agreement;
           Alcotest.test_case "battery covers every family" `Quick
-            test_battery_covers_families;
-          QCheck_alcotest.to_alcotest prop_sym_matches_sim ] );
+            test_battery_covers_families ] );
       ( "classification",
         [ Alcotest.test_case "spin classes" `Quick test_spin_classes ] );
       ( "product",
         [ Alcotest.test_case "lost-wakeup refuted, benign twin clean" `Quick
             test_lost_wakeup_refuted_benign_clean;
+          Alcotest.test_case "fixture analysis pinned" `Quick
+            test_fixture_analysis_pinned;
           Alcotest.test_case "registry clears the product passes" `Quick
             test_registry_products_clean;
           Alcotest.test_case "recovery subjects n=3" `Quick
@@ -382,4 +349,6 @@ let () =
           Alcotest.test_case "sources deterministic" `Quick
             test_sources_deterministic;
           Alcotest.test_case "scanner catches global Random" `Quick
-            test_scan_detects_global_random ] ) ]
+            test_scan_detects_global_random;
+          Alcotest.test_case "scan fails outside a checkout" `Quick
+            test_scan_outside_checkout ] ) ]
