@@ -52,6 +52,9 @@ let () =
   Format.printf
     "@.with 2 crashes: %d of %d processes renamed, uniqueness %s@."
     (List.length survivors) n
-    (match Renaming_harness.check out ~n ~k:n ~bound:Ma_grid.name_space with
+    (match
+       Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
+         ~n:(Ma_grid.name_space ~n ~k:n)
+     with
     | None -> "ok"
     | Some v -> Format.asprintf "VIOLATED (%a)" Spec.pp_violation v)

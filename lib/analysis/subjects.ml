@@ -25,29 +25,28 @@ type t = {
   measured : unit -> Measures.sample;
 }
 
+(* One solo variant per listed pid: [instantiate] builds a fresh instance
+   on the given backend and returns each pid's harness process body. *)
+let per_pid pids instantiate =
+  List.map
+    (fun me ->
+      {
+        v_label = Printf.sprintf "p%d" me;
+        make = (fun mem -> { context = []; body = instantiate mem me });
+      })
+    pids
+
 let of_mutex ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
   let p = Cfc_mutex.Mutex_intf.params ?l n in
   if not (A.supports p) then None
   else
-    let variants =
-      List.map
-        (fun me ->
-          {
-            v_label = Printf.sprintf "p%d" me;
-            make =
-              (fun mem ->
-                let module M = (val mem : Mem_intf.MEM) in
-                let module L = A.Make (M) in
-                let t = L.create p in
-                {
-                  context = [];
-                  body =
-                    (fun () ->
-                      L.lock t ~me;
-                      L.unlock t ~me);
-                });
-          })
-        (Mutex_harness.sample_pids n)
+    let bare mem =
+      let module M = (val mem : Mem_intf.MEM) in
+      let module L = A.Make (M) in
+      let t = L.create p in
+      fun me () ->
+        L.lock t ~me;
+        L.unlock t ~me
     in
     Some
       {
@@ -61,53 +60,24 @@ let of_mutex ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
         declared_atomicity = Some (A.atomicity p);
         predicted_steps = A.predicted_cf_steps p;
         predicted_registers = A.predicted_cf_registers p;
-        variants;
+        variants = per_pid (Mutex_harness.sample_pids n) bare;
         measured =
           (fun () ->
             (Mutex_harness.contention_free (module A) p).Mutex_harness.max);
       }
 
 (* The model-checked mutex system is not the bare [lock; unlock] solo the
-   §2.2 measures quantify over: [Mutex_harness.instantiate] additionally
-   allocates a critical-section witness register (after the algorithm
-   instance, so ids shift by nothing) and exercises it between lock and
-   unlock.  Static facts about the checked system — the independence
-   relation the model checker's partial-order reduction consumes — must
-   come from a subject with the same arena layout and the same access
-   sequence, so this builder mirrors the harness body exactly (minus the
-   region annotations, which perform no shared accesses). *)
+   §2.2 measures quantify over: the harness body additionally allocates a
+   critical-section witness register (after the algorithm instance) and
+   exercises it between lock and unlock.  Static facts about the checked
+   system — the independence relation the model checker's partial-order
+   reduction consumes — must come from a subject with the same arena
+   layout and the same access sequence, so this subject runs the harness
+   body itself. *)
 let of_mutex_checked ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
   let p = Cfc_mutex.Mutex_intf.params ?l n in
   if not (A.supports p) then None
   else
-    let variants =
-      List.map
-        (fun me ->
-          {
-            v_label = Printf.sprintf "p%d" me;
-            make =
-              (fun mem ->
-                let module M = (val mem : Mem_intf.MEM) in
-                let module L = A.Make (M) in
-                let t = L.create p in
-                let witness =
-                  M.alloc ~name:"cs.witness"
-                    ~width:(Ixmath.bits_needed (max 1 (n - 1)))
-                    ~init:0 ()
-                in
-                {
-                  context = [];
-                  body =
-                    (fun () ->
-                      L.lock t ~me;
-                      M.write witness me;
-                      if M.read witness <> me then
-                        raise (Mutex_harness.Critical_section_trampled me);
-                      L.unlock t ~me);
-                });
-          })
-        (Mutex_harness.sample_pids n)
-    in
     Some
       {
         family = Mutex;
@@ -117,7 +87,9 @@ let of_mutex_checked ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
         declared_atomicity = Some (A.atomicity p);
         predicted_steps = None;
         predicted_registers = None;
-        variants;
+        variants =
+          per_pid (Mutex_harness.sample_pids n)
+            (Mutex_harness.instantiate (module A) p);
         measured =
           (fun () ->
             (Mutex_harness.contention_free (module A) p).Mutex_harness.max);
@@ -209,20 +181,6 @@ let of_detector ~n (module D : Cfc_mutex.Mutex_intf.DETECTOR) =
   let p = Cfc_mutex.Mutex_intf.params n in
   if not (D.supports p) then None
   else
-    let variants =
-      List.map
-        (fun me ->
-          {
-            v_label = Printf.sprintf "p%d" me;
-            make =
-              (fun mem ->
-                let module M = (val mem : Mem_intf.MEM) in
-                let module Det = D.Make (M) in
-                let t = Det.create p in
-                { context = []; body = (fun () -> ignore (Det.detect t ~me)) });
-          })
-        (Mutex_harness.sample_pids n)
-    in
     Some
       {
         family = Detector;
@@ -232,12 +190,16 @@ let of_detector ~n (module D : Cfc_mutex.Mutex_intf.DETECTOR) =
         declared_atomicity = Some (D.atomicity p);
         predicted_steps = D.predicted_cf_steps p;
         predicted_registers = None;
-        variants;
+        variants =
+          per_pid (Mutex_harness.sample_pids n)
+            (Detect_harness.instantiate (module D) p);
         measured =
           (fun () ->
             (Detect_harness.contention_free (module D) p).Detect_harness.max);
       }
 
+(* Position [pos] of the §3.2 sequential run: its predecessors' runs of
+   the same closure are the unrecorded context. *)
 let of_naming ~n (module A : Cfc_naming.Naming_intf.ALG) =
   if not (A.supports ~n) then None
   else
@@ -247,14 +209,8 @@ let of_naming ~n (module A : Cfc_naming.Naming_intf.ALG) =
             v_label = Printf.sprintf "seq%d" pos;
             make =
               (fun mem ->
-                let module M = (val mem : Mem_intf.MEM) in
-                let module N = A.Make (M) in
-                let t = N.create ~n in
-                {
-                  context =
-                    List.init pos (fun _ () -> ignore (N.run t));
-                  body = (fun () -> ignore (N.run t));
-                });
+                let spawn = Naming_harness.instantiate (module A) ~n mem in
+                { context = List.init pos spawn; body = spawn pos });
           })
     in
     Some
@@ -284,13 +240,11 @@ let of_consensus ~n (module C : Cfc_consensus.Consensus_intf.ALG) =
                 v_label = Printf.sprintf "p%d/in%d" me value;
                 make =
                   (fun mem ->
-                    let module M = (val mem : Mem_intf.MEM) in
-                    let module K = C.Make (M) in
-                    let t = K.create ~n in
-                    {
-                      context = [];
-                      body = (fun () -> ignore (K.propose t ~me ~value));
-                    });
+                    let spawn =
+                      Consensus_harness.instantiate (module C) ~n
+                        ~inputs:(Array.make n value) mem
+                    in
+                    { context = []; body = spawn me });
               })
             [ 0; 1 ])
         (List.init n Fun.id)
@@ -317,18 +271,6 @@ let of_consensus ~n (module C : Cfc_consensus.Consensus_intf.ALG) =
       }
 
 let of_renaming ~n (module R : Cfc_renaming.Renaming_intf.ALG) =
-  let variants =
-    List.init n (fun me ->
-        {
-          v_label = Printf.sprintf "p%d" me;
-          make =
-            (fun mem ->
-              let module M = (val mem : Mem_intf.MEM) in
-              let module G = R.Make (M) in
-              let t = G.create ~n in
-              { context = []; body = (fun () -> ignore (G.rename t ~me)) });
-        })
-  in
   {
     family = Renaming;
     alg_name = R.name;
@@ -337,7 +279,8 @@ let of_renaming ~n (module R : Cfc_renaming.Renaming_intf.ALG) =
     declared_atomicity = None;
     predicted_steps = R.predicted_cf_steps;
     predicted_registers = R.predicted_cf_registers;
-    variants;
+    variants =
+      per_pid (List.init n Fun.id) (Renaming_harness.instantiate (module R) ~n);
     measured =
       (fun () ->
         (Renaming_harness.contention_free (module R) ~n).Renaming_harness.max);

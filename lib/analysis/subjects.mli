@@ -47,11 +47,11 @@ type t = {
 val of_mutex : ?l:int -> n:int -> Cfc_mutex.Registry.alg -> t option
 
 val of_mutex_checked : ?l:int -> n:int -> Cfc_mutex.Registry.alg -> t option
-(** Like {!of_mutex}, but the solo mirrors the system
-    [Mutex_harness.instantiate] actually model-checks: a critical-section
-    witness register is allocated after the algorithm instance (so
-    register ids align with the checked arena) and written/verified
-    between [lock] and [unlock].  Use this — not {!of_mutex} — when
+(** Like {!of_mutex}, but the solo is the body the model checker checks,
+    [Mutex_harness.instantiate] itself: a critical-section witness
+    register is allocated after the algorithm instance (so register ids
+    align with the checked arena) and written/verified between [lock] and
+    [unlock].  Use this — not {!of_mutex} — when
     deriving static facts (footprints, independence) about the checked
     system; its baseline measures include the witness accesses and must
     not be compared against the §2.2 closed forms. *)
@@ -73,6 +73,10 @@ val of_mutex_recovery :
     register count doubles as the static recovery RMR: the restarted
     incarnation's cache is cold, so each distinct register on the solo
     recovery path costs exactly one remote reference. *)
+
+(** The detector, naming, consensus and renaming subjects run their
+    harness's process body ([instantiate]); a naming variant's context is
+    its predecessors' runs of the same closure. *)
 
 val of_detector : n:int -> Cfc_mutex.Registry.detector -> t option
 val of_naming : n:int -> Cfc_naming.Registry.alg -> t option

@@ -11,11 +11,21 @@ type cf_result = {
   per_process : Measures.sample array;
 }
 
+val instantiate :
+  Cfc_consensus.Registry.alg -> n:int -> inputs:int array ->
+  Cfc_base.Mem_intf.mem -> int -> unit -> unit
+(** [instantiate alg ~n ~inputs mem] creates one consensus instance on
+    [mem] and returns each pid's process body: enter [Trying], propose
+    [inputs.(pid)], decide the result.  The one body of the solo runs,
+    the scheduled runs, the model checker's {!system} and the analyzer's
+    subjects.  Raises [Invalid_argument] unless [inputs] has [n]
+    entries. *)
+
 val contention_free :
   Cfc_consensus.Registry.alg -> n:int -> inputs:int array -> cf_result
-(** Solo run per process (fresh shared state each time); verifies that a
-    solo process decides its own input (validity in the absence of other
-    participants). *)
+(** One {!Solo} run per process over a single arena, reset to its
+    initial values between runs; verifies that a solo process decides
+    its own input (validity in the absence of other participants). *)
 
 val run :
   ?max_steps:int ->
@@ -29,8 +39,9 @@ val run :
 
 val check :
   Runner.outcome -> n:int -> inputs:int array -> Spec.violation option
-(** Agreement + validity + (on completed runs) termination of every
-    non-crashed process. *)
+(** {!Spec.agreement} (validity and agreement, the model checker's
+    consensus check too), then, on completed runs, termination: every
+    halted process decided. *)
 
 val system :
   Cfc_consensus.Registry.alg -> n:int -> inputs:int array ->

@@ -13,9 +13,21 @@ type cf_result = {
   atomicity_observed : int;
 }
 
+val instantiate :
+  Registry.detector -> Mutex_intf.params -> Cfc_base.Mem_intf.mem ->
+  int -> unit -> unit
+(** [instantiate det p mem] creates one detector instance on [mem] and
+    returns each pid's process body: enter [Trying], run the detector,
+    decide 1 (alone) or 0.  The one body of the solo runs, the scheduled
+    runs, the model checker's {!system} and the analyzer's subjects.
+    Raises [Invalid_argument] if the detector does not support [p]. *)
+
 val contention_free : Registry.detector -> Mutex_intf.params -> cf_result
-(** Solo run per process; raises [Invalid_argument] if some solo process
-    fails to decide 1 (a correctness violation, per the problem spec). *)
+(** One {!Solo} run per {!Mutex_harness.sample_pids} process over a
+    single arena; the sample is the process's whole run.  Raises
+    [Invalid_argument] if some solo process fails to decide 1 (a
+    correctness violation, per the problem spec), and
+    {!Runner.Process_error} if a process errors. *)
 
 val run :
   ?max_steps:int ->

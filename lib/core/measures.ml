@@ -28,6 +28,12 @@ let pp_sample ppf s =
     s.steps s.registers s.read_steps s.write_steps s.read_registers
     s.write_registers
 
+let max_over_schedules ~seeds measure =
+  List.fold_left
+    (fun acc seed -> max_sample acc (measure (Schedule.random ~seed)))
+    (measure (Schedule.round_robin ()))
+    seeds
+
 let decisions trace ~nprocs =
   ignore nprocs;
   Trace.fold
@@ -190,6 +196,8 @@ module Online = struct
     mutable rec_rmr : int;
     mutable remote : int;
     mutable crashed_at : int;  (* index of the last Crash event, -1: none *)
+    mutable decided : Event.region;
+        (* the last [Decided _] region entered, [Remainder] if none *)
   }
 
   type t = {
@@ -227,7 +235,8 @@ module Online = struct
       total = acc_create (); cf = acc_create ();
       entry = acc_create (); entry_gen = 0;
       exit_ = acc_create (); rec_ = acc_create ();
-      rec_open = false; rec_rmr = 0; remote = 0; crashed_at = -1 }
+      rec_open = false; rec_rmr = 0; remote = 0; crashed_at = -1;
+      decided = Event.Remainder }
 
   (* [p] as [pstate_create] makes it, keeping its tables' capacity.  The
      accumulators' generations move on instead of restarting, so every
@@ -244,7 +253,8 @@ module Online = struct
     p.rec_open <- false;
     p.rec_rmr <- 0;
     p.remote <- 0;
-    p.crashed_at <- -1
+    p.crashed_at <- -1;
+    p.decided <- Event.Remainder
 
   let create ~nprocs =
     { o_nprocs = nprocs;
@@ -401,6 +411,7 @@ module Online = struct
       | Event.Trying ->
         acc_reset p.entry;
         p.entry_gen <- t.clear_gen
+      | Event.Decided _ -> p.decided <- r
       | _ -> ());
       let was = in_cs_or_exit pre and now = in_cs_or_exit r in
       if was && not now then t.occupied <- t.occupied - 1
@@ -454,6 +465,11 @@ module Online = struct
   let wc_exits t = List.rev t.exits
   let recovery_paths t = List.rev t.recs
   let recovery_rmr t = List.rev t.rec_rmrs
+
+  let decision t ~pid =
+    match find_pstate t pid with
+    | Some { decided = Event.Decided v; _ } -> Some v
+    | Some _ | None -> None
 
   let remote t ~pid =
     match find_pstate t pid with Some p -> p.remote | None -> 0

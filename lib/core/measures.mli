@@ -31,6 +31,12 @@ val max_sample : sample -> sample -> sample
 
 val pp_sample : Format.formatter -> sample -> unit
 
+val max_over_schedules :
+  seeds:int list -> (Schedule.picker -> sample) -> sample
+(** The worst-case estimates' schedule family: [measure] of one
+    round-robin run, then of one random run per seed (each given a fresh
+    picker), combined by {!max_sample}. *)
+
 val decisions : Trace.t -> nprocs:int -> (int * int) list
 (** [(pid, value)] for every process that reached [Decided v], in trace
     order. *)
@@ -109,6 +115,12 @@ module Online : sig
 
   val process_total : t -> pid:int -> sample
   (** One process's whole-run sample ({!per_process} cell), O(1). *)
+
+  val decision : t -> pid:int -> int option
+  (** The value of [pid]'s last [Decided] region change, if any — the
+      last entry for [pid] in {!Measures.decisions} of the same events.
+      A halted process's region is [Halted], so this is where a solo
+      run's decision is read. *)
 
   val wc_entries : t -> (int * sample) list
   (** The §2.2 worst-case entry-code fragments: for every transition of

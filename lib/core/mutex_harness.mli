@@ -1,13 +1,16 @@
 (** Measurement harness for mutual exclusion algorithms: builds the runs
     the paper's definitions quantify over and extracts the measures.
 
-    Contention-free complexity is measured exactly: for each process a
-    fresh instance is driven solo through one entry/critical/exit cycle
-    (the unique contention-free run of a deterministic algorithm) and the
-    maximum over processes is returned.  Worst-case complexity is
-    estimated as a maximum over schedule families, with the provably
-    unbounded entry cost demonstrated constructively by
-    {!lamport_unbounded_entry}. *)
+    One process body, {!instantiate}, serves every run: the solo runs of
+    {!contention_free} (on {!Solo}), the scheduled runs of {!run} and
+    {!wc_estimate}, the model checker's {!system}, and the analyzer's
+    checked subjects.  Contention-free complexity is measured exactly:
+    each sampled process is driven solo through one
+    entry/critical/exit cycle (the unique contention-free run of a
+    deterministic algorithm) and the maximum over processes is
+    returned.  Worst-case complexity is estimated as a maximum over
+    schedule families, with the provably unbounded entry cost
+    demonstrated constructively by {!lamport_unbounded_entry}. *)
 
 open Cfc_runtime
 open Cfc_mutex
@@ -16,8 +19,19 @@ exception Critical_section_trampled of int
 (** Raised by a checked process (argument: its pid) when the
     critical-section witness register no longer holds the value it just
     wrote — the constructive mutual-exclusion violation the model
-    checker detects.  Exported so mirrors of the checked body (the
-    analysis subjects) raise the same exception. *)
+    checker detects.  Still exported for the one copy of the checked body
+    outside this module: bench/perf's traced cf-solo rig ([cf_traced])
+    rebuilds {!contention_free} from public functions to time its
+    layers. *)
+
+val instantiate :
+  ?rounds:int -> Registry.alg -> Mutex_intf.params -> Cfc_base.Mem_intf.mem ->
+  int -> unit -> unit
+(** [instantiate alg p mem] creates one instance of the algorithm on
+    [mem], then the critical-section witness register ["cs.witness"],
+    and returns the checked process body of each pid: [rounds] (default
+    1) region-annotated lock/witness/unlock cycles.  Raises
+    [Invalid_argument] if the algorithm does not support [p]. *)
 
 type cf_result = {
   max : Measures.sample;  (** componentwise max over processes *)
@@ -78,8 +92,3 @@ val sample_pids : int -> int list
     a deterministic spread (ends, powers of two and neighbours) beyond —
     the per-pid cost equality of the symmetric algorithms is asserted
     exhaustively at small [n] by the test suite. *)
-
-val reset_touched : Memory.t -> Trace.t option -> unit
-(** Restore initial values of the registers accessed in the given trace
-    ([None]: reset the whole arena) — the cheap between-solo-runs reset
-    shared with the other harnesses. *)

@@ -7,11 +7,10 @@ type cf_result = {
   names : int array;
 }
 
-let instantiate (module A : Naming_intf.ALG) ~n =
+let instantiate (module A : Naming_intf.ALG) ~n mem =
   if not (A.supports ~n) then
     invalid_arg (Printf.sprintf "%s does not support n=%d" A.name n);
-  let memory = Memory.create () in
-  let module M = (val Sim_mem.mem memory) in
+  let module M = (val mem : Cfc_base.Mem_intf.MEM) in
   let module N = A.Make (M) in
   let inst = N.create ~n in
   let proc () =
@@ -19,7 +18,8 @@ let instantiate (module A : Naming_intf.ALG) ~n =
     let name = N.run inst in
     Proc.decide name
   in
-  (memory, proc)
+  (* Identical processes: every pid runs the same closure. *)
+  fun (_ : int) -> proc
 
 let check_names (module A : Naming_intf.ALG) trace ~n =
   match Spec.unique_names trace ~nprocs:n ~n with
@@ -27,60 +27,51 @@ let check_names (module A : Naming_intf.ALG) trace ~n =
   | Some v ->
     invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v)
 
-let system (module A : Naming_intf.ALG) ~n () =
-  let memory, proc = instantiate (module A) ~n in
-  (memory, Array.init n (fun _ -> proc))
+let system alg ~n () =
+  let memory = Memory.create () in
+  let spawn = instantiate alg ~n (Sim_mem.mem memory) in
+  (memory, Array.init n spawn)
 
-let run ?max_steps ?crash_at ~pick (module A : Naming_intf.ALG) ~n =
-  let memory, proc = instantiate (module A) ~n in
-  (* Identical processes: every pid runs the same closure. *)
-  let procs = Array.init n (fun _ -> proc) in
+let run ?max_steps ?crash_at ~pick alg ~n =
+  let memory, procs = system alg ~n () in
   Runner.run ?max_steps ?crash_at ~memory ~pick procs
 
 let contention_free (module A : Naming_intf.ALG) ~n =
-  let out = run ~pick:(Schedule.sequential ()) (module A) ~n in
-  check_names (module A) out.Runner.trace ~n;
-  (match Spec.all_named out.Runner.trace ~nprocs:n with
-  | None -> ()
-  | Some v ->
-    invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
-  let per_process =
-    Measures.Online.per_process
-      (Measures.Online.of_trace ~nprocs:n out.Runner.trace)
-  in
-  let decided = Measures.decisions out.Runner.trace ~nprocs:n in
-  let names =
-    Array.init n (fun pid ->
-        match List.assoc_opt pid decided with Some v -> v | None -> -1)
-  in
-  {
-    max = Array.fold_left Measures.max_sample Measures.zero per_process;
-    per_process;
-    names;
-  }
-
-let max_over_run (module A : Naming_intf.ALG) out ~n =
-  check_names (module A) out.Runner.trace ~n;
-  Array.fold_left Measures.max_sample Measures.zero
-    (Measures.Online.per_process
-       (Measures.Online.of_trace ~nprocs:n out.Runner.trace))
+  let spawn = instantiate (module A) ~n (Sim_mem.mem (Memory.create ())) in
+  Solo.sequential ~nprocs:n ~spawn (fun online ->
+      let names =
+        Array.init n (fun pid ->
+            match Measures.Online.decision online ~pid with
+            | Some v -> v
+            | None -> invalid_arg (Printf.sprintf "%s: p%d got no name" A.name pid))
+      in
+      (match
+         Spec.distinct_names ~at:(Measures.Online.events_seen online) ~n
+           (List.init n (fun pid -> (pid, names.(pid))))
+       with
+      | None -> ()
+      | Some v ->
+        invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
+      let per_process = Measures.Online.per_process online in
+      {
+        max = Array.fold_left Measures.max_sample Measures.zero per_process;
+        per_process;
+        names;
+      })
 
 let wc_estimate ~seeds (module A : Naming_intf.ALG) ~n =
   (* Naming is wait-free with worst case O(n) steps per process; budget
      quadratically with headroom so large-n estimates cannot silently
      truncate (the 1M default would, from n ≈ 2048). *)
   let max_steps = max 1_000_000 (8 * n * n) in
-  let with_pick mk =
-    let out = run ~max_steps ~pick:(mk ()) (module A) ~n in
-    if not out.Runner.completed then
-      invalid_arg (A.name ^ ": wc_estimate step budget exhausted");
-    max_over_run (module A) out ~n
-  in
-  let base = with_pick Schedule.round_robin in
-  List.fold_left
-    (fun acc seed ->
-      Measures.max_sample acc (with_pick (fun () -> Schedule.random ~seed)))
-    base seeds
+  Measures.max_over_schedules ~seeds (fun pick ->
+      let out = run ~max_steps ~pick (module A) ~n in
+      if not out.Runner.completed then
+        invalid_arg (A.name ^ ": wc_estimate step budget exhausted");
+      check_names (module A) out.Runner.trace ~n;
+      Array.fold_left Measures.max_sample Measures.zero
+        (Measures.Online.per_process
+           (Measures.Online.of_trace ~nprocs:n out.Runner.trace)))
 
 let lockstep_steps (module A : Naming_intf.ALG) ~n =
   let out = run ~pick:(Schedule.round_robin ()) (module A) ~n in

@@ -18,9 +18,20 @@ type cf_result = {
   names : int array;  (** the name each process obtained *)
 }
 
+val instantiate :
+  Registry.alg -> n:int -> Cfc_base.Mem_intf.mem -> int -> unit -> unit
+(** [instantiate alg ~n mem] creates one naming instance on [mem] and
+    returns the process body of every pid — the same closure for all,
+    the processes being identical: enter [Trying], run the algorithm,
+    decide the name.  The one body of the sequential run, the scheduled
+    runs, the model checker's {!system} and the analyzer's subjects.
+    Raises [Invalid_argument] if the algorithm does not support [n]. *)
+
 val contention_free : Registry.alg -> n:int -> cf_result
-(** Sequential run; raises [Invalid_argument] on a naming-safety
-    violation (duplicate or out-of-range name). *)
+(** The {!Solo.sequential} run of pids [0 .. n-1]; raises
+    [Invalid_argument] on a naming-safety violation (duplicate or
+    out-of-range name) or a process left without a name, and
+    {!Runner.Process_error} if a process errors. *)
 
 val run :
   ?max_steps:int ->

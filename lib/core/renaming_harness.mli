@@ -1,7 +1,7 @@
 (** Harness for one-shot renaming: contention-free measurement (solo
     runs), participation-bounded runs (only [k] of [n] processes take
-    steps — the adaptivity the name-space bound quantifies over), crash
-    injection, and uniqueness checking. *)
+    steps — the adaptivity the name-space bound quantifies over) and
+    crash injection. *)
 
 open Cfc_runtime
 
@@ -11,8 +11,21 @@ type cf_result = {
   names : int array;  (** name obtained by each process in its solo run *)
 }
 
+val instantiate :
+  Cfc_renaming.Registry.alg -> n:int -> Cfc_base.Mem_intf.mem ->
+  int -> unit -> unit
+(** [instantiate alg ~n mem] creates one renaming instance on [mem] and
+    returns each pid's process body: enter [Trying], rename, decide the
+    name.  The one body of the solo runs, the scheduled runs, the model
+    checker's {!system} and the analyzer's subjects. *)
+
 val contention_free : Cfc_renaming.Registry.alg -> n:int -> cf_result
-(** Solo run per process on fresh shared state. *)
+(** One {!Solo} run per process over a single arena, reset to its
+    initial values between runs.  Raises [Invalid_argument] if a solo
+    process gets no name, and {!Runner.Process_error} if it errors.
+    Uniqueness and range of names from scheduled runs are checked with
+    [Spec.unique_names] over the run's trace, against the algorithm's
+    [name_space ~n ~k]. *)
 
 val run :
   ?max_steps:int ->
@@ -26,11 +39,6 @@ val run :
     non-participants never start — they are simply never scheduled,
     which the solo/sequential/random-over-participants picker realizes
     via an explicit participant filter. *)
-
-val check :
-  Runner.outcome -> n:int -> k:int ->
-  bound:(n:int -> k:int -> int) -> Spec.violation option
-(** Names of decided processes are distinct and within [1..bound ~n ~k]. *)
 
 val system :
   Cfc_renaming.Registry.alg -> n:int ->

@@ -155,17 +155,13 @@ let mutex_progress (out : Runner.outcome) =
           what = "processes finished without entering the critical section" }
   end
 
-let unique_names trace ~nprocs ~n =
-  let decided = Measures.decisions trace ~nprocs in
+let distinct_names ~at ~n decided =
   let bad_range =
     List.filter (fun (_, v) -> v < 1 || v > n) decided
   in
   match bad_range with
   | (pid, v) :: _ ->
-    Some
-      { at = Trace.length trace;
-        pids = [ pid ];
-        what = Printf.sprintf "name %d outside 1..%d" v n }
+    Some { at; pids = [ pid ]; what = Printf.sprintf "name %d outside 1..%d" v n }
   | [] -> (
     let sorted = List.sort (fun (_, a) (_, b) -> compare a b) decided in
     let rec dup = function
@@ -175,11 +171,11 @@ let unique_names trace ~nprocs ~n =
     in
     match dup sorted with
     | Some (p1, p2, v) ->
-      Some
-        { at = Trace.length trace;
-          pids = [ p1; p2 ];
-          what = Printf.sprintf "duplicate name %d" v }
+      Some { at; pids = [ p1; p2 ]; what = Printf.sprintf "duplicate name %d" v }
     | None -> None)
+
+let unique_names trace ~nprocs ~n =
+  distinct_names ~at:(Trace.length trace) ~n (Measures.decisions trace ~nprocs)
 
 let all_named trace ~nprocs =
   let decided = Measures.decisions trace ~nprocs in
@@ -218,14 +214,30 @@ let at_most_one_winner trace ~nprocs =
         pids = List.map fst ws;
         what = "more than one contention-detection winner" }
 
-let solo_wins trace ~nprocs ~pid =
-  match List.assoc_opt pid (Measures.decisions trace ~nprocs) with
+let agreement trace ~nprocs ~inputs =
+  let at = Trace.length trace in
+  let decisions = Measures.decisions trace ~nprocs in
+  match List.find_opt (fun (_, v) -> not (Array.mem v inputs)) decisions with
+  | Some (pid, v) ->
+    Some
+      { at; pids = [ pid ];
+        what = Printf.sprintf "decided %d, not any process's input" v }
+  | None -> (
+    match decisions with
+    | [] -> None
+    | (_, first) :: rest -> (
+      match List.find_opt (fun (_, v) -> v <> first) rest with
+      | Some (pid, v) ->
+        Some
+          { at; pids = [ pid ];
+            what = Printf.sprintf "disagreement: %d vs %d" v first }
+      | None -> None))
+
+let solo_wins ~at ~pid decision =
+  match decision with
   | Some 1 -> None
   | Some v ->
     Some
-      { at = Trace.length trace;
-        pids = [ pid ];
+      { at; pids = [ pid ];
         what = Printf.sprintf "solo process decided %d, expected 1" v }
-  | None ->
-    Some
-      { at = Trace.length trace; pids = [ pid ]; what = "solo process undecided" }
+  | None -> Some { at; pids = [ pid ]; what = "solo process undecided" }

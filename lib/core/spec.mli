@@ -95,9 +95,15 @@ val mutex_progress : Runner.outcome -> violation option
     halted went through its critical section at least once, and no
     process is stuck ([completed] implies all halted/crashed). *)
 
+val distinct_names :
+  at:int -> n:int -> (int * int) list -> violation option
+(** Naming safety over [(pid, name)] decisions: every name is in [1..n]
+    and no two processes hold the same one.  [at] is the violation's
+    reported event index. *)
+
 val unique_names : Trace.t -> nprocs:int -> n:int -> violation option
-(** Naming safety: every decided value is in [1..n] and no two processes
-    decided the same value (crashed processes need not decide). *)
+(** {!distinct_names} over the trace's decisions (crashed processes need
+    not decide). *)
 
 val all_named : Trace.t -> nprocs:int -> violation option
 (** Wait-freedom evidence on a completed naming run: every non-crashed
@@ -106,5 +112,13 @@ val all_named : Trace.t -> nprocs:int -> violation option
 val at_most_one_winner : Trace.t -> nprocs:int -> violation option
 (** Contention detection: at most one process decided 1. *)
 
-val solo_wins : Trace.t -> nprocs:int -> pid:int -> violation option
-(** Contention detection: in a solo run of [pid], it decided 1. *)
+val agreement :
+  Trace.t -> nprocs:int -> inputs:int array -> violation option
+(** Consensus validity and agreement: every decided value is some
+    process's input, and all decided values are equal.  The one
+    consensus check of both the harness and the model checker. *)
+
+val solo_wins : at:int -> pid:int -> int option -> violation option
+(** Contention detection: in a solo run of [pid], its decision (as read
+    off {!Measures.Online.decision}) is 1.  [at] is the violation's
+    reported event index. *)

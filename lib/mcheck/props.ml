@@ -30,33 +30,7 @@ let check_detector ?config ?symmetry ?engine ?compact
 
 let check_consensus ?config ?engine ?compact ?seen_hint alg ~n
     ~inputs =
-  let check trace ~nprocs =
-    (* Build a pseudo-outcome view: the agreement/validity check only
-       needs decisions from the trace. *)
-    let decisions = Measures.decisions trace ~nprocs in
-    let invalid =
-      List.filter
-        (fun (_, v) -> not (Array.exists (Int.equal v) inputs))
-        decisions
-    in
-    match invalid with
-    | (pid, v) :: _ ->
-      Some
-        { Spec.at = Cfc_runtime.Trace.length trace;
-          pids = [ pid ];
-          what = Printf.sprintf "decided %d, not an input" v }
-    | [] -> (
-      match decisions with
-      | (_, a) :: rest -> (
-        match List.filter (fun (_, v) -> v <> a) rest with
-        | (pid, v) :: _ ->
-          Some
-            { Spec.at = Cfc_runtime.Trace.length trace;
-              pids = [ pid ];
-              what = Printf.sprintf "disagreement: %d vs %d" v a }
-        | [] -> None)
-      | [] -> None)
-  in
+  let check = Spec.agreement ~inputs in
   Explore.run ?config ?engine ?compact ?seen_hint
     ~inc:(Spec.Inc.on_decisions check)
     ~system:(Consensus_harness.system alg ~n ~inputs)

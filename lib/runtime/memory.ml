@@ -86,8 +86,9 @@ let alloc_array ?name ?model ~width ~init t k =
 let registers t = List.rev t.regs
 let size t = t.next
 
-let max_width t =
-  List.fold_left (fun acc r -> max acc r.Register.width) 0 t.regs
+let fold f acc t = List.fold_left f acc t.regs
+
+let max_width t = fold (fun acc r -> max acc r.Register.width) 0 t
 
 let reset t = List.iter Register.reset t.regs
 

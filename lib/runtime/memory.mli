@@ -26,6 +26,10 @@ val registers : t -> Register.t list
 val size : t -> int
 (** Number of registers allocated (the paper's space complexity). *)
 
+val fold : ('a -> Register.t -> 'a) -> 'a -> t -> 'a
+(** Fold over every allocated register, newest first, allocating
+    nothing. *)
+
 val max_width : t -> int
 (** The largest width allocated so far — an upper bound on the atomicity of
     any algorithm using only this arena; [0] for an empty arena.  Widths

@@ -32,10 +32,16 @@ let check_online_matches_trace ~ctx ~n trace =
   eq "per_process"
     (Array.to_list (Measures.Online.per_process online))
     (Array.to_list (Oracle.per_process_samples trace ~nprocs:n));
+  let decisions = Measures.decisions trace ~nprocs:n in
   for pid = 0 to n - 1 do
     eq "contention_free"
       (Measures.Online.contention_free online ~pid)
-      (Oracle.mutex_contention_free trace ~nprocs:n ~pid)
+      (Oracle.mutex_contention_free trace ~nprocs:n ~pid);
+    eq "decision"
+      (Measures.Online.decision online ~pid)
+      (List.fold_left
+         (fun last (p, v) -> if p = pid then Some v else last)
+         None decisions)
   done;
   eq "wc_entries"
     (Measures.Online.wc_entries online)
@@ -1030,6 +1036,7 @@ let check_reset_equals_fresh ~ctx ~n a b =
   let eq tag f = check_bool (ctx tag) true (f reused = f fresh) in
   let open Measures.Online in
   eq "contention_free" (fun o -> List.init n (fun pid -> contention_free o ~pid));
+  eq "decision" (fun o -> List.init n (fun pid -> decision o ~pid));
   eq "per_process" (fun o -> Array.to_list (per_process o));
   eq "wc_entries" wc_entries;
   eq "wc_exits" wc_exits;
@@ -1158,21 +1165,171 @@ module Failing_lock : Mutex_intf.ALG = struct
   end
 end
 
-(* The streaming CF harness records no trace, yet its error report
-   carries the failing process's last events, from a traced rerun of the
-   same deterministic solo run. *)
+(* A detector that breaks after two accesses. *)
+module Failing_detector : Mutex_intf.DETECTOR = struct
+  let name = "failing-detector"
+  let supports (_ : Mutex_intf.params) = true
+  let atomicity (_ : Mutex_intf.params) = 8
+  let predicted_cf_steps (_ : Mutex_intf.params) = None
+  let predicted_wc_steps (_ : Mutex_intf.params) = None
+
+  module Make (M : Mem_intf.MEM) = struct
+    type t = { r : M.reg }
+
+    let create (_ : Mutex_intf.params) =
+      { r = M.alloc ~name:"fail.r" ~width:8 ~init:0 () }
+
+    let detect t ~me =
+      M.write t.r (me + 1);
+      ignore (M.read t.r);
+      failwith "detector broke"
+  end
+end
+
+(* A naming algorithm whose first process takes name 1 and whose second
+   breaks after two accesses: the error happens mid-way through the
+   sequential run. *)
+module Failing_naming : Cfc_naming.Naming_intf.ALG = struct
+  let name = "failing-naming"
+  let model = Model.read_write
+  let supports ~n:_ = true
+  let predicted_cf_steps ~n:_ = None
+  let predicted_wc_steps ~n:_ = None
+  let predicted_cf_registers ~n:_ = None
+  let predicted_wc_registers ~n:_ = None
+
+  module Make (M : Mem_intf.MEM) = struct
+    type t = { count : M.reg }
+
+    let create ~n:_ = { count = M.alloc ~name:"fail.count" ~width:8 ~init:0 () }
+
+    let run t =
+      let c = M.read t.count in
+      M.write t.count (c + 1);
+      if c > 0 then failwith "naming broke";
+      c + 1
+  end
+end
+
+(* The solo driver records no trace, yet its error report carries the
+   failing process's last events, from a traced rerun of the same
+   deterministic run: a mutex solo run, a detector's (decision family)
+   and the naming sequential run, whose failing process is the second. *)
 let test_cf_error_has_recent_events () =
-  match Mutex_harness.contention_free (module Failing_lock) (Mutex_intf.params 3) with
-  | _ -> Alcotest.fail "expected Process_error"
-  | exception Runner.Process_error { pid; steps; error; recent } ->
-    check "pid" 0 pid;
-    check "steps" 2 steps;
-    check_bool "error" true (error = Failure "lock broke");
-    Alcotest.(check (list string))
-      "recent events"
-      [ "   0 p0 enters trying"; "   1 p0 write fail.r := 1";
-        "   2 p0 read  fail.r -> 1" ]
-      (List.map (Format.asprintf "%a" Event.pp) recent)
+  let expect what f ~pid:want_pid ~steps:want_steps ~error:want_error events =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Process_error" what
+    | exception Runner.Process_error { pid; steps; error; recent } ->
+      check (what ^ ": pid") want_pid pid;
+      check (what ^ ": steps") want_steps steps;
+      check_bool (what ^ ": error") true (error = Failure want_error);
+      Alcotest.(check (list string))
+        (what ^ ": recent events") events
+        (List.map (Format.asprintf "%a" Event.pp) recent)
+  in
+  let p = Mutex_intf.params 3 in
+  expect "mutex"
+    (fun () -> ignore (Mutex_harness.contention_free (module Failing_lock) p))
+    ~pid:0 ~steps:2 ~error:"lock broke"
+    [ "   0 p0 enters trying"; "   1 p0 write fail.r := 1";
+      "   2 p0 read  fail.r -> 1" ];
+  expect "detector"
+    (fun () ->
+      ignore (Detect_harness.contention_free (module Failing_detector) p))
+    ~pid:0 ~steps:2 ~error:"detector broke"
+    [ "   0 p0 enters trying"; "   1 p0 write fail.r := 1";
+      "   2 p0 read  fail.r -> 1" ];
+  expect "naming"
+    (fun () ->
+      ignore (Naming_harness.contention_free (module Failing_naming) ~n:3))
+    ~pid:1 ~steps:2 ~error:"naming broke"
+    [ "   5 p1 enters trying"; "   6 p1 read  fail.count -> 1";
+      "   7 p1 write fail.count := 2" ]
+
+(* The solo driver against the runs it replaced, kept as the reference:
+   a fresh instance per pid run by [Runner] under [Schedule.solo] (one
+   [Schedule.sequential] run for naming), measured by the oracle's trace
+   walk, with decisions scanned from the trace.  Every detector, naming,
+   consensus and renaming registry entry, at the sizes of the analyzer's
+   subject registry ([Subjects.registry]). *)
+let test_cf_driver_equals_traced () =
+  let eq what a b = check_bool what true (a = b) in
+  let traced ~n out =
+    let trace = out.Runner.trace in
+    let decisions = Measures.decisions trace ~nprocs:n in
+    ( Oracle.per_process_samples trace ~nprocs:n,
+      fun pid -> Option.value ~default:(-1) (List.assoc_opt pid decisions) )
+  in
+  List.iter
+    (fun ((module D : Mutex_intf.DETECTOR) as det) ->
+      List.iter
+        (fun n ->
+          let p = Mutex_intf.params n in
+          if D.supports p then
+            let pids = Mutex_harness.sample_pids n in
+            eq
+              (Printf.sprintf "%s n=%d per_process" D.name n)
+              (Array.to_list
+                 (Detect_harness.contention_free det p).Detect_harness.per_process)
+              (List.map
+                 (fun me ->
+                   (fst
+                      (traced ~n
+                         (Detect_harness.run ~pick:(Schedule.solo me) det p))).(me))
+                 pids))
+        [ 2; 8 ])
+    Registry.detectors;
+  List.iter
+    (fun ((module A : Cfc_naming.Naming_intf.ALG) as alg) ->
+      List.iter
+        (fun n ->
+          if A.supports ~n then begin
+            let r = Naming_harness.contention_free alg ~n in
+            let samples, decision =
+              traced ~n
+                (Naming_harness.run ~pick:(Schedule.sequential ()) alg ~n)
+            in
+            let what = Printf.sprintf "%s n=%d" A.name n in
+            eq (what ^ " per_process") r.Naming_harness.per_process samples;
+            eq (what ^ " names") r.Naming_harness.names (Array.init n decision)
+          end)
+        [ 2; 4; 8 ])
+    Cfc_naming.Registry.all;
+  List.iter
+    (fun (((module C : Cfc_consensus.Consensus_intf.ALG) as alg), n) ->
+      List.iter
+        (fun mask ->
+          let inputs = Array.init n (fun i -> (mask lsr i) land 1) in
+          let r = Consensus_harness.contention_free alg ~n ~inputs in
+          eq
+            (Printf.sprintf "%s n=%d inputs=%d per_process" C.name n mask)
+            r.Consensus_harness.per_process
+            (Array.init n (fun me ->
+                 (fst
+                    (traced ~n
+                       (Consensus_harness.run ~pick:(Schedule.solo me) alg ~n
+                          ~inputs))).(me))))
+        (List.init (1 lsl n) Fun.id))
+    (List.map (fun a -> (a, 2)) Cfc_consensus.Registry.all
+    @ [ (Cfc_consensus.Registry.broken_rw, 2);
+        (Cfc_consensus.Registry.broken_three, 3) ]);
+  List.iter
+    (fun ((module R : Cfc_renaming.Renaming_intf.ALG) as alg) ->
+      List.iter
+        (fun n ->
+          let r = Renaming_harness.contention_free alg ~n in
+          let solo me =
+            traced ~n
+              (Renaming_harness.run ~participants:[ me ]
+                 ~pick:(Schedule.solo me) alg ~n)
+          in
+          let what = Printf.sprintf "%s n=%d" R.name n in
+          eq (what ^ " per_process") r.Renaming_harness.per_process
+            (Array.init n (fun me -> (fst (solo me)).(me)));
+          eq (what ^ " names") r.Renaming_harness.names
+            (Array.init n (fun me -> snd (solo me) me)))
+        [ 2; 4 ])
+    Cfc_renaming.Registry.all
 
 let () =
   Alcotest.run "cfc_core"
@@ -1207,7 +1364,9 @@ let () =
           Alcotest.test_case "cf harness: at most 12 words per access" `Quick
             test_cf_harness_alloc;
           Alcotest.test_case "cf error carries the last events" `Quick
-            test_cf_error_has_recent_events ] );
+            test_cf_error_has_recent_events;
+          Alcotest.test_case "cf driver = traced solo runs (decision families)"
+            `Quick test_cf_driver_equals_traced ] );
       ( "bounds",
         [ Alcotest.test_case "spot values" `Quick test_bound_values;
           Alcotest.test_case "monotonicity" `Quick test_bound_monotone;

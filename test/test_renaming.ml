@@ -47,7 +47,8 @@ let test_adaptive_bound () =
             (Printf.sprintf "k=%d seed=%d all named" k seed)
             k (List.length names);
           match
-            Renaming_harness.check out ~n ~k ~bound:Ma_grid.name_space
+            Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
+              ~n:(Ma_grid.name_space ~n ~k)
           with
           | None -> ()
           | Some v ->
@@ -66,7 +67,9 @@ let prop_unique_random =
           Registry.ma_grid ~n
       in
       out.Cfc_runtime.Runner.completed
-      && Renaming_harness.check out ~n ~k:n ~bound:Ma_grid.name_space = None)
+      && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
+           ~n:(Ma_grid.name_space ~n ~k:n)
+         = None)
 
 (* Wait-freedom: crashed processes never block survivors, and survivors'
    names stay within the bound for the number of STARTERS (crashed
@@ -98,7 +101,9 @@ let prop_unique_with_crashes =
           Registry.ma_grid ~n
       in
       out.Cfc_runtime.Runner.completed
-      && Renaming_harness.check out ~n ~k:n ~bound:Ma_grid.name_space = None)
+      && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
+           ~n:(Ma_grid.name_space ~n ~k:n)
+         = None)
 
 let test_exhaustive () =
   List.iter
