@@ -27,9 +27,9 @@ type entry = {
 }
 
 (* The simulated twin of a solo lock-service run: same n=2 instance, same
-   rounds and critical-section writes, process 0 alone on the schedule.
-   Its YA93 remote-access count is the ground truth the instrumented
-   counter must reproduce. *)
+   rounds and critical-section writes, process 0 in one solo run on the
+   contention-free driver (Cfc_core.Solo).  Its YA93 remote-access count
+   is the ground truth the instrumented counter must reproduce. *)
 let sim_solo_rmr (module A : Mutex_intf.ALG) ~rounds ~cs_len =
   let p = Mutex_intf.params 2 in
   let memory = Memory.create () in
@@ -46,11 +46,11 @@ let sim_solo_rmr (module A : Mutex_intf.ALG) ~rounds ~cs_len =
       L.unlock inst ~me:0
     done
   in
-  let procs = [| proc0; (fun () -> ()) |] in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 0) procs in
-  let online = Cfc_core.Measures.Online.of_trace ~nprocs:2 out.Runner.trace in
-  float_of_int (Cfc_core.Measures.Online.remote online ~pid:0)
-  /. float_of_int (max 1 rounds)
+  let spawn me = if me = 0 then proc0 else fun () -> () in
+  let rmr =
+    Cfc_core.Solo.each ~nprocs:2 ~spawn [ 0 ] Cfc_core.Measures.Online.remote
+  in
+  float_of_int rmr.(0) /. float_of_int (max 1 rounds)
 
 let run_one (module A : Mutex_intf.ALG) ~domains ~mean_think ~rounds ~cs_len =
   let config =

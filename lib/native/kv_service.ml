@@ -1,4 +1,3 @@
-open Cfc_base
 open Cfc_mutex
 open Cfc_workload
 
@@ -52,20 +51,17 @@ let now () = Monotonic_clock.now ()
 let value_width = 32
 let value_mask = (1 lsl value_width) - 1
 
-let run ?(instrument = true) (module A : Mutex_intf.ALG) config =
+let run ?instrument (module A : Mutex_intf.ALG) config =
   if config.domains < 1 then invalid_arg "Kv_service.run: domains < 1";
   if config.buckets < 1 then invalid_arg "Kv_service.run: buckets < 1";
   if config.keys < 1 then invalid_arg "Kv_service.run: keys < 1";
   if config.ops < 0 then invalid_arg "Kv_service.run: ops < 0";
-  let n = max 2 config.domains in
   let nb = config.buckets in
-  let p = Mutex_intf.params n in
+  let p = Mutex_intf.params (max 2 config.domains) in
   if not (A.supports p) then
     invalid_arg (Printf.sprintf "%s: unsupported params" A.name);
-  let instr = Instr_mem.create ~nprocs:n in
-  let memory = if instrument then Instr_mem.mem instr else Native_mem.mem () in
-  let module M = (val memory) in
-  Instr_mem.register_worker instr ~me:0;
+  let arena = Native_harness.arena ?instrument ~domains:config.domains () in
+  let module M = (val arena.Native_harness.mem) in
   let module L = A.Make (M) in
   let locks = Array.init nb (fun _ -> L.create p) in
   let nslots = (config.keys + nb - 1) / nb in
@@ -78,152 +74,113 @@ let run ?(instrument = true) (module A : Mutex_intf.ALG) config =
      lock doubles as the lost-update witness, exactly as in Kv_sim. *)
   let values = Array.init nb (fun _ -> Array.make nslots 0) in
   let versions = M.alloc_array ~name:"kv.ver" ~width:value_width ~init:0 nb in
-  let ready = Atomic.make 0 in
-  let go = Atomic.make false in
   let hists =
-    Array.init config.domains (fun _ ->
-        Array.init nb (fun _ -> Latency_hist.create ()))
+    Array.init nb (fun _ ->
+        Array.init config.domains (fun _ -> Latency_hist.create ()))
   in
   let ops_by_kind =
     Array.init config.domains (fun _ -> Array.make_matrix nb 4 0)
   in
   let expected = Array.init config.domains (fun _ -> Array.make nb 0) in
   let torn = Array.make config.domains 0 in
-  let worker me () =
-    Instr_mem.register_worker instr ~me;
-    (* Same split-seeded streams as the wheel driver: think times via
-       mix_seed (the Workload.think_stream discipline), operations via
-       Ycsb.stream — a (seed, client) pair replays the identical op
-       sequence on both backends. *)
-    let st = Random.State.make [| Ixmath.mix_seed config.seed me |] in
+  let worker me =
+    (* The wheel twin's streams: think times via Workload.think_stream,
+       operations via Ycsb.stream — a (seed, client) pair replays the
+       identical op sequence on both backends. *)
+    let think =
+      Native_harness.think ~seed:config.seed ~pid:me ~mean:config.mean_think
+    in
     let ops = Ycsb.stream ~seed:config.seed ~client:me ~nkeys:config.keys
         ~theta:config.theta config.mix
     in
-    Atomic.incr ready;
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    for i = 1 to config.ops do
-      if config.mean_think > 0 then begin
-        let k =
-          Ixmath.geometric ~u:(Random.State.float st 1.0)
-            ~mean:config.mean_think
-        in
-        for _ = 1 to k do
-          Domain.cpu_relax ()
-        done
-      end;
-      let op = Ycsb.next ops in
-      let key = Ycsb.key_of op in
-      let b = key mod nb and slot = key / nb in
-      let t0 = now () in
-      L.lock locks.(b) ~me;
-      let t1 = now () in
-      Latency_hist.record hists.(me).(b) (Int64.to_int (Int64.sub t1 t0));
-      (match op with
-      | Ycsb.Read _ ->
-        ops_by_kind.(me).(b).(0) <- ops_by_kind.(me).(b).(0) + 1;
-        ignore (Sys.opaque_identity values.(b).(slot))
-      | Ycsb.Update _ ->
-        ops_by_kind.(me).(b).(1) <- ops_by_kind.(me).(b).(1) + 1;
-        expected.(me).(b) <- expected.(me).(b) + 1;
-        values.(b).(slot) <- ((me lsl 16) lor (i land 0xffff)) land value_mask;
-        let v = M.read versions.(b) in
-        M.write versions.(b) ((v + 1) land value_mask)
-      | Ycsb.Scan (_, len) ->
-        ops_by_kind.(me).(b).(2) <- ops_by_kind.(me).(b).(2) + 1;
-        let v0 = M.read versions.(b) in
-        let acc = ref 0 in
-        for j = 0 to len - 1 do
-          acc := !acc + values.(b).((slot + j) mod nslots)
-        done;
-        ignore (Sys.opaque_identity !acc);
-        if M.read versions.(b) <> v0 then torn.(me) <- torn.(me) + 1
-      | Ycsb.Rmw _ ->
-        ops_by_kind.(me).(b).(3) <- ops_by_kind.(me).(b).(3) + 1;
-        expected.(me).(b) <- expected.(me).(b) + 1;
-        values.(b).(slot) <- (values.(b).(slot) + 1) land value_mask;
-        let v = M.read versions.(b) in
-        M.write versions.(b) ((v + 1) land value_mask));
-      L.unlock locks.(b) ~me
-    done
+    fun () ->
+      for i = 1 to config.ops do
+        think ();
+        let op = Ycsb.next ops in
+        let key = Ycsb.key_of op in
+        let b = key mod nb and slot = key / nb in
+        let t0 = now () in
+        L.lock locks.(b) ~me;
+        let t1 = now () in
+        Latency_hist.record hists.(b).(me) (Int64.to_int (Int64.sub t1 t0));
+        (match op with
+        | Ycsb.Read _ ->
+          ops_by_kind.(me).(b).(0) <- ops_by_kind.(me).(b).(0) + 1;
+          ignore (Sys.opaque_identity values.(b).(slot))
+        | Ycsb.Update _ ->
+          ops_by_kind.(me).(b).(1) <- ops_by_kind.(me).(b).(1) + 1;
+          expected.(me).(b) <- expected.(me).(b) + 1;
+          values.(b).(slot) <- ((me lsl 16) lor (i land 0xffff)) land value_mask;
+          let v = M.read versions.(b) in
+          M.write versions.(b) ((v + 1) land value_mask)
+        | Ycsb.Scan (_, len) ->
+          ops_by_kind.(me).(b).(2) <- ops_by_kind.(me).(b).(2) + 1;
+          let v0 = M.read versions.(b) in
+          let acc = ref 0 in
+          for j = 0 to len - 1 do
+            acc := !acc + values.(b).((slot + j) mod nslots)
+          done;
+          ignore (Sys.opaque_identity !acc);
+          if M.read versions.(b) <> v0 then torn.(me) <- torn.(me) + 1
+        | Ycsb.Rmw _ ->
+          ops_by_kind.(me).(b).(3) <- ops_by_kind.(me).(b).(3) + 1;
+          expected.(me).(b) <- expected.(me).(b) + 1;
+          values.(b).(slot) <- (values.(b).(slot) + 1) land value_mask;
+          let v = M.read versions.(b) in
+          M.write versions.(b) ((v + 1) land value_mask));
+        L.unlock locks.(b) ~me
+      done
   in
-  let spawned =
-    List.init (config.domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
-  in
-  while Atomic.get ready < config.domains - 1 do
-    Domain.cpu_relax ()
-  done;
-  let t_start = now () in
-  Atomic.set go true;
-  worker 0 ();
-  List.iter Domain.join spawned;
-  let elapsed_ns = Int64.to_int (Int64.sub (now ()) t_start) in
+  let elapsed_ns = Native_harness.run arena worker in
   let total_ops = config.domains * config.ops in
-  (* Witness audit, after the joins: each bucket's final version count
-     must equal the mutations performed on it, and no scan may have seen
-     the version move while it held the lock. *)
-  let lost = ref 0 in
-  for b = 0 to nb - 1 do
-    let exp = ref 0 in
-    for me = 0 to config.domains - 1 do
-      exp := !exp + expected.(me).(b)
-    done;
-    lost := !lost + (!exp - M.read versions.(b))
-  done;
-  let torn_scans = Array.fold_left ( + ) 0 torn in
-  let shard_hists =
-    Array.init nb (fun b ->
-        let h = Latency_hist.create () in
-        for me = 0 to config.domains - 1 do
-          Latency_hist.merge_into ~into:h hists.(me).(b)
-        done;
-        h)
-  in
-  let merged = Latency_hist.create () in
-  Array.iter (fun h -> Latency_hist.merge_into ~into:merged h) shard_hists;
-  let kind k b =
+  let sum k f =
     let t = ref 0 in
-    for me = 0 to config.domains - 1 do
-      t := !t + ops_by_kind.(me).(b).(k)
+    for i = 0 to k - 1 do
+      t := !t + f i
     done;
     !t
   in
+  let sum_domains = sum config.domains in
+  (* Witness audit, after the joins: each bucket's final version count
+     must equal the mutations performed on it, and no scan may have seen
+     the version move while it held the lock. *)
+  let lost =
+    sum nb (fun b ->
+        sum_domains (fun me -> expected.(me).(b)) - M.read versions.(b))
+  in
+  let torn_scans = sum_domains (Array.get torn) in
   let shards =
     Array.init nb (fun b ->
-        let h = shard_hists.(b) in
+        let lat = Native_harness.latency hists.(b) in
+        let kind k = sum_domains (fun me -> ops_by_kind.(me).(b).(k)) in
         {
-          ks_ops = Latency_hist.count h;
-          ks_reads = kind 0 b;
-          ks_updates = kind 1 b;
-          ks_scans = kind 2 b;
-          ks_rmws = kind 3 b;
-          ks_p50_ns = Latency_hist.percentile h 0.50;
-          ks_p99_ns = Latency_hist.percentile h 0.99;
-          ks_max_ns = Latency_hist.max_ns h;
+          ks_ops = lat.Native_harness.count;
+          ks_reads = kind 0;
+          ks_updates = kind 1;
+          ks_scans = kind 2;
+          ks_rmws = kind 3;
+          ks_p50_ns = lat.Native_harness.p50_ns;
+          ks_p99_ns = lat.Native_harness.p99_ns;
+          ks_max_ns = lat.Native_harness.max_ns;
         })
   in
+  let lat = Native_harness.latency (Array.concat (Array.to_list hists)) in
   let hot = Array.fold_left (fun acc s -> max acc s.ks_ops) 0 shards in
-  let counters = Instr_mem.totals instr in
+  let counters = Instr_mem.totals arena.Native_harness.instr in
+  let per v = if total_ops = 0 then 0.0 else Float.of_int v /. Float.of_int total_ops in
   {
     total_ops;
     elapsed_ns;
-    throughput =
-      (if elapsed_ns <= 0 then 0.0
-       else Float.of_int total_ops /. (Float.of_int elapsed_ns /. 1e9));
-    p50_ns = Latency_hist.percentile merged 0.50;
-    p90_ns = Latency_hist.percentile merged 0.90;
-    p99_ns = Latency_hist.percentile merged 0.99;
-    max_ns = Latency_hist.max_ns merged;
+    throughput = Native_harness.per_second total_ops ~elapsed_ns;
+    p50_ns = lat.Native_harness.p50_ns;
+    p90_ns = lat.Native_harness.p90_ns;
+    p99_ns = lat.Native_harness.p99_ns;
+    max_ns = lat.Native_harness.max_ns;
     counters;
-    rmr_per_op =
-      (if total_ops = 0 then 0.0
-       else Float.of_int counters.Instr_mem.rmr /. Float.of_int total_ops);
-    lost_updates = !lost;
+    rmr_per_op = per counters.Instr_mem.rmr;
+    lost_updates = lost;
     torn_scans;
-    exclusion_ok = !lost = 0 && torn_scans = 0;
-    hot_share =
-      (if total_ops = 0 then 0.0
-       else Float.of_int hot /. Float.of_int total_ops);
+    exclusion_ok = lost = 0 && torn_scans = 0;
+    hot_share = per hot;
     shards;
   }

@@ -2,7 +2,8 @@
     bucket is guarded by its own instance of one registry lock, driven
     by the same {!Cfc_workload.Ycsb} streams as the deterministic wheel
     twin [Cfc_workload.Kv_sim] — for a given [(seed, client)] both
-    backends replay the identical operation sequence.
+    backends replay the identical operation sequence and think times.
+    Runs on the domain driver {!Native_harness.run}.
 
     Values live in plain lock-guarded arrays; the per-bucket version
     register lives in the counted {!Instr_mem} arena, so the RMR
@@ -62,5 +63,5 @@ val run : ?instrument:bool -> (module Mutex_intf.ALG) -> config -> result
     reports throughput, per-shard latency, the instrumentation counters
     and both witnesses.  [instrument:false] swaps in the uninstrumented
     {!Native_mem} arena (zero-overhead hot path; [counters] all zero).
-    Raises [Invalid_argument] on bad dimensions or an unsupported
-    parameter set. *)
+    [ops = 0] gives all-zero figures.  Raises [Invalid_argument] on bad
+    dimensions ("Kv_service.run: …") or an unsupported parameter set. *)

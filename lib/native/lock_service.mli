@@ -1,11 +1,10 @@
 (** Domain-parallel lock-service benchmark: the native counterpart of
-    {!Cfc_workload.Workload}.  Each of [domains] worker domains loops
-    [rounds] times through think (geometric, same
-    {!Cfc_base.Ixmath.geometric} distribution and per-worker seeding as
-    the simulated workload, in [Domain.cpu_relax] turns) → lock →
+    {!Cfc_workload.Workload} on the domain driver {!Native_harness.run}.
+    Each of [domains] workers loops [rounds] times through think
+    ({!Native_harness.think}, the simulated rigs' stream) → lock →
     critical section ([cs_len] shared writes) → unlock, timing each
-    acquisition with a monotonic clock into per-domain
-    {!Latency_hist} histograms.
+    acquisition with a monotonic clock into per-domain {!Latency_hist}
+    histograms.
 
     With [instrument] (default), the lock runs on {!Instr_mem}, so the
     result carries semantic-access counters and the write-invalidate RMR
@@ -58,7 +57,7 @@ type result = {
 }
 
 val run : ?instrument:bool -> (module Mutex_intf.ALG) -> config -> result
-(** Raises [Invalid_argument] if the algorithm does not support
-    [max 2 domains] processes, [domains < 1], [rounds < 0],
-    [crash_every < 0], or [crash_every > 0] on a lock whose [recovery]
-    is [None]. *)
+(** [rounds = 0] gives all-zero figures.  Raises [Invalid_argument] if the
+    algorithm does not support [max 2 domains] processes, on [domains < 1],
+    [rounds < 0] or [crash_every < 0] ("Lock_service.run: …"), or on
+    [crash_every > 0] with a lock whose [recovery] is [None]. *)

@@ -1,8 +1,76 @@
+open Cfc_base
 open Cfc_mutex
 
 let now () = Monotonic_clock.now ()
 
-let ns_of span = Int64.to_float span
+(* ------------------------------------------------------------------ *)
+(* The domain driver                                                   *)
+
+type arena = { domains : int; instr : Instr_mem.t; mem : Mem_intf.mem }
+
+let arena ?(instrument = true) ~domains () =
+  (* Locks are parameterized by n >= 2; the counters are sized alike. *)
+  let instr = Instr_mem.create ~nprocs:(max 2 domains) in
+  (* The off switch is using the plain backend: nothing on Native_mem's
+     hot path ever consults an instrumentation flag. *)
+  let mem = if instrument then Instr_mem.mem instr else Native_mem.mem () in
+  (* [create] may initialize registers with counted writes: attribute
+     them to worker 0, which runs on the caller anyway. *)
+  Instr_mem.register_worker instr ~me:0;
+  { domains; instr; mem }
+
+let run a prepare =
+  (* The barrier lives outside the arena: it models the clients, not the
+     lock, so it is never counted. *)
+  let ready = Atomic.make 0 in
+  let go = Atomic.make false in
+  let worker me () =
+    Instr_mem.register_worker a.instr ~me;
+    let loop = prepare me in
+    Atomic.incr ready;
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    loop ()
+  in
+  let spawned =
+    List.init (a.domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
+  in
+  let loop0 = prepare 0 in
+  while Atomic.get ready < a.domains - 1 do
+    Domain.cpu_relax ()
+  done;
+  let t_start = now () in
+  Atomic.set go true;
+  loop0 ();
+  List.iter Domain.join spawned;
+  Int64.to_int (Int64.sub (now ()) t_start)
+
+let think ~seed ~pid ~mean =
+  let draw = Cfc_workload.Workload.think_stream ~seed ~pid in
+  fun () ->
+    for _ = 1 to draw ~mean do
+      Domain.cpu_relax ()
+    done
+
+type latency = { count : int; p50_ns : float; p90_ns : float; p99_ns : float;
+                 max_ns : int }
+
+let latency hists =
+  let h = Latency_hist.create () in
+  Array.iter (fun x -> Latency_hist.merge_into ~into:h x) hists;
+  { count = Latency_hist.count h;
+    p50_ns = Latency_hist.percentile h 0.50;
+    p90_ns = Latency_hist.percentile h 0.90;
+    p99_ns = Latency_hist.percentile h 0.99;
+    max_ns = Latency_hist.max_ns h }
+
+let per_second count ~elapsed_ns =
+  if elapsed_ns <= 0 then 0.0
+  else Float.of_int count /. (Float.of_int elapsed_ns /. 1e9)
+
+(* ------------------------------------------------------------------ *)
+(* EXP-NATIVE                                                          *)
 
 (* Median of [k] timed batches of [iters] calls to [f]; returns ns per
    call. *)
@@ -13,76 +81,68 @@ let time_batches ?(k = 5) ~iters f =
         for _ = 1 to iters do
           f ()
         done;
-        ns_of (Int64.sub (now ()) t0) /. float_of_int iters)
+        Int64.to_float (Int64.sub (now ()) t0) /. float_of_int iters)
   in
   let sorted = List.sort compare samples in
   List.nth sorted (k / 2)
 
-let instantiate (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
+let instantiate memory (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
   if not (A.supports p) then
     invalid_arg (Printf.sprintf "%s: unsupported params" A.name);
-  let module M = (val Native_mem.mem ()) in
+  let module M = (val memory : Mem_intf.MEM) in
   let module L = A.Make (M) in
   let inst = L.create p in
   let lock ~me = L.lock inst ~me and unlock ~me = L.unlock inst ~me in
   (lock, unlock)
 
 let uncontended_ns ?(iters = 20_000) alg p =
-  let lock, unlock = instantiate alg p in
+  let lock, unlock = instantiate (Native_mem.mem ()) alg p in
   time_batches ~iters (fun () ->
       lock ~me:0;
       unlock ~me:0)
 
 let contended ?(iters = 5_000) ~domains alg (p : Mutex_intf.params) =
   if domains > p.Mutex_intf.n then invalid_arg "contended: domains > n";
-  let lock, unlock = instantiate alg p in
+  let a = arena ~instrument:false ~domains () in
+  let lock, unlock = instantiate a.mem alg p in
   (* A deliberately non-atomic shared counter: its final value equals the
      total number of critical sections iff mutual exclusion held (lost
      updates would show as a shortfall). *)
   let counter = ref 0 in
-  let t0 = now () in
-  let worker me () =
-    for _ = 1 to iters do
-      lock ~me;
-      counter := !counter + 1;
-      unlock ~me
-    done
+  let elapsed =
+    run a (fun me () ->
+        for _ = 1 to iters do
+          lock ~me;
+          counter := !counter + 1;
+          unlock ~me
+        done)
   in
-  let spawned =
-    List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
-  in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  let elapsed = ns_of (Int64.sub (now ()) t0) in
   let total = domains * iters in
-  (elapsed /. float_of_int total, !counter = total)
+  (float_of_int elapsed /. float_of_int total, !counter = total)
 
 let naming_ns ?(repeats = 50) (module A : Cfc_naming.Naming_intf.ALG) ~n =
   if not (A.supports ~n) then invalid_arg (A.name ^ ": unsupported n");
   let cores = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
+  (* Native registers carry no per-arena state, so one arena serves
+     every repeat; each repeat creates a fresh instance in it. *)
+  let a = arena ~instrument:false ~domains:cores () in
+  let module N = A.Make ((val a.mem)) in
   let ok = ref true in
-  let t0 = now () in
+  let elapsed = ref 0 in
   for _ = 1 to repeats do
-    let module M = (val Native_mem.mem ()) in
-    let module N = A.Make (M) in
     let inst = N.create ~n in
     (* n naming processes distributed over the available cores in waves;
        each domain runs its share sequentially (a legal schedule). *)
     let results = Array.make n 0 in
-    let worker d () =
-      let i = ref d in
-      while !i < n do
-        results.(!i) <- N.run inst;
-        i := !i + cores
-      done
-    in
-    let spawned =
-      List.init (cores - 1) (fun d -> Domain.spawn (worker (d + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned;
+    elapsed :=
+      !elapsed
+      + run a (fun d () ->
+            let i = ref d in
+            while !i < n do
+              results.(!i) <- N.run inst;
+              i := !i + cores
+            done);
     let sorted = List.sort compare (Array.to_list results) in
     if sorted <> List.init n (fun i -> i + 1) then ok := false
   done;
-  let elapsed = ns_of (Int64.sub (now ()) t0) in
-  (elapsed /. float_of_int repeats, !ok)
+  (float_of_int !elapsed /. float_of_int repeats, !ok)

@@ -147,38 +147,15 @@ let run ?max_turns (module A : Mutex_intf.ALG) (kc : kv_config) =
         Proc.region Event.Remainder
       done
   in
-  let wheel = Wheel.create ~sink ~nprocs:n ~spawn () in
-  for pid = 0 to n - 1 do
-    Wheel.wake wheel pid
-  done;
-  let max_turns =
-    match max_turns with
-    | Some m -> m
-    | None -> 20_000 * n * max 1 kc.kc_ops
-  in
-  let stopped = Wheel.run ~max_turns wheel in
-  (match Wheel.first_error wheel with
-  | None -> ()
-  | Some (pid, e) ->
-    invalid_arg
-      (Printf.sprintf "%s: p%d errored: %s" A.name pid
-         (Printexc.to_string e)));
-  Array.iteri
-    (fun b m ->
-      match Spec.Monitor.result m with
-      | None -> ()
-      | Some v ->
-        invalid_arg
-          (Format.asprintf "%s: bucket %d: %a" A.name b Spec.pp_violation v))
-    monitors;
   let total_ops = n * kc.kc_ops in
-  (match stopped with
-  | Wheel.Quiescent -> ()
-  | Wheel.Out_of_turns ->
-    raise
-      (Workload.Stalled
-         { alg = A.name; stopped = Runner.Out_of_steps;
-           acquisitions = total_ops; max_steps = max_turns }));
+  let wheel =
+    Workload.drive ?max_turns ~alg:A.name ~rounds:kc.kc_ops ~sink ~nprocs:n
+      ~spawn
+      ~monitors:
+        (List.init nb (fun b -> (Printf.sprintf "bucket %d: " b, monitors.(b))))
+      ~acquisitions:(fun () -> total_ops)
+      ()
+  in
   (* The arena outlives the run: read each bucket's final version count
      directly off the register and compare with the mutations the
      clients performed — any shortfall is a lost update. *)

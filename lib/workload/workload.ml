@@ -24,12 +24,11 @@ type result = {
 }
 
 (* Geometric think time (expectation [mean], seeded per process): one
-   uniform draw inverted through Ixmath.geometric, so the distribution is
-   shared verbatim with the native lock service.  The per-pid state is
+   uniform draw inverted through Ixmath.geometric.  The per-pid state is
    split-seeded through Ixmath.mix_seed — seeding with the raw
-   [| seed; pid |] pair correlates adjacent pids (the scale rig switched
-   for exactly this reason); the mixer's full avalanche decorrelates
-   them, and the native Lock_service derives its streams identically. *)
+   [| seed; pid |] pair correlates adjacent pids; the mixer's full
+   avalanche decorrelates them.  Every client rig, simulated and native,
+   draws its think times here. *)
 let think_stream ~seed ~pid =
   let st = Random.State.make [| Ixmath.mix_seed seed pid |] in
   fun ~mean ->
@@ -49,6 +48,36 @@ let () =
             ~max_steps or shrink the workload"
            alg Runner.pp_stopped stopped max_steps acquisitions)
     | _ -> None)
+
+let drive ?max_turns ?faults ~alg ~rounds ~sink ~nprocs ~spawn ~monitors
+    ~acquisitions () =
+  let wheel = Wheel.create ~sink ?faults ~nprocs ~spawn () in
+  for pid = 0 to nprocs - 1 do
+    Wheel.wake wheel pid
+  done;
+  let max_turns =
+    Option.value max_turns ~default:(20_000 * nprocs * max 1 rounds)
+  in
+  let stopped = Wheel.run ~max_turns wheel in
+  (match Wheel.first_error wheel with
+  | None -> ()
+  | Some (pid, e) ->
+    invalid_arg
+      (Printf.sprintf "%s: p%d errored: %s" alg pid (Printexc.to_string e)));
+  List.iter
+    (fun (where, m) ->
+      match Spec.Monitor.result m with
+      | None -> ()
+      | Some v ->
+        invalid_arg (Format.asprintf "%s: %s%a" alg where Spec.pp_violation v))
+    monitors;
+  (match stopped with
+  | Wheel.Quiescent -> ()
+  | Wheel.Out_of_turns ->
+    raise
+      (Stalled { alg; stopped = Runner.Out_of_steps;
+                 acquisitions = acquisitions (); max_steps = max_turns }));
+  wheel
 
 let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
   let p = Mutex_intf.params config.n in
@@ -180,25 +209,15 @@ let run_mutex_scale ?max_turns (module A : Mutex_intf.ALG)
   let module L = A.Make (M) in
   let inst = L.create p in
   let cs_scratch = M.alloc ~name:"wl.scratch" ~width:8 ~init:0 () in
-  (* Split seeds: each process owns an independent stream derived from
-     (root seed, pid) through a full-avalanche mixer, so materialising
-     process k never advances any other process's stream — determinism
-     is per process, not per global draw order.  The stream lives in the
-     spawn closure, outside the thunk body, so a crash–restart continues
-     it rather than replaying it (a restarted incarnation draws fresh
-     think times, as a real client would). *)
+  (* Each process's think stream lives in the spawn closure, outside the
+     thunk body, so a crash–restart continues it rather than replaying
+     it (a restarted incarnation draws fresh think times, as a real
+     client would). *)
   let spawn me =
-    let st = Random.State.make [| Ixmath.mix_seed sc.sc_seed me |] in
-    let draw () =
-      if sc.sc_mean_think = 0 then 0
-      else
-        Ixmath.geometric
-          ~u:(Random.State.float st 1.0)
-          ~mean:sc.sc_mean_think
-    in
+    let think = think_stream ~seed:sc.sc_seed ~pid:me in
     fun () ->
       for _ = 1 to sc.sc_rounds do
-        let d = draw () in
+        let d = think ~mean:sc.sc_mean_think in
         if d > 0 then Proc.sleep d;
         Proc.region Event.Trying;
         L.lock inst ~me;
@@ -233,33 +252,14 @@ let run_mutex_scale ?max_turns (module A : Mutex_intf.ALG)
     Scheduler.tee (Measures.Online.feed online)
       (Scheduler.tee (Spec.Monitor.feed monitor) count)
   in
-  let wheel = Wheel.create ~sink ~faults ~nprocs:n ~spawn () in
-  for pid = 0 to n - 1 do
-    Wheel.wake wheel pid
-  done;
-  let max_turns =
-    match max_turns with
-    | Some m -> m
-    | None -> 20_000 * n * max 1 sc.sc_rounds
+  let wheel =
+    drive ?max_turns ~faults ~alg:A.name ~rounds:sc.sc_rounds ~sink ~nprocs:n
+      ~spawn ~monitors:[ ("", monitor) ]
+      ~acquisitions:(fun () -> List.length (Measures.Online.wc_entries online))
+      ()
   in
-  let stopped = Wheel.run ~max_turns wheel in
-  (match Wheel.first_error wheel with
-  | None -> ()
-  | Some (pid, e) ->
-    invalid_arg
-      (Printf.sprintf "%s: p%d errored: %s" A.name pid (Printexc.to_string e)));
-  (match Spec.Monitor.result monitor with
-  | None -> ()
-  | Some v ->
-    invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
   let entries = Measures.Online.wc_entries online in
   let acquisitions = List.length entries in
-  (match stopped with
-  | Wheel.Quiescent -> ()
-  | Wheel.Out_of_turns ->
-    raise
-      (Stalled { alg = A.name; stopped = Runner.Out_of_steps; acquisitions;
-                 max_steps = max_turns }));
   let entry_steps = List.map (fun (_, s) -> s.Measures.steps) entries in
   let recs = Measures.Online.recovery_paths online in
   let rmrs = Measures.Online.recovery_rmr online in

@@ -35,9 +35,8 @@ val think_stream : seed:int -> pid:int -> (mean:int -> int)
 
     The per-pid state is [Random.State.make [| Ixmath.mix_seed seed pid |]]
     (split-seed mixing, not the raw [(seed, pid)] pair, whose adjacent-pid
-    streams are correlated); the native {!Cfc_native.Lock_service} derives
-    its per-worker streams the same way, so the two backends draw
-    identical sequences for identical [(seed, pid)]. *)
+    streams are correlated).  Every client rig, simulated or native,
+    draws here, so the backends agree for identical [(seed, pid)]. *)
 
 exception Stalled of { alg : string; stopped : Cfc_runtime.Runner.stopped;
                        acquisitions : int; max_steps : int }
@@ -45,6 +44,18 @@ exception Stalled of { alg : string; stopped : Cfc_runtime.Runner.stopped;
     budget (or the picker gives up) before every process finishes its
     rounds: the statistics of a truncated run silently under-report
     acquisitions, so they are never returned. *)
+
+val drive :
+  ?max_turns:int -> ?faults:Cfc_runtime.Fault.plan -> alg:string ->
+  rounds:int -> sink:Cfc_runtime.Scheduler.sink -> nprocs:int ->
+  spawn:(int -> unit -> unit) ->
+  monitors:(string * Cfc_core.Spec.Monitor.t) list ->
+  acquisitions:(unit -> int) -> unit -> Cfc_runtime.Wheel.t
+(** The wheel rigs' tail ({!run_mutex_scale}, {!Kv_sim.run}): wake every
+    pid, run [max_turns] (default [20_000 · nprocs · max 1 rounds]),
+    then raise on a process error ("<alg>: p<k> errored: …"), on the
+    first monitor [(where, m)] with a violation ("<alg>: <where>…"), and
+    {!Stalled} with [acquisitions ()] on an exhausted budget. *)
 
 type result = {
   acquisitions : int;  (** completed entries observed *)

@@ -461,6 +461,58 @@ let test_kv_service_smoke () =
   check_bool "passthrough rmr zero" true
     (r.Cfc_native.Kv_service.rmr_per_op = 0.0)
 
+(* The driver's edges: an empty run (rounds = 0, ops = 0) passes the
+   start barrier at one and at two domains and reports all-zero figures
+   with clean witnesses; bad dimensions are refused with the module's
+   own message before any domain starts. *)
+let raises_invalid msg f =
+  match f () with
+  | exception Invalid_argument m -> Alcotest.(check string) msg msg m
+  | _ -> Alcotest.failf "expected Invalid_argument %S" msg
+
+let test_lock_service_edges () =
+  let open Cfc_native.Lock_service in
+  let config domains rounds =
+    { domains; rounds; mean_think = 3; cs_len = 2; seed = 5; crash_every = 0 }
+  in
+  List.iter
+    (fun domains ->
+      let r = run Registry.mcs (config domains 0) in
+      let label s = Printf.sprintf "d=%d %s" domains s in
+      check (label "acquisitions") 0 r.acquisitions;
+      List.iter
+        (fun (what, v) -> Alcotest.(check (float 0.)) (label what) 0.0 v)
+        [ ("throughput", r.throughput); ("p50", r.p50_ns); ("p90", r.p90_ns);
+          ("p99", r.p99_ns); ("rmr/acq", r.rmr_per_acq) ];
+      check (label "max") 0 r.max_ns;
+      check_bool (label "exclusion") true r.exclusion_ok)
+    [ 1; 2 ];
+  raises_invalid "Lock_service.run: domains < 1" (fun () ->
+      run Registry.mcs (config 0 10));
+  raises_invalid "Lock_service.run: rounds < 0" (fun () ->
+      run Registry.mcs (config 2 (-1)))
+
+let test_kv_service_edges () =
+  let open Cfc_native.Kv_service in
+  let config domains ops = { default with domains; ops; keys = 1 lsl 10 } in
+  List.iter
+    (fun domains ->
+      let r = run Registry.mcs (config domains 0) in
+      let label s = Printf.sprintf "d=%d %s" domains s in
+      check (label "ops") 0 r.total_ops;
+      List.iter
+        (fun (what, v) -> Alcotest.(check (float 0.)) (label what) 0.0 v)
+        [ ("throughput", r.throughput); ("p50", r.p50_ns); ("p90", r.p90_ns);
+          ("p99", r.p99_ns); ("rmr/op", r.rmr_per_op);
+          ("hot share", r.hot_share) ];
+      check (label "max") 0 r.max_ns;
+      check_bool (label "exclusion") true r.exclusion_ok)
+    [ 1; 2 ];
+  raises_invalid "Kv_service.run: domains < 1" (fun () ->
+      run Registry.mcs (config 0 10));
+  raises_invalid "Kv_service.run: ops < 0" (fun () ->
+      run Registry.mcs (config 2 (-1)))
+
 let () =
   Alcotest.run "cfc_native"
     [ ( "semantics",
@@ -492,7 +544,11 @@ let () =
           Alcotest.test_case "contended service" `Slow
             test_lock_service_contended;
           Alcotest.test_case "crash injection (recoverable locks)" `Slow
-            test_lock_service_crash_injection ] );
+            test_lock_service_crash_injection;
+          Alcotest.test_case "empty runs and bad dimensions" `Quick
+            test_lock_service_edges ] );
       ( "kv-service",
         [ Alcotest.test_case "sharded smoke + witnesses" `Slow
-            test_kv_service_smoke ] ) ]
+            test_kv_service_smoke;
+          Alcotest.test_case "empty runs and bad dimensions" `Quick
+            test_kv_service_edges ] ) ]

@@ -471,6 +471,29 @@ let test_kv_rejects () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "keys=0 accepted"
 
+(* The wheel rigs share one driving tail: an exhausted turn budget raises
+   Stalled with the budget and the rig's own acquisition count (entry
+   windows completed for the scale rig, the attempted ops for the KV
+   rig) instead of returning a truncated measurement. *)
+let test_wheel_stall_raises () =
+  let stalled what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: truncated run reported as a measurement" what
+    | exception Workload.Stalled { alg; acquisitions; max_steps; stopped } ->
+      check_bool (what ^ " alg recorded") true (alg = "mcs-lock");
+      check (what ^ " budget recorded") 40 max_steps;
+      check_bool (what ^ " stopped out of steps") true
+        (stopped = Cfc_runtime.Runner.Out_of_steps);
+      acquisitions
+  in
+  let scale =
+    stalled "scale" (fun () ->
+        Workload.run_mutex_scale ~max_turns:40 Registry.mcs (scfg ~think:0 ()))
+  in
+  check_bool "scale under-count visible" true (scale < 64 * 2);
+  check "kv reports the attempted ops" (32 * 6)
+    (stalled "kv" (fun () -> Kv_sim.run ~max_turns:40 Registry.mcs (kcfg ())))
+
 let () =
   Alcotest.run "cfc_workload"
     [ ( "workload",
@@ -503,7 +526,9 @@ let () =
           Alcotest.test_case "chaos requires a recoverable lock" `Quick
             test_scale_chaos_needs_recovery;
           Alcotest.test_case "cost independent of think time" `Quick
-            test_scale_cost_independent_of_think ] );
+            test_scale_cost_independent_of_think;
+          Alcotest.test_case "turn-budget exhaustion raises (scale, kv)"
+            `Quick test_wheel_stall_raises ] );
       ( "ycsb",
         [ Alcotest.test_case "mix frequencies" `Quick
             test_ycsb_mix_frequencies;
