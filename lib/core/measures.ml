@@ -478,6 +478,11 @@ module Online = struct
 
   let touched t = List.init t.reg_of.Itbl.size (Array.get t.regs)
 
+  let iter_touched f t =
+    for i = 0 to t.reg_of.Itbl.size - 1 do
+      f (Array.unsafe_get t.regs i)
+    done
+
   let touched_count t = t.reg_of.Itbl.size
   let spawned t = t.proc_of.Itbl.size
 end

@@ -173,9 +173,12 @@ module Online : sig
   (** {!remote} of every pid.  Allocates O(nprocs). *)
 
   val touched : t -> Cfc_runtime.Register.t list
-  (** Distinct registers accessed so far, in no particular order — the
-      streaming harness resets exactly these between solo runs instead
-      of scanning a trace. *)
+  (** Distinct registers accessed so far, in no particular order. *)
+
+  val iter_touched : (Cfc_runtime.Register.t -> unit) -> t -> unit
+  (** Apply a function to each register of {!touched}, in the same
+      order, building no list: the solo driver resets exactly these
+      between runs instead of scanning a trace. *)
 
   val touched_count : t -> int
 

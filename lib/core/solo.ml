@@ -23,7 +23,7 @@ let on_wheel ~nprocs ~spawn sink run =
 let drive ~nprocs ~spawn online sink run =
   Measures.Online.reset online;
   let wheel = on_wheel ~nprocs ~spawn sink run in
-  List.iter Register.reset (Measures.Online.touched online);
+  Measures.Online.iter_touched Register.reset online;
   match Wheel.first_error wheel with
   | None -> ()
   | Some (pid, error) ->

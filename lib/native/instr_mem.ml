@@ -39,10 +39,19 @@ let pp ppf c =
   Format.fprintf ppf "ops=%d r/w=%d/%d cas=%d(-%d) rmr=%d" c.ops c.reads
     c.writes c.cas_attempts c.cas_failures c.rmr
 
+(* The calling domain's registration, one key for every arena, so making
+   an arena takes no domain-local slot: the serial number of the arena
+   it last registered with, times 64, plus its worker slot there (at
+   most 61); -1 when it never registered.  An access checks that the
+   registration is its own arena's with one compare of immediates. *)
+let registration = Domain.DLS.new_key (fun () -> -1)
+let serials = Atomic.make 0
+let slot_bits = 6
+
 type t = {
   nprocs : int;
+  serial : int;
   counts : int array;
-  key : int Domain.DLS.key;
   arena : Mem_intf.mem;
   all_holders : int Atomic.t list ref;
       (* every register's holders mask, for [evict]; registers are
@@ -53,14 +62,14 @@ type t = {
 let create ~nprocs =
   if nprocs < 1 || nprocs > 62 then
     invalid_arg "Instr_mem.create: nprocs outside 1..62";
+  let serial = Atomic.fetch_and_add serials 1 in
   let counts = Array.make (nprocs * stride) 0 in
   let all_holders = ref [] in
-  let key = Domain.DLS.new_key (fun () -> -1) in
   let me () =
-    let v = Domain.DLS.get key in
-    if v < 0 then
+    let v = Domain.DLS.get registration in
+    if v asr slot_bits <> serial then
       failwith "Instr_mem: domain not registered (call register_worker)";
-    v
+    v land ((1 lsl slot_bits) - 1)
   in
   let bump pid slot =
     let i = (pid * stride) + slot in
@@ -104,11 +113,12 @@ let create ~nprocs =
       (* One semantic access: mirrors what the simulated backend records
          as a single trace event (internal CAS retries of the base
          backend's bit_op/write_field are invisible there too). *)
-      let count r ~write =
-        let pid = me () in
+      let count_as pid r ~write =
         bump pid o_ops;
         bump pid (if write then o_writes else o_reads);
         touch r.holders ~write pid
+
+      let count r ~write = count_as (me ()) r ~write
 
       let read r =
         let v = N.read r.base in
@@ -141,13 +151,13 @@ let create ~nprocs =
         let pid = me () in
         bump pid o_cas_attempts;
         if not ok then bump pid o_cas_failures;
-        count r ~write:ok;
+        count_as pid r ~write:ok;
         ok
 
       let pause () = N.pause ()
     end : Mem_intf.MEM)
   in
-  { nprocs; counts; key; arena; all_holders }
+  { nprocs; serial; counts; arena; all_holders }
 
 let mem t = t.arena
 
@@ -174,7 +184,7 @@ let evict t ~me =
 let register_worker t ~me =
   if me < 0 || me >= t.nprocs then
     invalid_arg "Instr_mem.register_worker: me outside 0..nprocs-1";
-  Domain.DLS.set t.key me
+  Domain.DLS.set registration ((t.serial lsl slot_bits) lor me)
 
 let per_domain t =
   Array.init t.nprocs (fun pid ->

@@ -51,8 +51,10 @@ val mem : t -> Cfc_base.Mem_intf.mem
     first. *)
 
 val register_worker : t -> me:int -> unit
-(** Bind the calling domain to worker slot [me] (domain-local).  An
-    access from an unregistered domain raises [Failure]. *)
+(** Bind the calling domain to worker slot [me] of this arena
+    (domain-local).  A domain is registered with one arena at a time:
+    registering it with another arena replaces the binding.  An access
+    from a domain not registered with the arena raises [Failure]. *)
 
 val evict : t -> me:int -> unit
 (** Drop worker [me]'s bit from every register's holders mask — the

@@ -36,6 +36,9 @@ let run a prepare =
   let spawned =
     List.init (a.domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
   in
+  (* Another arena may have taken the caller's registration since this
+     one was made. *)
+  Instr_mem.register_worker a.instr ~me:0;
   let loop0 = prepare 0 in
   while Atomic.get ready < a.domains - 1 do
     Domain.cpu_relax ()

@@ -69,19 +69,38 @@ let revoke c =
   c.grant <- 0;
   c.tap <- None
 
-let alloc ?name ?model ~width ~init t =
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [prefix ^ string_of_int i ^ suffix] for an [i >= 0], built as one
+   string: every register of every arena gets such a name, and a KV rig
+   allocates tens of thousands of them. *)
+let numbered prefix i suffix =
+  let lp = String.length prefix and d = digits i in
+  let b = Bytes.create (lp + d + String.length suffix) in
+  Bytes.blit_string prefix 0 b 0 lp;
+  let n = ref i in
+  for j = lp + d - 1 downto lp do
+    Bytes.unsafe_set b j (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.blit_string suffix 0 b (lp + d) (String.length suffix);
+  Bytes.unsafe_to_string b
+
+let add t ~name ~model ~width ~init =
   let id = t.next in
-  let name = match name with Some n -> n | None -> Printf.sprintf "r%d" id in
   let r = Register.make_in ~home:t.home ~id ~name ~width ~model ~init in
   t.next <- id + 1;
   t.regs <- r :: t.regs;
   t.regs_arr <- [||];
   r
 
+let alloc ?name ?model ~width ~init t =
+  let name = match name with Some n -> n | None -> numbered "r" t.next "" in
+  add t ~name ~model ~width ~init
+
 let alloc_array ?name ?model ~width ~init t k =
-  let base = match name with Some n -> n | None -> "a" in
-  Array.init k (fun i ->
-      alloc ~name:(Printf.sprintf "%s[%d]" base i) ?model ~width ~init t)
+  let base = (match name with Some n -> n | None -> "a") ^ "[" in
+  Array.init k (fun i -> add t ~name:(numbered base i "]") ~model ~width ~init)
 
 let registers t = List.rev t.regs
 let size t = t.next

@@ -9,9 +9,11 @@ let tee a b ~pid body = a ~pid body; b ~pid body
 type pstate = {
   pid : int;
   thunk : unit -> unit;
-  mutable susp : Proc.suspension option;
-      (* None when not yet started, or when the live continuation was
-         invalidated by [restore] (rebuilt lazily at the next [step]) *)
+  mutable susp : Proc.suspension;
+      (* the live suspension, or [parked] when there is none: not yet
+         started, finished, crashed, or its continuation was invalidated
+         by [restore] (rebuilt lazily at the next [step]).  Held unboxed,
+         so parking a step stores the suspension itself. *)
   mutable status : status;
   mutable region : Event.region;
   mutable steps : int;
@@ -26,10 +28,15 @@ type pstate = {
          each raised, and its exception.  [rebuild] raises them again. *)
 }
 
+(* The empty [susp] marker.  No live process is ever parked on [Done]:
+   [finish] takes a process that reached it out of the runnable set. *)
+let parked = Proc.Done
+let[@inline] is_parked s = s == parked
+
 (* The table's empty slot.  Its fields are the state of a process nobody
    has touched, so queries read it as is; it is never mutated. *)
 let absent =
-  { pid = -1; thunk = ignore; susp = None; status = Runnable;
+  { pid = -1; thunk = ignore; susp = parked; status = Runnable;
     region = Event.Remainder; steps = 0; calls = 0; started = false;
     stamp = 0; failed = [] }
 
@@ -125,7 +132,7 @@ let enter t p r =
 
 let finish t p status =
   t.active <- t.active - 1;
-  p.susp <- None;
+  p.susp <- parked;
   p.status <- status;
   (match status with
   | Halted -> enter t p Event.Halted
@@ -183,7 +190,7 @@ let rec go t p s =
     enter t p r;
     go t p (Effect.Deep.continue k ())
   | Proc.Sleep (d, _) ->
-    p.susp <- Some s;
+    p.susp <- s;
     Asleep d
   | Proc.Pause k ->
     p.calls <- p.calls + 1;
@@ -246,11 +253,11 @@ and settle t p s =
     enter t p r;
     settle t p (Effect.Deep.continue k ())
   | Proc.Sleep (d, _) ->
-    p.susp <- Some s;
+    p.susp <- s;
     Asleep d
   | Proc.Read _ | Proc.Write _ | Proc.Write_field _ | Proc.Xchg _
   | Proc.Cas _ | Proc.Bit_op _ | Proc.Pause _ ->
-    p.susp <- Some s;
+    p.susp <- s;
     Progress
 
 (* A semantic violation (model/width): unwind the process with the
@@ -355,20 +362,21 @@ let rebuild t p =
     raise e
 
 let advance t p =
-  match p.susp with
-  | None when not p.started ->
+  if is_parked p.susp && not p.started then begin
     p.started <- true;
     bump t p;
     go t p (Proc.start p.thunk)
-  | susp -> (
-    let s = match susp with Some s -> s | None -> rebuild t p in
+  end
+  else begin
+    let s = if is_parked p.susp then rebuild t p else p.susp in
     bump t p;
     match s with
     | Proc.Sleep (_, k) ->
       (* The sleep this process parked at is over. *)
       p.calls <- p.calls + 1;
       go t p (Effect.Deep.continue k ())
-    | s -> go t p s)
+    | s -> go t p s
+  end
 
 let step t pid =
   let p = proc t pid in
@@ -395,10 +403,11 @@ let ahead_taken t = t.ahead_taken
 let crash t pid =
   let p = proc t pid in
   if p.status = Runnable then begin
-    (* A [None] suspension on a started process means its continuation
-       was invalidated by [restore]; there is nothing live to unwind. *)
-    (match p.susp with Some s -> discontinue_susp s | None -> ());
-    p.susp <- None;
+    (* A parked slot on a started process means its continuation was
+       invalidated by [restore]; there is nothing live to unwind
+       ([discontinue_susp] ignores [Done]). *)
+    discontinue_susp p.susp;
+    p.susp <- parked;
     t.active <- t.active - 1;
     p.status <- Crashed;
     bump t p;
@@ -412,7 +421,7 @@ let recover t pid =
        is dropped, so the next [step] re-invokes the process thunk from
        the top), shared memory persists untouched.  The restarted process
        begins in Remainder, like a freshly created one. *)
-    p.susp <- None;
+    p.susp <- parked;
     p.status <- Runnable;
     p.region <- Event.Remainder;
     p.calls <- 0;
@@ -477,7 +486,7 @@ let snapshot t =
 let restore_slot t snap i =
   let p = t.procs.(i) in
   if p.stamp <> snap.s_stamp.(i) then begin
-    (match p.susp with Some s -> discontinue_susp s | None -> ());
+    discontinue_susp p.susp;
     p.status <- snap.s_status.(i);
     p.region <- snap.s_region.(i);
     p.steps <- snap.s_steps.(i);
@@ -485,7 +494,7 @@ let restore_slot t snap i =
     p.started <- snap.s_started.(i);
     p.stamp <- snap.s_stamp.(i);
     p.failed <- snap.s_failed.(i);
-    p.susp <- None
+    p.susp <- parked
   end
 
 let check_undo t =
@@ -507,9 +516,9 @@ let restore_pid t snap pid =
 let dispose t =
   Array.iter
     (fun p ->
-      match p.susp with
-      | Some s ->
-        p.susp <- None;
+      let s = p.susp in
+      if not (is_parked s) then begin
+        p.susp <- parked;
         discontinue_susp s
-      | None -> ())
+      end)
     t.procs

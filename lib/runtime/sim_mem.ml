@@ -50,7 +50,9 @@ let[@inline never] ahead_cas cur r expected v =
     Memory.revoke cur;
     Effect.perform (Proc.E_cas (r, expected, v))
 
-let mem arena : Mem_intf.mem =
+module type TYPED = Mem_intf.MEM with type reg = Register.t
+
+let typed arena : (module TYPED) =
   let cur = Memory.cursor arena in
   (module struct
     type reg = Register.t
@@ -125,4 +127,6 @@ let mem arena : Mem_intf.mem =
     let pause () =
       if cur.Memory.remaining > 0 then Memory.replay_skip cur
       else Effect.perform Proc.E_pause
-  end : Mem_intf.MEM)
+  end)
+
+let mem arena : Mem_intf.mem = (module (val typed arena))

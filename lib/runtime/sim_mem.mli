@@ -21,3 +21,11 @@ val mem : Memory.t -> Cfc_base.Mem_intf.mem
     [read]/[write]/[bit_op] must only be called from code running under
     {!Proc.start} (i.e. inside a scheduled process); calling them outside
     raises [Effect.Unhandled]. *)
+
+module type TYPED = Cfc_base.Mem_intf.MEM with type reg = Register.t
+
+val typed : Memory.t -> (module TYPED)
+(** The same backend with its register type exposed: a rig that keeps a
+    register's handle can read it off the arena after the run
+    ({!Register.read}) instead of looking it up by name.  {!mem} is this
+    module with the type made abstract. *)

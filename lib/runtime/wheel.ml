@@ -1,16 +1,20 @@
 type status = Scheduler.status = Runnable | Halted | Crashed | Errored of exn
 
-(* Calendar-queue entry.  [e_seq] is a global insertion counter: the heap
-   order is (tick, insertion order), i.e. FIFO within a tick, which makes
-   the whole run deterministic in its inputs.  [e_stamp] is the process's
-   {!Scheduler.stamp} when it was queued: a crash changes the stamp, so
-   the entry goes stale in O(1) and is dropped when popped. *)
-type entry = { e_tick : int; e_seq : int; e_pid : int; e_stamp : int }
-
+(* The calendar queue: a binary min-heap of entries [(tick, seq, pid,
+   stamp)], held struct-of-arrays in four [int array]s so that queueing
+   and sifting store only immediate ints and allocate nothing.  [seq] is
+   a global insertion counter: the heap order is (tick, insertion order),
+   i.e. FIFO within a tick, which makes the whole run deterministic in
+   its inputs.  [stamp] is the process's {!Scheduler.stamp} when it was
+   queued: a crash changes the stamp, so the entry goes stale in O(1) and
+   is dropped when popped. *)
 type t = {
   sched : Scheduler.t;
   faults : Fault.timeline;  (* its clock counts turns *)
-  mutable heap : entry array;
+  mutable h_tick : int array;
+  mutable h_seq : int array;
+  mutable h_pid : int array;
+  mutable h_stamp : int array;
   mutable hlen : int;
   mutable hseq : int;
   mutable now : int;
@@ -18,75 +22,99 @@ type t = {
   mutable live_peak : int;
 }
 
-let dummy_entry = { e_tick = 0; e_seq = 0; e_pid = 0; e_stamp = 0 }
-
 let create ?(sink = Scheduler.null_sink) ?(faults = []) ~nprocs ~spawn () =
   { sched = Scheduler.of_spawn ~sink ~nprocs ~spawn;
     faults = Fault.timeline ~nprocs faults;
-    heap = Array.make 64 dummy_entry;
+    h_tick = Array.make 64 0; h_seq = Array.make 64 0;
+    h_pid = Array.make 64 0; h_stamp = Array.make 64 0;
     hlen = 0; hseq = 0; now = 0; first_error = None; live_peak = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Binary min-heap on (tick, insertion seq)                            *)
 
-let entry_less a b =
-  a.e_tick < b.e_tick || (a.e_tick = b.e_tick && a.e_seq < b.e_seq)
+(* Every [seq] is distinct, so the order is total and the pop sequence
+   does not depend on how the heap lays its entries out. *)
+let[@inline] less t i ~tick ~seq =
+  let ti = Array.unsafe_get t.h_tick i in
+  ti < tick || (ti = tick && Array.unsafe_get t.h_seq i < seq)
 
-let heap_push t e =
-  if t.hlen = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.hlen) dummy_entry in
-    Array.blit t.heap 0 bigger 0 t.hlen;
-    t.heap <- bigger
-  end;
+let[@inline] set t i ~tick ~seq ~pid ~stamp =
+  Array.unsafe_set t.h_tick i tick;
+  Array.unsafe_set t.h_seq i seq;
+  Array.unsafe_set t.h_pid i pid;
+  Array.unsafe_set t.h_stamp i stamp
+
+let[@inline] move t ~src ~dst =
+  set t dst ~tick:(Array.unsafe_get t.h_tick src)
+    ~seq:(Array.unsafe_get t.h_seq src) ~pid:(Array.unsafe_get t.h_pid src)
+    ~stamp:(Array.unsafe_get t.h_stamp src)
+
+let grow t =
+  let n = Array.length t.h_tick in
+  let bigger a =
+    let b = Array.make (2 * n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.h_tick <- bigger t.h_tick;
+  t.h_seq <- bigger t.h_seq;
+  t.h_pid <- bigger t.h_pid;
+  t.h_stamp <- bigger t.h_stamp
+
+(* Sift a hole up from the end instead of swapping: each level moves one
+   parent down, and the new entry is written once, where the hole
+   stops. *)
+let heap_push t ~tick ~seq ~pid ~stamp =
+  if t.hlen = Array.length t.h_tick then grow t;
   let i = ref t.hlen in
-  t.heap.(!i) <- e;
   t.hlen <- t.hlen + 1;
   if t.hlen > t.live_peak then t.live_peak <- t.hlen;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if entry_less t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
+    if less t parent ~tick ~seq then continue := false
+    else begin
+      move t ~src:parent ~dst:!i;
       i := parent
     end
-    else continue := false
-  done
+  done;
+  set t !i ~tick ~seq ~pid ~stamp
 
-(* Remove and return the least entry of a non-empty heap. *)
+(* Remove the least entry of a non-empty heap (read it at slot 0 first):
+   the last entry fills the hole left at the root, sifted down the same
+   way. *)
 let heap_pop t =
-  let top = t.heap.(0) in
   t.hlen <- t.hlen - 1;
-  if t.hlen > 0 then begin
-    t.heap.(0) <- t.heap.(t.hlen);
+  let n = t.hlen in
+  if n > 0 then begin
+    let tick = Array.unsafe_get t.h_tick n
+    and seq = Array.unsafe_get t.h_seq n in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.hlen && entry_less t.heap.(l) t.heap.(!smallest) then
-        smallest := l;
-      if r < t.hlen && entry_less t.heap.(r) t.heap.(!smallest) then
-        smallest := r;
-      if !smallest <> !i then begin
-        let tmp = t.heap.(!smallest) in
-        t.heap.(!smallest) <- t.heap.(!i);
-        t.heap.(!i) <- tmp;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && less t r ~tick:t.h_tick.(l) ~seq:t.h_seq.(l) then r
+          else l
+        in
+        if less t c ~tick ~seq then begin
+          move t ~src:c ~dst:!i;
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
-    done
-  end;
-  top
+    done;
+    move t ~src:n ~dst:!i
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The pick policy over Scheduler.step                                 *)
 
 let push t ~tick pid =
-  heap_push t
-    { e_tick = tick; e_seq = t.hseq; e_pid = pid;
-      e_stamp = Scheduler.stamp t.sched pid };
+  heap_push t ~tick ~seq:t.hseq ~pid ~stamp:(Scheduler.stamp t.sched pid);
   t.hseq <- t.hseq + 1
 
 (* A runnable process that has a record is queued exactly once: it was
@@ -109,11 +137,12 @@ let recover t pid =
 let rec next t =
   if t.hlen = 0 then -1
   else begin
-    let e = heap_pop t in
-    if Scheduler.stamp t.sched e.e_pid <> e.e_stamp then next t
+    let tick = t.h_tick.(0) and pid = t.h_pid.(0) and stamp = t.h_stamp.(0) in
+    heap_pop t;
+    if Scheduler.stamp t.sched pid <> stamp then next t
     else begin
-      if e.e_tick > t.now then t.now <- e.e_tick;
-      e.e_pid
+      if tick > t.now then t.now <- tick;
+      pid
     end
   end
 

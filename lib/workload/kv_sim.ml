@@ -57,7 +57,7 @@ let run ?max_turns (module A : Mutex_intf.ALG) (kc : kv_config) =
   let p = Mutex_intf.params n in
   if not (A.supports p) then invalid_arg (A.name ^ ": unsupported");
   let memory = Memory.create () in
-  let module M = (val Sim_mem.mem memory) in
+  let module M = (val Sim_mem.typed memory) in
   let module L = A.Make (M) in
   (* One lock instance per bucket, all over the same arena: a client's
      steps on bucket b's lock are ordinary counted accesses, and the
@@ -157,19 +157,12 @@ let run ?max_turns (module A : Mutex_intf.ALG) (kc : kv_config) =
       ()
   in
   (* The arena outlives the run: read each bucket's final version count
-     directly off the register and compare with the mutations the
+     directly off its register and compare with the mutations the
      clients performed — any shortfall is a lost update. *)
   let lost = ref 0 in
-  let ver_regs =
-    List.filter
-      (fun r ->
-        String.length r.Register.name >= 7
-        && String.sub r.Register.name 0 7 = "kv.ver[")
-      (Memory.registers memory)
-  in
-  List.iteri
+  Array.iteri
     (fun b r -> lost := !lost + (expected_bumps.(b) - Register.read r))
-    ver_regs;
+    versions;
   let shards =
     Array.init nb (fun b ->
         let entries = Measures.Online.wc_entries online.(b) in

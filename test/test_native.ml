@@ -211,6 +211,42 @@ let test_instr_counter_semantics () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "unregistered access accepted"
 
+(* Arenas share one domain-local registration: a domain registered with
+   one arena and then another counts each access to the arena it is
+   registered with, and an arena it is not registered with rejects it
+   with the usual message. *)
+let test_instr_arenas_in_turn () =
+  let open Cfc_native in
+  let unregistered = "Instr_mem: domain not registered (call register_worker)" in
+  let a = Instr_mem.create ~nprocs:2 and b = Instr_mem.create ~nprocs:3 in
+  let module A = (val Instr_mem.mem a) in
+  let module B = (val Instr_mem.mem b) in
+  let ra = A.alloc ~width:4 ~init:0 () and rb = B.alloc ~width:4 ~init:0 () in
+  for round = 1 to 3 do
+    Instr_mem.register_worker a ~me:1;
+    A.write ra round;
+    ignore (A.read ra);
+    Alcotest.check_raises "b rejects a's worker" (Failure unregistered)
+      (fun () -> ignore (B.read rb));
+    Instr_mem.register_worker b ~me:2;
+    ignore (B.read rb);
+    Alcotest.check_raises "a rejects b's worker" (Failure unregistered)
+      (fun () -> A.write ra 0)
+  done;
+  let ops t pid = (Instr_mem.per_domain t).(pid).Instr_mem.ops in
+  check "a: worker 1's accesses" 6 (ops a 1);
+  check "a: nothing else" 6 (Instr_mem.totals a).Instr_mem.ops;
+  check "b: worker 2's accesses" 3 (ops b 2);
+  check "b: nothing else" 3 (Instr_mem.totals b).Instr_mem.ops;
+  (* a domain that never registered is rejected too *)
+  let fresh = Domain.spawn (fun () ->
+      match A.read ra with
+      | exception Failure m -> m
+      | _ -> "accepted")
+  in
+  Alcotest.(check string) "unregistered domain" unregistered
+    (Domain.join fresh)
+
 let test_latency_hist () =
   let open Cfc_native.Latency_hist in
   let h = create () in
@@ -536,6 +572,8 @@ let () =
             test_instr_matches_sim_solo;
           Alcotest.test_case "counter semantics" `Quick
             test_instr_counter_semantics;
+          Alcotest.test_case "arenas in turn on one domain" `Quick
+            test_instr_arenas_in_turn;
           Alcotest.test_case "latency histogram" `Quick test_latency_hist;
           Alcotest.test_case "percentile envelope" `Quick
             test_latency_hist_percentile_envelope;

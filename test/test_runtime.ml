@@ -23,6 +23,33 @@ let test_register_rw () =
   Register.reset r;
   check "reset" 3 (Register.read r)
 
+(* Register names are built without Printf; pin them to the Printf forms
+   they replaced, over multi-digit indices and ids. *)
+let test_register_names () =
+  let m = Memory.create () in
+  let next = Memory.alloc_array ~name:"mcs.next" ~width:2 ~init:0 m 4096 in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check string) "named array" (Printf.sprintf "mcs.next[%d]" i)
+        r.Register.name)
+    next;
+  let r = Memory.alloc ~width:1 ~init:0 m in
+  Alcotest.(check string) "unnamed register" "r4096" r.Register.name;
+  let a = Memory.alloc_array ~width:1 ~init:0 m 12 in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check string) "unnamed array" (Printf.sprintf "a[%d]" i)
+        r.Register.name)
+    a;
+  let m = Memory.create () in
+  List.iter
+    (fun id ->
+      let r = Memory.alloc ~width:1 ~init:0 m in
+      Alcotest.(check string) "r<id>" (Printf.sprintf "r%d" id) r.Register.name)
+    (List.init 11 Fun.id);
+  let named = Memory.alloc ~name:"x" ~width:1 ~init:0 m in
+  Alcotest.(check string) "given name kept" "x" named.Register.name
+
 let test_register_model_enforced () =
   let m = Memory.create () in
   let r = Memory.alloc ~model:Model.tas_only ~width:1 ~init:0 m in
@@ -872,6 +899,150 @@ let test_wheel_caught_register_error () =
   | Some (0, Invalid_argument _) -> check "no step" 0 (Wheel.steps_taken wheel 0)
   | _ -> Alcotest.fail "uncaught register error not reported"
 
+(* qcheck: the wheel runs its queue in strict (tick, seq) order.  Random
+   processes (one write per turn, with sleeps between writes) are woken
+   in random batches between budgeted runs, under a random crash/recover
+   plan.  A reference model keeps the queue as a plain list, takes the
+   least (tick, seq) entry at every turn, drops entries whose stamp a
+   crash or recover moved on, and applies due faults before each turn
+   as {!Fault.run} does.  The pids the wheel runs (one access event per
+   turn), its live peak, clock and turn count must be the model's. *)
+type model_proc = {
+  mutable exists : bool;  (* a record was materialised (woken or crashed) *)
+  mutable mstatus : [ `Runnable | `Halted | `Crashed ];
+  mutable pos : int;  (* the next write of its script *)
+  mutable epoch : int;  (* stands for the scheduler's stamp *)
+}
+
+let prop_wheel_heap_order =
+  let gen =
+    QCheck.Gen.(
+      let* nprocs = int_range 1 140 in
+      let* scripts =
+        array_repeat nprocs (list_size (int_range 1 4) (int_bound 3))
+      in
+      let* batches =
+        list_size (int_range 1 4)
+          (pair (int_range 1 60)
+             (list_size (int_range 0 40)
+                (pair (int_bound (nprocs - 1)) (int_bound 5))))
+      in
+      let* pairs = int_bound 8 in
+      let* seed = int in
+      return (nprocs, scripts, batches, pairs, seed))
+  in
+  QCheck.Test.make ~count:150 ~name:"wheel pops = sorted live entries"
+    (QCheck.make gen) (fun (nprocs, scripts, batches, pairs, seed) ->
+      let memory = Memory.create () in
+      let (module M) = Sim_mem.mem memory in
+      let regs = M.alloc_array ~width:8 ~init:0 nprocs in
+      (* write j of pid's script, then sleep (its last write ends it) *)
+      let spawn pid () =
+        let script = Array.of_list scripts.(pid) in
+        Array.iteri
+          (fun j d ->
+            M.write regs.(pid) (j land 0xff);
+            if d > 0 && j < Array.length script - 1 then Proc.sleep d)
+          script
+      in
+      let horizon = 1 + Array.fold_left (fun a l -> a + List.length l) 0 scripts in
+      let faults = Fault.chaos ~seed ~nprocs ~pairs ~horizon in
+      let ran = ref [] in
+      let sink ~pid = function
+        | Event.Access _ -> ran := pid :: !ran
+        | _ -> ()
+      in
+      let wheel = Wheel.create ~sink ~faults ~nprocs ~spawn () in
+      (* the reference *)
+      let procs =
+        Array.init nprocs (fun _ ->
+            { exists = false; mstatus = `Runnable; pos = 0; epoch = 0 })
+      in
+      let queue = ref [] and seq = ref 0 and peak = ref 0 in
+      let now = ref 0 and clock = ref 0 and pending = ref faults in
+      let expected = ref [] in
+      let push tick pid =
+        queue := (tick, !seq, pid, procs.(pid).epoch) :: !queue;
+        incr seq;
+        peak := max !peak (List.length !queue)
+      in
+      let rec pop () =
+        match List.sort compare !queue with
+        | [] -> None
+        | ((tick, _, pid, epoch) as e) :: _ ->
+          queue := List.filter (fun x -> x != e) !queue;
+          if epoch <> procs.(pid).epoch then pop () else Some (tick, pid)
+      in
+      let apply (f : Fault.point) =
+        let p = procs.(f.pid) in
+        p.exists <- true;
+        match (f.kind, p.mstatus) with
+        | Fault.Crash, `Runnable ->
+          p.mstatus <- `Crashed;
+          p.epoch <- p.epoch + 1
+        | Fault.Recover, `Crashed ->
+          p.mstatus <- `Runnable;
+          p.pos <- 0;
+          p.epoch <- p.epoch + 1;
+          push !now f.pid
+        | _ -> ()
+      in
+      let rec model_run max_turns =
+        match !pending with
+        | f :: rest when f.Fault.step <= !clock ->
+          pending := rest;
+          apply f;
+          model_run max_turns
+        | _ when !clock >= max_turns -> ()
+        | _ -> (
+          match pop () with
+          | None -> (
+            match !pending with
+            | [] -> ()
+            | f :: _ ->
+              clock := max !clock f.Fault.step;
+              model_run max_turns)
+          | Some (tick, pid) ->
+            now := max !now tick;
+            expected := pid :: !expected;
+            let p = procs.(pid) and script = Array.of_list scripts.(pid) in
+            let j = p.pos in
+            if j = Array.length script - 1 then p.mstatus <- `Halted
+            else begin
+              p.pos <- j + 1;
+              push (!now + max 1 script.(j)) pid
+            end;
+            incr clock;
+            model_run max_turns)
+      in
+      let budget = ref 0 in
+      let run max_turns =
+        model_run max_turns;
+        if max_turns = max_int then
+          ignore (Wheel.run wheel : Wheel.stopped)
+        else ignore (Wheel.run ~max_turns wheel : Wheel.stopped)
+      in
+      List.iter
+        (fun (turns, wakes) ->
+          List.iter
+            (fun (pid, later) ->
+              let at = Wheel.now wheel + later in
+              let p = procs.(pid) in
+              if not p.exists then begin
+                p.exists <- true;
+                push at pid
+              end;
+              Wheel.wake ~at wheel pid)
+            wakes;
+          budget := !budget + turns;
+          run !budget)
+        batches;
+      run max_int;
+      List.rev !ran = List.rev !expected
+      && Wheel.live_peak wheel = !peak
+      && Wheel.now wheel = !now
+      && Wheel.turns wheel = !clock)
+
 (* ------------------------------------------------------------------ *)
 (* Run-ahead: a wheel step with nothing else queued runs the process's
    next accesses inline.  None of it may be observable.                *)
@@ -1381,6 +1552,7 @@ let () =
   Alcotest.run "cfc_runtime"
     [ ( "registers",
         [ Alcotest.test_case "read/write/width/reset" `Quick test_register_rw;
+          Alcotest.test_case "register names" `Quick test_register_names;
           Alcotest.test_case "model enforcement" `Quick
             test_register_model_enforced;
           Alcotest.test_case "bit op semantics" `Quick test_bit_ops_semantics;
@@ -1445,7 +1617,8 @@ let () =
           Alcotest.test_case "same-tick FIFO + determinism" `Quick
             test_wheel_fifo_and_deterministic;
           Alcotest.test_case "caught register error: same turn" `Quick
-            test_wheel_caught_register_error ] );
+            test_wheel_caught_register_error;
+          QCheck_alcotest.to_alcotest prop_wheel_heap_order ] );
       ( "run-ahead",
         [ Alcotest.test_case "solo = Runner's solo (registry)" `Quick
             test_run_ahead_solo_registry;

@@ -441,6 +441,38 @@ let test_kv_complete_and_clean () =
         Ycsb.mixes)
     [ Registry.mcs; Registry.tas_lock; Registry.lamport_fast ]
 
+(* The lost-update audit reads the rig's own version registers, not any
+   register whose name looks like one: a lock that allocates a register
+   named like the first bucket's version counter changes nothing. *)
+module Decoy_lock : Mutex_intf.ALG = struct
+  include (val Registry.mcs : Mutex_intf.ALG)
+
+  let name = "mcs-lock+decoy"
+
+  module Make (M : Cfc_base.Mem_intf.MEM) = struct
+    module L = Make (M)
+
+    type t = { lock : L.t; _decoy : M.reg }
+
+    let create p =
+      let lock = L.create p in
+      { lock; _decoy = M.alloc ~name:"kv.ver[0]" ~width:32 ~init:7 () }
+
+    let lock t ~me = L.lock t.lock ~me
+    let unlock t ~me = L.unlock t.lock ~me
+  end
+end
+
+let test_kv_audit_ignores_names () =
+  let kc = kcfg ~buckets:4 () in
+  let plain = Kv_sim.run Registry.mcs kc in
+  let decoy = Kv_sim.run (module Decoy_lock) kc in
+  check "no lost update" 0 decoy.Kv_sim.kr_lost_updates;
+  check "no torn scan" 0 decoy.Kv_sim.kr_torn_scans;
+  check "same ops" plain.Kv_sim.kr_ops decoy.Kv_sim.kr_ops;
+  check "same acquisitions" plain.Kv_sim.kr_acquisitions
+    decoy.Kv_sim.kr_acquisitions
+
 let test_kv_deterministic () =
   let kc = kcfg ~mix:Ycsb.mix_e () in
   let a = Kv_sim.run Registry.mcs kc in
@@ -540,6 +572,8 @@ let () =
             test_kv_complete_and_clean;
           Alcotest.test_case "deterministic in the seed" `Quick
             test_kv_deterministic;
+          Alcotest.test_case "lost-update audit ignores register names"
+            `Quick test_kv_audit_ignores_names;
           Alcotest.test_case "zipf skew concentrates the hot shard" `Quick
             test_kv_theta_hot_share;
           Alcotest.test_case "bad dimensions rejected" `Quick
