@@ -96,10 +96,7 @@ let backoff () =
   section
     "EXP-BACKOFF: §4 — winner's entry cost since release stays near the \
      contention-free cost; backoff cuts total traffic";
-  Texttab.print
-    (Cfc_workload.Workload_report.backoff_table ~n:6 ~rounds:50
-       ~thinks:[ 0; 5; 40; 200 ] ~seed:11
-       ~algs:[ Registry.lamport_fast; Registry.backoff; Registry.bakery ])
+  Texttab.print (Cfc_workload.Workload_report.backoff_table ())
 
 let recoverable () =
   section
@@ -141,22 +138,11 @@ let remote_access () =
       let p = Mutex_intf.params n in
       if A.supports p then begin
         let memory = Cfc_runtime.Memory.create () in
-        let module M = (val Cfc_runtime.Sim_mem.mem memory) in
-        let module L = A.Make (M) in
-        let inst = L.create p in
-        let scratch = M.alloc ~name:"scratch" ~width:8 ~init:0 () in
-        let proc me () =
-          for _ = 1 to rounds do
-            Cfc_runtime.Proc.region Cfc_runtime.Event.Trying;
-            L.lock inst ~me;
-            Cfc_runtime.Proc.region Cfc_runtime.Event.Critical;
-            for k = 1 to cs_len do
-              M.write scratch (k land 255)
-            done;
-            Cfc_runtime.Proc.region Cfc_runtime.Event.Exiting;
-            L.unlock inst ~me;
-            Cfc_runtime.Proc.region Cfc_runtime.Event.Remainder
-          done
+        let proc =
+          Cfc_core.Client.(
+            clients ~rounds alg p (Cfc_runtime.Sim_mem.mem memory)
+              ~section:(scratch ~name:"scratch" ~cs_len)
+              (sim ~think:ignore))
         in
         let out =
           Cfc_runtime.Runner.run ~max_steps:5_000_000 ~memory

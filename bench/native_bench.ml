@@ -26,27 +26,19 @@ type entry = {
   sim_rmr_per_acq : float option;  (* solo rows only *)
 }
 
-(* The simulated twin of a solo lock-service run: same n=2 instance, same
-   rounds and critical-section writes, process 0 in one solo run on the
-   contention-free driver (Cfc_core.Solo).  Its YA93 remote-access count
-   is the ground truth the instrumented counter must reproduce. *)
+(* The simulated twin of a solo lock-service run: same n=2 instance and
+   the same lock cycle with the same critical-section writes
+   (Cfc_core.Client), on the simulator rig, process 0 in one solo run on
+   the contention-free driver (Cfc_core.Solo).  Its YA93 remote-access
+   count is the ground truth the instrumented counter must reproduce. *)
 let sim_solo_rmr (module A : Mutex_intf.ALG) ~rounds ~cs_len =
   let p = Mutex_intf.params 2 in
-  let memory = Memory.create () in
-  let module M = (val Sim_mem.mem memory) in
-  let module L = A.Make (M) in
-  let inst = L.create p in
-  let scratch = M.alloc ~name:"svc.scratch" ~width:8 ~init:0 () in
-  let proc0 () =
-    for _ = 1 to rounds do
-      L.lock inst ~me:0;
-      for k = 1 to cs_len do
-        M.write scratch (k land 255)
-      done;
-      L.unlock inst ~me:0
-    done
+  let spawn =
+    Cfc_core.Client.(
+      clients ~rounds (module A) p (Sim_mem.mem (Memory.create ()))
+        ~section:(scratch ~name:"svc.scratch" ~cs_len)
+        (sim ~think:ignore))
   in
-  let spawn me = if me = 0 then proc0 else fun () -> () in
   let rmr =
     Cfc_core.Solo.each ~nprocs:2 ~spawn [ 0 ] Cfc_core.Measures.Online.remote
   in

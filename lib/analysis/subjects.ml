@@ -41,12 +41,7 @@ let of_mutex ?l ~n (module A : Cfc_mutex.Mutex_intf.ALG) =
   if not (A.supports p) then None
   else
     let bare mem =
-      let module M = (val mem : Mem_intf.MEM) in
-      let module L = A.Make (M) in
-      let t = L.create p in
-      fun me () ->
-        L.lock t ~me;
-        L.unlock t ~me
+      Client.clients (module A) p mem ~section:(fun _ _ -> ()) Client.bare
     in
     Some
       {

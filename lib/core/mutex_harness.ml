@@ -13,35 +13,31 @@ exception Critical_section_trampled of int
 
 let witness_name = "cs.witness"
 
-let instantiate ?(rounds = 1) (module A : Mutex_intf.ALG)
+(* A checked process enters again as soon as it has left. *)
+let rig = Client.sim ~think:ignore
+
+let instantiate ?rounds (module A : Mutex_intf.ALG)
     (p : Mutex_intf.params) mem =
   if not (A.supports p) then
     invalid_arg
       (Printf.sprintf "%s does not support n=%d l=%d" A.name p.Mutex_intf.n
          p.Mutex_intf.l);
-  let module M = (val mem : Mem_intf.MEM) in
-  let module L = A.Make (M) in
-  let inst = L.create p in
   (* A witness register exercised inside the critical section: it widens
      the window in which an exclusion failure is observable and directly
      detects a concurrent writer.  Its accesses happen in the [Critical]
      region, so no §2.2 measure counts them. *)
-  let witness =
-    M.alloc ~name:witness_name
-      ~width:(Ixmath.bits_needed (max 1 (p.Mutex_intf.n - 1)))
-      ~init:0 ()
-  in
-  fun me () ->
-    for _ = 1 to rounds do
-      Proc.region Event.Trying;
-      L.lock inst ~me;
-      Proc.region Event.Critical;
+  let section mem =
+    let module M = (val mem : Mem_intf.MEM) in
+    let witness =
+      M.alloc ~name:witness_name
+        ~width:(Ixmath.bits_needed (max 1 (p.Mutex_intf.n - 1)))
+        ~init:0 ()
+    in
+    fun me ->
       M.write witness me;
-      if M.read witness <> me then raise (Critical_section_trampled me);
-      Proc.region Event.Exiting;
-      L.unlock inst ~me;
-      Proc.region Event.Remainder
-    done
+      if M.read witness <> me then raise (Critical_section_trampled me)
+  in
+  Client.clients ?rounds (module A) p mem ~section rig
 
 let arena ?rounds alg p =
   let memory = Memory.create () in

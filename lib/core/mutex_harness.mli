@@ -30,8 +30,9 @@ val instantiate :
 (** [instantiate alg p mem] creates one instance of the algorithm on
     [mem], then the critical-section witness register ["cs.witness"],
     and returns the checked process body of each pid: [rounds] (default
-    1) region-annotated lock/witness/unlock cycles.  Raises
-    [Invalid_argument] if the algorithm does not support [p]. *)
+    1) lock cycles ({!Client.clients}) on the simulator rig with no think
+    time, whose critical section writes and re-reads the witness.
+    Raises [Invalid_argument] if the algorithm does not support [p]. *)
 
 type cf_result = {
   max : Measures.sample;  (** componentwise max over processes *)

@@ -1,18 +1,12 @@
-(** Domain-parallel sharded KV service: a bucketed store whose every
-    bucket is guarded by its own instance of one registry lock, driven
-    by the same {!Cfc_workload.Ycsb} streams as the deterministic wheel
-    twin [Cfc_workload.Kv_sim] — for a given [(seed, client)] both
-    backends replay the identical operation sequence and think times.
-    Runs on the domain driver {!Native_harness.run}.
+(** Domain-parallel sharded KV service: the one KV client body
+    ({!Cfc_workload.Kv_client}) that the wheel twin [Cfc_workload.Kv_sim]
+    runs, here on the native rig ({!Native_harness.rig}) and the domain
+    driver {!Native_harness.run}.  For a given [(seed, client)] both
+    backends issue the same operations, witnesses included.
 
     Values live in plain lock-guarded arrays; the per-bucket version
-    register lives in the counted {!Instr_mem} arena, so the RMR
-    estimate covers lock + version traffic (DESIGN.md §2).  The version
-    counter's non-atomic read-then-write per mutating op is the
-    lost-update witness, and the version re-read around each scan is the
-    torn-snapshot witness — both must come out clean iff every bucket
-    lock actually excludes (same construction as
-    {!Lock_service}'s witness). *)
+    registers live in the counted {!Instr_mem} arena, so the RMR
+    estimate covers lock + version traffic (DESIGN.md §2). *)
 
 open Cfc_mutex
 open Cfc_workload
@@ -32,10 +26,7 @@ val default : config
 
 type shard_stat = {
   ks_ops : int;  (** lock acquisitions on this shard *)
-  ks_reads : int;
-  ks_updates : int;
-  ks_scans : int;
-  ks_rmws : int;
+  ks_kinds : Cfc_workload.Kv_client.shard_ops;
   ks_p50_ns : float;  (** lock-acquisition latency on this shard *)
   ks_p99_ns : float;
   ks_max_ns : int;

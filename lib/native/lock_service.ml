@@ -32,8 +32,6 @@ type result = {
   recovery_rmr_max : int;
 }
 
-let now () = Monotonic_clock.now ()
-
 let run ?instrument (module A : Mutex_intf.ALG) config =
   if config.domains < 1 then invalid_arg "Lock_service.run: domains < 1";
   if config.rounds < 0 then invalid_arg "Lock_service.run: rounds < 0";
@@ -49,72 +47,66 @@ let run ?instrument (module A : Mutex_intf.ALG) config =
       (Printf.sprintf "%s: crash injection needs a recoverable lock" A.name);
   let arena = Native_harness.arena ?instrument ~domains:config.domains () in
   let instr = arena.Native_harness.instr in
-  let module M = (val arena.Native_harness.mem) in
-  let module L = A.Make (M) in
+  let module L = A.Make ((val arena.Native_harness.mem)) in
   let inst = L.create p in
-  let scratch = M.alloc ~name:"svc.scratch" ~width:8 ~init:0 () in
+  let cs =
+    Cfc_core.Client.scratch ~name:"svc.scratch" ~cs_len:config.cs_len
+      arena.Native_harness.mem
+  in
   (* The exclusion witness lives outside [M]: it models the service's
      clients, not the lock, so it must not be counted.  It is
      deliberately non-atomic — lost updates would show as a shortfall
      iff mutual exclusion broke (same trick as
      Native_harness.contended). *)
   let witness = ref 0 in
+  let critical me =
+    witness := !witness + 1;
+    cs me
+  in
   let hists = Array.init config.domains (fun _ -> Latency_hist.create ()) in
   let rec_hists = Array.init config.domains (fun _ -> Latency_hist.create ()) in
   let rec_rmr_tot = Array.make config.domains 0 in
   let rec_rmr_max = Array.make config.domains 0 in
-  let rec_counts = Array.make config.domains 0 in
   let worker me =
-    let think =
-      Native_harness.think ~seed:config.seed ~pid:me ~mean:config.mean_think
-    in
     (* A separate stream for crash points so adding injection does not
        perturb the think-time sequence of crash-free runs. *)
     let crash_st = Random.State.make [| Ixmath.mix_seed config.seed me; 0x0c |] in
     let hist = hists.(me) in
+    (* The crash hook: the cooperative crash-while-holding of
+       [crash_every], whose re-entry is the recovery path.  Its RMR delta
+       reads this domain's own Instr_mem slot, so it is coherent
+       mid-run.  The witness still counts one critical section. *)
+    let acquired t0 =
+      Latency_hist.record hist (Native_harness.now_ns () - t0);
+      if
+        config.crash_every > 0
+        && Random.State.int crash_st config.crash_every = 0
+      then begin
+        (* The crash also destroys the incarnation's cache. *)
+        Instr_mem.evict instr ~me;
+        let rmr0 = (Instr_mem.per_domain instr).(me).Instr_mem.rmr in
+        let r0 = Native_harness.now_ns () in
+        L.lock inst ~me;
+        Latency_hist.record rec_hists.(me) (Native_harness.now_ns () - r0);
+        let d = (Instr_mem.per_domain instr).(me).Instr_mem.rmr - rmr0 in
+        rec_rmr_tot.(me) <- rec_rmr_tot.(me) + d;
+        if d > rec_rmr_max.(me) then rec_rmr_max.(me) <- d
+      end
+    in
+    let rig =
+      Native_harness.rig ~seed:config.seed ~pid:me ~mean:config.mean_think
+        ~acquired
+    in
     fun () ->
       for _ = 1 to config.rounds do
-        think ();
-        let t0 = now () in
-        L.lock inst ~me;
-        let t1 = now () in
-        Latency_hist.record hist (Int64.to_int (Int64.sub t1 t0));
-        (* Cooperative crash-while-holding: a domain cannot be killed, but
-           the Golab–Ramaraju model only requires that the incarnation's
-           {e local} state is lost and the process re-runs [lock] from the
-           top — which is exactly what abandoning the acquisition (the
-           completed call's locals are dead anyway) and calling [lock]
-           again does.  The re-entry is the recovery path; its latency and
-           its RMR delta (own Instr_mem slot, written by this very domain,
-           so coherent mid-run) are recorded separately.  The witness still
-           increments once per critical section. *)
-        if
-          config.crash_every > 0
-          && Random.State.int crash_st config.crash_every = 0
-        then begin
-          (* The crash also destroys the incarnation's cache. *)
-          Instr_mem.evict instr ~me;
-          let rmr0 = (Instr_mem.per_domain instr).(me).Instr_mem.rmr in
-          let r0 = now () in
-          L.lock inst ~me;
-          let r1 = now () in
-          Latency_hist.record rec_hists.(me) (Int64.to_int (Int64.sub r1 r0));
-          let d = (Instr_mem.per_domain instr).(me).Instr_mem.rmr - rmr0 in
-          rec_rmr_tot.(me) <- rec_rmr_tot.(me) + d;
-          if d > rec_rmr_max.(me) then rec_rmr_max.(me) <- d;
-          rec_counts.(me) <- rec_counts.(me) + 1
-        end;
-        witness := !witness + 1;
-        for k = 1 to config.cs_len do
-          M.write scratch (k land 255)
-        done;
-        L.unlock inst ~me
+        Cfc_core.Client.cycle rig ~lock:L.lock ~unlock:L.unlock inst ~me
+          critical me
       done
   in
   let elapsed_ns = Native_harness.run arena worker in
   let lat = Native_harness.latency hists in
   let rec_lat = Native_harness.latency rec_hists in
-  let recoveries = Array.fold_left ( + ) 0 rec_counts in
+  let recoveries = rec_lat.Native_harness.count in
   let acquisitions = config.domains * config.rounds in
   let counters = Instr_mem.totals instr in
   let per v n = if n = 0 then 0.0 else Float.of_int v /. Float.of_int n in

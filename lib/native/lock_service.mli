@@ -1,10 +1,12 @@
 (** Domain-parallel lock-service benchmark: the native counterpart of
     {!Cfc_workload.Workload} on the domain driver {!Native_harness.run}.
-    Each of [domains] workers loops [rounds] times through think
-    ({!Native_harness.think}, the simulated rigs' stream) → lock →
-    critical section ([cs_len] shared writes) → unlock, timing each
-    acquisition with a monotonic clock into per-domain {!Latency_hist}
-    histograms.
+    Each of [domains] workers runs [rounds] lock cycles
+    ({!Cfc_core.Client.cycle}, the simulated rigs' cycle) with the
+    workloads' critical section ([cs_len] shared writes,
+    {!Cfc_core.Client.scratch}) on a native rig ({!Native_harness.rig}):
+    it thinks on the simulated rigs' stream and times each acquisition
+    into per-domain {!Latency_hist} histograms; crash injection is its
+    crash hook.
 
     With [instrument] (default), the lock runs on {!Instr_mem}, so the
     result carries semantic-access counters and the write-invalidate RMR

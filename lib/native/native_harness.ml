@@ -1,7 +1,7 @@
 open Cfc_base
 open Cfc_mutex
 
-let now () = Monotonic_clock.now ()
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* ------------------------------------------------------------------ *)
 (* The domain driver                                                   *)
@@ -43,18 +43,20 @@ let run a prepare =
   while Atomic.get ready < a.domains - 1 do
     Domain.cpu_relax ()
   done;
-  let t_start = now () in
+  let t_start = now_ns () in
   Atomic.set go true;
   loop0 ();
   List.iter Domain.join spawned;
-  Int64.to_int (Int64.sub (now ()) t_start)
+  now_ns () - t_start
 
-let think ~seed ~pid ~mean =
+let rig ~seed ~pid ~mean ~acquired =
   let draw = Cfc_workload.Workload.think_stream ~seed ~pid in
-  fun () ->
+  let think () =
     for _ = 1 to draw ~mean do
       Domain.cpu_relax ()
     done
+  in
+  { Cfc_core.Client.bare with think; stamp = now_ns; acquired }
 
 type latency = { count : int; p50_ns : float; p90_ns : float; p99_ns : float;
                  max_ns : int }
@@ -80,45 +82,39 @@ let per_second count ~elapsed_ns =
 let time_batches ?(k = 5) ~iters f =
   let samples =
     List.init k (fun _ ->
-        let t0 = now () in
+        let t0 = now_ns () in
         for _ = 1 to iters do
           f ()
         done;
-        Int64.to_float (Int64.sub (now ()) t0) /. float_of_int iters)
+        float_of_int (now_ns () - t0) /. float_of_int iters)
   in
   let sorted = List.sort compare samples in
   List.nth sorted (k / 2)
 
-let instantiate memory (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
+let uncontended_ns ?(iters = 20_000) (module A : Mutex_intf.ALG) p =
   if not (A.supports p) then
     invalid_arg (Printf.sprintf "%s: unsupported params" A.name);
-  let module M = (val memory : Mem_intf.MEM) in
-  let module L = A.Make (M) in
+  let module L = A.Make ((val Native_mem.mem ())) in
   let inst = L.create p in
-  let lock ~me = L.lock inst ~me and unlock ~me = L.unlock inst ~me in
-  (lock, unlock)
-
-let uncontended_ns ?(iters = 20_000) alg p =
-  let lock, unlock = instantiate (Native_mem.mem ()) alg p in
   time_batches ~iters (fun () ->
-      lock ~me:0;
-      unlock ~me:0)
+      L.lock inst ~me:0;
+      L.unlock inst ~me:0)
 
-let contended ?(iters = 5_000) ~domains alg (p : Mutex_intf.params) =
+let contended ?(iters = 5_000) ~domains (module A : Mutex_intf.ALG)
+    (p : Mutex_intf.params) =
   if domains > p.Mutex_intf.n then invalid_arg "contended: domains > n";
+  if not (A.supports p) then
+    invalid_arg (Printf.sprintf "%s: unsupported params" A.name);
   let a = arena ~instrument:false ~domains () in
-  let lock, unlock = instantiate a.mem alg p in
   (* A deliberately non-atomic shared counter: its final value equals the
      total number of critical sections iff mutual exclusion held (lost
      updates would show as a shortfall). *)
   let counter = ref 0 in
   let elapsed =
-    run a (fun me () ->
-        for _ = 1 to iters do
-          lock ~me;
-          counter := !counter + 1;
-          unlock ~me
-        done)
+    run a
+      (Cfc_core.Client.clients ~rounds:iters (module A) p a.mem
+         ~section:(fun _ _ -> counter := !counter + 1)
+         Cfc_core.Client.bare)
   in
   let total = domains * iters in
   (float_of_int elapsed /. float_of_int total, !counter = total)

@@ -1,8 +1,9 @@
 (** Locks on real domains: the one domain driver of the native backend
-    ({!run}) and the EXP-NATIVE wall-clock experiments.  {!Lock_service},
-    {!Kv_service}, {!contended} and {!naming_ns} are thin adapters over
-    {!run}: each keeps only its per-operation loop (inside the worker, so
-    the driver adds no call per operation), its witnesses and its result.
+    ({!run}), its client rig ({!rig}) and the EXP-NATIVE wall-clock
+    experiments.  {!Lock_service}, {!Kv_service}, {!contended} and
+    {!naming_ns} are thin adapters over {!run}: each runs its clients
+    ({!Cfc_core.Client}) inside the worker, so the driver adds no call
+    per operation, and keeps only its rig, witnesses and result.
 
     Absolute numbers are machine-dependent; what reproduces the paper is
     the {e shape}: constant uncontended latency for Lamport's algorithm
@@ -25,9 +26,15 @@ val run : arena -> (int -> unit -> unit) -> int
     setup), waits at the start barrier, then runs the returned loop.
     Returns the nanoseconds from barrier release to the last join. *)
 
-val think : seed:int -> pid:int -> mean:int -> unit -> unit
-(** Each call spins [Domain.cpu_relax] for the next draw of
-    {!Cfc_workload.Workload.think_stream} [~seed ~pid ~mean]. *)
+val now_ns : unit -> int  (** the monotonic clock *)
+
+val rig :
+  seed:int -> pid:int -> mean:int -> acquired:(int -> unit) ->
+  Cfc_core.Client.rig
+(** A native rig: each think spins [Domain.cpu_relax] for the next draw
+    of {!Cfc_workload.Workload.think_stream} [~seed ~pid ~mean]; it
+    marks no region and stamps each acquisition with {!now_ns}, and
+    [acquired t0] runs as soon as the lock is held. *)
 
 type latency = { count : int; p50_ns : float; p90_ns : float; p99_ns : float;
                  max_ns : int }
@@ -45,9 +52,10 @@ val uncontended_ns : ?iters:int -> Registry.alg -> Mutex_intf.params -> float
 val contended :
   ?iters:int -> domains:int -> Registry.alg -> Mutex_intf.params ->
   float * bool
-(** [(ns_per_cycle, exclusion_ok)] with [domains] domains hammering the
-    lock; [exclusion_ok] is a shared-counter check (count equals total
-    iterations iff no lost updates inside the critical section). *)
+(** [(ns_per_cycle, exclusion_ok)] with [domains] domains running
+    back-to-back lock cycles (no think, no stamps); [exclusion_ok] is a
+    shared-counter check (count equals total iterations iff no lost
+    updates inside the critical section). *)
 
 val naming_ns : ?repeats:int -> Cfc_naming.Registry.alg -> n:int -> float * bool
 (** Wall-clock for assigning [n] names with [n] domains... capped at the

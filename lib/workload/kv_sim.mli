@@ -1,21 +1,15 @@
-(** Sharded KV service on the event wheel: a bucketed store whose every
-    bucket is guarded by its own instance of one registry lock, driven by
-    {!Ycsb} streams at thousands of simulated clients — the deterministic
-    twin of [Cfc_native.Kv_service].
+(** Sharded KV service on the event wheel: the one KV client body
+    ({!Kv_client}) at thousands of simulated clients, on the wheel rig
+    ({!Workload.wheel_rig}) with its values in counted arena registers —
+    the deterministic twin of [Cfc_native.Kv_service].
 
     Complexity numbers stay honest under multi-lock traffic via
-    {e per-shard projection}: a side-channel records which bucket each
-    client currently targets, and the wheel sink routes the client's
+    {e per-shard projection}: the client body routes each operation's
+    bucket to a side-channel, and the wheel sink sends the client's
     events to that bucket's own [Measures.Online] fold and
     [Spec.Monitor.mutual_exclusion] — so each shard's §2.2 entry windows
     are computed by {!Cfc_core.Measures} exactly as in a single-lock run,
-    and exclusion is monitored on every bucket (DESIGN.md §2).
-
-    Two safety witnesses ride along inside the critical sections: a
-    per-bucket version register bumped by a {e non-atomic}
-    read-then-write per mutating op (a shortfall of the final count is a
-    lost update ⇔ the bucket lock failed), and a version re-read around
-    every scan (a mid-scan change is a torn snapshot). *)
+    and exclusion is monitored on every bucket (DESIGN.md §2). *)
 
 open Cfc_mutex
 
@@ -30,14 +24,9 @@ type kv_config = {
   kc_seed : int;
 }
 
-val kv_default : kv_config
-
 type shard_stat = {
   ss_ops : int;
-  ss_reads : int;
-  ss_updates : int;
-  ss_scans : int;
-  ss_rmws : int;
+  ss_kinds : Kv_client.shard_ops;
   ss_acquisitions : int;  (** completed §2.2 entry windows on this shard *)
   ss_entry_steps_max : int;
   ss_entry_steps_mean : float;

@@ -11,8 +11,6 @@ type config = {
   seed : int;
 }
 
-let default = { n = 4; rounds = 20; mean_think = 10; cs_len = 3; seed = 42 }
-
 type result = {
   acquisitions : int;
   entry_steps_mean : float;
@@ -34,6 +32,12 @@ let think_stream ~seed ~pid =
   fun ~mean ->
     if mean = 0 then 0
     else Ixmath.geometric ~u:(Random.State.float st 1.0) ~mean
+
+let wheel_rig ~seed ~pid ~mean =
+  let draw = think_stream ~seed ~pid in
+  Client.sim ~think:(fun () ->
+      let d = draw ~mean in
+      if d > 0 then Proc.sleep d)
 
 exception Stalled of { alg : string; stopped : Runner.stopped;
                        acquisitions : int; max_steps : int }
@@ -83,26 +87,20 @@ let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
   let p = Mutex_intf.params config.n in
   if not (A.supports p) then invalid_arg (A.name ^ ": unsupported");
   let memory = Memory.create () in
-  let module M = (val Sim_mem.mem memory) in
-  let module L = A.Make (M) in
-  let inst = L.create p in
-  let cs_scratch = M.alloc ~name:"wl.scratch" ~width:8 ~init:0 () in
+  let mem = Sim_mem.mem memory in
+  let module M = (val mem) in
+  let client =
+    Client.clients ~rounds:config.rounds (module A) p mem
+      ~section:(Client.scratch ~name:"wl.scratch" ~cs_len:config.cs_len)
+  in
   let proc me () =
-    let think = think_stream ~seed:config.seed ~pid:me in
-    for _ = 1 to config.rounds do
-      for _ = 1 to think ~mean:config.mean_think do
+    let draw = think_stream ~seed:config.seed ~pid:me in
+    let think () =
+      for _ = 1 to draw ~mean:config.mean_think do
         M.pause ()
-      done;
-      Proc.region Event.Trying;
-      L.lock inst ~me;
-      Proc.region Event.Critical;
-      for k = 1 to config.cs_len do
-        M.write cs_scratch (k land 255)
-      done;
-      Proc.region Event.Exiting;
-      L.unlock inst ~me;
-      Proc.region Event.Remainder
-    done
+      done
+    in
+    client (Client.sim ~think) me ()
   in
   let procs = Array.init config.n proc in
   let out =
@@ -175,10 +173,6 @@ type scale_config = {
   sc_chaos_pairs : int;
 }
 
-let scale_default =
-  { sc_n = 1024; sc_rounds = 2; sc_mean_think = 4096; sc_cs_len = 3;
-    sc_seed = 42; sc_chaos_pairs = 0 }
-
 type scale_result = {
   sr_acquisitions : int;
   sr_crashes : int;
@@ -205,30 +199,16 @@ let run_mutex_scale ?max_turns (module A : Mutex_intf.ALG)
      ^ ": chaos requires a recoverable lock (a crash while holding would \
         deadlock the rig)");
   let memory = Memory.create () in
-  let module M = (val Sim_mem.mem memory) in
-  let module L = A.Make (M) in
-  let inst = L.create p in
-  let cs_scratch = M.alloc ~name:"wl.scratch" ~width:8 ~init:0 () in
-  (* Each process's think stream lives in the spawn closure, outside the
-     thunk body, so a crash–restart continues it rather than replaying
-     it (a restarted incarnation draws fresh think times, as a real
-     client would). *)
+  let client =
+    Client.clients ~rounds:sc.sc_rounds (module A) p (Sim_mem.mem memory)
+      ~section:(Client.scratch ~name:"wl.scratch" ~cs_len:sc.sc_cs_len)
+  in
+  (* Each process's rig, and with it its think stream, lives in the
+     spawn closure, outside the thunk body, so a crash–restart continues
+     the stream rather than replaying it (a restarted incarnation draws
+     fresh think times, as a real client would). *)
   let spawn me =
-    let think = think_stream ~seed:sc.sc_seed ~pid:me in
-    fun () ->
-      for _ = 1 to sc.sc_rounds do
-        let d = think ~mean:sc.sc_mean_think in
-        if d > 0 then Proc.sleep d;
-        Proc.region Event.Trying;
-        L.lock inst ~me;
-        Proc.region Event.Critical;
-        for k = 1 to sc.sc_cs_len do
-          M.write cs_scratch (k land 255)
-        done;
-        Proc.region Event.Exiting;
-        L.unlock inst ~me;
-        Proc.region Event.Remainder
-      done
+    client (wheel_rig ~seed:sc.sc_seed ~pid:me ~mean:sc.sc_mean_think) me
   in
   let faults =
     if sc.sc_chaos_pairs = 0 then []

@@ -23,8 +23,6 @@ type config = {
   seed : int;
 }
 
-val default : config
-
 val think_stream : seed:int -> pid:int -> (mean:int -> int)
 (** Per-process deterministic think-time stream: successive calls return
     independent draws from a geometric distribution on [{0, 1, 2, …}]
@@ -37,6 +35,11 @@ val think_stream : seed:int -> pid:int -> (mean:int -> int)
     (split-seed mixing, not the raw [(seed, pid)] pair, whose adjacent-pid
     streams are correlated).  Every client rig, simulated or native,
     draws here, so the backends agree for identical [(seed, pid)]. *)
+
+val wheel_rig : seed:int -> pid:int -> mean:int -> Cfc_core.Client.rig
+(** The wheel rigs' {!Cfc_core.Client.sim} rig: each think draws the
+    next [think_stream ~seed ~pid ~mean] delay [d] and, when [d > 0],
+    sleeps [d] virtual ticks ({!Cfc_runtime.Proc.sleep}). *)
 
 exception Stalled of { alg : string; stopped : Cfc_runtime.Runner.stopped;
                        acquisitions : int; max_steps : int }
@@ -74,6 +77,9 @@ type result = {
 val run_mutex : ?max_steps:int -> Registry.alg -> config -> result
 (** Runs the workload under round-robin scheduling (every process makes
     progress, delays come from think time) and extracts the metrics.
+    Each process is {!Cfc_core.Client.clients} with the workloads'
+    critical section on a simulator rig whose think is that many
+    [pause] steps.
     Raises on a mutual exclusion violation, and {!Stalled} if the run
     does not reach quiescence within [max_steps] scheduler steps
     (default 10,000,000). *)
@@ -87,8 +93,8 @@ val contention_sweep :
 
     {!run_mutex} materialises a full trace and steps all [n] processes
     round-robin — right for small [n], impossible for [n = 10^5].  The
-    scale rig drives the same think→lock→CS→unlock cycle through the
-    event wheel ({!Cfc_runtime.Wheel}) with streaming sinks
+    scale rig drives the same lock cycle ({!Cfc_core.Client.clients},
+    thinking on {!wheel_rig}) through the event wheel ({!Cfc_runtime.Wheel}) with streaming sinks
     ([Measures.Online] + [Spec.Monitor]), so cost follows the active
     set: sleeping processes are parked on the calendar queue, nothing
     is ever recorded, and the chaos variant is a
@@ -107,8 +113,6 @@ type scale_config = {
       (** crash–recovery pairs injected from {!Cfc_runtime.Fault.chaos};
           0 = crash-free.  Requires a recoverable lock when positive. *)
 }
-
-val scale_default : scale_config
 
 type scale_result = {
   sr_acquisitions : int;  (** completed §2.2 entry windows *)

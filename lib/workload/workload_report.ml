@@ -5,7 +5,8 @@ open Cfc_base
 open Cfc_mutex
 open Cfc_core
 
-let backoff_table ~n ~rounds ~thinks ~seed ~algs =
+let backoff_table () =
+  let n = 6 and rounds = 50 and thinks = [ 0; 5; 40; 200 ] and seed = 11 in
   let t =
     Texttab.create
       ~header:[ "algorithm"; "mean think"; "observed contention";
@@ -16,11 +17,7 @@ let backoff_table ~n ~rounds ~thinks ~seed ~algs =
     (fun alg ->
       let (module A : Mutex_intf.ALG) = alg in
       List.iter
-        (fun think ->
-          let r =
-            Workload.run_mutex alg
-              { Workload.n; rounds; mean_think = think; cs_len = 3; seed }
-          in
+        (fun (think, r) ->
           Texttab.add_row t
             [ A.name; string_of_int think;
               Printf.sprintf "%.2f" r.Workload.observed_contention;
@@ -28,9 +25,9 @@ let backoff_table ~n ~rounds ~thinks ~seed ~algs =
               string_of_int r.Workload.entry_steps_max;
               string_of_int r.Workload.cf_steps;
               string_of_int r.Workload.total_steps ])
-        thinks;
+        (Workload.contention_sweep alg ~n ~rounds ~thinks ~seed);
       Texttab.add_sep t)
-    algs;
+    [ Registry.lamport_fast; Registry.backoff; Registry.bakery ];
   t
 
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,10 @@
 (** The §4 backoff experiment rendered as a table — shared by the bench
     harness and the [cfc-tables backoff] subcommand. *)
 
-val backoff_table :
-  n:int -> rounds:int -> thinks:int list -> seed:int ->
-  algs:Cfc_mutex.Registry.alg list -> Cfc_base.Texttab.t
+val backoff_table : unit -> Cfc_base.Texttab.t
+(** EXP-BACKOFF's one parameter set: lamport-fast, lamport-fast+backoff
+    and bakery at [n = 6], 50 rounds, mean thinks 0, 5, 40 and 200,
+    seed 11, one {!Workload.run_mutex} per row. *)
 
 (** {2 EXP-SCALE rows}
 

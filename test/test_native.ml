@@ -475,7 +475,8 @@ let test_kv_service_smoke () =
       check (mix_name ^ " shard ops resum") r.total_ops
         (sum (fun s -> s.ks_ops));
       check (mix_name ^ " shard kinds resum") r.total_ops
-        (sum (fun s -> s.ks_reads + s.ks_updates + s.ks_scans + s.ks_rmws));
+        (sum (fun { ks_kinds = k; _ } ->
+             Cfc_workload.Kv_client.(k.reads + k.updates + k.scans + k.rmws)));
       check_bool (mix_name ^ " latency ordered") true
         (r.p50_ns <= r.p99_ns && r.p99_ns <= float_of_int r.max_ns);
       check_bool (mix_name ^ " counters active") true
@@ -496,6 +497,50 @@ let test_kv_service_smoke () =
     r.Cfc_native.Kv_service.counters.Cfc_native.Instr_mem.ops;
   check_bool "passthrough rmr zero" true
     (r.Cfc_native.Kv_service.rmr_per_op = 0.0)
+
+(* The two KV backends issue the same operations: the wheel service with
+   two clients and the domain service with two domains, on the same
+   seed, buckets, keys and op count, must count the same reads,
+   updates, scans and rmws on every shard, and both come out with clean
+   witnesses — uniform and Zipfian keys, under mixes A, B and E. *)
+let test_kv_backends_agree () =
+  let open Cfc_workload in
+  let buckets = 4 and keys = 256 and ops = 150 and seed = 9 in
+  List.iter
+    (fun (theta, mix) ->
+      let label s =
+        Printf.sprintf "theta=%.2f mix %s: %s" theta mix.Ycsb.mix_name s
+      in
+      let sim =
+        Kv_sim.run Registry.mcs
+          { Kv_sim.kc_clients = 2; kc_buckets = buckets; kc_keys = keys;
+            kc_ops = ops; kc_mean_think = 8; kc_theta = theta; kc_mix = mix;
+            kc_seed = seed }
+      in
+      let native =
+        Cfc_native.Kv_service.run Registry.mcs
+          { Cfc_native.Kv_service.domains = 2; buckets; keys; ops;
+            mean_think = 0; theta; mix; seed }
+      in
+      check (label "sim witnesses") 0
+        (sim.Kv_sim.kr_lost_updates + sim.Kv_sim.kr_torn_scans);
+      check_bool (label "native witnesses") true
+        native.Cfc_native.Kv_service.exclusion_ok;
+      Array.iteri
+        (fun b (s : Kv_sim.shard_stat) ->
+          let k = native.Cfc_native.Kv_service.shards.(b) in
+          let open Cfc_native.Kv_service in
+          let shard what = label (Printf.sprintf "shard %d %s" b what) in
+          let s' = s.Kv_sim.ss_kinds and k' = k.ks_kinds in
+          check (shard "ops") s.Kv_sim.ss_ops k.ks_ops;
+          check (shard "reads") s'.Kv_client.reads k'.Kv_client.reads;
+          check (shard "updates") s'.updates k'.updates;
+          check (shard "scans") s'.scans k'.scans;
+          check (shard "rmws") s'.rmws k'.rmws)
+        sim.Kv_sim.kr_shards)
+    (List.concat_map
+       (fun theta -> List.map (fun mix -> (theta, mix)) Ycsb.[ mix_a; mix_b; mix_e ])
+       [ 0.0; 0.99 ])
 
 (* The driver's edges: an empty run (rounds = 0, ops = 0) passes the
    start barrier at one and at two domains and reports all-zero figures
@@ -589,4 +634,6 @@ let () =
         [ Alcotest.test_case "sharded smoke + witnesses" `Slow
             test_kv_service_smoke;
           Alcotest.test_case "empty runs and bad dimensions" `Quick
-            test_kv_service_edges ] ) ]
+            test_kv_service_edges;
+          Alcotest.test_case "backends issue the same operations" `Quick
+            test_kv_backends_agree ] ) ]

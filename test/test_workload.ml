@@ -433,8 +433,8 @@ let test_kv_complete_and_clean () =
             (fun s ->
               check (label "kind sum")
                 s.Kv_sim.ss_ops
-                (s.Kv_sim.ss_reads + s.Kv_sim.ss_updates + s.Kv_sim.ss_scans
-               + s.Kv_sim.ss_rmws);
+                (let k = s.Kv_sim.ss_kinds in
+                 Kv_client.(k.reads + k.updates + k.scans + k.rmws));
               check (label "per-shard acq = ops") s.Kv_sim.ss_ops
                 s.Kv_sim.ss_acquisitions)
             r.Kv_sim.kr_shards)
