@@ -137,23 +137,10 @@ let remote_access () =
       let (module A : Mutex_intf.ALG) = alg in
       let p = Mutex_intf.params n in
       if A.supports p then begin
-        let memory = Cfc_runtime.Memory.create () in
-        let proc =
-          Cfc_core.Client.(
-            clients ~rounds alg p (Cfc_runtime.Sim_mem.mem memory)
-              ~section:(scratch ~name:"scratch" ~cs_len)
-              (sim ~think:ignore))
-        in
-        let out =
-          Cfc_runtime.Runner.run ~max_steps:5_000_000 ~memory
-            ~pick:(Cfc_runtime.Schedule.round_robin ())
-            (Array.init n proc)
-        in
         let remote =
-          Array.fold_left max 0
-            (Cfc_core.Measures.Online.remote_accesses
-               (Cfc_core.Measures.Online.of_trace ~nprocs:n
-                  out.Cfc_runtime.Runner.trace))
+          (Cfc_workload.Workload.run_mutex alg
+             { n; rounds; mean_think = 0; cs_len; seed = 0 })
+            .Cfc_workload.Workload.remote_max
         in
         Texttab.add_row t
           [ A.name; string_of_int remote;

@@ -26,11 +26,19 @@ let l_arg =
     value & opt int 2
     & info [ "l" ] ~docv:"L" ~doc:"Atomicity (register width in bits).")
 
+(* A workload that exhausts its step budget is an outcome of its
+   parameters, not a bug: one line on stderr and exit 1. *)
+let or_stalled f =
+  try f ()
+  with Cfc_core.Adversary.Stalled _ as e ->
+    prerr_endline (Printexc.to_string e);
+    exit 1
+
 let mutex_cmd =
   let run n l =
     Texttab.print (Cfc_core.Report.mutex_table_symbolic ());
     print_newline ();
-    Texttab.print (Cfc_core.Report.mutex_table ~n ~l)
+    or_stalled (fun () -> Texttab.print (Cfc_core.Report.mutex_table ~n ~l))
   in
   Cmd.v
     (Cmd.info "mutex" ~doc:"The paper's mutual exclusion bounds table.")
@@ -42,7 +50,7 @@ let naming_cmd =
       Printf.eprintf "warning: tree algorithms need n a power of two\n";
     Texttab.print (Cfc_core.Report.naming_table_symbolic ());
     print_newline ();
-    Texttab.print (Cfc_core.Report.naming_table ~n)
+    or_stalled (fun () -> Texttab.print (Cfc_core.Report.naming_table ~n))
   in
   Cmd.v
     (Cmd.info "naming" ~doc:"The paper's naming bounds table.")
@@ -68,7 +76,8 @@ let sweep_cmd =
 
 let detect_cmd =
   let run n l =
-    Texttab.print (Cfc_core.Report.detection_table ~ns:[ n ] ~ls:[ l ])
+    or_stalled (fun () ->
+        Texttab.print (Cfc_core.Report.detection_table ~ns:[ n ] ~ls:[ l ]))
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Contention detection (§2.6) table.")
@@ -281,14 +290,6 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the event trace of a contended run.")
     Term.(const run $ alg_arg $ n_arg $ l_arg $ seed_arg $ limit_arg)
-
-(* A workload that exhausts its step budget is an outcome of its
-   parameters, not a bug: one line on stderr and exit 1. *)
-let or_stalled f =
-  try f ()
-  with Cfc_workload.Workload.Stalled _ as e ->
-    prerr_endline (Printexc.to_string e);
-    exit 1
 
 let backoff_cmd =
   let run () =

@@ -14,36 +14,33 @@ let instantiate (module A : Cfc_consensus.Consensus_intf.ALG) ~n ~inputs mem =
     Proc.decide d
 
 let system alg ~n ~inputs () =
-  let memory = Memory.create () in
-  let spawn = instantiate alg ~n ~inputs (Sim_mem.mem memory) in
-  (memory, Array.init n spawn)
+  Adversary.arena ~nprocs:n (instantiate alg ~n ~inputs)
 
 let run ?max_steps ?crash_at ~pick alg ~n ~inputs =
-  let memory, procs = system alg ~n ~inputs () in
-  Runner.run ?max_steps ?crash_at ~memory ~pick procs
+  let r =
+    Adversary.run ?max_steps ?crash_at ~pick ~nprocs:n
+      (instantiate alg ~n ~inputs)
+  in
+  Option.iter raise r.Adversary.error;
+  r
 
-let check (out : Runner.outcome) ~n ~inputs =
-  match Spec.agreement out.Runner.trace ~nprocs:n ~inputs with
+let check (r : Adversary.run) ~n ~inputs =
+  let out = r.Adversary.outcome in
+  let at = Measures.Online.events_seen r.Adversary.online in
+  let decided = Measures.Online.decisions r.Adversary.online in
+  match Spec.agreed ~at ~inputs decided with
   | Some _ as v -> v
-  | None ->
-    if not out.Runner.completed then None
-    else begin
-      let decided = Measures.decisions out.Runner.trace ~nprocs:n in
-      let undecided =
-        List.filter
-          (fun pid ->
-            Scheduler.status out.Runner.scheduler pid = Scheduler.Halted
-            && not (List.mem_assoc pid decided))
-          (List.init n Fun.id)
-      in
-      match undecided with
-      | [] -> None
-      | pids ->
-        Some
-          { Spec.at = Trace.length out.Runner.trace;
-            pids;
-            what = "halted without deciding" }
-    end
+  | None when out.Runner.stopped <> Runner.Quiescent -> None
+  | None -> (
+    match
+      List.filter
+        (fun pid ->
+          Scheduler.status out.Runner.scheduler pid = Scheduler.Halted
+          && not (List.mem_assoc pid decided))
+        (List.init n Fun.id)
+    with
+    | [] -> None
+    | pids -> Some { Spec.at; pids; what = "halted without deciding" })
 
 let contention_free (module A : Cfc_consensus.Consensus_intf.ALG) ~n ~inputs =
   let spawn =

@@ -2,7 +2,7 @@
     executable.  Contention-free complexity is measured on solo runs
     exactly as the paper's sentence prescribes ("all other processes have
     either decided, or failed, or not started"); agreement and validity
-    are checked on the trace decisions against the inputs. *)
+    are checked on the run's decisions against the inputs. *)
 
 open Cfc_runtime
 
@@ -34,14 +34,13 @@ val run :
   Cfc_consensus.Registry.alg ->
   n:int ->
   inputs:int array ->
-  Runner.outcome
-(** All [n] processes propose [inputs.(pid)] under the schedule. *)
+  Adversary.run
+(** All [n] processes propose [inputs.(pid)] under the schedule; the
+    {!Adversary.run} whose fold {!check} reads. *)
 
-val check :
-  Runner.outcome -> n:int -> inputs:int array -> Spec.violation option
-(** {!Spec.agreement} (validity and agreement, the model checker's
-    consensus check too), then, on completed runs, termination: every
-    halted process decided. *)
+val check : Adversary.run -> n:int -> inputs:int array -> Spec.violation option
+(** {!Spec.agreed} over the fold's decisions, then, on quiescent runs,
+    termination: every halted process decided. *)
 
 val system :
   Cfc_consensus.Registry.alg -> n:int -> inputs:int array ->

@@ -22,9 +22,7 @@ let instantiate (module D : Mutex_intf.DETECTOR) (p : Mutex_intf.params) mem =
     Proc.decide (if alone then 1 else 0)
 
 let system detector (p : Mutex_intf.params) () =
-  let memory = Memory.create () in
-  let spawn = instantiate detector p (Sim_mem.mem memory) in
-  (memory, Array.init p.Mutex_intf.n spawn)
+  Adversary.arena ~nprocs:p.Mutex_intf.n (instantiate detector p)
 
 let contention_free (module D : Mutex_intf.DETECTOR) (p : Mutex_intf.params) =
   let n = p.Mutex_intf.n in
@@ -50,19 +48,18 @@ let contention_free (module D : Mutex_intf.DETECTOR) (p : Mutex_intf.params) =
   }
 
 let run ?max_steps ?crash_at ~pick detector (p : Mutex_intf.params) =
-  let memory, procs = system detector p () in
-  Runner.run ?max_steps ?crash_at ~memory ~pick procs
+  Adversary.outcome
+    (Adversary.run ?max_steps ?crash_at ~pick ~nprocs:p.Mutex_intf.n
+       (instantiate detector p))
 
-let wc_estimate ~seeds detector (p : Mutex_intf.params) =
+let wc_estimate ?max_steps ~seeds ((module D : Mutex_intf.DETECTOR) as detector)
+    (p : Mutex_intf.params) =
   let n = p.Mutex_intf.n in
   (* Detectors are wait-free (O(log n / l) steps each), so a budget linear
-     in n with generous headroom guarantees the run completes — the
-     default 1M would silently truncate large-n estimates. *)
-  let max_steps = max 1_000_000 (200 * n) in
-  Measures.max_over_schedules ~seeds (fun pick ->
-      let out = run ~max_steps ~pick detector p in
-      if not out.Runner.completed then
-        invalid_arg "Detect_harness.wc_estimate: step budget exhausted";
+     in n with generous headroom lets every run complete — the default
+     1M would stall large-n estimates. *)
+  let max_steps = Option.value max_steps ~default:(max 1_000_000 (200 * n)) in
+  Adversary.worst_case ~alg:D.name ~max_steps ~seeds ~nprocs:n
+    (instantiate detector p) (fun online ->
       Array.fold_left Measures.max_sample Measures.zero
-        (Measures.Online.per_process
-           (Measures.Online.of_trace ~nprocs:n out.Runner.trace)))
+        (Measures.Online.per_process online))

@@ -28,12 +28,6 @@ let pp_sample ppf s =
     s.steps s.registers s.read_steps s.write_steps s.read_registers
     s.write_registers
 
-let max_over_schedules ~seeds measure =
-  List.fold_left
-    (fun acc seed -> max_sample acc (measure (Schedule.random ~seed)))
-    (measure (Schedule.round_robin ()))
-    seeds
-
 let decisions trace ~nprocs =
   ignore nprocs;
   Trace.fold
@@ -470,6 +464,11 @@ module Online = struct
     match find_pstate t pid with
     | Some { decided = Event.Decided v; _ } -> Some v
     | Some _ | None -> None
+
+  let decisions t =
+    List.filter_map
+      (fun pid -> Option.map (fun v -> (pid, v)) (decision t ~pid))
+      (List.init t.o_nprocs Fun.id)
 
   let remote t ~pid =
     match find_pstate t pid with Some p -> p.remote | None -> 0

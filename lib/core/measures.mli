@@ -1,13 +1,14 @@
 (** The paper's complexity measures (§2.2, §3.2).
 
-    Every measure is computed by one streaming fold, {!Online}: a harness
-    feeds it events as a run emits them (a {!Cfc_runtime.Scheduler.sink}), or
-    replays a recorded {!Cfc_runtime.Trace.t} into it with
-    {!Online.of_trace}, and reads the numbers off with the queries below.
-    The harnesses produce the right runs (solo/sequential for
-    contention-free, scheduler families for worst-case estimates).  The
-    only trace scan left is {!decisions}, which the model checker's
-    decision properties run at search nodes. *)
+    Every measure is computed by one streaming fold, {!Online}, and read
+    off with the queries below.  The two drivers feed it: {!Solo} live
+    from the wheel for contention-free runs (solo/sequential), and
+    {!Adversary} once from the recorded trace of each scheduled run (the
+    worst-case schedule family, contended workloads, chaos runs and the
+    recovery sweeps).  {!Online.of_trace} replays a recorded
+    {!Cfc_runtime.Trace.t} for the tests.  The only trace scan left is
+    {!decisions}, which the model checker's decision properties run at
+    search nodes. *)
 
 open Cfc_runtime
 
@@ -30,12 +31,6 @@ val max_sample : sample -> sample -> sample
     separately per measure. *)
 
 val pp_sample : Format.formatter -> sample -> unit
-
-val max_over_schedules :
-  seeds:int list -> (Schedule.picker -> sample) -> sample
-(** The worst-case estimates' schedule family: [measure] of one
-    round-robin run, then of one random run per seed (each given a fresh
-    picker), combined by {!max_sample}. *)
 
 val decisions : Trace.t -> nprocs:int -> (int * int) list
 (** [(pid, value)] for every process that reached [Decided v], in trace
@@ -121,6 +116,9 @@ module Online : sig
       last entry for [pid] in {!Measures.decisions} of the same events.
       A halted process's region is [Halted], so this is where a solo
       run's decision is read. *)
+
+  val decisions : t -> (int * int) list
+  (** [(pid, {!decision})] of every pid that has one, in pid order. *)
 
   val wc_entries : t -> (int * sample) list
   (** The §2.2 worst-case entry-code fragments: for every transition of

@@ -91,33 +91,43 @@ let contention_free (module A : Mutex_intf.ALG) (p : Mutex_intf.params) =
 let contention_free_streaming = contention_free
 
 let system ?rounds alg (p : Mutex_intf.params) () =
-  let memory, spawn = arena ?rounds alg p in
-  (memory, Array.init p.Mutex_intf.n spawn)
+  Adversary.arena ~nprocs:p.Mutex_intf.n (instantiate ?rounds alg p)
 
 let run ?rounds ?max_steps ?crash_at ?faults ~pick alg
     (p : Mutex_intf.params) =
-  let memory, procs = system ?rounds alg p () in
-  Runner.run ?max_steps ?crash_at ?faults ~memory ~pick procs
+  Adversary.outcome
+    (Adversary.run ?max_steps ?crash_at ?faults ~pick ~nprocs:p.Mutex_intf.n
+       (instantiate ?rounds alg p))
 
-let wc_estimate ?(rounds = 2) ~seeds alg (p : Mutex_intf.params) ~entry =
-  Measures.max_over_schedules ~seeds (fun pick ->
-      let out = run ~rounds ~max_steps:2_000_000 ~pick alg p in
-      let online =
-        Measures.Online.of_trace ~nprocs:p.Mutex_intf.n out.Runner.trace
+let wc_budget = 2_000_000
+
+(* The largest §2.2 worst-case entry or exit fragment of one run. *)
+let fragment ~entry online =
+  List.fold_left (fun acc (_, s) -> Measures.max_sample acc s) Measures.zero
+    Measures.Online.((if entry then wc_entries else wc_exits) online)
+
+let wc_estimate ?(rounds = 2) ?(max_steps = wc_budget) ~seeds
+    ((module A : Mutex_intf.ALG) as alg) (p : Mutex_intf.params) ~entry =
+  Adversary.worst_case ~alg:A.name ~max_steps ~seeds ~nprocs:p.Mutex_intf.n
+    (instantiate ~rounds alg p) (fragment ~entry)
+
+let wc_sampled ?(rounds = 2) ~seeds alg (p : Mutex_intf.params) ~entry =
+  Adversary.schedules ~seeds (fun pick ->
+      let r =
+        Adversary.run ~max_steps:wc_budget ~pick ~nprocs:p.Mutex_intf.n
+          (instantiate ~rounds alg p)
       in
-      List.fold_left
-        (fun acc (_, s) -> Measures.max_sample acc s)
-        Measures.zero
-        (if entry then Measures.Online.wc_entries online
-         else Measures.Online.wc_exits online))
+      Option.iter raise r.Adversary.error;
+      ( fragment ~entry r.Adversary.online,
+        List.length (Measures.Online.wc_entries r.Adversary.online) ))
 
 (* Explicit 2-process schedule forcing the eventual winner of Lamport's
    fast algorithm to spin [spin] times inside a window where no process
    occupies the critical section (see the .mli).  Process 0 uses slot 1,
    process 1 slot 2; the step-by-step account is in the comments. *)
 let lamport_unbounded_entry ~spin =
+  let alg = Registry.lamport_fast in
   let p = Mutex_intf.params 2 in
-  let memory, procs = system Registry.lamport_fast p () in
   let prefix =
     List.concat
       [ [ 0; 0; 0; 0 ];  (* p0: b1:=1; x:=1; read y=0; y:=1            *)
@@ -131,16 +141,14 @@ let lamport_unbounded_entry ~spin =
         [ 1; 1 ];        (* p1: read y=1 (gate closed); b2:=0          *)
       ]
   in
-  let pick = Schedule.pref_then prefix (Schedule.round_robin ()) in
-  let out = Runner.run ~memory ~pick procs in
-  (match Spec.mutual_exclusion out.Runner.trace ~nprocs:2 with
-  | None -> ()
-  | Some v ->
-    invalid_arg (Format.asprintf "unbounded demo: %a" Spec.pp_violation v));
-  let entries =
-    Measures.Online.wc_entries
-      (Measures.Online.of_trace ~nprocs:2 out.Runner.trace)
+  let r =
+    Adversary.check ~alg:"unbounded demo"
+      (Adversary.run
+         ~monitors:[ Spec.Monitor.mutual_exclusion () ]
+         ~pick:(Schedule.pref_then prefix (Schedule.round_robin ()))
+         ~nprocs:2 (instantiate alg p))
   in
   List.fold_left
     (fun acc (pid, s) -> if pid = 0 then Measures.max_sample acc s else acc)
-    Measures.zero entries
+    Measures.zero
+    (Measures.Online.wc_entries r.Adversary.online)

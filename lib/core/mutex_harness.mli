@@ -9,8 +9,8 @@
     entry/critical/exit cycle (the unique contention-free run of a
     deterministic algorithm) and the maximum over processes is
     returned.  Worst-case complexity is estimated as a maximum over
-    schedule families, with the provably unbounded entry cost
-    demonstrated constructively by {!lamport_unbounded_entry}. *)
+    {!Adversary}'s schedule family, with the provably unbounded entry
+    cost demonstrated constructively by {!lamport_unbounded_entry}. *)
 
 open Cfc_runtime
 open Cfc_mutex
@@ -69,10 +69,18 @@ val run :
     {!Spec} checkers. *)
 
 val wc_estimate :
+  ?rounds:int -> ?max_steps:int -> seeds:int list -> Registry.alg ->
+  Mutex_intf.params -> entry:bool -> Measures.sample
+(** {!Adversary.worst_case} of the §2.2 worst-case entry ([entry:true])
+    or exit fragments of [rounds] (default 2) cycles, [max_steps]
+    (default 2 000 000) per run. *)
+
+val wc_sampled :
   ?rounds:int -> seeds:int list -> Registry.alg -> Mutex_intf.params ->
-  entry:bool -> Measures.sample
-(** Max over a schedule family (round-robin plus one random schedule per
-    seed) of the §2.2 worst-case entry ([entry:true]) or exit fragments. *)
+  entry:bool -> (Measures.sample * int) list
+(** {!wc_estimate}'s runs, kept even when the budget cut them off: per
+    schedule, the largest fragment — a sampled lower bound if cut — and
+    the acquisitions (of [rounds · n]) completed. *)
 
 val system :
   ?rounds:int -> Registry.alg -> Mutex_intf.params ->
@@ -86,7 +94,7 @@ val lamport_unbounded_entry : spin:int -> Measures.sample
     in which the winning process takes at least [spin] entry steps within
     a window where no process is in its critical section or exit code —
     evidence (growing without bound in [spin]) that the worst-case step
-    complexity of mutual exclusion is infinite [AT92]. *)
+    complexity of mutual exclusion is infinite [AT92].  A checked run. *)
 
 val sample_pids : int -> int list
 (** The processes {!contention_free} measures: all of them for [n <= 64],

@@ -21,23 +21,24 @@ let instantiate (module A : Naming_intf.ALG) ~n mem =
   (* Identical processes: every pid runs the same closure. *)
   fun (_ : int) -> proc
 
-let check_names (module A : Naming_intf.ALG) trace ~n =
-  match Spec.unique_names trace ~nprocs:n ~n with
-  | None -> ()
-  | Some v ->
-    invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v)
-
-let system alg ~n () =
-  let memory = Memory.create () in
-  let spawn = instantiate alg ~n (Sim_mem.mem memory) in
-  (memory, Array.init n spawn)
+let system alg ~n () = Adversary.arena ~nprocs:n (instantiate alg ~n)
 
 let run ?max_steps ?crash_at ~pick alg ~n =
-  let memory, procs = system alg ~n () in
-  Runner.run ?max_steps ?crash_at ~memory ~pick procs
+  Adversary.outcome
+    (Adversary.run ?max_steps ?crash_at ~pick ~nprocs:n (instantiate alg ~n))
 
-let contention_free (module A : Naming_intf.ALG) ~n =
-  let spawn = instantiate (module A) ~n (Sim_mem.mem (Memory.create ())) in
+(* Naming safety over the decisions on the fold: distinct names in
+   1..n. *)
+let check_names (module A : Naming_intf.ALG) ~n online =
+  match
+    Spec.distinct_names ~at:(Measures.Online.events_seen online) ~n
+      (Measures.Online.decisions online)
+  with
+  | None -> ()
+  | Some v -> invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v)
+
+let contention_free ((module A : Naming_intf.ALG) as alg) ~n =
+  let spawn = instantiate alg ~n (Sim_mem.mem (Memory.create ())) in
   Solo.sequential ~nprocs:n ~spawn (fun online ->
       let names =
         Array.init n (fun pid ->
@@ -45,13 +46,7 @@ let contention_free (module A : Naming_intf.ALG) ~n =
             | Some v -> v
             | None -> invalid_arg (Printf.sprintf "%s: p%d got no name" A.name pid))
       in
-      (match
-         Spec.distinct_names ~at:(Measures.Online.events_seen online) ~n
-           (List.init n (fun pid -> (pid, names.(pid))))
-       with
-      | None -> ()
-      | Some v ->
-        invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
+      check_names alg ~n online;
       let per_process = Measures.Online.per_process online in
       {
         max = Array.fold_left Measures.max_sample Measures.zero per_process;
@@ -59,25 +54,16 @@ let contention_free (module A : Naming_intf.ALG) ~n =
         names;
       })
 
-let wc_estimate ~seeds (module A : Naming_intf.ALG) ~n =
+let wc_estimate ?max_steps ~seeds ((module A : Naming_intf.ALG) as alg) ~n =
   (* Naming is wait-free with worst case O(n) steps per process; budget
-     quadratically with headroom so large-n estimates cannot silently
-     truncate (the 1M default would, from n ≈ 2048). *)
-  let max_steps = max 1_000_000 (8 * n * n) in
-  Measures.max_over_schedules ~seeds (fun pick ->
-      let out = run ~max_steps ~pick (module A) ~n in
-      if not out.Runner.completed then
-        invalid_arg (A.name ^ ": wc_estimate step budget exhausted");
-      check_names (module A) out.Runner.trace ~n;
+     quadratically with headroom so large-n estimates cannot stall (the
+     1M default would, from n ≈ 2048). *)
+  let max_steps = Option.value max_steps ~default:(max 1_000_000 (8 * n * n)) in
+  Adversary.worst_case ~alg:A.name ~max_steps ~seeds ~nprocs:n
+    (instantiate alg ~n) (fun online ->
+      check_names alg ~n online;
       Array.fold_left Measures.max_sample Measures.zero
-        (Measures.Online.per_process
-           (Measures.Online.of_trace ~nprocs:n out.Runner.trace)))
+        (Measures.Online.per_process online))
 
-let lockstep_steps (module A : Naming_intf.ALG) ~n =
-  let out = run ~pick:(Schedule.round_robin ()) (module A) ~n in
-  check_names (module A) out.Runner.trace ~n;
-  let steps = ref 0 in
-  for pid = 0 to n - 1 do
-    steps := max !steps (Scheduler.steps_taken out.Runner.scheduler pid)
-  done;
-  !steps
+(* The family's first run, round-robin, is the lockstep adversary. *)
+let lockstep_steps alg ~n = (wc_estimate ~seeds:[] alg ~n).Measures.steps

@@ -1,7 +1,9 @@
 (** Measurement harness for the crash–recovery fault model: drives runs
-    with injected crash/recover points and extracts the §2.2-style
-    recovery-path measures via {!Measures.Online.recovery_paths} and
-    {!Measures.Online.recovery_rmr} — no ad-hoc counting.
+    with injected crash/recover points ({!Adversary.run}, read however
+    they stopped) and extracts the §2.2-style recovery-path measures via
+    {!Measures.Online.recovery_paths} and {!Measures.Online.recovery_rmr}
+    off each run's fold — no ad-hoc counting.  The crash points and the
+    regions they hit are read off the run's trace.
 
     The central object is the {e solo crash-point sweep}: for every step
     [k] of a process's solo lock/unlock cycle, run it again with an
@@ -42,10 +44,6 @@ type double_point = {
   final : recovery;  (** outcome of the last incarnation *)
 }
 
-val pp_recovery : Format.formatter -> recovery -> unit
-val pp_sweep_point : Format.formatter -> sweep_point -> unit
-val pp_double_point : Format.formatter -> double_point -> unit
-
 val solo_sweep :
   ?rounds:int -> ?pid:int -> Registry.alg -> Mutex_intf.params ->
   sweep_point list
@@ -77,16 +75,13 @@ val stalled : sweep_point list -> sweep_point list
 (** The [Stalled] points — empty exactly when every crash point
     recovered. *)
 
-val split_held : sweep_point list -> sweep_point list * sweep_point list
-(** Partition into crashes that hit while (possibly) holding the lock
-    (regions [Critical]/[Exiting]) and the rest. *)
-
 val chaos :
   ?rounds:int -> ?pairs:int -> ?max_steps:int -> seed:int ->
   Registry.alg -> Mutex_intf.params ->
-  Runner.outcome * Fault.plan * Spec.violation option
+  Adversary.run * Fault.plan * Spec.violation option
 (** One seeded chaos run: all [n] processes under round-robin with a
     {!Fault.chaos} schedule of [pairs] (default 2) crash–recovery pairs.
-    Returns the outcome, the injected plan, and the first violation of
-    {!Spec.mutual_exclusion_recoverable} (a process error, e.g. the
-    critical-section witness, also reports as a violation). *)
+    Returns the {!Adversary.run} however it stopped (its fold carries the
+    recovery paths), the injected plan, and the first violation of
+    {!Spec.Monitor.mutual_exclusion_recoverable} (a process error, e.g.
+    the critical-section witness, also reports as a violation). *)

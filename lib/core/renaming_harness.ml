@@ -14,10 +14,7 @@ let instantiate (module A : Cfc_renaming.Renaming_intf.ALG) ~n mem =
     Proc.region Event.Trying;
     Proc.decide (R.rename inst ~me)
 
-let system alg ~n () =
-  let memory = Memory.create () in
-  let spawn = instantiate alg ~n (Sim_mem.mem memory) in
-  (memory, Array.init n spawn)
+let system alg ~n () = Adversary.arena ~nprocs:n (instantiate alg ~n)
 
 (* Restrict a picker to a participant set (non-participants never start,
    matching "k of n processes participate").  The run ends when no
@@ -39,7 +36,6 @@ let restrict participants pick sched =
   next
 
 let run ?max_steps ?crash_at ?participants ~pick alg ~n =
-  let memory, procs = system alg ~n () in
   let pick =
     match participants with
     | None -> pick
@@ -47,7 +43,8 @@ let run ?max_steps ?crash_at ?participants ~pick alg ~n =
       if ps = [] then invalid_arg "Renaming_harness.run: no participants";
       fun sched -> (restrict ps pick sched) ()
   in
-  Runner.run ?max_steps ?crash_at ~memory ~pick procs
+  Adversary.outcome
+    (Adversary.run ?max_steps ?crash_at ~pick ~nprocs:n (instantiate alg ~n))
 
 let contention_free (module A : Cfc_renaming.Renaming_intf.ALG) ~n =
   let spawn = instantiate (module A) ~n (Sim_mem.mem (Memory.create ())) in

@@ -38,7 +38,8 @@ val run :
 (** Run renaming with the given participants (default: everyone);
     non-participants never start — they are simply never scheduled,
     which the solo/sequential/random-over-participants picker realizes
-    via an explicit participant filter. *)
+    via an explicit participant filter (the run then ends
+    [Picker_done]). *)
 
 val system :
   Cfc_renaming.Registry.alg -> n:int ->

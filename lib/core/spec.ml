@@ -126,7 +126,7 @@ end
 let mutex_progress (out : Runner.outcome) =
   let sched = out.Runner.scheduler in
   let nprocs = Scheduler.nprocs sched in
-  if not out.Runner.completed then
+  if out.Runner.stopped <> Runner.Quiescent then
     Some { at = Trace.length out.Runner.trace; pids = []; what = "run did not complete" }
   else begin
     (* Count Critical entries per process. *)
@@ -214,9 +214,7 @@ let at_most_one_winner trace ~nprocs =
         pids = List.map fst ws;
         what = "more than one contention-detection winner" }
 
-let agreement trace ~nprocs ~inputs =
-  let at = Trace.length trace in
-  let decisions = Measures.decisions trace ~nprocs in
+let agreed ~at ~inputs decisions =
   match List.find_opt (fun (_, v) -> not (Array.mem v inputs)) decisions with
   | Some (pid, v) ->
     Some
@@ -232,6 +230,9 @@ let agreement trace ~nprocs ~inputs =
           { at; pids = [ pid ];
             what = Printf.sprintf "disagreement: %d vs %d" v first }
       | None -> None))
+
+let agreement trace ~nprocs ~inputs =
+  agreed ~at:(Trace.length trace) ~inputs (Measures.decisions trace ~nprocs)
 
 let solo_wins ~at ~pid decision =
   match decision with

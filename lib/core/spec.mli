@@ -93,7 +93,7 @@ end
 val mutex_progress : Runner.outcome -> violation option
 (** Deadlock-freedom evidence on a completed run: every process that
     halted went through its critical section at least once, and no
-    process is stuck ([completed] implies all halted/crashed). *)
+    process is stuck (a [Quiescent] stop implies all halted/crashed). *)
 
 val distinct_names :
   at:int -> n:int -> (int * int) list -> violation option
@@ -112,11 +112,15 @@ val all_named : Trace.t -> nprocs:int -> violation option
 val at_most_one_winner : Trace.t -> nprocs:int -> violation option
 (** Contention detection: at most one process decided 1. *)
 
+val agreed :
+  at:int -> inputs:int array -> (int * int) list -> violation option
+(** Consensus validity and agreement over [(pid, value)] decisions: every
+    decided value is some process's input, and all decided values are
+    equal.  The one consensus check of the harness and model checker. *)
+
 val agreement :
   Trace.t -> nprocs:int -> inputs:int array -> violation option
-(** Consensus validity and agreement: every decided value is some
-    process's input, and all decided values are equal.  The one
-    consensus check of both the harness and the model checker. *)
+(** {!agreed} over the trace's decisions. *)
 
 val solo_wins : at:int -> pid:int -> int option -> violation option
 (** Contention detection: in a solo run of [pid], its decision (as read

@@ -57,7 +57,6 @@ let replay_actions ~system ~schedule =
     Runner.memory;
     trace;
     scheduler = sched;
-    completed = (stopped = Runner.Quiescent);
     stopped;
     total_steps = Scheduler.total_steps sched;
   }

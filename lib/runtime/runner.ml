@@ -7,7 +7,6 @@ type outcome = {
   memory : Memory.t;
   trace : Trace.t;
   scheduler : Scheduler.t;
-  completed : bool;
   stopped : stopped;
   total_steps : int;
 }
@@ -62,22 +61,24 @@ let run_collect ?(max_steps = 1_000_000) ?(crash_at = []) ?(faults = [])
             ignore (Scheduler.step sched pid : Scheduler.step_result);
             Fault.Ran)
   in
-  ( { memory; trace; scheduler = sched;
-      completed = (stopped = Quiescent); stopped;
+  ( { memory; trace; scheduler = sched; stopped;
       total_steps = Scheduler.total_steps sched },
     Option.map snd (first_error sched) )
 
+let error outcome =
+  Option.map
+    (fun (pid, error) ->
+      Process_error
+        { pid;
+          steps = Scheduler.steps_taken outcome.scheduler pid;
+          error;
+          recent = Trace.last ~pid 5 outcome.trace })
+    (first_error outcome.scheduler)
+
 let run ?max_steps ?crash_at ?faults ~memory ~pick procs =
   let outcome, _ = run_collect ?max_steps ?crash_at ?faults ~memory ~pick procs in
-  match first_error outcome.scheduler with
-  | None -> outcome
-  | Some (pid, error) ->
-    raise
-      (Process_error
-         { pid;
-           steps = Scheduler.steps_taken outcome.scheduler pid;
-           error;
-           recent = Trace.last ~pid 5 outcome.trace })
+  Option.iter raise (error outcome);
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Stall / error diagnosis                                            *)

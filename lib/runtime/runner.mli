@@ -11,7 +11,6 @@ type outcome = {
   memory : Memory.t;
   trace : Trace.t;
   scheduler : Scheduler.t;
-  completed : bool;   (** [stopped = Quiescent] (kept for compatibility) *)
   stopped : stopped;  (** why the run ended *)
   total_steps : int;  (** shared-memory accesses performed in the run *)
 }
@@ -59,6 +58,9 @@ val run_collect :
   outcome * exn option
 (** Like {!run} but returns a process error instead of raising (used by
     tests that assert on model violations). *)
+
+val error : outcome -> exn option
+(** The {!Process_error} {!run} raises for this outcome, if any. *)
 
 (** {1 Stall / error diagnosis} *)
 

@@ -54,6 +54,7 @@ val run :
     for field (clients draw their think times via
     {!Workload.think_stream} and their operations via {!Ycsb.stream},
     both split-seeded per client).  Raises [Invalid_argument] on an
-    unsupported parameter set, a process error, or a mutual-exclusion
-    violation on any bucket; raises {!Workload.Stalled} if the turn
-    budget (default [20_000 · clients · ops]) is exhausted. *)
+    unsupported parameter set or a mutual-exclusion violation on any
+    bucket, {!Cfc_runtime.Runner.Process_error} on a process error, and
+    {!Cfc_core.Adversary.Stalled} if the turn budget (default
+    [20_000 · clients · ops]) is exhausted ({!Workload.drive}'s tail). *)

@@ -19,6 +19,7 @@ type result = {
   cf_steps : int;
   observed_contention : float;
   total_steps : int;
+  remote_max : int;
 }
 
 (* Geometric think time (expectation [mean], seeded per process): one
@@ -39,20 +40,6 @@ let wheel_rig ~seed ~pid ~mean =
       let d = draw ~mean in
       if d > 0 then Proc.sleep d)
 
-exception Stalled of { alg : string; stopped : Runner.stopped;
-                       acquisitions : int; max_steps : int }
-
-let () =
-  Printexc.register_printer (function
-    | Stalled { alg; stopped; acquisitions; max_steps } ->
-      Some
-        (Format.asprintf
-           "Workload.Stalled: %s exhausted its step budget (%a after %d \
-            scheduler steps, %d acquisitions completed) — raise \
-            ~max_steps or shrink the workload"
-           alg Runner.pp_stopped stopped max_steps acquisitions)
-    | _ -> None)
-
 let drive ?max_turns ?faults ~alg ~rounds ~sink ~nprocs ~spawn ~monitors
     ~acquisitions () =
   let wheel = Wheel.create ~sink ?faults ~nprocs ~spawn () in
@@ -62,65 +49,51 @@ let drive ?max_turns ?faults ~alg ~rounds ~sink ~nprocs ~spawn ~monitors
   let max_turns =
     Option.value max_turns ~default:(20_000 * nprocs * max 1 rounds)
   in
-  let stopped = Wheel.run ~max_turns wheel in
-  (match Wheel.first_error wheel with
-  | None -> ()
-  | Some (pid, e) ->
-    invalid_arg
-      (Printf.sprintf "%s: p%d errored: %s" alg pid (Printexc.to_string e)));
-  List.iter
-    (fun (where, m) ->
-      match Spec.Monitor.result m with
-      | None -> ()
-      | Some v ->
-        invalid_arg (Format.asprintf "%s: %s%a" alg where Spec.pp_violation v))
-    monitors;
-  (match stopped with
-  | Wheel.Quiescent -> ()
-  | Wheel.Out_of_turns ->
-    raise
-      (Stalled { alg; stopped = Runner.Out_of_steps;
-                 acquisitions = acquisitions (); max_steps = max_turns }));
+  let stopped =
+    match Wheel.run ~max_turns wheel with
+    | Wheel.Quiescent -> Runner.Quiescent
+    | Wheel.Out_of_turns -> Runner.Out_of_steps
+  in
+  Adversary.tail ~alg ~max_steps:max_turns ~acquisitions
+    ~error:
+      (Option.map
+         (fun (pid, error) ->
+           Runner.Process_error
+             { pid; steps = Wheel.steps_taken wheel pid; error; recent = [] })
+         (Wheel.first_error wheel))
+    ~violation:
+      (List.find_map
+         (fun (where, m) ->
+           Option.map (fun v -> (where, v)) (Spec.Monitor.result m))
+         monitors)
+    stopped;
   wheel
 
 let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
   let p = Mutex_intf.params config.n in
   if not (A.supports p) then invalid_arg (A.name ^ ": unsupported");
-  let memory = Memory.create () in
-  let mem = Sim_mem.mem memory in
-  let module M = (val mem) in
-  let client =
-    Client.clients ~rounds:config.rounds (module A) p mem
-      ~section:(Client.scratch ~name:"wl.scratch" ~cs_len:config.cs_len)
-  in
-  let proc me () =
-    let draw = think_stream ~seed:config.seed ~pid:me in
-    let think () =
-      for _ = 1 to draw ~mean:config.mean_think do
-        M.pause ()
-      done
+  let instantiate mem =
+    let module M = (val mem : Mem_intf.MEM) in
+    let client =
+      Client.clients ~rounds:config.rounds (module A) p mem
+        ~section:(Client.scratch ~name:"wl.scratch" ~cs_len:config.cs_len)
     in
-    client (Client.sim ~think) me ()
+    fun me () ->
+      let draw = think_stream ~seed:config.seed ~pid:me in
+      let think () =
+        for _ = 1 to draw ~mean:config.mean_think do
+          M.pause ()
+        done
+      in
+      client (Client.sim ~think) me ()
   in
-  let procs = Array.init config.n proc in
-  let out =
-    Runner.run ~max_steps ~memory ~pick:(Schedule.round_robin ()) procs
+  let r =
+    Adversary.check ~alg:A.name
+      (Adversary.run ~max_steps
+         ~monitors:[ Spec.Monitor.mutual_exclusion () ]
+         ~pick:(Schedule.round_robin ()) ~nprocs:config.n instantiate)
   in
-  (match Spec.mutual_exclusion out.Runner.trace ~nprocs:config.n with
-  | None -> ()
-  | Some v ->
-    invalid_arg (Format.asprintf "%s: %a" A.name Spec.pp_violation v));
-  let entries =
-    Measures.Online.wc_entries
-      (Measures.Online.of_trace ~nprocs:config.n out.Runner.trace)
-  in
-  let acquisitions = List.length entries in
-  (* A run cut short by the step budget has under-counted acquisitions
-     and truncated fragments: refuse to report them as measurements. *)
-  (match out.Runner.stopped with
-  | Runner.Quiescent -> ()
-  | (Runner.Out_of_steps | Runner.Picker_done) as stopped ->
-    raise (Stalled { alg = A.name; stopped; acquisitions; max_steps }));
+  let entries = Measures.Online.wc_entries r.Adversary.online in
   let steps = List.map (fun (_, s) -> s.Measures.steps) entries in
   let regs = List.map (fun (_, s) -> s.Measures.registers) entries in
   (* Contention level: how many processes are in their entry code at each
@@ -137,7 +110,7 @@ let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
           in
           trying :: acc
         | Event.Region_change _ | Event.Access _ | Event.Crash | Event.Recover -> acc)
-      [] out.Runner.trace
+      [] r.Adversary.outcome.Runner.trace
   in
   let mean xs =
     if xs = [] then 0.
@@ -146,13 +119,16 @@ let run_mutex ?(max_steps = 10_000_000) (module A : Mutex_intf.ALG) config =
   in
   let cf = Mutex_harness.contention_free (module A) p in
   {
-    acquisitions;
+    acquisitions = List.length entries;
     entry_steps_mean = mean steps;
     entry_steps_max = List.fold_left max 0 steps;
     entry_registers_max = List.fold_left max 0 regs;
     cf_steps = cf.Mutex_harness.max.Measures.steps;
     observed_contention = mean contention_samples;
-    total_steps = out.Runner.total_steps;
+    total_steps = r.Adversary.outcome.Runner.total_steps;
+    remote_max =
+      Array.fold_left max 0
+        (Measures.Online.remote_accesses r.Adversary.online);
   }
 
 let contention_sweep alg ~n ~rounds ~thinks ~seed =

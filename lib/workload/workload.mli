@@ -41,24 +41,17 @@ val wheel_rig : seed:int -> pid:int -> mean:int -> Cfc_core.Client.rig
     next [think_stream ~seed ~pid ~mean] delay [d] and, when [d > 0],
     sleeps [d] virtual ticks ({!Cfc_runtime.Proc.sleep}). *)
 
-exception Stalled of { alg : string; stopped : Cfc_runtime.Runner.stopped;
-                       acquisitions : int; max_steps : int }
-(** Raised by {!run_mutex} when the run exhausts its scheduler-step
-    budget (or the picker gives up) before every process finishes its
-    rounds: the statistics of a truncated run silently under-report
-    acquisitions, so they are never returned. *)
-
 val drive :
   ?max_turns:int -> ?faults:Cfc_runtime.Fault.plan -> alg:string ->
   rounds:int -> sink:Cfc_runtime.Scheduler.sink -> nprocs:int ->
   spawn:(int -> unit -> unit) ->
   monitors:(string * Cfc_core.Spec.Monitor.t) list ->
   acquisitions:(unit -> int) -> unit -> Cfc_runtime.Wheel.t
-(** The wheel rigs' tail ({!run_mutex_scale}, {!Kv_sim.run}): wake every
-    pid, run [max_turns] (default [20_000 · nprocs · max 1 rounds]),
-    then raise on a process error ("<alg>: p<k> errored: …"), on the
-    first monitor [(where, m)] with a violation ("<alg>: <where>…"), and
-    {!Stalled} with [acquisitions ()] on an exhausted budget. *)
+(** The wheel rigs' driver ({!run_mutex_scale}, {!Kv_sim.run}): wake
+    every pid, run [max_turns] (default [20_000 · nprocs · max 1
+    rounds]), then end through {!Cfc_core.Adversary.tail} with the first
+    monitor [(where, m)] holding a violation (a process error carries no
+    recent events: the wheel records no trace). *)
 
 type result = {
   acquisitions : int;  (** completed entries observed *)
@@ -72,6 +65,7 @@ type result = {
       (** mean number of processes in their entry code at entry events —
           the run's actual contention level *)
   total_steps : int;
+  remote_max : int;  (** max per-process {!Cfc_core.Measures.Online.remote} *)
 }
 
 val run_mutex : ?max_steps:int -> Registry.alg -> config -> result
@@ -79,10 +73,9 @@ val run_mutex : ?max_steps:int -> Registry.alg -> config -> result
     progress, delays come from think time) and extracts the metrics.
     Each process is {!Cfc_core.Client.clients} with the workloads'
     critical section on a simulator rig whose think is that many
-    [pause] steps.
-    Raises on a mutual exclusion violation, and {!Stalled} if the run
-    does not reach quiescence within [max_steps] scheduler steps
-    (default 10,000,000). *)
+    [pause] steps.  A checked {!Cfc_core.Adversary.run} of at most
+    [max_steps] (default 10,000,000) scheduler steps with the mutual
+    exclusion monitor. *)
 
 val contention_sweep :
   Registry.alg -> n:int -> rounds:int -> thinks:int list -> seed:int ->
@@ -133,7 +126,6 @@ val run_mutex_scale :
   ?max_turns:int -> Registry.alg -> scale_config -> scale_result
 (** One deterministic scale run: same config + seed ⇒ identical result,
     field for field.  Raises [Invalid_argument] on an unsupported
-    parameter set, on chaos over a non-recoverable lock, on a mutual
-    exclusion violation (streamed {!Spec.Monitor}; the recoverable
-    monitor under chaos), or a process error; raises {!Stalled} if the
-    turn budget (default [20_000 · n · rounds]) is exhausted. *)
+    parameter set or chaos over a non-recoverable lock; then ends
+    through {!drive} (budget [20_000 · n · rounds]) with a streamed
+    {!Spec.Monitor}, the recoverable one under chaos. *)

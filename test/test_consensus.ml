@@ -79,7 +79,8 @@ let prop_agreement_random_with_crashes =
               ~pick:(Cfc_runtime.Schedule.random ~seed)
               (module A) ~n:2 ~inputs
           in
-          out.Cfc_runtime.Runner.completed
+          out.Adversary.outcome.Cfc_runtime.Runner.stopped
+          = Cfc_runtime.Runner.Quiescent
           && Consensus_harness.check out ~n:2 ~inputs = None)
         Registry.all)
 
@@ -125,7 +126,9 @@ let test_decide_after_partner_crash () =
           ~pick:(Cfc_runtime.Schedule.round_robin ())
           (module A) ~n:2 ~inputs
       in
-      check_bool (A.name ^ " completed") true out.Cfc_runtime.Runner.completed;
+      let out = out.Adversary.outcome in
+      check_bool (A.name ^ " completed") true
+        (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent);
       match
         List.assoc_opt 1
           (Measures.decisions out.Cfc_runtime.Runner.trace ~nprocs:2)

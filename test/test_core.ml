@@ -769,8 +769,8 @@ let prop_chaos_matches_oracle =
       List.iter
         (fun ((module A : Mutex_intf.ALG) as alg) ->
           if A.supports p then begin
-            let out, _, _ = Recovery_harness.chaos ~seed ~pairs alg p in
-            let trace = out.Runner.trace in
+            let r, _, _ = Recovery_harness.chaos ~seed ~pairs alg p in
+            let trace = r.Adversary.outcome.Runner.trace in
             let ctx tag =
               Printf.sprintf "%s chaos seed=%d n=%d pairs=%d: %s" A.name seed n
                 pairs tag
@@ -1308,7 +1308,8 @@ let test_cf_driver_equals_traced () =
                  (fst
                     (traced ~n
                        (Consensus_harness.run ~pick:(Schedule.solo me) alg ~n
-                          ~inputs))).(me))))
+                          ~inputs)
+                         .Adversary.outcome)).(me))))
         (List.init (1 lsl n) Fun.id))
     (List.map (fun a -> (a, 2)) Cfc_consensus.Registry.all
     @ [ (Cfc_consensus.Registry.broken_rw, 2);
@@ -1330,6 +1331,55 @@ let test_cf_driver_equals_traced () =
             (Array.init n (fun me -> snd (solo me) me)))
         [ 2; 4 ])
     Cfc_renaming.Registry.all
+
+(* The scheduled driver's stall rule, both sides.  A checked run cut off
+   by its budget raises Adversary.Stalled, whichever path reached it:
+   the worst-case estimates of the three families and the contended
+   workload.  A caller whose result is the stop reads it instead: a
+   participant-restricted renaming run ends Picker_done by design, a
+   recovery sweep over a non-recoverable lock reports Stalled points,
+   and a chaos run cut short returns its outcome. *)
+let test_stall_rule () =
+  let stalls what ~alg ~budget ~below f =
+    match f () with
+    | _ -> Alcotest.failf "%s: cut-off run returned a measurement" what
+    | exception Adversary.Stalled { alg = a; stopped; acquisitions; max_steps }
+      ->
+      Alcotest.(check string) (what ^ ": alg") alg a;
+      check_bool (what ^ ": out of steps") true
+        (stopped = Runner.Out_of_steps);
+      check (what ^ ": budget") budget max_steps;
+      check_bool (what ^ ": under-count") true (acquisitions < below)
+  in
+  let p3 = Mutex_intf.params 3 in
+  stalls "mutex wc entry" ~alg:"bakery" ~budget:10 ~below:6 (fun () ->
+      Mutex_harness.wc_estimate ~max_steps:10 ~seeds:[ 1 ] Registry.bakery p3
+        ~entry:true);
+  stalls "naming wc" ~alg:"tas-scan" ~budget:5 ~below:4 (fun () ->
+      Naming_harness.wc_estimate ~max_steps:5 ~seeds:[ 1 ]
+        Cfc_naming.Registry.tas_scan ~n:4);
+  stalls "detection wc" ~alg:"splitter-tree" ~budget:5 ~below:4 (fun () ->
+      Detect_harness.wc_estimate ~max_steps:5 ~seeds:[ 1 ]
+        Registry.splitter_tree (Mutex_intf.params 4));
+  stalls "workload" ~alg:"bakery" ~budget:50 ~below:30 (fun () ->
+      Cfc_workload.Workload.run_mutex ~max_steps:50 Registry.bakery
+        { Cfc_workload.Workload.n = 3; rounds = 10; mean_think = 0;
+          cs_len = 3; seed = 1 });
+  let out =
+    Renaming_harness.run ~participants:[ 0; 1 ]
+      ~pick:(Schedule.random ~seed:1) Cfc_renaming.Registry.ma_grid ~n:4
+  in
+  check_bool "restricted renaming: picker done" true
+    (out.Runner.stopped = Runner.Picker_done);
+  check_bool "non-recoverable sweep: Stalled points" true
+    (Recovery_harness.stalled
+       (Recovery_harness.solo_sweep Registry.tas_lock (Mutex_intf.params 2))
+    <> []);
+  let r, _, _ =
+    Recovery_harness.chaos ~max_steps:5 ~seed:1 Registry.rec_tas p3
+  in
+  check_bool "chaos cut short: outcome returned" true
+    (r.Adversary.outcome.Runner.stopped = Runner.Out_of_steps)
 
 let () =
   Alcotest.run "cfc_core"
@@ -1366,7 +1416,9 @@ let () =
           Alcotest.test_case "cf error carries the last events" `Quick
             test_cf_error_has_recent_events;
           Alcotest.test_case "cf driver = traced solo runs (decision families)"
-            `Quick test_cf_driver_equals_traced ] );
+            `Quick test_cf_driver_equals_traced;
+          Alcotest.test_case "scheduled driver: stall raises or is read"
+            `Quick test_stall_rule ] );
       ( "bounds",
         [ Alcotest.test_case "spot values" `Quick test_bound_values;
           Alcotest.test_case "monotonicity" `Quick test_bound_monotone;

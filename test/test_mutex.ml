@@ -616,7 +616,7 @@ let prop_at_most_one_winner =
             in
             Spec.at_most_one_winner out.Cfc_runtime.Runner.trace ~nprocs:n
             = None
-            && out.Cfc_runtime.Runner.completed
+            && (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
           end)
         Registry.detectors)
 
@@ -638,7 +638,7 @@ let prop_detector_wait_free =
                 ~pick:(Cfc_runtime.Schedule.random ~seed)
                 (module D) p
             in
-            out.Cfc_runtime.Runner.completed
+            (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
             && Spec.at_most_one_winner out.Cfc_runtime.Runner.trace ~nprocs:n
                = None
           end)

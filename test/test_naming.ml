@@ -138,7 +138,7 @@ let prop_unique_names_random =
                 ~pick:(Cfc_runtime.Schedule.random ~seed)
                 (module A) ~n
             in
-            out.Cfc_runtime.Runner.completed
+            (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
             && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n ~n
                = None
             && Spec.all_named out.Cfc_runtime.Runner.trace ~nprocs:n = None
@@ -178,7 +178,7 @@ let prop_unique_names_crashes =
                 ~pick:(Cfc_runtime.Schedule.random ~seed)
                 (module A) ~n
             in
-            out.Cfc_runtime.Runner.completed
+            (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
             && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n ~n
                = None
             && Spec.all_named out.Cfc_runtime.Runner.trace ~nprocs:n = None

@@ -66,7 +66,7 @@ let prop_unique_random =
           ~pick:(Cfc_runtime.Schedule.random ~seed)
           Registry.ma_grid ~n
       in
-      out.Cfc_runtime.Runner.completed
+      (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
       && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
            ~n:(Ma_grid.name_space ~n ~k:n)
          = None)
@@ -100,7 +100,7 @@ let prop_unique_with_crashes =
           ~pick:(Cfc_runtime.Schedule.random ~seed)
           Registry.ma_grid ~n
       in
-      out.Cfc_runtime.Runner.completed
+      (out.Cfc_runtime.Runner.stopped = Cfc_runtime.Runner.Quiescent)
       && Spec.unique_names out.Cfc_runtime.Runner.trace ~nprocs:n
            ~n:(Ma_grid.name_space ~n ~k:n)
          = None)

@@ -122,7 +122,7 @@ let two_writers () =
 let test_round_robin_interleaving () =
   let memory, procs = two_writers () in
   let out = Runner.run ~memory ~pick:(Schedule.round_robin ()) procs in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   check "total steps" 4 out.Runner.total_steps;
   (* Round robin: p0 writes, p1 writes, p0 reads 9, p1 reads 7. *)
   let evs =
@@ -140,7 +140,7 @@ let test_round_robin_interleaving () =
 let test_solo_schedule () =
   let memory, procs = two_writers () in
   let out = Runner.run ~memory ~pick:(Schedule.solo 1) procs in
-  check_bool "not all completed" false out.Runner.completed;
+  check_bool "not all completed" false (out.Runner.stopped = Runner.Quiescent);
   check "p1 steps" 2 (Scheduler.steps_taken out.Runner.scheduler 1);
   check "p0 steps" 0 (Scheduler.steps_taken out.Runner.scheduler 0);
   check_bool "p0 never started" false (Scheduler.started out.Runner.scheduler 0)
@@ -148,7 +148,7 @@ let test_solo_schedule () =
 let test_sequential_schedule () =
   let memory, procs = two_writers () in
   let out = Runner.run ~memory ~pick:(Schedule.sequential ()) procs in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let pids =
     Trace.to_list out.Runner.trace
     |> List.filter_map (fun e ->
@@ -161,7 +161,7 @@ let test_sequential_schedule () =
 let test_explicit_schedule () =
   let memory, procs = two_writers () in
   let out = Runner.run ~memory ~pick:(Schedule.of_list [ 1; 1; 0; 0 ]) procs in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let first = Trace.get out.Runner.trace 0 in
   check "first actor" 1 first.Event.pid
 
@@ -173,7 +173,7 @@ let test_max_steps_cutoff () =
   let out =
     Runner.run ~max_steps:100 ~memory ~pick:(Schedule.solo 0) [| spin |]
   in
-  check_bool "did not complete" false out.Runner.completed;
+  check_bool "did not complete" false (out.Runner.stopped = Runner.Quiescent);
   check "exactly budget" 100 out.Runner.total_steps
 
 (* pref_then: follows the prefix, then hands over to the continuation. *)
@@ -183,7 +183,7 @@ let test_pref_then () =
     Schedule.pref_then [ 1; 1 ] (Schedule.round_robin ())
   in
   let out = Runner.run ~memory ~pick procs in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let pids =
     Trace.to_list out.Runner.trace
     |> List.filter_map (fun e ->
@@ -236,7 +236,7 @@ let test_regions_and_decide () =
     Proc.decide 42
   in
   let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   (match Scheduler.region out.Runner.scheduler 0 with
   | Event.Halted -> ()
   | _ -> Alcotest.fail "should end halted");
@@ -267,7 +267,7 @@ let test_crash_stops_process () =
       ~pick:(Schedule.round_robin ())
       [| p 0; p 1 |]
   in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   (match Scheduler.status out.Runner.scheduler 0 with
   | Scheduler.Crashed -> ()
   | _ -> Alcotest.fail "p0 should be crashed");
@@ -286,7 +286,7 @@ let test_crash_before_start () =
       [| p |]
   in
   check "no steps" 0 (Scheduler.steps_taken out.Runner.scheduler 0);
-  check_bool "completed (quiescent)" true out.Runner.completed
+  check_bool "completed (quiescent)" true (out.Runner.stopped = Runner.Quiescent)
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans and recovery                                            *)
@@ -356,7 +356,7 @@ let test_recover_restarts_fresh () =
       ~faults:[ Fault.crash ~step:3 ~pid:0; Fault.recover ~step:3 ~pid:0 ]
       ~pick:(Schedule.solo 0) [| p |]
   in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   (* Two starts, each with a fresh [mine]. *)
   check_bool "local state fresh on restart" true
     (!local_seen = [ 1; 1 ]);
@@ -381,7 +381,7 @@ let test_crash_recover_at_step0 () =
       ~faults:[ Fault.crash ~step:0 ~pid:0; Fault.recover ~step:0 ~pid:0 ]
       ~pick:(Schedule.round_robin ()) [| p |]
   in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   check "write landed" 1 (final_value memory "r")
 
 (* A recover scheduled after all runnable work has drained still fires:
@@ -396,7 +396,7 @@ let test_recover_after_quiescence () =
       ~faults:[ Fault.crash ~step:1 ~pid:0; Fault.recover ~step:50 ~pid:0 ]
       ~pick:(Schedule.round_robin ()) [| p |]
   in
-  check_bool "completed" true out.Runner.completed;
+  check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   (* First run crashed after its read; the restart performed both. *)
   check "restart completed the write" 1 (final_value memory "r")
 
@@ -435,7 +435,7 @@ let test_out_of_steps_diagnosis () =
   let out =
     Runner.run ~memory ~max_steps:25 ~pick:(Schedule.solo 0) [| p |]
   in
-  check_bool "not completed" false out.Runner.completed;
+  check_bool "not completed" false (out.Runner.stopped = Runner.Quiescent);
   (match out.Runner.stopped with
   | Runner.Out_of_steps -> ()
   | _ -> Alcotest.fail "expected Out_of_steps");
@@ -578,7 +578,7 @@ let prop_step_counts_independent =
           ~pick:(Schedule.random ~seed)
           (Array.init nprocs (fun i -> p i))
       in
-      out.Runner.completed
+      (out.Runner.stopped = Runner.Quiescent)
       && List.for_all
            (fun pid -> Scheduler.steps_taken out.Runner.scheduler pid = 7)
            (List.init nprocs Fun.id))
@@ -611,7 +611,7 @@ let prop_fields_equal_bits =
         result := Some (M.read word = encoded)
       in
       let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
-      out.Runner.completed && !result = Some true)
+      (out.Runner.stopped = Runner.Quiescent) && !result = Some true)
 
 (* Determinism: the same seed replays to the identical trace — the
    property the model checker's replay exploration rests on. *)
@@ -865,7 +865,7 @@ let test_scheduler_sleep_rule () =
     Runner.run ~memory ~pick:(Schedule.round_robin ())
       [| (fun () -> Proc.sleep 1; M.write r 4; Proc.sleep 1; M.write r 5) |]
   in
-  check_bool "round robin completes" true out.Runner.completed;
+  check_bool "round robin completes" true (out.Runner.stopped = Runner.Quiescent);
   check "round robin steps" 2 out.Runner.total_steps
 
 (* The shared step's rule for a caught register-op exception, on the

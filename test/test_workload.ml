@@ -200,7 +200,7 @@ let test_empty_run () =
 let test_stall_raises () =
   match Workload.run_mutex ~max_steps:50 Registry.bakery (cfg ()) with
   | _ -> Alcotest.fail "truncated run reported as a measurement"
-  | exception Workload.Stalled { alg; acquisitions; max_steps; _ } ->
+  | exception Cfc_core.Adversary.Stalled { alg; acquisitions; max_steps; _ } ->
     check_bool "alg recorded" true (alg = "bakery");
     check "budget recorded" 50 max_steps;
     check_bool "under-count visible" true (acquisitions < 6 * 30)
@@ -511,7 +511,8 @@ let test_wheel_stall_raises () =
   let stalled what f =
     match f () with
     | _ -> Alcotest.failf "%s: truncated run reported as a measurement" what
-    | exception Workload.Stalled { alg; acquisitions; max_steps; stopped } ->
+    | exception
+        Cfc_core.Adversary.Stalled { alg; acquisitions; max_steps; stopped } ->
       check_bool (what ^ " alg recorded") true (alg = "mcs-lock");
       check (what ^ " budget recorded") 40 max_steps;
       check_bool (what ^ " stopped out of steps") true
