@@ -23,7 +23,6 @@ type instantiate = Cfc_base.Mem_intf.mem -> int -> unit -> unit
 type run = {
   outcome : Runner.outcome;
   online : Measures.Online.t;
-  error : exn option;
   violation : Spec.violation option;
   max_steps : int;
 }
@@ -36,20 +35,18 @@ let arena ~nprocs instantiate =
 let run ?(max_steps = 1_000_000) ?crash_at ?faults ?(monitors = []) ~pick
     ~nprocs instantiate =
   let memory, procs = arena ~nprocs instantiate in
-  let outcome, _ =
-    Runner.run_collect ~max_steps ?crash_at ?faults ~memory ~pick procs
-  in
+  let outcome = Runner.run ~max_steps ?crash_at ?faults ~memory ~pick procs in
   let online = Measures.Online.create ~nprocs in
   Trace.iter
     (fun { Event.pid; body; _ } ->
       Measures.Online.feed online ~pid body;
       List.iter (fun m -> Spec.Monitor.feed m ~pid body) monitors)
     outcome.Runner.trace;
-  { outcome; online; error = Runner.error outcome;
-    violation = List.find_map Spec.Monitor.result monitors; max_steps }
+  { outcome; online; max_steps;
+    violation = List.find_map Spec.Monitor.result monitors }
 
 let outcome r =
-  Option.iter raise r.error;
+  Option.iter raise (Runner.error r.outcome);
   r.outcome
 
 let tail ~alg ~max_steps ~acquisitions ~error ~violation stopped =
@@ -62,7 +59,7 @@ let tail ~alg ~max_steps ~acquisitions ~error ~violation stopped =
     raise (Stalled { alg; stopped; acquisitions = acquisitions (); max_steps })
 
 let check ~alg r =
-  tail ~alg ~max_steps:r.max_steps ~error:r.error
+  tail ~alg ~max_steps:r.max_steps ~error:(Runner.error r.outcome)
     ~acquisitions:(fun () ->
       List.length (Measures.Online.wc_entries r.online)
       + List.length (Measures.Online.decisions r.online))
@@ -70,11 +67,12 @@ let check ~alg r =
     r.outcome.Runner.stopped;
   r
 
-let schedules ~seeds f =
-  let first = f (Schedule.round_robin ()) in
-  first :: List.map (fun seed -> f (Schedule.random ~seed)) seeds
+let family ?max_steps ~seeds ~nprocs instantiate f =
+  let each pick = f (run ?max_steps ~pick ~nprocs instantiate) in
+  let first = each (Schedule.round_robin ()) in
+  first :: List.map (fun seed -> each (Schedule.random ~seed)) seeds
 
 let worst_case ~alg ?max_steps ~seeds ~nprocs instantiate read =
   List.fold_left Measures.max_sample Measures.zero
-    (schedules ~seeds (fun pick ->
-         read (check ~alg (run ?max_steps ~pick ~nprocs instantiate)).online))
+    (family ?max_steps ~seeds ~nprocs instantiate (fun r ->
+         read (check ~alg r).online))

@@ -4,9 +4,9 @@
     into a {!Measures.Online} and the given {!Spec.Monitor}s.  {!check}
     ends a run through {!tail}, which the wheel rigs' [Workload.drive]
     share.  Callers whose result is the stop read a run unchecked (the
-    harnesses' [run]s, recovery sweeps, chaos runs).  Left outside: the
-    model checker's [Explore.replay], and the sweeps' crash points, read
-    off the trace. *)
+    harnesses' [run]s, the mutex worst-case runs, recovery sweeps, chaos
+    runs).  Left outside: the model checker's [Explore.replay], and the
+    sweeps' crash points, read off the trace. *)
 
 open Cfc_runtime
 
@@ -26,7 +26,6 @@ type instantiate = Cfc_base.Mem_intf.mem -> int -> unit -> unit
 type run = {
   outcome : Runner.outcome;
   online : Measures.Online.t;  (** the trace, folded once *)
-  error : exn option;  (** {!Runner.error} *)
   violation : Spec.violation option;  (** the first monitor's *)
   max_steps : int;
 }
@@ -54,12 +53,14 @@ val tail :
 val check : alg:string -> run -> run
 (** {!tail} on a run; returns the run if it passed. *)
 
-val schedules : seeds:int list -> (Schedule.picker -> 'a) -> 'a list
-(** [f] of the worst-case family's fresh pickers, in order: round-robin,
-    then one random schedule per seed. *)
+val family :
+  ?max_steps:int -> seeds:int list -> nprocs:int -> instantiate ->
+  (run -> 'a) -> 'a list
+(** [f] of one unchecked {!run} per picker of the worst-case family, in
+    order: round-robin, then one random schedule per seed. *)
 
 val worst_case :
   alg:string -> ?max_steps:int -> seeds:int list -> nprocs:int ->
   instantiate -> (Measures.Online.t -> Measures.sample) -> Measures.sample
-(** The componentwise maximum of [read] over one checked run per
-    {!schedules} picker. *)
+(** The componentwise maximum of [read] over {!family}'s runs, each
+    {!check}ed. *)

@@ -21,7 +21,7 @@ let run ?max_steps ?crash_at ~pick alg ~n ~inputs =
     Adversary.run ?max_steps ?crash_at ~pick ~nprocs:n
       (instantiate alg ~n ~inputs)
   in
-  Option.iter raise r.Adversary.error;
+  ignore (Adversary.outcome r : Runner.outcome);
   r
 
 let check (r : Adversary.run) ~n ~inputs =

@@ -52,14 +52,13 @@ let run ?max_steps ?crash_at ~pick detector (p : Mutex_intf.params) =
     (Adversary.run ?max_steps ?crash_at ~pick ~nprocs:p.Mutex_intf.n
        (instantiate detector p))
 
-let wc_estimate ?max_steps ~seeds ((module D : Mutex_intf.DETECTOR) as detector)
+let wc_estimate ~seeds ((module D : Mutex_intf.DETECTOR) as detector)
     (p : Mutex_intf.params) =
   let n = p.Mutex_intf.n in
   (* Detectors are wait-free (O(log n / l) steps each), so a budget linear
      in n with generous headroom lets every run complete — the default
      1M would stall large-n estimates. *)
-  let max_steps = Option.value max_steps ~default:(max 1_000_000 (200 * n)) in
-  Adversary.worst_case ~alg:D.name ~max_steps ~seeds ~nprocs:n
-    (instantiate detector p) (fun online ->
+  Adversary.worst_case ~alg:D.name ~max_steps:(max 1_000_000 (200 * n))
+    ~seeds ~nprocs:n (instantiate detector p) (fun online ->
       Array.fold_left Measures.max_sample Measures.zero
         (Measures.Online.per_process online))

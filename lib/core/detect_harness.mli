@@ -44,7 +44,6 @@ val system :
 (** Deterministic system builder for the model checker's replay. *)
 
 val wc_estimate :
-  ?max_steps:int -> seeds:int list -> Registry.detector ->
-  Mutex_intf.params -> Measures.sample
+  seeds:int list -> Registry.detector -> Mutex_intf.params -> Measures.sample
 (** {!Adversary.worst_case} of the max per-process sample, all processes
-    competing, [max_steps] (default [max 1_000_000 (200 n)]) per run. *)
+    competing, [max 1_000_000 (200 n)] scheduler steps per run. *)

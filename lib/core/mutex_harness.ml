@@ -99,27 +99,18 @@ let run ?rounds ?max_steps ?crash_at ?faults ~pick alg
     (Adversary.run ?max_steps ?crash_at ?faults ~pick ~nprocs:p.Mutex_intf.n
        (instantiate ?rounds alg p))
 
-let wc_budget = 2_000_000
-
-(* The largest §2.2 worst-case entry or exit fragment of one run. *)
-let fragment ~entry online =
-  List.fold_left (fun acc (_, s) -> Measures.max_sample acc s) Measures.zero
-    Measures.Online.((if entry then wc_entries else wc_exits) online)
-
-let wc_estimate ?(rounds = 2) ?(max_steps = wc_budget) ~seeds
-    ((module A : Mutex_intf.ALG) as alg) (p : Mutex_intf.params) ~entry =
-  Adversary.worst_case ~alg:A.name ~max_steps ~seeds ~nprocs:p.Mutex_intf.n
-    (instantiate ~rounds alg p) (fragment ~entry)
-
-let wc_sampled ?(rounds = 2) ~seeds alg (p : Mutex_intf.params) ~entry =
-  Adversary.schedules ~seeds (fun pick ->
-      let r =
-        Adversary.run ~max_steps:wc_budget ~pick ~nprocs:p.Mutex_intf.n
-          (instantiate ~rounds alg p)
-      in
-      Option.iter raise r.Adversary.error;
-      ( fragment ~entry r.Adversary.online,
-        List.length (Measures.Online.wc_entries r.Adversary.online) ))
+(* Two lock cycles per process, at most 2M scheduler steps per run: the
+   largest §2.2 worst-case entry or exit fragment of each run, and the
+   acquisitions of a run the budget cut off. *)
+let wc_sampled ~seeds alg (p : Mutex_intf.params) ~entry =
+  Adversary.family ~max_steps:2_000_000 ~seeds ~nprocs:p.Mutex_intf.n
+    (instantiate ~rounds:2 alg p) (fun r ->
+      let online = r.Adversary.online in
+      ( List.fold_left (fun acc (_, s) -> Measures.max_sample acc s)
+          Measures.zero
+          Measures.Online.((if entry then wc_entries else wc_exits) online),
+        if (Adversary.outcome r).Runner.stopped = Runner.Quiescent then None
+        else Some (List.length (Measures.Online.wc_entries online)) ))
 
 (* Explicit 2-process schedule forcing the eventual winner of Lamport's
    fast algorithm to spin [spin] times inside a window where no process

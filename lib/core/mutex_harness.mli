@@ -3,7 +3,7 @@
 
     One process body, {!instantiate}, serves every run: the solo runs of
     {!contention_free} (on {!Solo}), the scheduled runs of {!run} and
-    {!wc_estimate}, the model checker's {!system}, and the analyzer's
+    {!wc_sampled}, the model checker's {!system}, and the analyzer's
     checked subjects.  Contention-free complexity is measured exactly:
     each sampled process is driven solo through one
     entry/critical/exit cycle (the unique contention-free run of a
@@ -68,19 +68,15 @@ val run :
     critical section and exit so traces support the §2.2 measures and the
     {!Spec} checkers. *)
 
-val wc_estimate :
-  ?rounds:int -> ?max_steps:int -> seeds:int list -> Registry.alg ->
-  Mutex_intf.params -> entry:bool -> Measures.sample
-(** {!Adversary.worst_case} of the §2.2 worst-case entry ([entry:true])
-    or exit fragments of [rounds] (default 2) cycles, [max_steps]
-    (default 2 000 000) per run. *)
-
 val wc_sampled :
-  ?rounds:int -> seeds:int list -> Registry.alg -> Mutex_intf.params ->
-  entry:bool -> (Measures.sample * int) list
-(** {!wc_estimate}'s runs, kept even when the budget cut them off: per
-    schedule, the largest fragment — a sampled lower bound if cut — and
-    the acquisitions (of [rounds · n]) completed. *)
+  seeds:int list -> Registry.alg -> Mutex_intf.params -> entry:bool ->
+  (Measures.sample * int option) list
+(** One run of two lock cycles per process under each picker of
+    {!Adversary.family}, at most 2 000 000 scheduler steps each: the
+    run's largest §2.2 worst-case entry ([entry:true]) or exit fragment,
+    with [None] if the run completed and [Some k] if the budget cut it
+    off after [k] of its [2n] acquisitions (the fragment is then a
+    sampled lower bound).  Raises a process's error. *)
 
 val system :
   ?rounds:int -> Registry.alg -> Mutex_intf.params ->

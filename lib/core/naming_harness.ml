@@ -54,13 +54,12 @@ let contention_free ((module A : Naming_intf.ALG) as alg) ~n =
         names;
       })
 
-let wc_estimate ?max_steps ~seeds ((module A : Naming_intf.ALG) as alg) ~n =
+let wc_estimate ~seeds ((module A : Naming_intf.ALG) as alg) ~n =
   (* Naming is wait-free with worst case O(n) steps per process; budget
      quadratically with headroom so large-n estimates cannot stall (the
      1M default would, from n ≈ 2048). *)
-  let max_steps = Option.value max_steps ~default:(max 1_000_000 (8 * n * n)) in
-  Adversary.worst_case ~alg:A.name ~max_steps ~seeds ~nprocs:n
-    (instantiate alg ~n) (fun online ->
+  Adversary.worst_case ~alg:A.name ~max_steps:(max 1_000_000 (8 * n * n))
+    ~seeds ~nprocs:n (instantiate alg ~n) (fun online ->
       check_names alg ~n online;
       Array.fold_left Measures.max_sample Measures.zero
         (Measures.Online.per_process online))

@@ -46,11 +46,10 @@ val system :
   Registry.alg -> n:int -> unit -> Cfc_runtime.Memory.t * (unit -> unit) array
 (** Deterministic system builder for the model checker's replay. *)
 
-val wc_estimate :
-  ?max_steps:int -> seeds:int list -> Registry.alg -> n:int -> Measures.sample
+val wc_estimate : seeds:int list -> Registry.alg -> n:int -> Measures.sample
 (** {!Adversary.worst_case} of the max per-process sample (its
-    round-robin run is Theorem 6's lockstep adversary), [max_steps]
-    (default [max 1_000_000 (8 n²)]) per run, checking unique names. *)
+    round-robin run is Theorem 6's lockstep adversary), [max 1_000_000
+    (8 n²)] scheduler steps per run, checking unique names. *)
 
 val lockstep_steps : Registry.alg -> n:int -> int
 (** The Theorem 6 experiment in isolation: run the identical processes in

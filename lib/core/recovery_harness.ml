@@ -115,9 +115,7 @@ let chaos ?(rounds = 2) ?(pairs = 2) ?max_steps ~seed alg
      run length so early and late crashes both occur across seeds. *)
   let horizon = max 1 (20 * n * rounds) in
   let plan = Fault.chaos ~seed ~nprocs:n ~pairs ~horizon in
-  let max_steps =
-    match max_steps with Some m -> m | None -> 10_000 * n * rounds
-  in
+  let max_steps = Option.value max_steps ~default:(10_000 * n * rounds) in
   let r =
     Adversary.run ~max_steps ~faults:plan
       ~monitors:[ Spec.Monitor.mutual_exclusion_recoverable () ]
@@ -125,7 +123,7 @@ let chaos ?(rounds = 2) ?(pairs = 2) ?max_steps ~seed alg
       (Mutex_harness.instantiate ~rounds alg p)
   in
   let violation =
-    match r.Adversary.error with
+    match Runner.error r.Adversary.outcome with
     | Some (Runner.Process_error { error; _ }) ->
       Some
         { Spec.at = Trace.length r.Adversary.outcome.Runner.trace;

@@ -26,8 +26,8 @@ let mutex_table ~n ~l =
   let tree = Mutex_harness.contention_free Registry.tree p in
   let d = tree_depth ~n ~l in
   (* Kessels' runs at large n outlast the step budget: the cell then
-     says it is a sampled lower bound and what each schedule completed. *)
-  let kessels, acquired =
+     says it is a sampled lower bound and what each cut run completed. *)
+  let kessels, cut =
     List.split
       (Mutex_harness.wc_sampled ~seeds:[ 1; 2; 3 ] Registry.kessels_tournament
          (Mutex_intf.params n) ~entry:true)
@@ -36,11 +36,14 @@ let mutex_table ~n ~l =
     List.fold_left (fun acc s -> max acc s.Measures.registers) 0 kessels
   in
   let kessels_registers =
-    if List.for_all (( = ) (2 * n)) acquired then string_of_int regs
-    else
+    match List.filter_map Fun.id cut with
+    | [] -> string_of_int regs
+    | acquired ->
       Printf.sprintf
-        ">= %d (sampled: runs cut at 2M steps completed %s of %d acquisitions)"
-        regs (String.concat "/" (List.map string_of_int acquired)) (2 * n)
+        ">= %d (sampled: %d of %d runs cut by the step budget, after %s \
+         acquisitions)"
+        regs (List.length acquired) (List.length cut)
+        (String.concat "/" (List.map string_of_int acquired))
   in
   let unbounded = Mutex_harness.lamport_unbounded_entry ~spin:(50 * n) in
   let t =

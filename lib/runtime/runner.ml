@@ -41,8 +41,8 @@ let first_error sched =
   in
   find 0
 
-let run_collect ?(max_steps = 1_000_000) ?(crash_at = []) ?(faults = [])
-    ~memory ~pick procs =
+let run ?(max_steps = 1_000_000) ?(crash_at = []) ?(faults = []) ~memory
+    ~pick procs =
   let steps =
     Fault.timeline ~nprocs:(Array.length procs)
       (Fault.of_crash_at crash_at @ faults)
@@ -61,9 +61,8 @@ let run_collect ?(max_steps = 1_000_000) ?(crash_at = []) ?(faults = [])
             ignore (Scheduler.step sched pid : Scheduler.step_result);
             Fault.Ran)
   in
-  ( { memory; trace; scheduler = sched; stopped;
-      total_steps = Scheduler.total_steps sched },
-    Option.map snd (first_error sched) )
+  { memory; trace; scheduler = sched; stopped;
+    total_steps = Scheduler.total_steps sched }
 
 let error outcome =
   Option.map
@@ -74,11 +73,6 @@ let error outcome =
           error;
           recent = Trace.last ~pid 5 outcome.trace })
     (first_error outcome.scheduler)
-
-let run ?max_steps ?crash_at ?faults ~memory ~pick procs =
-  let outcome, _ = run_collect ?max_steps ?crash_at ?faults ~memory ~pick procs in
-  Option.iter raise (error outcome);
-  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Stall / error diagnosis                                            *)

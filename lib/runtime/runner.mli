@@ -1,5 +1,5 @@
 (** Drive a set of processes to completion under a schedule, producing the
-    run's trace.  This is the single entry point harnesses use; custom
+    run's trace.  Harnesses reach it through [Cfc_core.Adversary]; custom
     loops can still use {!Scheduler.step} directly. *)
 
 type stopped =
@@ -21,8 +21,8 @@ exception Process_error of {
   error : exn;           (** the underlying exception *)
   recent : Event.t list; (** its last few trace events, oldest first *)
 }
-(** Raised by {!run} when a process errored (an algorithm bug or a model
-    violation).  A printer is registered, so printing the exception shows
+(** A process errored (an algorithm bug or a model violation); see
+    {!error}.  A printer is registered, so printing the exception shows
     the pid, step count, and trailing events. *)
 
 val run :
@@ -35,7 +35,8 @@ val run :
   outcome
 (** [run ~memory ~pick procs] steps processes chosen by [pick] until the
     picker returns [None], all processes are quiescent, or [max_steps]
-    (default [1_000_000]) scheduler steps have executed.
+    (default [1_000_000]) scheduler steps have executed.  A process that
+    errors stops; nothing is raised ({!error} reads it).
 
     [crash_at] is a list of [(step_index, pid)]: just before scheduler step
     number [step_index] (0-based), [pid] is fail-stopped.  [faults] is the
@@ -45,22 +46,11 @@ val run :
     duplicates, out-of-range pids, crashing an already-crashed pid, …).
     If all runnable processes are exhausted while fault points remain, the
     step clock fast-forwards to the next point so scheduled recoveries
-    still fire.  Raises {!Process_error} if a process errored — errors are
-    never silent. *)
-
-val run_collect :
-  ?max_steps:int ->
-  ?crash_at:(int * int) list ->
-  ?faults:Fault.plan ->
-  memory:Memory.t ->
-  pick:Schedule.picker ->
-  (unit -> unit) array ->
-  outcome * exn option
-(** Like {!run} but returns a process error instead of raising (used by
-    tests that assert on model violations). *)
+    still fire. *)
 
 val error : outcome -> exn option
-(** The {!Process_error} {!run} raises for this outcome, if any. *)
+(** The {!Process_error} of the outcome's first errored process, if
+    any. *)
 
 (** {1 Stall / error diagnosis} *)
 

@@ -10,6 +10,12 @@
    the paper. *)
 
 open Cfc_runtime
+
+(* A scheduled run that raises its process error ({!Runner.error}). *)
+let run ?max_steps ?crash_at ?faults ~memory ~pick procs =
+  let out = Runner.run ?max_steps ?crash_at ?faults ~memory ~pick procs in
+  Option.iter raise (Runner.error out);
+  out
 open Cfc_core
 
 type sample = Measures.sample = {

@@ -374,7 +374,7 @@ let run_crash_proto ~faults ~mid =
     Schedule.pref_then prefix
       (Schedule.pref_then [ 0; 0; 0; 0 ] (Schedule.solo 1))
   in
-  Runner.run ~memory ~pick ~faults procs
+  Oracle.run ~memory ~pick ~faults procs
 
 let test_winner_fragment_survives_fault () =
   let fragment_of out =
@@ -451,7 +451,7 @@ let rmr_per_acq (module A : Mutex_intf.ALG) ~n ~rounds ~cs_len ~seed =
     done
   in
   let out =
-    Runner.run ~memory ~pick:(Schedule.random ~seed) (Array.init n proc)
+    Oracle.run ~memory ~pick:(Schedule.random ~seed) (Array.init n proc)
   in
   let remote =
     Measures.Online.remote_accesses
@@ -1334,11 +1334,11 @@ let test_cf_driver_equals_traced () =
 
 (* The scheduled driver's stall rule, both sides.  A checked run cut off
    by its budget raises Adversary.Stalled, whichever path reached it:
-   the worst-case estimates of the three families and the contended
-   workload.  A caller whose result is the stop reads it instead: a
-   participant-restricted renaming run ends Picker_done by design, a
-   recovery sweep over a non-recoverable lock reports Stalled points,
-   and a chaos run cut short returns its outcome. *)
+   the worst-case family on the mutex, naming and detection bodies and
+   the contended workload.  A caller whose result is the stop reads it
+   instead: a participant-restricted renaming run ends Picker_done by
+   design, a recovery sweep over a non-recoverable lock reports Stalled
+   points, and a chaos run cut short returns its outcome. *)
 let test_stall_rule () =
   let stalls what ~alg ~budget ~below f =
     match f () with
@@ -1351,16 +1351,18 @@ let test_stall_rule () =
       check (what ^ ": budget") budget max_steps;
       check_bool (what ^ ": under-count") true (acquisitions < below)
   in
+  let worst_case what ~alg ~budget ~below ~nprocs instantiate =
+    stalls what ~alg ~budget ~below (fun () ->
+        Adversary.worst_case ~alg ~max_steps:budget ~seeds:[ 1 ] ~nprocs
+          instantiate (fun _ -> Measures.zero))
+  in
   let p3 = Mutex_intf.params 3 in
-  stalls "mutex wc entry" ~alg:"bakery" ~budget:10 ~below:6 (fun () ->
-      Mutex_harness.wc_estimate ~max_steps:10 ~seeds:[ 1 ] Registry.bakery p3
-        ~entry:true);
-  stalls "naming wc" ~alg:"tas-scan" ~budget:5 ~below:4 (fun () ->
-      Naming_harness.wc_estimate ~max_steps:5 ~seeds:[ 1 ]
-        Cfc_naming.Registry.tas_scan ~n:4);
-  stalls "detection wc" ~alg:"splitter-tree" ~budget:5 ~below:4 (fun () ->
-      Detect_harness.wc_estimate ~max_steps:5 ~seeds:[ 1 ]
-        Registry.splitter_tree (Mutex_intf.params 4));
+  worst_case "mutex wc" ~alg:"bakery" ~budget:10 ~below:6 ~nprocs:3
+    (Mutex_harness.instantiate ~rounds:2 Registry.bakery p3);
+  worst_case "naming wc" ~alg:"tas-scan" ~budget:5 ~below:4 ~nprocs:4
+    (Naming_harness.instantiate Cfc_naming.Registry.tas_scan ~n:4);
+  worst_case "detection wc" ~alg:"splitter-tree" ~budget:5 ~below:4 ~nprocs:4
+    (Detect_harness.instantiate Registry.splitter_tree (Mutex_intf.params 4));
   stalls "workload" ~alg:"bakery" ~budget:50 ~below:30 (fun () ->
       Cfc_workload.Workload.run_mutex ~max_steps:50 Registry.bakery
         { Cfc_workload.Workload.n = 3; rounds = 10; mean_think = 0;

@@ -244,6 +244,12 @@ let prop_recoverable_chaos =
 (* Worst case                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The max fragment of worst-case runs that must all have completed. *)
+let wc_complete runs =
+  check_bool "every worst-case run completed" true
+    (List.for_all (fun (_, cut) -> cut = None) runs);
+  List.fold_left Measures.max_sample Measures.zero (List.map fst runs)
+
 (* Kessels tournament: worst-case register complexity stays O(log n) (at
    most 4 per level) no matter the schedule — the [Kes82] table entry. *)
 let test_kessels_wc_registers () =
@@ -251,8 +257,9 @@ let test_kessels_wc_registers () =
     (fun n ->
       let p = Mutex_intf.params n in
       let s =
-        Mutex_harness.wc_estimate ~seeds:[ 1; 2; 3 ]
-          Registry.kessels_tournament p ~entry:true
+        wc_complete
+          (Mutex_harness.wc_sampled ~seeds:[ 1; 2; 3 ]
+             Registry.kessels_tournament p ~entry:true)
       in
       let bound = 4 * Ixmath.ceil_log2 (max 2 n) in
       check_bool
@@ -281,7 +288,7 @@ let test_packed_slow_path_scan () =
       Cfc_runtime.Schedule.pref_then prefix
         (Cfc_runtime.Schedule.round_robin ())
     in
-    let out = Cfc_runtime.Runner.run ~memory ~pick procs in
+    let out = Oracle.run ~memory ~pick procs in
     (match
        Spec.mutual_exclusion out.Cfc_runtime.Runner.trace ~nprocs:n
      with
@@ -323,7 +330,8 @@ let test_wc_exit_small () =
       let p = Mutex_intf.params 4 in
       if A.supports p then begin
         let s =
-          Mutex_harness.wc_estimate ~seeds:[ 7 ] (module A) p ~entry:false
+          wc_complete
+            (Mutex_harness.wc_sampled ~seeds:[ 7 ] (module A) p ~entry:false)
         in
         check_bool
           (Printf.sprintf "%s exit steps %d bounded" A.name s.Measures.steps)
@@ -478,7 +486,7 @@ let prop_cf_remote_equals_registers =
           else begin
             let memory, procs = Mutex_harness.system (module A) p () in
             let out =
-              Cfc_runtime.Runner.run ~memory
+              Oracle.run ~memory
                 ~pick:(Cfc_runtime.Schedule.solo 0)
                 procs
             in
@@ -524,7 +532,7 @@ let test_mcs_local_spin () =
       done
     in
     let out =
-      Cfc_runtime.Runner.run ~memory
+      Oracle.run ~memory
         ~pick:(Cfc_runtime.Schedule.round_robin ())
         (Array.init n proc)
     in

@@ -133,7 +133,7 @@ let sim_solo_counters (module A : Mutex_intf.ALG) ~rounds ~cs_len =
     done
   in
   let out =
-    Runner.run ~memory ~pick:(Schedule.solo 0) [| proc0; (fun () -> ()) |]
+    Oracle.run ~memory ~pick:(Schedule.solo 0) [| proc0; (fun () -> ()) |]
   in
   let online = Cfc_core.Measures.Online.of_trace ~nprocs:2 out.Runner.trace in
   let s = Cfc_core.Measures.Online.process_total online ~pid:0 in

@@ -121,7 +121,7 @@ let two_writers () =
 
 let test_round_robin_interleaving () =
   let memory, procs = two_writers () in
-  let out = Runner.run ~memory ~pick:(Schedule.round_robin ()) procs in
+  let out = Oracle.run ~memory ~pick:(Schedule.round_robin ()) procs in
   check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   check "total steps" 4 out.Runner.total_steps;
   (* Round robin: p0 writes, p1 writes, p0 reads 9, p1 reads 7. *)
@@ -139,7 +139,7 @@ let test_round_robin_interleaving () =
 
 let test_solo_schedule () =
   let memory, procs = two_writers () in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 1) procs in
+  let out = Oracle.run ~memory ~pick:(Schedule.solo 1) procs in
   check_bool "not all completed" false (out.Runner.stopped = Runner.Quiescent);
   check "p1 steps" 2 (Scheduler.steps_taken out.Runner.scheduler 1);
   check "p0 steps" 0 (Scheduler.steps_taken out.Runner.scheduler 0);
@@ -147,7 +147,7 @@ let test_solo_schedule () =
 
 let test_sequential_schedule () =
   let memory, procs = two_writers () in
-  let out = Runner.run ~memory ~pick:(Schedule.sequential ()) procs in
+  let out = Oracle.run ~memory ~pick:(Schedule.sequential ()) procs in
   check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let pids =
     Trace.to_list out.Runner.trace
@@ -160,7 +160,7 @@ let test_sequential_schedule () =
 
 let test_explicit_schedule () =
   let memory, procs = two_writers () in
-  let out = Runner.run ~memory ~pick:(Schedule.of_list [ 1; 1; 0; 0 ]) procs in
+  let out = Oracle.run ~memory ~pick:(Schedule.of_list [ 1; 1; 0; 0 ]) procs in
   check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let first = Trace.get out.Runner.trace 0 in
   check "first actor" 1 first.Event.pid
@@ -171,7 +171,7 @@ let test_max_steps_cutoff () =
   let r = M.alloc ~width:1 ~init:0 () in
   let spin () = while M.read r = 0 do () done in
   let out =
-    Runner.run ~max_steps:100 ~memory ~pick:(Schedule.solo 0) [| spin |]
+    Oracle.run ~max_steps:100 ~memory ~pick:(Schedule.solo 0) [| spin |]
   in
   check_bool "did not complete" false (out.Runner.stopped = Runner.Quiescent);
   check "exactly budget" 100 out.Runner.total_steps
@@ -182,7 +182,7 @@ let test_pref_then () =
   let pick =
     Schedule.pref_then [ 1; 1 ] (Schedule.round_robin ())
   in
-  let out = Runner.run ~memory ~pick procs in
+  let out = Oracle.run ~memory ~pick procs in
   check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   let pids =
     Trace.to_list out.Runner.trace
@@ -205,7 +205,7 @@ let test_biased_favoring () =
     done
   in
   let out =
-    Runner.run ~max_steps:80 ~memory
+    Oracle.run ~max_steps:80 ~memory
       ~pick:(Schedule.biased ~seed:3 ~favored:2 ~bias:16)
       (Array.init 4 (fun i -> p i))
   in
@@ -235,7 +235,7 @@ let test_regions_and_decide () =
     M.write r 1;
     Proc.decide 42
   in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+  let out = Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   check_bool "completed" true (out.Runner.stopped = Runner.Quiescent);
   (match Scheduler.region out.Runner.scheduler 0 with
   | Event.Halted -> ()
@@ -263,7 +263,7 @@ let test_crash_stops_process () =
   in
   (* Crash p0 after its 3rd scheduler step. *)
   let out =
-    Runner.run ~memory ~crash_at:[ (3, 0) ]
+    Oracle.run ~memory ~crash_at:[ (3, 0) ]
       ~pick:(Schedule.round_robin ())
       [| p 0; p 1 |]
   in
@@ -282,7 +282,7 @@ let test_crash_before_start () =
   let r = M.alloc ~width:8 ~init:0 () in
   let p () = M.write r 1 in
   let out =
-    Runner.run ~memory ~crash_at:[ (0, 0) ] ~pick:(Schedule.round_robin ())
+    Oracle.run ~memory ~crash_at:[ (0, 0) ] ~pick:(Schedule.round_robin ())
       [| p |]
   in
   check "no steps" 0 (Scheduler.steps_taken out.Runner.scheduler 0);
@@ -352,7 +352,7 @@ let test_recover_restarts_fresh () =
     ignore (M.read sum)
   in
   let out =
-    Runner.run ~memory
+    Oracle.run ~memory
       ~faults:[ Fault.crash ~step:3 ~pid:0; Fault.recover ~step:3 ~pid:0 ]
       ~pick:(Schedule.solo 0) [| p |]
   in
@@ -377,7 +377,7 @@ let test_crash_recover_at_step0 () =
   let r = M.alloc ~name:"r" ~width:4 ~init:0 () in
   let p () = M.write r 1 in
   let out =
-    Runner.run ~memory
+    Oracle.run ~memory
       ~faults:[ Fault.crash ~step:0 ~pid:0; Fault.recover ~step:0 ~pid:0 ]
       ~pick:(Schedule.round_robin ()) [| p |]
   in
@@ -392,7 +392,7 @@ let test_recover_after_quiescence () =
   let r = M.alloc ~name:"r" ~width:8 ~init:0 () in
   let p () = M.write r (M.read r + 1) in
   let out =
-    Runner.run ~memory
+    Oracle.run ~memory
       ~faults:[ Fault.crash ~step:1 ~pid:0; Fault.recover ~step:50 ~pid:0 ]
       ~pick:(Schedule.round_robin ()) [| p |]
   in
@@ -415,7 +415,7 @@ let test_chaos_deterministic () =
       done
     in
     let out =
-      Runner.run ~memory ~faults:(mk 7)
+      Oracle.run ~memory ~faults:(mk 7)
         ~pick:(Schedule.round_robin ())
         (Array.init 3 (fun i -> p i))
     in
@@ -433,7 +433,7 @@ let test_out_of_steps_diagnosis () =
     done
   in
   let out =
-    Runner.run ~memory ~max_steps:25 ~pick:(Schedule.solo 0) [| p |]
+    Oracle.run ~memory ~max_steps:25 ~pick:(Schedule.solo 0) [| p |]
   in
   check_bool "not completed" false (out.Runner.stopped = Runner.Quiescent);
   (match out.Runner.stopped with
@@ -458,7 +458,7 @@ let test_process_error_context () =
     ignore (M.read r);
     failwith "algorithm bug"
   in
-  match Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] with
+  match Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] with
   | _ -> Alcotest.fail "expected Process_error"
   | exception Runner.Process_error { pid; steps; error; recent } ->
     check "errored pid" 0 pid;
@@ -472,10 +472,8 @@ let test_model_violation_is_error () =
   let (module M) = Sim_mem.mem memory in
   let r = M.alloc_bit ~model:Model.tas_only ~init:0 () in
   let p () = ignore (M.read r) in
-  let _, err =
-    Runner.run_collect ~memory ~pick:(Schedule.solo 0) [| p |]
-  in
-  check_bool "violation detected" true (err <> None)
+  let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+  check_bool "violation detected" true (Runner.error out <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Trace queries                                                       *)
@@ -492,7 +490,7 @@ let test_trace_measures () =
     M.write b 2;
     M.write a 3
   in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+  let out = Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   let t = out.Runner.trace in
   check "steps" 4 (Oracle.step_count ~pid:0 t);
   check "registers" 2 (Oracle.distinct_registers ~pid:0 t);
@@ -512,7 +510,7 @@ let test_trace_fragment_bounds () =
       M.write a i
     done
   in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+  let out = Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   let t = out.Runner.trace in
   check "window" 2 (Oracle.step_count ~from:1 ~until:3 ~pid:0 t)
 
@@ -527,7 +525,7 @@ let test_write_field () =
     M.write_field w ~index:3 ~width:2 2;
     ignore (M.read w)
   in
-  let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+  let out = Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] in
   check "three steps" 3 (Oracle.step_count ~pid:0 out.Runner.trace);
   check "one register" 1 (Oracle.distinct_registers ~pid:0 out.Runner.trace);
   let reads, writes = Oracle.rw_step_count ~pid:0 out.Runner.trace in
@@ -545,8 +543,8 @@ let test_write_field () =
   let (module M2) = Sim_mem.mem m2 in
   let w2 = M2.alloc ~width:4 ~init:0 () in
   let bad () = M2.write_field w2 ~index:2 ~width:2 1 in
-  let _, err = Runner.run_collect ~memory:m2 ~pick:(Schedule.solo 0) [| bad |] in
-  check_bool "out of range rejected" true (err <> None)
+  let out = Runner.run ~memory:m2 ~pick:(Schedule.solo 0) [| bad |] in
+  check_bool "out of range rejected" true (Runner.error out <> None)
 
 (* Memory fingerprints distinguish states and match after reset. *)
 let test_memory_fingerprint () =
@@ -574,7 +572,7 @@ let prop_step_counts_independent =
         done
       in
       let out =
-        Runner.run ~memory
+        Oracle.run ~memory
           ~pick:(Schedule.random ~seed)
           (Array.init nprocs (fun i -> p i))
       in
@@ -610,7 +608,7 @@ let prop_fields_equal_bits =
         in
         result := Some (M.read word = encoded)
       in
-      let out = Runner.run ~memory ~pick:(Schedule.solo 0) [| p |] in
+      let out = Oracle.run ~memory ~pick:(Schedule.solo 0) [| p |] in
       (out.Runner.stopped = Runner.Quiescent) && !result = Some true)
 
 (* Determinism: the same seed replays to the identical trace — the
@@ -630,7 +628,7 @@ let prop_replay_deterministic =
           done
         in
         let out =
-          Runner.run ~memory
+          Oracle.run ~memory
             ~pick:(Schedule.random ~seed)
             (Array.init nprocs (fun i -> p i))
         in
@@ -701,7 +699,7 @@ let test_wheel_matches_scheduler_solo () =
     M.write r 7;
     Proc.region Event.Remainder
   in
-  let sched = Runner.run ~memory ~pick:(Schedule.solo 0) [| proc |] in
+  let sched = Oracle.run ~memory ~pick:(Schedule.solo 0) [| proc |] in
   Memory.reset memory;
   let tr = Trace.create () in
   let wheel =
@@ -862,7 +860,7 @@ let test_scheduler_sleep_rule () =
   check "p1 steps" 1 (Scheduler.steps_taken sched 1);
   check "sleeps are not events" 5 (Trace.length trace);
   let out =
-    Runner.run ~memory ~pick:(Schedule.round_robin ())
+    Oracle.run ~memory ~pick:(Schedule.round_robin ())
       [| (fun () -> Proc.sleep 1; M.write r 4; Proc.sleep 1; M.write r 5) |]
   in
   check_bool "round robin completes" true (out.Runner.stopped = Runner.Quiescent);
@@ -1054,7 +1052,7 @@ let prop_wheel_heap_order =
 let solo_both ?(faults = []) alg p me =
   let n = p.Cfc_mutex.Mutex_intf.n in
   let memory, procs = Cfc_core.Mutex_harness.system alg p () in
-  let out = Runner.run ~faults ~memory ~pick:(Schedule.solo me) procs in
+  let out = Oracle.run ~faults ~memory ~pick:(Schedule.solo me) procs in
   let _, procs = Cfc_core.Mutex_harness.system alg p () in
   let tr = Trace.create () in
   let wheel =
@@ -1424,7 +1422,7 @@ let test_replay_mismatch () =
   (* the arena performs real accesses again, on both engines *)
   Memory.reset memory;
   let out =
-    Runner.run ~memory ~pick:(Schedule.solo 0)
+    Oracle.run ~memory ~pick:(Schedule.solo 0)
       [| (fun () -> M.write r 5; ignore (M.read r)) |]
   in
   check "scheduler writes through" 5 (final_value memory "r");
