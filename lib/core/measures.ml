@@ -173,10 +173,21 @@ module Online = struct
   let c_last = 5
   let c_reg = 6
 
+  (* The page directory, from register id to the register's first row.
+     A page is one int array covering [page_size] consecutive ids, one
+     entry per id: -1 while no process has touched the register in this
+     fold, else its owner, the pid that touched it first, and the number
+     of the owner's row for it, packed as [row lsl pid_bits lor owner].
+     The owner finds its row through the entry; any other pid keeps the
+     register in its own [slot_of] table. *)
+  let page_bits = 6
+  let page_size = 1 lsl page_bits
+
   type pstate = {
     mutable region : Event.region;
-    slot_of : Itbl.t;   (* register id -> row in [slots] *)
+    slot_of : Itbl.t;   (* register id -> row in [slots], non-owned rows *)
     mutable slots : int array;
+    mutable rows : int;  (* rows in use in [slots] *)
     total : acc;        (* every access of the run *)
     cf : acc;           (* accesses while own region is Trying/Exiting *)
     entry : acc;        (* current §2.2 entry window candidate *)
@@ -196,6 +207,8 @@ module Online = struct
 
   type t = {
     o_nprocs : int;
+    pid_bits : int;  (* a pid fits in [pid_bits] bits ... *)
+    pid_mask : int;  (* ... and is [v land pid_mask] of a page entry [v] *)
     proc_of : Itbl.t;   (* pid -> index in [procs] *)
     mutable procs : pstate array;
         (* by index; the first [pooled] cells hold records, the first
@@ -215,7 +228,11 @@ module Online = struct
     mutable exits : (int * sample) list;
     mutable recs : (int * sample) list;
     mutable rec_rmrs : (int * int) list;
-    reg_of : Itbl.t;    (* register id -> global index *)
+    page_of : Itbl.t;   (* page number -> index in [pages] *)
+    mutable pages : int array array;
+    mutable last_pno : int;  (* [last_pidx] caches the most recent page *)
+    mutable last_pidx : int;
+    mutable nregs : int;  (* registers touched: global indices in use *)
     mutable regs : Register.t array;  (* by global index *)
     mutable last_write : int array;
         (* by global index: index of the register's last write event, -1
@@ -225,12 +242,20 @@ module Online = struct
 
   let pstate_create () =
     { region = Event.Remainder;
-      slot_of = Itbl.create 8; slots = [||];
+      slot_of = Itbl.create 8; slots = [||]; rows = 0;
       total = acc_create (); cf = acc_create ();
       entry = acc_create (); entry_gen = 0;
       exit_ = acc_create (); rec_ = acc_create ();
       rec_open = false; rec_rmr = 0; remote = 0; crashed_at = -1;
       decided = Event.Remainder }
+
+  (* Fill values of [procs] and [regs], made once: a fill made on the
+     spot would be young, and [Array.make] runs a whole minor collection
+     before it fills an array of more than 256 words with a young value.
+     Neither is read: [vacant] is [last] only while [last_pid] is -1. *)
+  let vacant = pstate_create ()
+  let vacant_reg =
+    Register.make ~id:(-1) ~name:"vacant" ~width:1 ~model:None ~init:0
 
   (* [p] as [pstate_create] makes it, keeping its tables' capacity.  The
      accumulators' generations move on instead of restarting, so every
@@ -238,6 +263,7 @@ module Online = struct
   let pstate_recycle p =
     p.region <- Event.Remainder;
     Itbl.clear p.slot_of;
+    p.rows <- 0;
     acc_reset p.total;
     acc_reset p.cf;
     acc_reset p.entry;
@@ -251,12 +277,15 @@ module Online = struct
     p.decided <- Event.Remainder
 
   let create ~nprocs =
-    { o_nprocs = nprocs;
+    let rec bits b = if b = 62 || 1 lsl b >= nprocs then b else bits (b + 1) in
+    let pid_bits = bits 0 in
+    { o_nprocs = nprocs; pid_bits; pid_mask = (1 lsl pid_bits) - 1;
       proc_of = Itbl.create 8; procs = [||]; pooled = 0;
-      last_pid = -1; last = pstate_create ();
+      last_pid = -1; last = vacant;
       events = 0; occupied = 0; clear_gen = 0;
       entries = []; exits = []; recs = []; rec_rmrs = [];
-      reg_of = Itbl.create 16; regs = [||]; last_write = [||] }
+      page_of = Itbl.create 8; pages = [||]; last_pno = -1; last_pidx = 0;
+      nregs = 0; regs = [||]; last_write = [||] }
 
   (* [a] with room for index [n], keeping its first [n] cells. *)
   let grown a n fill =
@@ -287,7 +316,7 @@ module Online = struct
         end
         else begin
           let p = pstate_create () in
-          t.procs <- grown t.procs n p;
+          t.procs <- grown t.procs n vacant;
           t.procs.(n) <- p;
           t.pooled <- n + 1;
           p
@@ -298,34 +327,68 @@ module Online = struct
       p
     end
 
-  let reg_index t (r : Register.t) =
-    let n = t.reg_of.Itbl.size in
-    let g = Itbl.find_or_add t.reg_of r.Register.id n in
-    if g >= 0 then g
-    else begin
-      t.regs <- grown t.regs n r;
-      t.regs.(n) <- r;
-      t.last_write <- grown t.last_write n (-1);
-      t.last_write.(n) <- -1;
-      n
-    end
+  (* Page number [pno], made vacant on first use, and cached. *)
+  let find_page t pno =
+    let n = t.page_of.Itbl.size in
+    let i = Itbl.find_or_add t.page_of pno n in
+    let i =
+      if i >= 0 then i
+      else begin
+        t.pages <- grown t.pages n [||];
+        t.pages.(n) <- Array.make page_size (-1);
+        n
+      end
+    in
+    t.last_pno <- pno;
+    t.last_pidx <- i;
+    t.pages.(i)
 
-  (* Offset of [r]'s row in [p.slots], allocating the row on first use. *)
-  let slot t p (r : Register.t) =
-    let n = p.slot_of.Itbl.size in
-    let s = Itbl.find_or_add p.slot_of r.Register.id n in
-    if s >= 0 then s * stride
+  (* The page holding register id [id]'s entry. *)
+  let[@inline] page t id =
+    let pno = id lsr page_bits in
+    if pno = t.last_pno then Array.unsafe_get t.pages t.last_pidx
+    else find_page t pno
+
+  let[@inline] entry id = id land (page_size - 1)
+
+  (* A fresh row for the register of global index [g] at the end of
+     [p.slots]; its offset. *)
+  let new_row p g =
+    let off = p.rows * stride in
+    if off + stride > Array.length p.slots then begin
+      let b = Array.make (2 * max (4 * stride) (Array.length p.slots)) 0 in
+      Array.blit p.slots 0 b 0 off;
+      p.slots <- b
+    end;
+    (* A fresh row's stamps are 0: generation 0 is never current. *)
+    p.slots.(off + c_last) <- -2;
+    p.slots.(off + c_reg) <- g;
+    p.rows <- p.rows + 1;
+    off
+
+  (* Offset of [r]'s row in [p.slots] when [p] is not the owner named by
+     [r]'s entry [pg.(e)]: a vacant entry gets a global index and [p] as
+     its owner, a taken one a row in [p]'s own table, which copies the
+     global index from the owner's row when it is made. *)
+  let row t p ~pid pg e (r : Register.t) =
+    let v = pg.(e) in
+    if v < 0 then begin
+      let g = t.nregs in
+      t.regs <- grown t.regs g vacant_reg;
+      t.regs.(g) <- r;
+      t.last_write <- grown t.last_write g (-1);
+      t.last_write.(g) <- -1;
+      t.nregs <- g + 1;
+      pg.(e) <- (p.rows lsl t.pid_bits) lor pid;
+      new_row p g
+    end
     else begin
-      let off = n * stride in
-      if off + stride > Array.length p.slots then begin
-        let b = Array.make (2 * max (4 * stride) (Array.length p.slots)) 0 in
-        Array.blit p.slots 0 b 0 off;
-        p.slots <- b
-      end;
-      (* A fresh row's stamps are 0: generation 0 is never current. *)
-      p.slots.(off + c_last) <- -2;
-      p.slots.(off + c_reg) <- reg_index t r;
-      off
+      let s = Itbl.find_or_add p.slot_of r.Register.id p.rows in
+      if s >= 0 then s * stride
+      else begin
+        let owner = t.procs.(Itbl.find t.proc_of (v land t.pid_mask)) in
+        new_row p owner.slots.(((v lsr t.pid_bits) * stride) + c_reg)
+      end
     end
 
   let in_cs_or_exit = function
@@ -341,7 +404,15 @@ module Online = struct
     (match body with
     | Event.Access (r, k) ->
       let w = Event.is_write k in
-      let off = slot t p r in
+      let id = r.Register.id in
+      let pg = page t id in
+      let e = entry id in
+      let v = pg.(e) in
+      let off =
+        if v >= 0 && v land t.pid_mask = pid then
+          (v lsr t.pid_bits) * stride
+        else row t p ~pid pg e r
+      in
       let slots = p.slots in
       acc_add p.total slots (off + c_total) w;
       (match pre with
@@ -436,9 +507,13 @@ module Online = struct
     t.exits <- [];
     t.recs <- [];
     t.rec_rmrs <- [];
-    (* [regs] and [last_write] keep their cells: [reg_index] sets both
-       when it hands out an index again. *)
-    Itbl.clear t.reg_of
+    (* Pages, [regs] and [last_write] keep their cells: [row] sets an
+       entry and both cells when it hands out an index again. *)
+    for g = 0 to t.nregs - 1 do
+      let id = t.regs.(g).Register.id in
+      (page t id).(entry id) <- -1
+    done;
+    t.nregs <- 0
 
   let of_trace ~nprocs trace =
     let t = create ~nprocs in
@@ -475,13 +550,13 @@ module Online = struct
 
   let remote_accesses t = Array.init t.o_nprocs (fun pid -> remote t ~pid)
 
-  let touched t = List.init t.reg_of.Itbl.size (Array.get t.regs)
+  let touched t = List.init t.nregs (Array.get t.regs)
 
   let iter_touched f t =
-    for i = 0 to t.reg_of.Itbl.size - 1 do
+    for i = 0 to t.nregs - 1 do
       f (Array.unsafe_get t.regs i)
     done
 
-  let touched_count t = t.reg_of.Itbl.size
+  let touched_count t = t.nregs
   let spawned t = t.proc_of.Itbl.size
 end

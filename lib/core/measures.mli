@@ -50,29 +50,39 @@ val decisions : Trace.t -> nprocs:int -> (int * int) list
     [Recover] resets the process's region to [Remainder], and a bare
     [Crash] leaves the stale region in place (strong occupancy).
 
-    Representation.  Each process keeps an open-addressed table from
-    register id to a row of ints: one stamp per accumulator (total,
-    contention-free, entry window, exit fragment, recovery fragment),
-    packing the accumulator's generation with read/write bits, plus the
-    index of the process's last access to the register.  A register is
-    new to an accumulator iff its stamp's generation is stale, so
-    resetting a fragment is O(1).  Write-invalidate holders are not
-    stored as sets: the fold keeps each register's last-write index and
-    each process's last-crash index, and a process holds a valid copy
-    iff its last access is at or after the last write — and, for
+    Representation.  Each process keeps a row of ints per register it
+    accessed: one stamp per accumulator (total, contention-free, entry
+    window, exit fragment, recovery fragment), packing the accumulator's
+    generation with read/write bits, plus the index of the process's
+    last access to the register and the register's index in the fold.
+    A page directory finds the rows by register id: a page covers 64
+    consecutive ids, and its entry for a register names the register's
+    owner, the pid that touched it first in this fold, and the owner's
+    row.  Any other pid that touches the register keeps its row in its
+    own open-addressed table keyed by register id, reached after the
+    same one directory lookup.  So a solo run finds every row with array
+    loads, on a page a one-entry cache usually holds.  A register is new
+    to an accumulator iff its stamp's generation is stale, so resetting
+    a fragment is O(1).  Write-invalidate holders are not stored as
+    sets: the fold keeps each register's last-write index and each
+    process's last-crash index, and a process holds a valid copy iff its
+    last access is at or after the last write — and, for
     {!Online.recovery_rmr}, after its last crash.  So feeding an access
-    to a register the process has touched before costs one int-keyed
-    probe and allocates nothing, and a [Crash] is O(1).
+    to a register the process has touched before allocates nothing, and
+    a [Crash] is O(1).
 
     What the online fold {e cannot} give you is anything requiring
     random access into the past: [Trace.regions_at], stall diagnosis
     over recent events, or the model checker's truncate/undo — keep a
     {!Cfc_runtime.Trace.t} sink for those (small n only).
 
-    Memory is O(active set + completed fragments): per-process state is
-    allocated lazily at a pid's first event, and the per-process and
-    per-register tables grow with the registers each pid actually
-    touched, never with [nprocs] or with the range of register ids. *)
+    Memory is O(active set + completed fragments + pages touched):
+    per-process state is allocated lazily at a pid's first event, the
+    per-process tables grow with the registers each pid actually
+    touched, and the directory with the pages of ids the fold touched,
+    never with [nprocs], the arena or the range of register ids.  Ids
+    need not be dense: an arena's ids (dense from 0) share pages, and an
+    isolated id costs one page of its own. *)
 module Online : sig
   type t
 
@@ -80,9 +90,10 @@ module Online : sig
 
   val reset : t -> unit
   (** Return [t] to its {!create} state, keeping the capacity of every
-      table and the per-process records for reuse: a fold fed after a
-      reset answers every query exactly as a fresh one fed the same
-      events.  Cheaper than {!create} across many short runs — the
+      table, the directory's pages and the per-process records for
+      reuse: a fold fed after a reset answers every query exactly as a
+      fresh one fed the same events.  It clears only the directory
+      entries the fold handed out, O(registers touched).  Cheaper than {!create} across many short runs — the
       harnesses' solo runs touch the same registers, and first touches
       on a fresh fold grow every table. *)
 

@@ -25,9 +25,9 @@ type double_point = {
    Critical entry; the fold reports only completed recoveries, so the
    last one completed iff its Critical entry follows the Recover.  A
    process error raises. *)
-let solo_run ~rounds ~pid alg (p : Mutex_intf.params) steps =
+let solo_run ?max_steps ~rounds ~pid alg (p : Mutex_intf.params) steps =
   let r =
-    Adversary.run
+    Adversary.run ?max_steps
       ~faults:
         (List.concat_map
            (fun step -> [ Fault.crash ~step ~pid; Fault.recover ~step ~pid ])
@@ -64,13 +64,26 @@ let solo_run ~rounds ~pid alg (p : Mutex_intf.params) steps =
       !crashes,
     recovery )
 
+(* The crash-free reference run's length [total] and a run of the sweep
+   with crashes at [steps], cut [2 * (total + 1)] scheduler steps after
+   its last crash.  The restarted incarnation re-enters the critical
+   section within its recovery code and one crash-free passage, both
+   shorter than [total + 1], or never: a non-recoverable lock's stalled
+   point spins only that long, not the driver's default budget. *)
+let reference ~rounds ~pid alg p =
+  let total, _, _ = solo_run ~rounds ~pid alg p [] in
+  ( total,
+    fun steps ->
+      let max_steps = List.fold_left max 0 steps + (2 * (total + 1)) in
+      solo_run ~max_steps ~rounds ~pid alg p steps )
+
 let solo_sweep ?(rounds = 1) ?(pid = 0) alg p =
   (* Crash-free reference run: its access count bounds the useful crash
      points (crashing a halted process is a no-op). *)
-  let total, _, _ = solo_run ~rounds ~pid alg p [] in
+  let total, crashed = reference ~rounds ~pid alg p in
   List.filter_map
     (fun crash_step ->
-      match solo_run ~rounds ~pid alg p [ crash_step ] with
+      match crashed [ crash_step ] with
       | _, [], _ -> None (* the crash never fired: not a run of the sweep *)
       | _, crash_region :: _, outcome ->
         (* A restarted incarnation that never re-enters the critical
@@ -80,7 +93,7 @@ let solo_sweep ?(rounds = 1) ?(pid = 0) alg p =
     (List.init total Fun.id)
 
 let double_sweep ?(rounds = 1) ?(pid = 0) ?window alg p =
-  let total, _, _ = solo_run ~rounds ~pid alg p [] in
+  let total, crashed = reference ~rounds ~pid alg p in
   (* The second crash lands up to [window] scheduler steps after the
      first — far enough to hit every step of the restarted incarnation's
      recovery path (and a little beyond, crashing just after it). *)
@@ -90,7 +103,7 @@ let double_sweep ?(rounds = 1) ?(pid = 0) ?window alg p =
       List.filter_map
         (fun d ->
           let second_crash = first_crash + d in
-          match solo_run ~rounds ~pid alg p [ first_crash; second_crash ] with
+          match crashed [ first_crash; second_crash ] with
           | _, [ _; second_region ], final ->
             Some { first_crash; second_crash; second_region; final }
           | _ -> None (* the second crash fell past the halt: no new run *))

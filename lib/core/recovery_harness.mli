@@ -52,9 +52,11 @@ val solo_sweep :
     return one point per run in which the crash fired ([k = 0] is the
     "crashed before its first step" edge case).  A restarted incarnation
     that completed a recovery path yields [Recovered]; one that never
-    re-entered the critical section (the runs are step-bounded, not
-    hanging) yields [Stalled] — so a regression from recoverable to
-    deadlocking is a visible point, not an empty list. *)
+    re-entered the critical section yields [Stalled] — so a regression
+    from recoverable to deadlocking is a visible point, not an empty
+    list.  A run is cut [2 * (solo steps + 1)] scheduler steps after its
+    last crash: a restarted incarnation that re-enters does so sooner,
+    and one that cannot spins no longer than that. *)
 
 val double_sweep :
   ?rounds:int -> ?pid:int -> ?window:int -> Registry.alg ->

@@ -840,7 +840,12 @@ let test_crashed_holder_verdicts () =
    large ids, wander through every region, and run crash -> re-access ->
    recover -> Critical scripts (sometimes crashing again mid-recovery).
    Two sweeps each take one process over more than 1000 distinct
-   registers, so the per-process and global tables must grow. *)
+   registers, so the per-process and global tables must grow.  A tail
+   then sweeps overlapping stretches of a dense block of ids from 0, as
+   an arena hands them out, across several pages of the fold's
+   directory: several processes share its registers, so each has an
+   owner row and rows in other processes' tables, and a fold reset
+   after this trace meets its entries again in the next one. *)
 let synthetic_trace seed =
   let st = Random.State.make [| seed; 0x5e9 |] in
   let n = 2 + Random.State.int st 61 in
@@ -926,6 +931,18 @@ let synthetic_trace seed =
     | k when k < 92 -> ev pid Event.Crash
     | k when k < 94 -> ev pid Event.Recover
     | _ -> burst pid 8
+  done;
+  let dense = arena ~tag:"d" ~base:0 ~step:1 1100 in
+  for _ = 1 to 6 do
+    let pid = Random.State.int st n in
+    ev pid (Event.Region_change (next_region regions.(pid)));
+    let start = Random.State.int st 600 in
+    for i = start to start + 499 do
+      if Random.State.int st 8 = 0 then
+        ev (Random.State.int st n) (Event.Access (pick dense, kind ()));
+      ev pid (Event.Access (dense.(i), kind ()))
+    done;
+    if Random.State.int st 3 = 0 then recovery pid
   done;
   (n, t)
 
@@ -1064,7 +1081,8 @@ let prop_online_reset =
           Registry.rec_tas
       in
       let ns, synthetic = synthetic_trace seed in
-      let n = max 3 ns in
+      let ns', synthetic' = synthetic_trace (seed + 1) in
+      let n = max 3 (max ns ns') in
       List.iter
         (fun (what, a, b) ->
           check_reset_equals_fresh ~n a b ~ctx:(fun tag ->
@@ -1072,7 +1090,8 @@ let prop_online_reset =
         [ ("plain, reset, chaos", plain, chaos);
           ("chaos, reset, plain", chaos, plain);
           ("synthetic, reset, chaos", synthetic, chaos);
-          ("chaos, reset, synthetic", chaos, synthetic) ];
+          ("chaos, reset, synthetic", chaos, synthetic);
+          ("synthetic, reset, next seed's synthetic", synthetic, synthetic') ];
       true)
 
 (* The deterministic cost proxy of the solo CF harness: minor words per
